@@ -20,6 +20,7 @@ from .errors import (
     MorphismError,
     P3FusionError,
     ResourceLimitError,
+    TheoremViolationError,
 )
 from .group import (
     GroupElement,
@@ -34,6 +35,7 @@ __all__ = [
     "BisetClass",
     "FormalBiset",
     "MarkVector",
+    "MarkTable",
     "StabilityResult",
     "biset_class",
     "n_set",
@@ -51,6 +53,7 @@ __all__ = [
     "is_right_stable",
     "check_condition_a",
     "biset_mark",
+    "mark_table",
     "ExplicitBiset",
     "explicit_from_formal",
     "compose",
@@ -108,7 +111,7 @@ _CLASS_REGISTRY: dict = {}
 class BisetClass:
     """A left x S conjugacy class of graph subgroups, interned by key."""
 
-    __slots__ = ("key", "rep", "left", "uid", "layer")
+    __slots__ = ("key", "rep", "left", "uid", "layer", "_ids")
 
     def __init__(self, key, rep, left, uid, layer):
         self.key = key
@@ -116,6 +119,7 @@ class BisetClass:
         self.left = left
         self.uid = uid
         self.layer = layer
+        self._ids = None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, BisetClass) and self.key == other.key)
@@ -130,6 +134,14 @@ class BisetClass:
     @property
     def source(self) -> Subgroup:
         return self.rep.source
+
+    @property
+    def subgroup_ids(self) -> tuple:
+        """Positions of the representative's source and image in all_subgroups."""
+        if self._ids is None:
+            grp = ambient_group(self.rep.p)
+            self._ids = (grp.subgroup_id(self.rep.source), grp.subgroup_id(self.rep.image))
+        return self._ids
 
 
 def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
@@ -300,29 +312,27 @@ def are_conjugate(a, b) -> bool:
     return is_subconjugate(ma, mb) and is_subconjugate(mb, ma)
 
 
+# count_fixed_points memo: it serves mark pairs outside any system's table,
+# such as decompose_by_marks and the oracle check of verify --marks.
 _CFP_MEMO: dict = {}
-_FITS_MEMO: dict = {}
 
 
-def _fits_conjugately(r_sub: Subgroup, q_sub: Subgroup) -> bool:
-    """Whether some conjugate of r_sub lies inside q_sub.  Every subgroup here
-    is normal except the noncentral order-p ones, whose conjugates sweep the
-    central coset of a generator."""
-    key = (r_sub.elements, q_sub.elements)
-    try:
-        return _FITS_MEMO[key]
-    except KeyError:
-        pass
-    p = r_sub.p
-    if r_sub.order > q_sub.order:
-        ok = False
-    elif r_sub.order != p or r_sub.canonical_gens[0].is_central():
-        ok = r_sub.elements <= q_sub.elements
-    else:
-        g = r_sub.canonical_gens[0]
-        ok = any(GroupElement(p, g.a, g.b, c) in q_sub.elements for c in range(p))
-    _FITS_MEMO[key] = ok
-    return ok
+def _may_fix(phi_cls: BisetClass, psi_cls: BisetClass) -> bool:
+    """Necessary for a nonzero mark: the source and the image of psi each lie
+    in a conjugate of the source and the image of phi."""
+    fits = ambient_group(phi_cls.rep.p).subconjugacy
+    q_src, q_img = phi_cls.subgroup_ids
+    r_src, r_img = psi_cls.subgroup_ids
+    return fits[r_src][q_src] and fits[r_img][q_img]
+
+
+def _transporter_mark(phi: GroupMorphism, psi: GroupMorphism) -> int:
+    """The transporter formula |N_{psi,phi}| / |Q| * |C_S(psi(R))|."""
+    num = n_size(psi, phi) * ambient_group(phi.p).centralizer(psi.image).order
+    q_order = phi.source.order
+    if num % q_order:
+        raise P3FusionError("fixed-point formula returned a non-integer")
+    return num // q_order
 
 
 def count_fixed_points(cls, by) -> int:
@@ -332,25 +342,13 @@ def count_fixed_points(cls, by) -> int:
         phi_cls = cls
     else:
         phi_cls = biset_class(_as_morphism(cls))
-    psi = _as_morphism(by)
-    by_cls = by if isinstance(by, BisetClass) else biset_class(psi)
+    by_cls = by if isinstance(by, BisetClass) else biset_class(_as_morphism(by))
     memo_key = (phi_cls.uid, by_cls.uid)
     try:
         return _CFP_MEMO[memo_key]
     except KeyError:
         pass
-    phi = phi_cls.rep
-    psi = by_cls.rep
-    if not (_fits_conjugately(psi.source, phi.source)
-            and _fits_conjugately(psi.image, phi.image)):
-        _CFP_MEMO[memo_key] = 0
-        return 0
-    grp = ambient_group(phi.p)
-    num = n_size(psi, phi) * grp.centralizer(psi.image).order
-    q_order = phi.source.order
-    if num % q_order:
-        raise P3FusionError("fixed-point formula returned a non-integer")
-    val = num // q_order
+    val = _transporter_mark(phi_cls.rep, by_cls.rep) if _may_fix(phi_cls, by_cls) else 0
     _CFP_MEMO[memo_key] = val
     return val
 
@@ -582,7 +580,10 @@ def restrict_left(cls: BisetClass, psi: GroupMorphism) -> FormalBiset:
         coeffs[piece_cls] = coeffs.get(piece_cls, 0) + 1
         total_ratio += r_sub.order // a_sub.order
     # size preserved: the regular right-S-orbits of the pieces count |S:Q|
-    assert total_ratio == grp.full.order // q_sub.order, "restriction lost cosets"
+    if total_ratio != grp.full.order // q_sub.order:
+        raise TheoremViolationError(
+            f"restriction lost cosets: {total_ratio} right orbits, "
+            f"expected |S:Q| = {grp.full.order // q_sub.order}")
     return FormalBiset(p, coeffs, left=r_sub)
 
 
@@ -606,21 +607,67 @@ class StabilityResult(NamedTuple):
         return self.ok
 
 
-def _fusion_class_uids(system) -> frozenset:
-    uids = {biset_class(identity_morphism(system.group.trivial)).uid}
-    for rep in system.all_class_reps():
-        uids.add(biset_class(rep.morphism).uid)
-    return frozenset(uids)
+class MarkTable:
+    """Sparse marks of one fusion system: the Burnside ghost map restricted to
+    the system's classes (Bouc, Biset Functors for Finite Groups).
+
+    The columns are the trivial class and every enumerated F-morphism class.
+    A row, built on first request, holds the nonzero marks of the columns at
+    one test class.  Columns are grouped by the ids of their source and image,
+    and a group is visited only when the subconjugacy matrix allows both.
+    """
+
+    def __init__(self, system):
+        cols = [biset_class(identity_morphism(system.group.trivial))]
+        cols.extend(biset_class(rep.morphism) for rep in system.all_class_reps())
+        self.columns = tuple(cols)
+        self._column_uids = frozenset(cls.uid for cls in cols)
+        groups = {}
+        for cls in cols:
+            groups.setdefault(cls.subgroup_ids, []).append(cls)
+        self._groups = tuple((src, img, tuple(members))
+                             for (src, img), members in groups.items())
+        self._fits = system.group.subconjugacy
+        self._rows = {}
+
+    def row(self, test: BisetClass) -> dict:
+        """{column class: mark at test} over the columns with a nonzero mark."""
+        row = self._rows.get(test.uid)
+        if row is None:
+            fits = self._fits
+            r_src, r_img = test.subgroup_ids
+            psi = test.rep
+            row = {}
+            for src, img, members in self._groups:
+                if fits[r_src][src] and fits[r_img][img]:
+                    for cls in members:
+                        value = _transporter_mark(cls.rep, psi)
+                        if value:
+                            row[cls] = value
+            self._rows[test.uid] = row
+        return row
+
+    def mark(self, b: FormalBiset, test: BisetClass):
+        """biset_mark(b, test) for b supported on the columns."""
+        coeffs = b.coeffs
+        total = 0
+        for cls, value in self.row(test).items():
+            c = coeffs.get(cls)
+            if c:
+                total += c * value
+        return total
 
 
-@lru_cache(maxsize=None)
-def _fusion_class_uids_cached(system):
-    return _fusion_class_uids(system)
+def mark_table(system) -> MarkTable:
+    """The system's mark table, created on first use."""
+    if system._mark_table is None:
+        system._mark_table = MarkTable(system)
+    return system._mark_table
 
 
 def check_condition_a(system, b: FormalBiset):
     """Support must lie inside the system's morphism classes."""
-    allowed = _fusion_class_uids_cached(system)
+    allowed = mark_table(system)._column_uids
     for cls in b.support:
         if cls.uid not in allowed:
             raise ConditionAViolationError(cls)
@@ -628,16 +675,16 @@ def check_condition_a(system, b: FormalBiset):
 
 def _stability_sweep(system, b: FormalBiset, side: str) -> StabilityResult:
     check_condition_a(system, b)
+    table = mark_table(system)
     id_marks = {}
     for rep in system.all_class_reps():
-        test = biset_class(rep.morphism)
-        lhs = biset_mark(b, test)
+        lhs = table.mark(b, biset_class(rep.morphism))
         anchor = rep.morphism.image if side == "left" else rep.morphism.source
         key = anchor.elements
         try:
             rhs = id_marks[key]
         except KeyError:
-            rhs = biset_mark(b, biset_class(identity_morphism(anchor)))
+            rhs = table.mark(b, biset_class(identity_morphism(anchor)))
             id_marks[key] = rhs
         if lhs != rhs:
             return StabilityResult(False, (rep, lhs, rhs))

@@ -219,9 +219,47 @@ class FusionSystemSpec:
         return FusionSystemSpec(int(data["prime"]), str(data.get("name", "custom")), classes)
 
 
+def _spec_field_error(data) -> str | None:
+    """The first missing or malformed field of a JSON system description."""
+    if not isinstance(data, dict):
+        return "expected a JSON object with fields 'prime' and 'classes'"
+    if "prime" not in data:
+        return "missing field 'prime'"
+    if not isinstance(data["prime"], int):
+        return "field 'prime' must be an integer"
+    if "classes" not in data:
+        return "missing field 'classes'"
+    if not isinstance(data["classes"], list):
+        return "field 'classes' must be a list"
+    for k, entry in enumerate(data["classes"]):
+        if not isinstance(entry, dict):
+            return f"field 'classes[{k}]' must be an object"
+        for name in ("lines", "r"):
+            if name not in entry:
+                return f"missing field 'classes[{k}].{name}'"
+        lines = entry["lines"]
+        if not isinstance(lines, list) or not all(isinstance(i, int) for i in lines):
+            return f"field 'classes[{k}].lines' must be a list of integers"
+        if not isinstance(entry["r"], int) or entry["r"] < 1:
+            return f"field 'classes[{k}].r' must be a positive integer"
+    return None
+
+
 def load_spec_file(path: str) -> FusionSystemSpec:
+    """Read a JSON system description.  A file that is not JSON, or that lacks
+    or mistypes a field, raises UnknownSystemError naming the file and field."""
     with open(path, "r", encoding="utf-8") as fh:
-        return FusionSystemSpec.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UnknownSystemError(f"{path}: not valid JSON: {exc}") from None
+    problem = _spec_field_error(data)
+    if problem is not None:
+        raise UnknownSystemError(f"{path}: {problem}")
+    try:
+        return FusionSystemSpec.from_json(data)
+    except ValueError as exc:  # the prime is not an odd prime
+        raise UnknownSystemError(f"{path}: field 'prime': {exc}") from None
 
 
 # -- catalog of outer automorphism groups -------------------------------------
@@ -361,9 +399,12 @@ def builtin_systems() -> tuple:
 
 
 def realizing_group_name(spec: FusionSystemSpec):
-    """ATLAS-style name of a finite group realizing the system, None if exotic."""
+    """ATLAS-style name of a finite group realizing the system, None if exotic.
+
+    A description matches a built-in row when some element of GL_2(p) carries
+    the row's classes onto its own; the name plays no part."""
     for built, _, group_name in _builtin_table():
-        if built == spec:
+        if group_name is not None and _line_relabelling(built, spec) is not None:
             return group_name
     return None
 
@@ -438,23 +479,37 @@ def _verify_out_group(spec: FusionSystemSpec, mats: frozenset):
                     f"stabilizer action pairs at line {i} do not realise the extendable set")
 
 
-def _relabel_to_spec(spec: FusionSystemSpec, mats: frozenset):
-    """Conjugate a catalog group so its line orbits match spec's partition."""
-    p = spec.p
-    catalog_spec = _spec_from_matrices(p, spec.name, mats)
-    want = {(cls.members, cls.r) for cls in spec.classes}
-    have = {(cls.members, cls.r) for cls in catalog_spec.classes}
-    if want == have:
-        return mats
-    for g in gl2_elements(p):
+def _line_relabelling(have: FusionSystemSpec, want: FusionSystemSpec):
+    """Some g in GL_2(p) carrying have's (members, r) classes onto want's, or
+    None.  The identity is tried first; the class shapes are compared before
+    any search."""
+    if have.p != want.p:
+        return None
+    shape = sorted((len(cls.members), cls.r) for cls in have.classes)
+    if shape != sorted((len(cls.members), cls.r) for cls in want.classes):
+        return None
+    target = {(cls.members, cls.r) for cls in want.classes}
+    if {(cls.members, cls.r) for cls in have.classes} == target:
+        return identity_matrix(have.p)
+    for g in gl2_elements(have.p):
         mapped = {
             (frozenset(act_on_line(g, i) for i in cls.members), cls.r)
-            for cls in catalog_spec.classes
+            for cls in have.classes
         }
-        if mapped == want:
-            gi = g.inv()
-            return frozenset(g * m * gi for m in mats)
+        if mapped == target:
+            return g
     return None
+
+
+def _relabel_to_spec(spec: FusionSystemSpec, mats: frozenset):
+    """Conjugate a catalog group so its line orbits match spec's partition."""
+    g = _line_relabelling(_spec_from_matrices(spec.p, spec.name, mats), spec)
+    if g is None:
+        return None
+    if g.is_identity():
+        return mats
+    gi = g.inv()
+    return frozenset(g * m * gi for m in mats)
 
 
 @lru_cache(maxsize=None)
@@ -557,6 +612,11 @@ class FusionSystem:
         self._v_reps = {}
         self._order_p_reps = None
         self._class_reps_all = None
+        # per-system caches, filled on first use: biset.mark_table and the
+        # solver's symbolic layer-0/1 template and layer-2 relations
+        self._mark_table = None
+        self._layer01_template = None
+        self._layer2_relations = None
 
     # -- normalization of line generators and the alpha_{i,j} family ---------
 

@@ -201,6 +201,7 @@ class ExtraspecialGroup:
         self._pinned_u = None
         self._all_subgroups = None
         self._subgroup_ids = None
+        self._subconjugacy = None
         self._centralizers = {}
         self._conj_transversals = {}
 
@@ -287,6 +288,24 @@ class ExtraspecialGroup:
         if self._subgroup_ids is None:
             self._subgroup_ids = {s.elements: i for i, s in enumerate(self.all_subgroups)}
         return self._subgroup_ids[q.elements]
+
+    @property
+    def subconjugacy(self) -> tuple:
+        """fits[i][j]: some conjugate of all_subgroups[i] lies inside
+        all_subgroups[j].  Every subgroup is normal except the noncentral
+        order-p ones, whose conjugates sweep the central coset of a generator."""
+        if self._subconjugacy is None:
+            subs = self.all_subgroups
+            rows = []
+            for r in subs:
+                if r.order == self.p and not r.canonical_gens[0].is_central():
+                    g = r.canonical_gens[0]
+                    coset = [GroupElement(self.p, g.a, g.b, c) for c in range(self.p)]
+                    rows.append(tuple(any(h in q.elements for h in coset) for q in subs))
+                else:
+                    rows.append(tuple(r.elements <= q.elements for q in subs))
+            self._subconjugacy = tuple(rows)
+        return self._subconjugacy
 
     def transversal(self, q: Subgroup) -> tuple:
         """Lexicographic left-coset representatives of q in S."""

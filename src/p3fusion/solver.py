@@ -2,7 +2,7 @@
 the bottom layer, uniqueness certification, and the summary table.
 
 The bottom-layer relations are derived symbolically: marks of the top two
-layers are accumulated through count_fixed_points with the multiplicities
+layers are read off the system's sparse mark table with the multiplicities
 kept as affine expressions in the free coefficients, and the stability
 equations then express every bottom multiplicity in terms of the diagonal
 ones.  The closed forms serve as a cross-check, not as the source of truth.
@@ -17,9 +17,9 @@ from fractions import Fraction
 from .biset import (
     FormalBiset,
     biset_class,
-    count_fixed_points,
     is_left_stable,
     is_right_stable,
+    mark_table,
     opposite,
 )
 from .errors import InconsistentSpecError, InfeasibleCoefficientsError
@@ -126,18 +126,13 @@ def pair_key_of_rep(system: FusionSystem, rep: FusionMorphism):
     return (xi_idx, j, m)
 
 
-_TEMPLATE_CACHE: dict = {}
-_RELATION_CACHE: dict = {}
-
-
-def _layer01_template(system: FusionSystem):
+def _layer01_template(system: FusionSystem) -> dict:
     """Support classes of the top two layers with symbolic multiplicities."""
-    cached = _TEMPLATE_CACHE.get(id(system))
-    if cached is not None and cached[0] is system:
-        return cached[1]
-    entries = []
+    if system._layer01_template is not None:
+        return system._layer01_template
+    entries = {}
     for rep in system.aut_s_reps():
-        entries.append((biset_class(rep.morphism), LinExpr.var(C0)))
+        entries[biset_class(rep.morphism)] = LinExpr.var(C0)
     p = system.p
     for i in range(p + 1):
         for rep in system.v_source_reps(i):
@@ -145,31 +140,37 @@ def _layer01_template(system: FusionSystem):
                 mult = LinExpr.var(c1_var(i))
             else:
                 mult = LinExpr.var(C0) + p * LinExpr.var(c1_var(i))
-            entries.append((biset_class(rep.morphism), mult))
-    _TEMPLATE_CACHE[id(system)] = (system, entries)
+            entries[biset_class(rep.morphism)] = mult
+    system._layer01_template = entries
     return entries
+
+
+def _marks_upto1(system: FusionSystem, row: dict) -> LinExpr:
+    """The top-two-layer mark at one test class, from its mark-table row."""
+    template = _layer01_template(system)
+    total = LinExpr.of(0)
+    for cls, fp in row.items():
+        mult = template.get(cls)
+        if mult is not None:
+            total = total + fp * mult
+    return total
 
 
 def derive_layer2_relations(system: FusionSystem):
     """For every order-p pair (xi, zeta): the multiplicity of its class as an
     affine expression in c0, c1(i) and the diagonal variables c2z, c2u(i),
-    read off from the stability equations with marks from count_fixed_points."""
-    cached = _RELATION_CACHE.get(id(system))
-    if cached is not None and cached[0] is system:
-        return cached[1]
-    template = _layer01_template(system)
+    read off from the stability equations with marks from the mark table."""
+    if system._layer2_relations is not None:
+        return system._layer2_relations
+    table = mark_table(system)
     reps = {pair_key_of_rep(system, rep): rep for rep in system.order_p_reps()}
     marks_upto1 = {}
     diag = {}
     for key, rep in reps.items():
         test = biset_class(rep.morphism)
-        total = LinExpr.of(0)
-        for cls, mult in template:
-            fp = count_fixed_points(cls, test)
-            if fp:
-                total = total + fp * mult
-        marks_upto1[key] = total
-        diag[key] = count_fixed_points(test, test)
+        row = table.row(test)
+        marks_upto1[key] = _marks_upto1(system, row)
+        diag[key] = row[test]
     relations = {}
     for key in reps:
         xi_idx = key[0]
@@ -177,7 +178,7 @@ def derive_layer2_relations(system: FusionSystem):
         diag_var = LinExpr.var(c2z_var()) if xi_idx == -1 else LinExpr.var(c2u_var(xi_idx))
         numer = (diag[diag_key] * diag_var + marks_upto1[diag_key] - marks_upto1[key])
         relations[key] = Fraction(1, diag[key]) * numer
-    _RELATION_CACHE[id(system)] = (system, (relations, reps))
+    system._layer2_relations = (relations, reps)
     return relations, reps
 
 
@@ -228,19 +229,14 @@ def verify_relation_derivation(system: FusionSystem) -> bool:
 
 def mark_identity_checks(system: FusionSystem):
     """Named identities for the top-two-layer marks at every order-p pair."""
-    template = _layer01_template(system)
+    table = mark_table(system)
     p, f = system.p, system.f
     spec = system.spec
     checks = []
     for rep in system.order_p_reps():
         key = pair_key_of_rep(system, rep)
         xi_idx, zeta_idx, _m = key
-        test = biset_class(rep.morphism)
-        got = LinExpr.of(0)
-        for cls, mult in template:
-            fp = count_fixed_points(cls, test)
-            if fp:
-                got = got + fp * mult
+        got = _marks_upto1(system, table.row(biset_class(rep.morphism)))
         if xi_idx == -1 and zeta_idx == -1:
             want = p**3 * f * LinExpr.var(C0)
             for i in range(p + 1):

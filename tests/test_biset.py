@@ -15,9 +15,12 @@ from p3fusion.biset import (
     decompose_by_marks,
     explicit_from_formal,
     is_left_stable,
+    is_right_stable,
     is_subconjugate,
+    mark_table,
     mark_vector,
     n_set,
+    n_size,
     opposite,
     restrict_left,
     restrict_left_biset,
@@ -387,3 +390,68 @@ def test_json_roundtrip():
         coeffs[biset_class(rng.choice(reps).morphism)] = Fraction(rng.randint(1, 9), 8)
     b = FormalBiset(3, coeffs)
     assert FormalBiset.from_json(b.to_json()) == b
+
+
+# -- the per-system sparse mark table ---------------------------------------------
+
+def _dense_row(table, test):
+    """Every nonzero count_fixed_points value over the table's columns.  The
+    unfiltered transporter count must vanish on every other column."""
+    out = {}
+    for cls in table.columns:
+        value = count_fixed_points(cls, test)
+        if value:
+            out[cls] = value
+    assert {cls for cls in table.columns if n_size(test.rep, cls.rep)} == set(out)
+    return out
+
+
+def _dense_sweep(system, b, side):
+    """The stability sweep evaluated with biset_mark over the whole support."""
+    for rep in system.all_class_reps():
+        lhs = biset_mark(b, biset_class(rep.morphism))
+        anchor = rep.morphism.image if side == "left" else rep.morphism.source
+        rhs = biset_mark(b, biset_class(identity_morphism(anchor)))
+        if lhs != rhs:
+            return rep, lhs, rhs
+    return None
+
+
+def test_mark_table_rows_match_dense_scan_p3():
+    for name in ("d8", "sd16"):
+        table = mark_table(builtin_fusion_system(name))
+        for test in table.columns:
+            assert table.row(test) == _dense_row(table, test)
+
+
+def test_mark_table_sampled_rows_match_dense_scan():
+    rng = random.Random(43)
+    for name in ("4s4", "d16x3"):
+        table = mark_table(builtin_fusion_system(name))
+        for test in rng.sample(table.columns, 50):
+            assert table.row(test) == _dense_row(table, test)
+
+
+def test_mark_table_mark_equals_biset_mark():
+    from p3fusion.idempotent import omega_upto2
+    from p3fusion.solver import minimal_biset
+
+    for name in ("d8", "sd16"):
+        sys_ = builtin_fusion_system(name)
+        table = mark_table(sys_)
+        for b in (minimal_biset(sys_, certify=False).biset, omega_upto2(sys_)):
+            for test in table.columns:
+                assert table.mark(b, test) == biset_mark(b, test)
+
+
+def test_mark_table_sweep_witness_matches_dense_sweep():
+    from p3fusion.idempotent import omega_upto2
+
+    sys_ = builtin_fusion_system("d8")
+    grp = sys_.group
+    zz = biset_class(morphism_from_images(grp.cyclic(grp.z), {grp.z: grp.z}))
+    bad = omega_upto2(sys_) + FormalBiset(3, {zz: Fraction(1, 3)})
+    for side, sweep in (("left", is_left_stable), ("right", is_right_stable)):
+        res = sweep(sys_, bad)
+        assert not res.ok
+        assert res.witness == _dense_sweep(sys_, bad, side)

@@ -141,3 +141,25 @@ def test_config_file(tmp_path, capsys):
     data = json.loads(out)
     assert data["e"] == 968
     assert data["system"] == "custom-d8"
+    assert data["exotic"] is False
+    assert data["exoticity_bound"] is None
+
+
+def test_config_file_missing_classes_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "noclasses.json"
+    cfg.write_text(json.dumps({"prime": 3, "name": "broken"}))
+    code, out, err = run(capsys, "minimal", "--config", str(cfg), "--no-certify")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(cfg) in err and "'classes'" in err
+
+
+def test_config_file_not_json_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "garbage.json"
+    cfg.write_text("prime = 3\n")
+    code, out, err = run(capsys, "minimal", "--config", str(cfg), "--no-certify")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(cfg) in err and "not valid JSON" in err

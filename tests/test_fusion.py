@@ -5,6 +5,7 @@ from p3fusion.fusion import (
     FusionClass,
     FusionSystemSpec,
     MatrixGL2,
+    act_on_line,
     aut_F_V,
     build_out_F,
     builtin_fusion_system,
@@ -52,6 +53,25 @@ def test_realizing_groups():
     assert names["D16x3"] is None
     assert names["6sq:2"] is None
     assert names["SD32x3"] is None
+
+
+def test_realizing_group_ignores_name_and_line_labels():
+    d8 = resolve_system("d8")
+    g = MatrixGL2(3, 1, 1, 0, 1)
+    moved = tuple(FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
+                  for cls in d8.classes)
+    relabelled = FusionSystemSpec(3, "custom", moved)
+    assert {c.members for c in relabelled.classes} != {c.members for c in d8.classes}
+    assert realizing_group_name(relabelled) == "2F4(2)'"
+    assert realizing_group_name(FusionSystemSpec(3, "custom", d8.classes)) == "2F4(2)'"
+    sd16 = resolve_system("sd16")
+    assert realizing_group_name(FusionSystemSpec(3, "D8", sd16.classes)) == "J4"
+    # a relabelled p = 7 row stays exotic
+    custom = FusionSystemSpec(
+        7, "6sq:2",
+        (FusionClass(frozenset({0, 1}), 6), FusionClass(frozenset({2, 3, 4, 5, 6, 7}), 2)),
+    )
+    assert realizing_group_name(custom) is None
 
 
 def test_resolve_aliases():
