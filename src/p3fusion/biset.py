@@ -10,7 +10,6 @@ so each can check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -31,10 +30,8 @@ from .group import (
 )
 
 __all__ = [
-    "GraphSubgroup",
     "BisetClass",
     "FormalBiset",
-    "MarkVector",
     "MarkTable",
     "StabilityResult",
     "biset_class",
@@ -169,46 +166,6 @@ def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
     return cls
 
 
-@dataclass(frozen=True)
-class GraphSubgroup:
-    """The graph of an injective homomorphism, as a subgroup of S x S."""
-
-    morphism: GroupMorphism
-
-    @property
-    def source(self) -> Subgroup:
-        return self.morphism.source
-
-    @property
-    def order(self) -> int:
-        return self.morphism.source.order
-
-    def pairs(self) -> frozenset:
-        return frozenset((g, h) for g, h in self.morphism.mapping.items())
-
-    def conjugate_by(self, s: GroupElement, t: GroupElement) -> "GraphSubgroup":
-        si = s.inv()
-        mapping = {g.conj_by(s): h.conj_by(t) for g, h in self.morphism.mapping.items()}
-        src = self.morphism.source.conjugate_by(s)
-        gens = {g: mapping[g] for g in src.canonical_gens}
-        return GraphSubgroup(GroupMorphism(src, gens, _mapping=mapping))
-
-    def biset_class(self) -> BisetClass:
-        return biset_class(self.morphism)
-
-
-def _as_morphism(obj) -> GroupMorphism:
-    if isinstance(obj, GroupMorphism):
-        return obj
-    if isinstance(obj, GraphSubgroup):
-        return obj.morphism
-    if isinstance(obj, BisetClass):
-        return obj.rep
-    if hasattr(obj, "morphism"):
-        return obj.morphism
-    raise TypeError(f"expected a morphism-like object, got {type(obj).__name__}")
-
-
 # -- transporter sets and fixed points -----------------------------------------
 
 def _solvable_2var(p: int, rows) -> bool:
@@ -230,20 +187,19 @@ def _solvable_2var(p: int, rows) -> bool:
     return all(row[2] == 0 for row in mat if not row[0] and not row[1])
 
 
-def n_size(psi, phi) -> int:
-    """|N_{psi,phi}| = |{x : xRx^-1 <= Q and phi o c_x|_R = c_y o psi for some y}|."""
-    psi, phi = _as_morphism(psi), _as_morphism(phi)
+def _transporter_reps(psi: GroupMorphism, phi: GroupMorphism) -> list:
+    """Reps x of the cosets x*C_S(R) with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
+    for some y; the conditions depend only on the coset."""
     p = psi.p
     grp = ambient_group(p)
     r_sub, q_sub = psi.source, phi.source
     if r_sub.order > q_sub.order:
-        return 0
+        return []
     gens = r_sub.canonical_gens
     a_list = [psi.mapping[r] for r in gens]
     q_elems = q_sub.elements
     phi_map = phi.mapping
-    coset_size = grp.centralizer(r_sub).order
-    total = 0
+    out = []
     for x in grp.conj_transversal(r_sub):
         rows = []
         for r, a in zip(gens, a_list):
@@ -256,46 +212,28 @@ def n_size(psi, phi) -> int:
             rows.append((a.b, -a.a, b.c - a.c))
         else:
             if _solvable_2var(p, rows):
-                total += coset_size
-    return total
+                out.append(x)
+    return out
 
 
-def n_set(psi, phi) -> frozenset:
+def n_size(psi: GroupMorphism, phi: GroupMorphism) -> int:
+    """|N_{psi,phi}| = |{x : xRx^-1 <= Q and phi o c_x|_R = c_y o psi for some y}|."""
+    return len(_transporter_reps(psi, phi)) * ambient_group(psi.p).centralizer(psi.source).order
+
+
+def n_set(psi: GroupMorphism, phi: GroupMorphism) -> frozenset:
     """The transporter subset of S realised elementwise (see n_size)."""
-    psi, phi = _as_morphism(psi), _as_morphism(phi)
-    p = psi.p
-    grp = ambient_group(p)
-    r_sub, q_sub = psi.source, phi.source
-    gens = r_sub.canonical_gens
-    a_list = [psi.mapping[r] for r in gens]
-    centralizer = grp.centralizer(r_sub)
-    out = set()
-    if r_sub.order > q_sub.order:
-        return frozenset()
-    for x in grp.conj_transversal(r_sub):
-        rows = []
-        for r, a in zip(gens, a_list):
-            rx = r.conj_by(x)
-            if rx not in q_sub.elements:
-                break
-            b = phi.mapping[rx]
-            if b.a != a.a or b.b != a.b:
-                break
-            rows.append((a.b, -a.a, b.c - a.c))
-        else:
-            if _solvable_2var(p, rows):
-                out.update(x * c for c in centralizer.elements)
-    return frozenset(out)
+    cent = ambient_group(psi.p).centralizer(psi.source).elements
+    return frozenset(x * c for x in _transporter_reps(psi, phi) for c in cent)
 
 
-def is_subconjugate(psi, phi) -> bool:
+def is_subconjugate(psi: GroupMorphism, phi: GroupMorphism) -> bool:
     return n_size(psi, phi) > 0
 
 
-def graph_class_size(cls) -> int:
-    """Number of graph subgroups conjugate to the representative: the S x S
-    orbit has size |S|^2 / (|N_phi| * |C_S(phi(Q))|)."""
-    mor = _as_morphism(cls)
+def graph_class_size(mor: GroupMorphism) -> int:
+    """Number of graph subgroups conjugate to mor: the S x S orbit has size
+    |S|^2 / (|N_phi| * |C_S(phi(Q))|)."""
     grp = ambient_group(mor.p)
     stab = n_size(mor, mor) * grp.centralizer(mor.image).order
     total = grp.full.order**2
@@ -304,17 +242,11 @@ def graph_class_size(cls) -> int:
     return total // stab
 
 
-def are_conjugate(a, b) -> bool:
+def are_conjugate(a: GroupMorphism, b: GroupMorphism) -> bool:
     """S x S conjugacy via mutual subconjugacy at equal order."""
-    ma, mb = _as_morphism(a), _as_morphism(b)
-    if ma.source.order != mb.source.order:
+    if a.source.order != b.source.order:
         return False
-    return is_subconjugate(ma, mb) and is_subconjugate(mb, ma)
-
-
-# count_fixed_points memo: it serves mark pairs outside any system's table,
-# such as decompose_by_marks and the oracle check of verify --marks.
-_CFP_MEMO: dict = {}
+    return is_subconjugate(a, b) and is_subconjugate(b, a)
 
 
 def _may_fix(phi_cls: BisetClass, psi_cls: BisetClass) -> bool:
@@ -335,29 +267,17 @@ def _transporter_mark(phi: GroupMorphism, psi: GroupMorphism) -> int:
     return num // q_order
 
 
-def count_fixed_points(cls, by) -> int:
+def count_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     """Fixed points of the graph of `by` on the transitive biset of `cls`:
     |N_{psi,phi}| / |Q| * |C_S(psi(R))|."""
-    if isinstance(cls, BisetClass):
-        phi_cls = cls
-    else:
-        phi_cls = biset_class(_as_morphism(cls))
-    by_cls = by if isinstance(by, BisetClass) else biset_class(_as_morphism(by))
-    memo_key = (phi_cls.uid, by_cls.uid)
-    try:
-        return _CFP_MEMO[memo_key]
-    except KeyError:
-        pass
-    val = _transporter_mark(phi_cls.rep, by_cls.rep) if _may_fix(phi_cls, by_cls) else 0
-    _CFP_MEMO[memo_key] = val
-    return val
+    return _transporter_mark(cls.rep, by.rep) if _may_fix(cls, by) else 0
 
 
-def brute_force_fixed_points(cls, by) -> int:
+def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     """Independent oracle: build (S x S)/Delta_Q^phi as explicit cosets
     (t, y) and count the ones fixed by every generator pair of the graph."""
-    phi = _as_morphism(cls)
-    psi = _as_morphism(by)
+    phi = cls.rep
+    psi = by.rep
     grp = ambient_group(phi.p)
     q_sub = phi.source
     reps = grp.transversal(q_sub)
@@ -506,19 +426,6 @@ def opposite(b: FormalBiset) -> FormalBiset:
 
 # -- marks -----------------------------------------------------------------------
 
-class MarkVector(NamedTuple):
-    entries: tuple  # ((BisetClass, value), ...) in deterministic order
-
-    def as_dict(self):
-        return dict(self.entries)
-
-    def value_at(self, cls):
-        for c, v in self.entries:
-            if c == cls:
-                return v
-        return 0
-
-
 def subconjugate_closure(b: FormalBiset) -> tuple:
     """Every class [R, phi|_R] under a support class, i.e. everything that can
     have a nonzero mark on b."""
@@ -533,21 +440,18 @@ def subconjugate_closure(b: FormalBiset) -> tuple:
     return tuple(sorted(seen.values(), key=lambda c: (c.layer, c.key)))
 
 
-def mark_vector(b: FormalBiset, classes=None) -> MarkVector:
+def mark_vector(b: FormalBiset, classes=None) -> dict:
+    """{test class: mark of b}, over the subconjugate closure by default."""
     if classes is None:
         classes = subconjugate_closure(b)
-    entries = []
-    for test in classes:
-        entries.append((test, biset_mark(b, test)))
-    return MarkVector(tuple(entries))
+    return {test: biset_mark(b, test) for test in classes}
 
 
-def biset_mark(b: FormalBiset, test) -> int:
-    test_cls = test if isinstance(test, BisetClass) else biset_class(_as_morphism(test))
+def biset_mark(b: FormalBiset, test: BisetClass) -> int:
     total = 0
     for cls, c in b.coeffs.items():
-        if cls.source.order >= test_cls.source.order:
-            total += c * count_fixed_points(cls, test_cls)
+        if cls.source.order >= test.source.order:
+            total += c * count_fixed_points(cls, test)
     return total
 
 
@@ -768,45 +672,13 @@ class ExplicitBiset:
                 count += 1
         return count
 
-    def orbit_decomposition(self) -> FormalBiset:
-        """Independent route: split into biorbits and read each stabilizer graph."""
-        grp = ambient_group(self.p)
-        unassigned = set(range(self.size))
-        coeffs = {}
-        while unassigned:
-            seed = min(unassigned)
-            orbit = {seed}
-            frontier = [seed]
-            while frontier:
-                i = frontier.pop()
-                for g in self._gens:
-                    for j in (self.left_gen[g][i], self.right_gen[g][i]):
-                        if j not in orbit:
-                            orbit.add(j)
-                            frontier.append(j)
-            unassigned -= orbit
-            right_orbit = {}
-            for g in grp.elements:
-                right_orbit[self.right(seed, g)] = g
-            q_elems, images = [], {}
-            for s in grp.elements:
-                j = self.left(s, seed)
-                if j in right_orbit:
-                    q_elems.append(s)
-                    images[s] = right_orbit[j]
-            q_sub = Subgroup(self.p, q_elems)
-            gens = {g: images[g] for g in q_sub.canonical_gens}
-            mor = GroupMorphism(q_sub, gens, _mapping=images)
-            cls = biset_class(mor)
-            coeffs[cls] = coeffs.get(cls, 0) + 1
-        return FormalBiset(self.p, coeffs)
-
     def restricted_orbit_decomposition(self, psi: GroupMorphism) -> FormalBiset:
         """Orbit split with the left action pulled back along psi: R -> S.
 
         Serves as the explicit-set oracle for restrict_left: each biorbit of
         (psi(R), S) is a transitive R-S-piece whose graph is read off the
-        right-regular coordinates of a seed point."""
+        right-regular coordinates of a seed point.  Along the identity of S
+        it is the orbit decomposition of the S-S-set, independent of marks."""
         grp = ambient_group(self.p)
         r_sub = psi.source
         psi_gen_elems = [psi.mapping[r] for r in r_sub.canonical_gens]
@@ -842,95 +714,56 @@ class ExplicitBiset:
         return FormalBiset(self.p, coeffs, left=r_sub)
 
 
+def _regular_biset(p: int) -> ExplicitBiset:
+    """S as an explicit S-S-set under left and right multiplication."""
+    grp = ambient_group(p)
+    index = {g: i for i, g in enumerate(grp.elements)}
+    gens = (grp.x, grp.y, grp.z)
+    left_gen = {g: [index[g * y] for y in grp.elements] for g in gens}
+    right_gen = {g: [index[y * g] for y in grp.elements] for g in gens}
+    return ExplicitBiset(p, len(grp.elements), left_gen, right_gen)
+
+
 def explicit_from_formal(b: FormalBiset, limit: int = 2_000_000) -> ExplicitBiset:
     """Materialise a genuine S-S formal biset as explicit points (t, y)."""
     if not b.is_genuine():
         raise ValueError("only genuine bisets (nonnegative integers) can be realised")
-    p = b.p
-    grp = ambient_group(p)
     n = b.size()
     if n > limit:
         raise ResourceLimitError(f"explicit biset would have {n} > {limit} points")
-    blocks = []
-    for cls, mult in b.items():
-        for copy in range(int(mult)):
-            reps = grp.transversal(cls.rep.source)
-            blocks.append((cls, copy, reps))
-    idx = 0
-    y_index = {g: i for i, g in enumerate(grp.elements)}
-    offsets = []
-    for bi, (cls, copy, reps) in enumerate(blocks):
-        offsets.append(idx)
-        idx += len(reps) * len(grp.elements)
-    size = idx
-    left_gen = {g: [0] * size for g in (grp.x, grp.y, grp.z)}
-    right_gen = {g: [0] * size for g in (grp.x, grp.y, grp.z)}
-    for bi, (cls, copy, reps) in enumerate(blocks):
-        base = offsets[bi]
-        phi = cls.rep
-        q_sub = phi.source
-        rep_pos = {}
-        for ti, t in enumerate(reps):
-            for q in q_sub.elements:
-                rep_pos[t * q] = (ti, q)
-        n_y = len(grp.elements)
-        for ti, t in enumerate(reps):
-            for g in (grp.x, grp.y, grp.z):
-                ti2, q = rep_pos[g * t]
-                shift = phi.mapping[q]
-                for yi, y in enumerate(grp.elements):
-                    left_gen[g][base + ti * n_y + yi] = (
-                        base + ti2 * n_y + y_index[shift * y])
-        for g in (grp.x, grp.y, grp.z):
-            for ti in range(len(reps)):
-                for yi, y in enumerate(grp.elements):
-                    right_gen[g][base + ti * n_y + yi] = (
-                        base + ti * n_y + y_index[y * g])
-    return ExplicitBiset(p, size, left_gen, right_gen)
+    return _product_explicit(b, _regular_biset(b.p), limit)
 
 
 def _product_explicit(a: FormalBiset, x_b: ExplicitBiset, limit: int) -> ExplicitBiset:
-    """X x_S Y for X the formal biset `a` (labels x section form) and Y explicit."""
+    """X x_S Y for X the formal biset `a` and Y explicit.  The points are
+    (t, copy, j) for t in a transversal of each class's source Q and j in Y;
+    g moves (t, j) to (t', phi(q) j) where g t = t' q."""
     p = a.p
     grp = ambient_group(p)
-    labels = []  # (cls, copy, transversal)
+    labels = []  # (phi, transversal, rep_pos), one per copy of each class
     for cls, mult in a.items():
-        reps = grp.transversal(cls.rep.source)
-        for copy in range(int(mult)):
-            labels.append((cls, reps))
-    n_labels = sum(len(reps) for _, reps in labels)
-    size = n_labels * x_b.size
+        q_sub = cls.rep.source
+        reps = grp.transversal(q_sub)
+        rep_pos = {t * q: (ti, q) for ti, t in enumerate(reps) for q in q_sub.elements}
+        labels.extend([(cls.rep, reps, rep_pos)] * int(mult))
+    m = x_b.size
+    size = sum(len(reps) for _, reps, _ in labels) * m
     if size > limit:
         raise ResourceLimitError(f"composite would have {size} > {limit} points")
-    # flatten labels
-    flat = []
-    for cls, reps in labels:
-        q_sub = cls.rep.source
-        rep_pos = {}
-        for ti, t in enumerate(reps):
-            for q in q_sub.elements:
-                rep_pos[t * q] = (ti, q)
-        flat.append((cls, reps, rep_pos))
-    offsets = []
-    acc = 0
-    for cls, reps, _ in flat:
-        offsets.append(acc)
-        acc += len(reps)
     left_gen = {g: [0] * size for g in (grp.x, grp.y, grp.z)}
     right_gen = {g: [0] * size for g in (grp.x, grp.y, grp.z)}
-    m = x_b.size
-    for li, (cls, reps, rep_pos) in enumerate(flat):
-        base = offsets[li]
-        phi = cls.rep
+    base = 0
+    for phi, reps, rep_pos in labels:
         for ti, t in enumerate(reps):
+            row = (base + ti) * m
             for g in (grp.x, grp.y, grp.z):
                 ti2, q = rep_pos[g * t]
                 shift = phi.mapping[q]  # acts on the Y element from the left
-                row = (base + ti) * m
                 row2 = (base + ti2) * m
                 for j in range(m):
                     left_gen[g][row + j] = row2 + x_b.left(shift, j)
                     right_gen[g][row + j] = row + x_b.right(j, g)
+        base += len(reps)
     return ExplicitBiset(p, size, left_gen, right_gen)
 
 

@@ -22,6 +22,7 @@ from .group import (
     GroupMorphism,
     Subgroup,
     ambient_group,
+    conjugation_morphism,
     identity_morphism,
     morphism_from_images,
     require_odd_prime,
@@ -245,9 +246,15 @@ def _spec_field_error(data) -> str | None:
     return None
 
 
+# Building a system materialises all p**3 elements of S before any other
+# check, so description files above this prime are refused up front.
+_MAX_FILE_PRIME = 23
+
+
 def load_spec_file(path: str) -> FusionSystemSpec:
-    """Read a JSON system description.  A file that is not JSON, or that lacks
-    or mistypes a field, raises UnknownSystemError naming the file and field."""
+    """Read a JSON system description.  A file that is not JSON, lacks or
+    mistypes a field, has a prime above _MAX_FILE_PRIME or fails a consistency
+    check raises UnknownSystemError naming the file and field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -256,10 +263,15 @@ def load_spec_file(path: str) -> FusionSystemSpec:
     problem = _spec_field_error(data)
     if problem is not None:
         raise UnknownSystemError(f"{path}: {problem}")
+    if data["prime"] > _MAX_FILE_PRIME:
+        raise UnknownSystemError(f"{path}: field 'prime': {data['prime']} is above "
+                                 f"the supported maximum {_MAX_FILE_PRIME}")
     try:
         return FusionSystemSpec.from_json(data)
     except ValueError as exc:  # the prime is not an odd prime
         raise UnknownSystemError(f"{path}: field 'prime': {exc}") from None
+    except InconsistentSpecError as exc:
+        raise UnknownSystemError(f"{path}: field 'classes': {exc}") from None
 
 
 # -- catalog of outer automorphism groups -------------------------------------
@@ -643,7 +655,7 @@ class FusionSystem:
                 img = alpha(u[i0])
                 defect = (img.c - u[j].c) % p  # img = u_j * z**defect
                 s = self._solve_commuting_conjugator(u[j], -defect % p)
-                alpha = self._conjugation_by(s).compose(alpha)
+                alpha = conjugation_morphism(s, grp.full).compose(alpha)
                 if alpha(grp.z) != grp.z or alpha(u[i0]) != u[j]:
                     raise InconsistentSpecError("generator normalization failed")
                 alpha_to_rep[(i0, j)] = alpha
@@ -679,11 +691,6 @@ class FusionSystem:
         if u.a % p:
             return g.a * pow(u.a, p - 2, p) % p
         return g.b * pow(u.b, p - 2, p) % p
-
-    def _conjugation_by(self, s: GroupElement) -> GroupMorphism:
-        from .group import conjugation_morphism
-
-        return conjugation_morphism(s, self.group.full)
 
     def _solve_commuting_conjugator(self, target: GroupElement, t: int) -> GroupElement:
         """Some s with s*target*s**-1 = target * z**t (target noncentral)."""
@@ -803,9 +810,6 @@ class FusionSystem:
     def is_extendable_v_morphism(self, mor: GroupMorphism) -> bool:
         """Extendability of a V-source F-morphism: the center must map inside
         the center (upper-triangular shape in the line bases)."""
-        return self.mapping_is_central(mor)
-
-    def mapping_is_central(self, mor: GroupMorphism) -> bool:
         return mor(self.group.z).is_central()
 
 

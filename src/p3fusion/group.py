@@ -17,8 +17,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import MorphismError, PrimeMismatchError
 
-_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
-
 
 def require_odd_prime(p: int) -> int:
     if not isinstance(p, int) or p < 3 or p % 2 == 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .biset import FormalBiset, biset_class
+from .biset import FormalBiset, _solvable_2var, biset_class
 from .errors import StabilityViolationError, TheoremViolationError
 from .fusion import FusionMorphism, FusionSystem
 from .group import GroupMorphism, Subgroup, commutator
@@ -124,12 +124,6 @@ def build_index_set(system: FusionSystem, biset: FormalBiset,
 
 
 # -- permutations from fusion morphisms -----------------------------------------
-
-def _solvable_conj(p, rows):
-    from .biset import _solvable_2var
-
-    return _solvable_2var(p, rows)
-
 
 def _split_block(index: BisetIndex, block: Block, gen_pairs):
     """Split a block's labels into left orbits of the moving maps.
@@ -249,7 +243,7 @@ def _conjugation_witness(system, r_sub, a_mor, b_mor):
                 ok = False
                 break
             rows.append((lhs.b, -lhs.a, rhs.c - lhs.c))
-        if ok and _solvable_conj(p, rows):
+        if ok and _solvable_2var(p, rows):
             return cand
     raise StabilityViolationError("matched pieces admit no conjugation witness")
 

@@ -286,22 +286,19 @@ class LayerCoefficients:
         return out
 
 
-def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u,
-                 exact_integers: bool = True) -> LayerCoefficients:
+def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u) -> LayerCoefficients:
     """Evaluate the bottom-layer relations at the given free coefficients.
 
-    With exact_integers the result must be a genuine biset layer: every
-    multiplicity a nonnegative integer; the violated bound is reported
-    otherwise.
+    The result must be a genuine biset layer: every multiplicity a
+    nonnegative integer; the violated bound is reported otherwise.
     """
     p = system.p
-    if exact_integers:
-        if c0 < 1 or c0 % p == 0:
-            raise InfeasibleCoefficientsError(f"c0={c0} must be positive and prime to p")
-        if any(v < 0 for v in c1):
-            raise InfeasibleCoefficientsError(f"c1={c1} must be nonnegative")
-        if c2z < 0:
-            raise InfeasibleCoefficientsError(f"c2z={c2z} must be nonnegative")
+    if c0 < 1 or c0 % p == 0:
+        raise InfeasibleCoefficientsError(f"c0={c0} must be positive and prime to p")
+    if any(v < 0 for v in c1):
+        raise InfeasibleCoefficientsError(f"c1={c1} must be nonnegative")
+    if c2z < 0:
+        raise InfeasibleCoefficientsError(f"c2z={c2z} must be nonnegative")
     relations, _reps = derive_layer2_relations(system)
     assignment = {C0: c0, c2z_var(): c2z}
     for i in range(p + 1):
@@ -309,18 +306,16 @@ def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u,
         assignment[c2u_var(i)] = c2u[i]
     mults = {}
     for key, expr in relations.items():
-        value = expr.evaluate(assignment)
-        if exact_integers:
-            frac = Fraction(value)
-            if frac.denominator != 1:
-                raise InfeasibleCoefficientsError(
-                    f"multiplicity of pair {key} is {frac}, not an integer "
-                    f"(divisibility of c2u by p fails)")
-            value = int(frac)
-            if value < 0:
-                raise InfeasibleCoefficientsError(
-                    f"multiplicity of pair {key} is {value} < 0; "
-                    f"c2u must dominate (f-r_i)*c0 + p*(f-r_i)*c1_i")
+        frac = Fraction(expr.evaluate(assignment))
+        if frac.denominator != 1:
+            raise InfeasibleCoefficientsError(
+                f"multiplicity of pair {key} is {frac}, not an integer "
+                f"(divisibility of c2u by p fails)")
+        value = int(frac)
+        if value < 0:
+            raise InfeasibleCoefficientsError(
+                f"multiplicity of pair {key} is {value} < 0; "
+                f"c2u must dominate (f-r_i)*c0 + p*(f-r_i)*c1_i")
         mults[key] = value
     return LayerCoefficients(c0, tuple(c1), c2z, tuple(c2u), pair_mults=mults)
 

@@ -75,6 +75,7 @@ def test_n_set_matches_brute_transporter():
                     slow.add(x)
                     break
         assert fast == frozenset(slow)
+        assert n_size(psi, phi) == len(slow)
 
 
 def test_count_fixed_points_examples():
@@ -239,7 +240,7 @@ def test_mark_vector_zero_and_truncation():
     sys_ = builtin_fusion_system("d8")
     g = sys_.group
     empty = FormalBiset(3, {})
-    assert all(v == 0 for _, v in mark_vector(empty, classes=all_graph_classes(3)).entries)
+    assert all(v == 0 for v in mark_vector(empty, classes=all_graph_classes(3)).values())
     # layer truncation: marks at a layer-r class only see layers <= r
     ident_cls = biset_class(identity_morphism(g.full))
     rep = next(r for r in sys_.v_source_reps(1) if r.extendable is False)
@@ -263,6 +264,7 @@ def test_mark_vector_separates_formal_bisets():
 def test_burnside_injectivity_random_recovery():
     rng = random.Random(17)
     classes = all_graph_classes(3)
+    full = identity_morphism(ambient_group(3).full)
     for _ in range(25):
         support = rng.sample(classes, k=rng.randint(1, 3))
         b = FormalBiset(3, {cls: rng.randint(1, 2) for cls in support})
@@ -270,7 +272,7 @@ def test_burnside_injectivity_random_recovery():
         back = decompose_by_marks(x)
         assert back == b
         # independent orbit-stabilizer route agrees
-        assert x.orbit_decomposition() == b
+        assert x.restricted_orbit_decomposition(full) == b
 
 
 def test_compose_identity_and_convention():
@@ -369,7 +371,7 @@ def test_mark_vector_entries_are_class_functions():
     cls = biset_class(rep.morphism)
     b = FormalBiset(3, {cls: 3})
     mv = mark_vector(b)
-    assert mv.value_at(cls) == 3 * count_fixed_points(cls, cls)
+    assert mv[cls] == 3 * count_fixed_points(cls, cls)
 
 
 def test_fraction_coefficients_supported():
@@ -455,3 +457,11 @@ def test_mark_table_sweep_witness_matches_dense_sweep():
         res = sweep(sys_, bad)
         assert not res.ok
         assert res.witness == _dense_sweep(sys_, bad, side)
+
+
+def test_public_names_resolve():
+    import p3fusion
+    import p3fusion.biset
+
+    for module in (p3fusion, p3fusion.biset):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
