@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import and_, eq
 from typing import NamedTuple
 
 from .errors import (
     ConditionAViolationError,
     MorphismError,
     P3FusionError,
+    PrimeMismatchError,
     ResourceLimitError,
     TheoremViolationError,
 )
@@ -267,35 +269,50 @@ def _transporter_mark(phi: GroupMorphism, psi: GroupMorphism) -> int:
     return num // q_order
 
 
+def _same_prime(cls: BisetClass, by: BisetClass) -> None:
+    if cls.rep.p != by.rep.p:
+        raise PrimeMismatchError(
+            f"cannot evaluate a p={by.rep.p} class on a p={cls.rep.p} biset")
+
+
 def count_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     """Fixed points of the graph of `by` on the transitive biset of `cls`:
     |N_{psi,phi}| / |Q| * |C_S(psi(R))|."""
+    _same_prime(cls, by)
     return _transporter_mark(cls.rep, by.rep) if _may_fix(cls, by) else 0
 
 
 def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     """Independent oracle: build (S x S)/Delta_Q^phi as explicit cosets
-    (t, y) and count the ones fixed by every generator pair of the graph."""
+    (t, y) and count the ones fixed by every generator pair (r, psi(r)) of
+    the graph, i.e. r*t = t*q in tQ and phi(q) * y * psi(r)**-1 == y.
+
+    Elements are integer codes multiplied through the product table; the
+    left condition does not involve y, so it is tested once per coset tQ."""
+    _same_prime(cls, by)
     phi = cls.rep
     psi = by.rep
     grp = ambient_group(phi.p)
-    q_sub = phi.source
-    reps = grp.transversal(q_sub)
-    rep_pos = {}
-    for idx, t in enumerate(reps):
-        for q in q_sub.elements:
-            rep_pos[t * q] = (idx, q)
-    gens = psi.source.canonical_gens
-    pairs = [(r, psi.mapping[r].inv()) for r in gens]
+    elements = grp.elements
+    mul = grp.product_table
+    n = len(elements)
+    reps, pos = grp.coset_index(phi.source)
+    # (code of r, col) with col[k] == code of elements[k] * psi(r)**-1
+    pairs = [(r.code(), mul[psi.mapping[r].inv().code()::n])
+             for r in psi.source.canonical_gens]
+    ys = range(n)
     count = 0
     for idx, t in enumerate(reps):
-        for y in grp.elements:
-            for r, psir_inv in pairs:
-                idx2, q = rep_pos[r * t]
-                if idx2 != idx or phi.mapping[q] * y * psir_inv != y:
-                    break
-            else:
-                count += 1
+        fixed = None
+        for r, col in pairs:
+            idx2, q = pos[mul[r * n + t]]
+            if idx2 != idx:
+                break
+            row = phi.mapping[elements[q]].code() * n
+            here = [col[mul[row + y]] == y for y in ys]
+            fixed = here if fixed is None else list(map(and_, fixed, here))
+        else:
+            count += n if fixed is None else sum(fixed)
     return count
 
 
@@ -649,28 +666,49 @@ class ExplicitBiset:
             i = self.right_gen[z][i]
         return i
 
+    def _perm(self, gen_perms, steps):
+        """The permutation applying each (generator, power) step in turn, as a
+        read-only sequence (it may be a stored generator list or a range)."""
+        perm = None
+        for gen, times in steps:
+            step = gen_perms[gen]
+            for _ in range(times):
+                perm = step if perm is None else [step[i] for i in perm]
+        return range(self.size) if perm is None else perm
+
+    def _left_perm(self, g: GroupElement):
+        """[left(g, i) for every point i], composed from whole permutations."""
+        a, b, k = self._word(g)
+        x, y, z = self._gens
+        return self._perm(self.left_gen, ((z, k), (y, b), (x, a)))
+
+    def _right_perm(self, g: GroupElement):
+        """[right(i, g) for every point i], composed from whole permutations."""
+        a, b, k = self._word(g)
+        x, y, z = self._gens
+        return self._perm(self.right_gen, ((x, a), (y, b), (z, k)))
+
     def verify_free(self):
+        """Raise unless no g != 1 fixes a point on either side.  A point fixed
+        by g is fixed by <g>, so one generator per order-p subgroup suffices."""
         grp = ambient_group(self.p)
-        for g in grp.elements:
-            if g.is_identity():
+        points = range(self.size)
+        for q in grp.all_subgroups:
+            if q.order != self.p:
                 continue
-            for i in range(self.size):
-                if self.left(g, i) == i:
-                    raise ValueError("left action is not free")
-                if self.right(i, g) == i:
-                    raise ValueError("right action is not free")
+            g, = q.canonical_gens
+            if any(map(eq, self._left_perm(g), points)):
+                raise ValueError("left action is not free")
+            if any(map(eq, self._right_perm(g), points)):
+                raise ValueError("right action is not free")
 
     def fixed_point_count(self, psi: GroupMorphism) -> int:
         """|X^{Delta_R^psi}|: elements with r.e = e.psi(r) for all generators."""
-        gens = psi.source.canonical_gens
-        if not gens:
-            return self.size
-        count = 0
-        pairs = [(r, psi.mapping[r]) for r in gens]
-        for i in range(self.size):
-            if all(self.left(r, i) == self.right(i, pr) for r, pr in pairs):
-                count += 1
-        return count
+        fixed = None
+        for r in psi.source.canonical_gens:
+            here = map(eq, self._left_perm(r), self._right_perm(psi.mapping[r]))
+            fixed = list(here) if fixed is None else list(map(and_, fixed, here))
+        return self.size if fixed is None else sum(fixed)
 
     def restricted_orbit_decomposition(self, psi: GroupMorphism) -> FormalBiset:
         """Orbit split with the left action pulled back along psi: R -> S.
@@ -740,29 +778,29 @@ def _product_explicit(a: FormalBiset, x_b: ExplicitBiset, limit: int) -> Explici
     g moves (t, j) to (t', phi(q) j) where g t = t' q."""
     p = a.p
     grp = ambient_group(p)
-    labels = []  # (phi, transversal, rep_pos), one per copy of each class
+    elements = grp.elements
+    labels = []  # (phi, transversal codes, coset positions), one per copy of each class
     for cls, mult in a.items():
-        q_sub = cls.rep.source
-        reps = grp.transversal(q_sub)
-        rep_pos = {t * q: (ti, q) for ti, t in enumerate(reps) for q in q_sub.elements}
-        labels.extend([(cls.rep, reps, rep_pos)] * int(mult))
+        reps, pos = grp.coset_index(cls.rep.source)
+        labels.extend([(cls.rep, reps, pos)] * int(mult))
     m = x_b.size
     size = sum(len(reps) for _, reps, _ in labels) * m
     if size > limit:
         raise ResourceLimitError(f"composite would have {size} > {limit} points")
-    left_gen = {g: [0] * size for g in (grp.x, grp.y, grp.z)}
-    right_gen = {g: [0] * size for g in (grp.x, grp.y, grp.z)}
+    gens = (grp.x, grp.y, grp.z)
+    left_gen = {g: [0] * size for g in gens}
+    right_gen = {g: [0] * size for g in gens}
+    y_right = {g: x_b._right_perm(g) for g in gens}
     base = 0
-    for phi, reps, rep_pos in labels:
+    for phi, reps, pos in labels:
         for ti, t in enumerate(reps):
             row = (base + ti) * m
-            for g in (grp.x, grp.y, grp.z):
-                ti2, q = rep_pos[g * t]
-                shift = phi.mapping[q]  # acts on the Y element from the left
+            for g in gens:
+                ti2, q = pos[(g * elements[t]).code()]
+                shift = phi.mapping[elements[q]]  # acts on the Y element from the left
                 row2 = (base + ti2) * m
-                for j in range(m):
-                    left_gen[g][row + j] = row2 + x_b.left(shift, j)
-                    right_gen[g][row + j] = row + x_b.right(j, g)
+                left_gen[g][row:row + m] = [row2 + j for j in x_b._left_perm(shift)]
+                right_gen[g][row:row + m] = [row + j for j in y_right[g]]
         base += len(reps)
     return ExplicitBiset(p, size, left_gen, right_gen)
 

@@ -202,6 +202,8 @@ class ExtraspecialGroup:
         self._subconjugacy = None
         self._centralizers = {}
         self._conj_transversals = {}
+        self._product_table = None
+        self._coset_indices = {}
 
     # -- subgroup construction ------------------------------------------------
 
@@ -238,6 +240,15 @@ class ExtraspecialGroup:
         if self._maximals is None:
             self._maximals = tuple(self.generated([self.z, u]) for u in self.pinned_line_generators)
         return self._maximals
+
+    @property
+    def product_table(self) -> tuple:
+        """mul[i*n + j] == (elements[i] * elements[j]).code() with n = p**3,
+        read off the group law on first use (elements[g.code()] == g)."""
+        if self._product_table is None:
+            els = self.elements
+            self._product_table = tuple((g * h).code() for g in els for h in els)
+        return self._product_table
 
     def line_of(self, g: GroupElement) -> int:
         """Index i of the order-p^2 subgroup containing a noncentral g."""
@@ -314,6 +325,24 @@ class ExtraspecialGroup:
                 reps.append(g)
                 covered.update(g * h for h in q.elements)
         return tuple(reps)
+
+    def coset_index(self, q: Subgroup) -> tuple:
+        """(reps, pos) for the left cosets of q, built on first use: reps are
+        the codes of transversal(q), and pos[g.code()] == (i, h.code()) where
+        g = elements[reps[i]] * h with h in q."""
+        key = q.elements
+        try:
+            return self._coset_indices[key]
+        except KeyError:
+            pass
+        reps = self.transversal(q)
+        pos = [None] * len(self.elements)
+        for i, t in enumerate(reps):
+            for h in q.elements:
+                pos[(t * h).code()] = (i, h.code())
+        index = (tuple(t.code() for t in reps), tuple(pos))
+        self._coset_indices[key] = index
+        return index
 
     def conj_transversal(self, q: Subgroup) -> tuple:
         """Coset reps of C_S(q): enough conjugators to reach every c_x|_q."""

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from p3fusion import biset
 from p3fusion.biset import (
+    ExplicitBiset,
     FormalBiset,
     all_graph_classes,
     are_conjugate,
@@ -26,9 +28,10 @@ from p3fusion.biset import (
     restrict_left_biset,
     subconjugate_closure,
 )
-from p3fusion.errors import ConditionAViolationError
+from p3fusion.errors import ConditionAViolationError, PrimeMismatchError
 from p3fusion.fusion import builtin_fusion_system
 from p3fusion.group import (
+    ExtraspecialGroup,
     ambient_group,
     conjugation_morphism,
     identity_morphism,
@@ -113,6 +116,39 @@ def test_oracle_equivalence_sampled_p3():
         b = rng.choice(reps)
         ca, cb = biset_class(a.morphism), biset_class(b.morphism)
         assert count_fixed_points(ca, cb) == brute_force_fixed_points(ca, cb)
+
+
+def test_oracle_equivalence_all_graph_classes_p3():
+    classes = all_graph_classes(3)
+    assert len(classes) == 227
+    mismatches = [(a, b) for a in classes for b in classes
+                  if count_fixed_points(a, b) != brute_force_fixed_points(a, b)]
+    assert mismatches == []
+
+
+def test_oracle_calls_nothing_from_the_transporter_path(monkeypatch):
+    rng = random.Random(47)
+    classes = all_graph_classes(3)
+    pairs = [(rng.choice(classes), rng.choice(classes)) for _ in range(300)]
+    expected = [count_fixed_points(a, b) for a, b in pairs]
+    assert any(expected)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the transporter path")
+
+    monkeypatch.setattr(biset, "_transporter_reps", forbidden)
+    monkeypatch.setattr(biset, "_solvable_2var", forbidden)
+    monkeypatch.setattr(ExtraspecialGroup, "conj_transversal", forbidden)
+    assert [brute_force_fixed_points(a, b) for a, b in pairs] == expected
+
+
+def test_fixed_point_routines_refuse_mixed_primes():
+    c3 = biset_class(identity_morphism(ambient_group(3).full))
+    c5 = biset_class(identity_morphism(ambient_group(5).center))
+    for routine in (count_fixed_points, brute_force_fixed_points):
+        for cls, by in ((c3, c5), (c5, c3)):
+            with pytest.raises(PrimeMismatchError):
+                routine(cls, by)
 
 
 def test_zero_iff_not_subconjugate():
@@ -273,6 +309,48 @@ def test_burnside_injectivity_random_recovery():
         assert back == b
         # independent orbit-stabilizer route agrees
         assert x.restricted_orbit_decomposition(full) == b
+
+
+def test_fixed_point_count_matches_pointwise_count():
+    rng = random.Random(53)
+    classes = all_graph_classes(3)
+    for _ in range(3):
+        support = rng.sample(classes, k=2)
+        x = explicit_from_formal(FormalBiset(3, {cls: rng.randint(1, 2) for cls in support}))
+        for cls in classes:
+            psi = cls.rep
+            gens = psi.source.canonical_gens
+            slow = sum(1 for i in range(x.size)
+                       if all(x.left(r, i) == x.right(i, psi.mapping[r]) for r in gens))
+            assert x.fixed_point_count(psi) == slow
+
+
+def _coset_biset(q):
+    """S/q x S with S acting on the cosets from the left and on S by right
+    multiplication: free on the right, not free on the left unless q = 1."""
+    g = ambient_group(3)
+    n = len(g.elements)
+    reps, pos = g.coset_index(q)
+    size = len(reps) * n
+    left_gen, right_gen = {}, {}
+    for s in (g.x, g.y, g.z):
+        on_cosets = [pos[(s * g.elements[t]).code()][0] for t in reps]
+        left_gen[s] = [on_cosets[i // n] * n + i % n for i in range(size)]
+        right_gen[s] = [i - i % n + (g.elements[i % n] * s).code() for i in range(size)]
+    return ExplicitBiset(3, size, left_gen, right_gen)
+
+
+def test_verify_free_rejects_non_free_sets():
+    g = ambient_group(3)
+    # x*y fixes the coset <x*y> while x, y and z fix no point
+    x = _coset_biset(g.cyclic(g.x * g.y))
+    assert not any(perm[i] == i for perm in x.left_gen.values() for i in range(x.size))
+    with pytest.raises(ValueError, match="left action is not free"):
+        x.verify_free()
+    swapped = ExplicitBiset(3, x.size, x.right_gen, x.left_gen)
+    with pytest.raises(ValueError, match="right action is not free"):
+        swapped.verify_free()
+    _coset_biset(g.trivial).verify_free()
 
 
 def test_compose_identity_and_convention():

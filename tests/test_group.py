@@ -215,3 +215,69 @@ def test_transversals():
             assert not (coset & seen)
             seen |= coset
         assert len(seen) == g.full.order
+
+
+# -- integer-coded tables -----------------------------------------------------------
+
+def _check_products(g, pairs):
+    n = len(g.elements)
+    mul = g.product_table
+    assert len(mul) == n * n
+    for i, j in pairs:
+        a, b = g.elements[i], g.elements[j]
+        assert mul[i * n + j] == (a * b).code()
+
+
+def test_product_table_matches_group_law_p3():
+    g = ambient_group(3)
+    n = len(g.elements)
+    assert all(g.elements[e.code()] == e for e in g.elements)
+    _check_products(g, [(i, j) for i in range(n) for j in range(n)])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_product_table_matches_group_law_sampled(p):
+    g = ambient_group(p)
+    n = len(g.elements)
+    rng = random.Random(100 + p)
+    assert all(g.elements[e.code()] == e for e in g.elements)
+    _check_products(g, [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_coset_index_partitions_the_group(p):
+    g = ambient_group(p)
+    n = len(g.elements)
+    for q in g.all_subgroups:
+        reps, pos = g.coset_index(q)
+        assert reps == tuple(t.code() for t in g.transversal(q))
+        assert len(pos) == n
+        assert len(set(pos)) == n
+        for code, (i, h) in enumerate(pos):
+            assert g.elements[h] in q
+            assert g.elements[reps[i]] * g.elements[h] == g.elements[code]
+        assert g.coset_index(q) is g.coset_index(q)
+
+
+def test_tables_not_built_by_group_or_system_construction():
+    # a fresh interpreter, so no earlier test has asked for the tables
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "from p3fusion.fusion import builtin_fusion_system\n"
+        "from p3fusion.group import ambient_group\n"
+        "for p, name in ((3, 'd8'), (7, 'd16x3')):\n"
+        "    ambient_group(p)\n"
+        "    builtin_fusion_system(name)\n"
+        "    g = ambient_group(p)\n"
+        "    print(g._product_table is None, g._coset_indices == {})\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["True"] * 4
