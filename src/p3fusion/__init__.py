@@ -32,7 +32,6 @@ from .fusion import (
     build_out_F,
     builtin_fusion_system,
     builtin_systems,
-    f_number,
     fusion_system,
     lambda_sets,
     lift_matrix_to_aut,
@@ -49,7 +48,7 @@ from .group import (
     multiply,
 )
 from .idempotent import omega0, omega1, omega2, omega3, verify_idempotent_stability
-from .realize import build_index_set, check_transitivity, perm_from_morphism
+from .realize import BisetIndex, check_transitivity, perm_from_morphism
 from .solver import SolverResult, exoticity_bound, minimal_biset, verify_table
 
 __version__ = "0.1.0"
@@ -61,11 +60,11 @@ __all__ = [
     "n_set", "opposite", "restrict_left",
     "FusionClass", "FusionMorphism", "FusionSystem", "FusionSystemSpec",
     "LambdaSets", "MatrixGL2", "aut_F_V", "build_out_F",
-    "builtin_fusion_system", "builtin_systems", "f_number", "fusion_system",
+    "builtin_fusion_system", "builtin_systems", "fusion_system",
     "lambda_sets", "lift_matrix_to_aut", "resolve_system",
     "GroupElement", "GroupMorphism", "Subgroup", "ambient_group",
     "centralizer", "conjugation_morphism", "maximal_subgroups", "multiply",
     "omega0", "omega1", "omega2", "omega3", "verify_idempotent_stability",
-    "build_index_set", "check_transitivity", "perm_from_morphism",
+    "BisetIndex", "check_transitivity", "perm_from_morphism",
     "SolverResult", "exoticity_bound", "minimal_biset", "verify_table",
 ]

@@ -474,6 +474,65 @@ def biset_mark(b: FormalBiset, test: BisetClass) -> int:
 
 # -- restriction -------------------------------------------------------------------
 
+def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
+    """For each phi in phis, split the left cosets S/Q, Q the source of phi,
+    into orbits of psi(R).
+
+    Works over the codes of coset_index(Q) and the product table.  Orbits come
+    in order of their first coset, whose representative t is the least element
+    of the double coset psi(R) t Q.  Per orbit the split holds the coset
+    positions, the code of some v in R with psi(v) t in each of those cosets,
+    and the piece [A, a -> phi(t^-1 psi(a) t)], A = {a in R : t^-1 psi(a) t in
+    Q}, as (its class over R, the morphism).  Pieces are memoised in memo by
+    content, so a memo may be shared across calls."""
+    p = psi.p
+    grp = ambient_group(p)
+    elements = grp.elements
+    mul = grp.product_table
+    n = len(elements)
+    r_sub = psi.source
+    r_id = grp.subgroup_id(r_sub)
+    scan = [(r.code(), psi.mapping[r].code()) for r in r_sub.sorted_elements]
+    gens = [(r.code(), psi.mapping[r].code()) for r in r_sub.canonical_gens]
+    splits = []
+    for phi in phis:
+        reps, pos = grp.coset_index(phi.source)
+        seen = [False] * len(reps)
+        split = []
+        for start, t in enumerate(reps):
+            if seen[start]:
+                continue
+            seen[start] = True
+            positions, tracked = [start], [0]
+            k = 0
+            while k < len(positions):
+                here, v = reps[positions[k]], tracked[k]
+                k += 1
+                for r, m in gens:
+                    nxt = pos[mul[m * n + here]][0]
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        positions.append(nxt)
+                        tracked.append(mul[r * n + v])
+            ti = elements[t].inv().code()
+            pairs = []
+            for a, m in scan:
+                x = mul[mul[ti * n + m] * n + t]
+                if pos[x][0] == 0:  # coset 0 is Q itself
+                    pairs.append((a, phi.mapping[elements[x]].code()))
+            key = (r_id, tuple(pairs))
+            piece = memo.get(key)
+            if piece is None:
+                mapping = {elements[a]: elements[b] for a, b in pairs}
+                a_sub = Subgroup(p, mapping, _checked=True)
+                gens_a = {g: mapping[g] for g in a_sub.canonical_gens}
+                mor = GroupMorphism(a_sub, gens_a, _mapping=mapping)
+                piece = memo[key] = (biset_class(mor, left=r_sub), mor)
+            split.append((positions, tracked, piece))
+        splits.append(split)
+    return splits
+
+
 def restrict_left(cls: BisetClass, psi: GroupMorphism) -> FormalBiset:
     """Double-coset decomposition of the transitive biset of cls as an R-S-biset,
     the left R-action arriving through psi: R -> S."""
@@ -482,24 +541,12 @@ def restrict_left(cls: BisetClass, psi: GroupMorphism) -> FormalBiset:
     grp = ambient_group(p)
     q_sub = phi.source
     r_sub = psi.source
-    psi_image = psi.image
     coeffs = {}
-    seen = set()
     total_ratio = 0
-    for t in grp.elements:
-        if t in seen:
-            continue
-        coset = {a * t * q for a in psi_image.elements for q in q_sub.elements}
-        seen |= coset
-        ti = t.inv()
-        a_elems = [r for r in r_sub.elements if ti * psi.mapping[r] * t in q_sub.elements]
-        a_sub = Subgroup(p, a_elems, _checked=True)
-        mapping = {a: phi.mapping[ti * psi.mapping[a] * t] for a in a_elems}
-        gens = {g: mapping[g] for g in a_sub.canonical_gens}
-        piece = GroupMorphism(a_sub, gens, _mapping=mapping)
-        piece_cls = biset_class(piece, left=r_sub)
+    split, = _double_cosets([phi], psi, {})
+    for _positions, _tracked, (piece_cls, piece) in split:
         coeffs[piece_cls] = coeffs.get(piece_cls, 0) + 1
-        total_ratio += r_sub.order // a_sub.order
+        total_ratio += r_sub.order // piece.source.order
     # size preserved: the regular right-S-orbits of the pieces count |S:Q|
     if total_ratio != grp.full.order // q_sub.order:
         raise TheoremViolationError(

@@ -127,37 +127,37 @@ def cmd_realize(args) -> int:
 
 # -- verify suites ------------------------------------------------------------
 
-def _suite_table(names) -> dict:
-    systems = [fusion_system(resolve_system(n)) for n in names]
+def _suite_table(specs) -> dict:
+    systems = [fusion_system(spec) for spec in specs]
     report = verify_table(systems)
     return {"suite": "table", "ok": report.ok, "rows": report.rows,
             "mismatches": report.mismatches}
 
 
-def _suite_stability(name) -> dict:
-    system = fusion_system(resolve_system(name))
+def _suite_stability(spec) -> dict:
+    system = fusion_system(spec)
     res = minimal_biset(system, certify=True)
-    return {"suite": "stability", "system": name, "ok": res.certificates_ok(),
+    return {"suite": "stability", "system": spec.name, "ok": res.certificates_ok(),
             "stable_left": res.stable_left, "stable_right": res.stable_right,
             "minimal": res.minimal, "unique": res.unique}
 
 
-def _suite_idempotent(name) -> dict:
-    system = fusion_system(resolve_system(name))
+def _suite_idempotent(spec) -> dict:
+    system = fusion_system(spec)
     report = verify_idempotent_stability(system)
-    return {"suite": "idempotent", "system": name, "ok": report.ok}
+    return {"suite": "idempotent", "system": spec.name, "ok": report.ok}
 
 
-def _suite_realize(name) -> dict:
-    system = fusion_system(resolve_system(name))
+def _suite_realize(spec) -> dict:
+    system = fusion_system(spec)
     report = check_transitivity(system)
     data = report.to_json()
     data["suite"] = "realize"
     return data
 
 
-def _suite_marks(name, oracle) -> dict:
-    system = fusion_system(resolve_system(name))
+def _suite_marks(spec, oracle) -> dict:
+    system = fusion_system(spec)
     reps = [biset_class(r.morphism) for r in system.all_class_reps()]
     checked = 0
     failures = []
@@ -172,7 +172,7 @@ def _suite_marks(name, oracle) -> dict:
         checked += 1
         if fast != slow:
             failures.append({"pair": (repr(a), repr(b)), "fast": fast, "slow": slow})
-    return {"suite": "marks", "system": name, "oracle": oracle,
+    return {"suite": "marks", "system": spec.name, "oracle": oracle,
             "pairs_checked": checked, "ok": not failures, "failures": failures}
 
 
@@ -184,13 +184,13 @@ _SUITE_RUNNERS = {
 
 
 def _run_system_suites(task):
-    name, suites, oracle = task
+    spec, suites, oracle = task
     out = []
     for suite in suites:
         if suite == "marks":
-            out.append(_suite_marks(name, oracle))
+            out.append(_suite_marks(spec, oracle))
         else:
-            out.append(_SUITE_RUNNERS[suite](name))
+            out.append(_SUITE_RUNNERS[suite](spec))
     return out
 
 
@@ -205,25 +205,20 @@ def cmd_verify(args) -> int:
         return 2
     if args.system or args.config:
         specs = [_resolve_spec(args)]
-        names = [specs[0].name]
     else:
-        names = [s.name for s in builtin_systems()]
-    if not args.big:
-        drop_realize = {n for n in names if resolve_system(n).p >= 7}
-    else:
-        drop_realize = set()
+        specs = list(builtin_systems())
     results = []
     if args.table:
-        results.append(_suite_table(names))
+        results.append(_suite_table(specs))
     tasks = []
-    for name in names:
+    for spec in specs:
         suites = [s for s in wanted
-                  if not (s == "realize" and name in drop_realize)
+                  if not (s == "realize" and spec.p >= 7 and not args.big)
                   and not (s == "marks" and args.oracle == "off")
                   and not (s == "marks" and args.oracle == "p3-exhaustive"
-                           and resolve_system(name).p != 3)]
+                           and spec.p != 3)]
         if suites:
-            tasks.append((name, suites, args.oracle))
+            tasks.append((spec, suites, args.oracle))
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -556,14 +556,6 @@ def build_out_F(spec: FusionSystemSpec) -> frozenset:
         f"no known outer automorphism group of order {spec.out_order} for {spec.name!r}")
 
 
-def f_number(spec: FusionSystemSpec) -> int:
-    """|Out_F(S)|/(p-1), equal to |class|*r for every class."""
-    values = {len(cls.members) * cls.r for cls in spec.classes}
-    if len(values) != 1:
-        raise InconsistentSpecError(f"classes disagree on |class|*r: {sorted(values)}")
-    return values.pop()
-
-
 # -- lifting matrices to automorphisms of S -----------------------------------
 
 def lift_matrix_to_aut(m: MatrixGL2) -> GroupMorphism:
@@ -617,7 +609,7 @@ class FusionSystem:
         self.group = ambient_group(spec.p)
         self.out_matrices = build_out_F(spec)
         self.sorted_out = tuple(sorted(self.out_matrices))
-        self.f = f_number(spec)
+        self.f = spec.f
         self.maximals = self.group.maximal_subgroups
         self._normalize_generators()
         self._aut_s_reps = None
@@ -660,7 +652,6 @@ class FusionSystem:
                     raise InconsistentSpecError("generator normalization failed")
                 alpha_to_rep[(i0, j)] = alpha
         self.u = tuple(u)
-        self.v_subgroups = self.maximals
         self._alpha_to_rep = alpha_to_rep
         self._alpha_cache = {}
         self._verify_restrictions()

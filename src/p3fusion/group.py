@@ -207,9 +207,6 @@ class ExtraspecialGroup:
 
     # -- subgroup construction ------------------------------------------------
 
-    def subgroup(self, elements: Iterable[GroupElement]) -> Subgroup:
-        return Subgroup(self.p, elements)
-
     def generated(self, gens: Iterable[GroupElement]) -> Subgroup:
         seen = {self.identity}
         frontier = [self.identity]

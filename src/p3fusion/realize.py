@@ -15,10 +15,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .biset import FormalBiset, _solvable_2var, biset_class
+from .biset import FormalBiset, _double_cosets, _solvable_2var
 from .errors import StabilityViolationError, TheoremViolationError
 from .fusion import FusionMorphism, FusionSystem
-from .group import GroupMorphism, Subgroup, commutator
+from .group import GroupMorphism, identity_morphism
 
 
 @dataclass
@@ -31,194 +31,51 @@ class Block:
 
 
 class BisetIndex:
-    """The labelled index set J of a genuine S-S-biset."""
+    """The labelled index set J of a genuine S-S-biset: one label per left
+    coset of each summand's source, numbered as in coset_index."""
 
-    def __init__(self, system: FusionSystem, biset: FormalBiset,
-                 paper_transversals: bool = True):
+    def __init__(self, system: FusionSystem, biset: FormalBiset):
         if not biset.is_genuine():
             raise ValueError("the index set needs nonnegative integer multiplicities")
         self.system = system
         self.biset = biset
         self.p = system.p
-        grp = system.group
-        self._transversals = {}
-        self._rep_index = {}
-        self._paper = paper_transversals
+        order = system.group.full.order
         blocks = []
+        self.classes = []  # (class, its blocks), in block order
         offset = 0
         for cls, mult in biset.items():
-            reps = self.transversal(cls.rep.source)
+            size = order // cls.rep.source.order
+            first = len(blocks)
             for copy in range(int(mult)):
-                blocks.append(Block(len(blocks), cls, copy, offset, len(reps)))
-                offset += len(reps)
+                blocks.append(Block(len(blocks), cls, copy, offset, size))
+                offset += size
+            self.classes.append((cls, blocks[first:]))
         self.blocks = blocks
         self.size = offset
-        if self.size != biset.e():
-            raise ValueError("index size disagrees with the biset size")
         self.j0 = tuple(b.offset for b in blocks if b.size == 1)
-        self._blocks_by_class = {}
-        for b in blocks:
-            self._blocks_by_class.setdefault(b.cls.uid, []).append(b.index)
+        # piece classes repeat heavily across classes and morphisms, so the
+        # double-coset split memoises them by content for this index
+        self._pieces = {}
         self._source_pieces = {}
-        self._piece_classes = {}
-
-    # -- coset bookkeeping ----------------------------------------------------
-
-    def transversal(self, q: Subgroup) -> tuple:
-        key = q.elements
-        cached = self._transversals.get(key)
-        if cached is not None:
-            return cached
-        reps = self._choose_transversal(q)
-        covered = set()
-        for t in reps:
-            coset = frozenset(t * h for h in q.elements)
-            if coset & covered:
-                raise ValueError("transversal candidates overlap")
-            covered |= coset
-        if len(covered) != self.system.group.full.order:
-            raise ValueError("transversal does not cover the group")
-        self._transversals[key] = reps
-        index = {}
-        for pos, t in enumerate(reps):
-            for h in q.elements:
-                index[t * h] = pos
-        self._rep_index[key] = index
-        return reps
-
-    def _choose_transversal(self, q: Subgroup) -> tuple:
-        grp = self.system.group
-        p = self.p
-        if q.order == p**3:
-            return (grp.identity,)
-        if not self._paper:
-            return grp.transversal(q)
-        u0 = self.system.u[0]
-        # v with [v, u0] = z, taken outside V_0
-        v = next(g for g in grp.elements
-                 if commutator(g, u0) == grp.z)
-        if q.order == p * p:
-            i = grp.line_of(next(g for g in q.elements if not g.is_central()))
-            w = v if i == 0 else u0
-            return tuple(w**t for t in range(p))
-        if q.order == p:
-            gen = q.canonical_gens[0]
-            if gen.is_central():
-                return grp.transversal(q)
-            i = grp.line_of(gen)
-            w = v if i == 0 else u0
-            return tuple(w**t * grp.z**s for t in range(p) for s in range(p))
-        return grp.transversal(q)
-
-    def rep_index(self, q: Subgroup) -> dict:
-        self.transversal(q)
-        return self._rep_index[q.elements]
-
-    def blocks_of_class(self, cls) -> list:
-        return self._blocks_by_class.get(cls.uid, [])
-
-
-def build_index_set(system: FusionSystem, biset: FormalBiset,
-                    paper_transversals: bool = True) -> BisetIndex:
-    return BisetIndex(system, biset, paper_transversals=paper_transversals)
 
 
 # -- permutations from fusion morphisms -----------------------------------------
 
-def _split_block(index: BisetIndex, block: Block, gen_pairs):
-    """Split a block's labels into left orbits of the moving maps.
-
-    gen_pairs are (r, m) with r the abstract generator tracked along the
-    orbit and m the element actually multiplying the cosets (r itself for the
-    plain restriction, psi(r) for the twisted one).
-    Returns a list of (pos0, positions, v_of_pos)."""
-    q = block.cls.rep.source
-    reps = index.transversal(q)
-    rep_idx = index.rep_index(q)
-    seen = [False] * len(reps)
-    pieces = []
-    identity = index.system.group.identity
-    for start in range(len(reps)):
-        if seen[start]:
-            continue
-        v_of = {start: identity}
-        frontier = [start]
-        seen[start] = True
-        positions = [start]
-        while frontier:
-            pos = frontier.pop()
-            v = v_of[pos]
-            t = reps[pos]
-            for r, m in gen_pairs:
-                pos2 = rep_idx[m * t]
-                if not seen[pos2]:
-                    seen[pos2] = True
-                    v_of[pos2] = r * v
-                    positions.append(pos2)
-                    frontier.append(pos2)
-        pieces.append((start, positions, v_of))
-    return pieces
-
-
-def _piece_class(index: BisetIndex, block: Block, t0, r_sub, psi_pair):
-    """Class of the restriction piece at double-coset representative t0.
-
-    The piece source A collects everything of R landing back in Q after
-    conjugation by t0 (through psi on the twisted side); A is found by
-    scanning the conjugated Q, which is the smaller side.  Piece classes
-    repeat heavily across blocks, so they are memoised by content."""
-    system = index.system
-    p = system.p
-    q = block.cls.rep.source
-    sigma = block.cls.rep.mapping
-    t0i = t0.inv()
-    if psi_pair is None:
-        a_elems = [x for qq in q.elements
-                   if (x := t0 * qq * t0i) in r_sub.elements]
-        through = None
-    else:
-        psi_map, psi_inv = psi_pair
-        a_elems = []
-        for qq in q.elements:
-            x = t0 * qq * t0i
-            a = psi_inv.get(x)
-            if a is not None:
-                a_elems.append(a)
-        through = psi_map
-    a_sub = Subgroup(p, a_elems, _checked=True)
-    gen_images = tuple(
-        sigma[t0i * (g if through is None else through[g]) * t0]
-        for g in a_sub.canonical_gens)
-    memo_key = (r_sub.elements, a_sub.elements,
-                tuple(g.code() for g in a_sub.canonical_gens),
-                tuple(img.code() for img in gen_images))
-    cached = index._piece_classes.get(memo_key)
-    if cached is not None:
-        return cached
-    mapping = {a: sigma[t0i * (a if through is None else through[a]) * t0]
-               for a in a_elems}
-    gens = dict(zip(a_sub.canonical_gens, gen_images))
-    mor = GroupMorphism(a_sub, gens, _mapping=mapping)
-    result = (biset_class(mor, left=r_sub), mor)
-    index._piece_classes[memo_key] = result
-    return result
-
-
-def _source_side_pieces(index: BisetIndex, r_sub: Subgroup):
-    """Plain-restriction pieces of every block, cached per source subgroup
-    (they do not depend on the fusion morphism being realized)."""
-    cached = index._source_pieces.get(r_sub.elements)
-    if cached is not None:
-        return cached
-    gens = r_sub.canonical_gens
-    gen_pairs = [(r, r) for r in gens]
+def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
+    """{piece class uid: [(block, positions, tracked, t, piece)]}: the
+    restriction of every block along psi, in block order and, within a block,
+    in order of the orbit's first coset t.  The split depends only on the
+    block's class, so copies share it."""
+    grp = index.system.group
+    splits = _double_cosets([cls.rep for cls, _ in index.classes], psi, index._pieces)
     out = {}
-    for block in index.blocks:
-        reps = index.transversal(block.cls.rep.source)
-        for pos0, positions, v_of in _split_block(index, block, gen_pairs):
-            cls, mor = _piece_class(index, block, reps[pos0], r_sub, None)
-            out.setdefault(cls.uid, []).append((block, pos0, positions, v_of, mor))
-    index._source_pieces[r_sub.elements] = out
+    for (cls, blocks), split in zip(index.classes, splits):
+        reps = grp.coset_index(cls.rep.source)[0]
+        for block in blocks:
+            for positions, tracked, (piece_cls, piece) in split:
+                out.setdefault(piece_cls.uid, []).append(
+                    (block, positions, tracked, reps[positions[0]], piece))
     return out
 
 
@@ -227,10 +84,7 @@ def _conjugation_witness(system, r_sub, a_mor, b_mor):
     p = system.p
     a_sub, b_sub = a_mor.source, b_mor.source
     gens = a_sub.canonical_gens
-    grp = system.group
-    candidates = [grp.identity]
-    candidates.extend(g for g in r_sub.sorted_elements if not g.is_identity())
-    for cand in candidates:
+    for cand in r_sub.sorted_elements:  # the identity comes first
         ci = cand.inv()
         if any(ci * g * cand not in b_sub.elements for g in gens):
             continue
@@ -252,41 +106,37 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
     """The permutation of J induced by an isomorphism between the restriction
     along the inclusion and the restriction along psi."""
     system = index.system
+    grp = system.group
+    mul = grp.product_table
+    n = len(grp.elements)
     r_sub = psi.source
-    gens = r_sub.canonical_gens
-    psi_inv = {h: g for g, h in psi.mapping.items()}
-    psi_pair = (psi.mapping, psi_inv)
-    gen_pairs = [(r, psi.mapping[r]) for r in gens]
-    source_pieces = _source_side_pieces(index, r_sub)
-    target_pieces = {}
-    for block in index.blocks:
-        reps = index.transversal(block.cls.rep.source)
-        for pos0, positions, v_of in _split_block(index, block, gen_pairs):
-            cls, mor = _piece_class(index, block, reps[pos0], r_sub, psi_pair)
-            target_pieces.setdefault(cls.uid, []).append(
-                (block, pos0, positions, v_of, mor))
+    source_pieces = index._source_pieces.get(r_sub.elements)
+    if source_pieces is None:
+        # the inclusion side does not depend on the morphism being realized
+        source_pieces = _pieces_by_class(index, identity_morphism(r_sub))
+        index._source_pieces[r_sub.elements] = source_pieces
+    target_pieces = _pieces_by_class(index, psi)
     if set(source_pieces) != set(target_pieces):
         raise StabilityViolationError("restriction classes of the two sides differ")
+    psi_code = {g.code(): h.code() for g, h in psi.mapping.items()}
     perm = [None] * index.size
-    for uid in sorted(source_pieces):
-        sources = source_pieces[uid]
+    witnesses = {}  # copies of a class repeat the same pair of pieces
+    for uid, sources in source_pieces.items():
         targets = target_pieces[uid]
         if len(sources) != len(targets):
             raise StabilityViolationError(
                 f"restriction multiplicity mismatch on piece class {uid}")
-        sources = sorted(sources, key=lambda it: (it[0].index, it[1]))
-        targets = sorted(targets, key=lambda it: (it[0].index, it[1]))
         for src, tgt in zip(sources, targets):
-            s_block, _s_pos0, s_positions, s_v_of, s_mor = src
-            t_block, t_pos0, _t_positions, _t_v, t_mor = tgt
-            witness = _conjugation_witness(system, r_sub, s_mor, t_mor)
-            t0_elem = index.transversal(t_block.cls.rep.source)[t_pos0]
-            t_rep_idx = index.rep_index(t_block.cls.rep.source)
-            t_offset = t_block.offset
-            psi_map = psi.mapping
-            for pos in s_positions:
-                image_elem = psi_map[s_v_of[pos] * witness] * t0_elem
-                perm[s_block.offset + pos] = t_offset + t_rep_idx[image_elem]
+            s_block, s_positions, s_tracked, _s_t, s_mor = src
+            t_block, _t_positions, _t_tracked, t, t_mor = tgt
+            w = witnesses.get((s_mor, t_mor))
+            if w is None:
+                w = _conjugation_witness(system, r_sub, s_mor, t_mor).code()
+                witnesses[s_mor, t_mor] = w
+            t_pos = grp.coset_index(t_block.cls.rep.source)[1]
+            for pos, v in zip(s_positions, s_tracked):
+                image = mul[psi_code[mul[v * n + w]] * n + t]
+                perm[s_block.offset + pos] = t_block.offset + t_pos[image][0]
     seen = bytearray(index.size)
     for value in perm:
         if value is None or seen[value]:
@@ -421,25 +271,23 @@ def essential_generators(system: FusionSystem):
     return picks
 
 
-def check_transitivity(system: FusionSystem, biset: FormalBiset | None = None,
-                       all_out_reps: bool | None = None,
-                       paper_transversals: bool = True) -> RealizationReport:
+def check_transitivity(system: FusionSystem,
+                       biset: FormalBiset | None = None) -> RealizationReport:
     """Orbit count of the realized fusion generators on J, plus the regular
     action of the outer classes on the singleton labels.
 
-    With all_out_reps (default for p = 3) every outer class contributes a
-    permutation; otherwise a generating subset is used.  The subset generates
-    a subgroup of the full realized group, so a single orbit for the subset
-    certifies transitivity of the whole.
+    At p = 3 every outer class contributes a permutation; otherwise a
+    generating subset is used.  The subset generates a subgroup of the full
+    realized group, so a single orbit for the subset certifies transitivity
+    of the whole.
     """
     start = time.perf_counter()
     if biset is None:
         from .solver import minimal_biset
 
         biset = minimal_biset(system, certify=False).biset
-    index = build_index_set(system, biset, paper_transversals=paper_transversals)
-    if all_out_reps is None:
-        all_out_reps = system.p <= 3
+    index = BisetIndex(system, biset)
+    all_out_reps = system.p <= 3
     uf = UnionFind(index.size)
     generator_count = 0
     essentials = essential_generators(system)

@@ -118,12 +118,7 @@ def pair_key_of_rep(system: FusionSystem, rep: FusionMorphism):
     if zeta.is_central():
         return (xi_idx, -1, zeta.c % p)
     j = grp.line_of(zeta)
-    u = system.u[j]
-    if u.a % p:
-        m = zeta.a * pow(u.a, p - 2, p) % p
-    else:
-        m = zeta.b * pow(u.b, p - 2, p) % p
-    return (xi_idx, j, m)
+    return (xi_idx, j, system._power_along_line(zeta, j))
 
 
 def _layer01_template(system: FusionSystem) -> dict:

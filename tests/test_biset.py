@@ -236,29 +236,65 @@ def test_restrict_left_v_block_piece_count():
 
 
 def test_restrict_left_matches_explicit_orbits():
-    # restriction of every support class of the p=3 minimal biset, both along
-    # the inclusion of V_0 and along a nonextendable automorphism, checked
-    # against the explicit-set orbit decomposition
+    # restriction of support classes of the minimal biset, along the inclusion
+    # of V_0 and along a nonextendable automorphism, checked against the
+    # explicit-set orbit decomposition: every class at p = 3, a seeded sample
+    # at p = 5, where realization runs the same double-coset split
+    from p3fusion.realize import essential_generators
+    from p3fusion.solver import minimal_biset
+
+    for name, sample in (("d8", None), ("4S4", 12)):
+        sys_ = builtin_fusion_system(name)
+        g = sys_.group
+        v0 = sys_.maximals[0]
+        incl = identity_morphism(v0)
+        phi = essential_generators(sys_)[0].morphism
+        support = minimal_biset(sys_, certify=False).biset.support
+        if sample is not None:
+            support = random.Random(20100501).sample(support, sample)
+        for cls in support:
+            explicit = explicit_from_formal(FormalBiset(sys_.p, {cls: 1}))
+            for psi in (incl, phi):
+                fast = restrict_left(cls, psi)
+                slow = explicit.restricted_orbit_decomposition(psi)
+                assert fast == slow
+            # coset-count conservation
+            res = restrict_left(cls, incl)
+            total = sum(mult * (v0.order // c.source.order) for c, mult in res.items())
+            assert total == g.full.order // cls.rep.source.order
+
+
+def test_double_cosets_orbits_and_pieces():
+    # each orbit of the shared split, recomputed from its first coset t with
+    # element arithmetic: the tracked v has psi(v) t in the orbit's coset, the
+    # orbit has |R:A| cosets, and the piece is a -> phi(t^-1 psi(a) t) on A
     from p3fusion.solver import minimal_biset
 
     sys_ = builtin_fusion_system("d8")
     g = sys_.group
     v0 = sys_.maximals[0]
-    incl = identity_morphism(v0)
-    phi = next(r for r in sys_.v_source_reps(0)
-               if r.extendable is False and r.meta[1] == 0).morphism
-    x = minimal_biset(sys_, certify=False).biset
-    for cls in x.support:
-        one = FormalBiset(3, {cls: 1})
-        explicit = explicit_from_formal(one)
-        for psi in (incl, phi):
-            fast = restrict_left(cls, psi)
-            slow = explicit.restricted_orbit_decomposition(psi)
-            assert fast == slow
-        # coset-count conservation
-        res = restrict_left(cls, incl)
-        total = sum(mult * (v0.order // c.source.order) for c, mult in res.items())
-        assert total == g.full.order // cls.rep.source.order
+    moves = [r.morphism for r in sys_.v_source_reps(0) if r.meta[1] != 0]
+    psis = [identity_morphism(v0), moves[0], moves[-1], sys_.aut_s_reps()[3].morphism]
+    phis = [cls.rep for cls in minimal_biset(sys_, certify=False).biset.support]
+    for psi in psis:
+        r_sub = psi.source
+        for phi, split in zip(phis, biset._double_cosets(phis, psi, {})):
+            q = phi.source
+            reps = g.coset_index(q)[0]
+            covered = []
+            for positions, tracked, (piece_cls, piece) in split:
+                t = g.elements[reps[positions[0]]]
+                ti = t.inv()
+                for k, v in zip(positions, tracked):
+                    coset = {g.elements[reps[k]] * h for h in q.elements}
+                    assert psi(g.elements[v]) * t in coset
+                a_elems = {a for a in r_sub.elements if ti * psi(a) * t in q.elements}
+                assert piece.source.elements == a_elems
+                assert all(piece(a) == phi(ti * psi(a) * t) for a in a_elems)
+                assert len(positions) * len(a_elems) == r_sub.order
+                assert piece_cls == biset_class(piece, left=r_sub)
+                covered.extend(positions)
+            assert sorted(covered) == list(range(len(reps)))
 
 
 def test_restrict_left_biset_linear():

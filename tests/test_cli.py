@@ -145,6 +145,24 @@ def test_config_file(tmp_path, capsys):
     assert data["exoticity_bound"] is None
 
 
+def test_verify_config_file_with_custom_name(tmp_path, capsys):
+    # the suites run on the loaded description, not on a built-in looked up by name
+    cfg = tmp_path / "mine.json"
+    cfg.write_text(json.dumps({
+        "prime": 3,
+        "name": "mine",
+        "classes": [{"lines": [0, 1], "r": 2}, {"lines": [2, 3], "r": 2}],
+    }))
+    code, out, err = run(capsys, "verify", "--config", str(cfg), "--table",
+                         "--stability", "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert [r["suite"] for r in data["results"]] == ["table", "stability"]
+    assert data["results"][0]["rows"][0]["system"] == "mine"
+    assert data["results"][1]["system"] == "mine"
+
+
 def test_config_file_missing_classes_exit_2(tmp_path, capsys):
     cfg = tmp_path / "noclasses.json"
     cfg.write_text(json.dumps({"prime": 3, "name": "broken"}))

@@ -10,7 +10,6 @@ from p3fusion.fusion import (
     build_out_F,
     builtin_fusion_system,
     builtin_systems,
-    f_number,
     lambda_sets,
     lift_matrix_to_aut,
     matrix_of_automorphism,
@@ -40,7 +39,7 @@ def test_builtin_systems_table():
         assert spec.p == p
         got = sorted((len(c.members), c.r) for c in spec.classes)
         assert got == sorted(sizes)
-        assert f_number(spec) == f
+        assert spec.f == f
         assert spec.out_order == out
         assert sum(len(c.members) for c in spec.classes) == p + 1
 
@@ -104,9 +103,9 @@ def test_spec_json_roundtrip():
 
 def test_f_number_values():
     by_name = {s.name: s for s in builtin_systems()}
-    assert f_number(by_name["SD16"]) == 8
-    assert f_number(by_name["6sq:2"]) == 12
-    assert f_number(by_name["4S4"]) == 24
+    assert by_name["SD16"].f == 8
+    assert by_name["6sq:2"].f == 12
+    assert by_name["4S4"].f == 24
 
 
 def test_aut_F_V_orders():
@@ -152,7 +151,7 @@ def test_build_out_F_orders():
     assert len(build_out_F(by_name["SD32x3"])) == 96
     for spec in builtin_systems():
         mats = build_out_F(spec)
-        assert len(mats) == (spec.p - 1) * f_number(spec)
+        assert len(mats) == (spec.p - 1) * spec.f
         # closed under product and inverse
         some = sorted(mats)[:6]
         for m in some:
@@ -162,7 +161,7 @@ def test_build_out_F_orders():
         # z-action fibers all have size f
         for m in range(1, spec.p):
             fiber = [g for g in mats if g.det() == m]
-            assert len(fiber) == f_number(spec)
+            assert len(fiber) == spec.f
 
 
 def test_build_out_F_relabelled_custom_spec():
