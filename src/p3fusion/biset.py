@@ -110,7 +110,7 @@ _CLASS_REGISTRY: dict = {}
 class BisetClass:
     """A left x S conjugacy class of graph subgroups, interned by key."""
 
-    __slots__ = ("key", "rep", "left", "uid", "layer", "_ids")
+    __slots__ = ("key", "rep", "left", "uid", "layer")
 
     def __init__(self, key, rep, left, uid, layer):
         self.key = key
@@ -118,7 +118,6 @@ class BisetClass:
         self.left = left
         self.uid = uid
         self.layer = layer
-        self._ids = None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, BisetClass) and self.key == other.key)
@@ -134,14 +133,6 @@ class BisetClass:
     def source(self) -> Subgroup:
         return self.rep.source
 
-    @property
-    def subgroup_ids(self) -> tuple:
-        """Positions of the representative's source and image in all_subgroups."""
-        if self._ids is None:
-            grp = ambient_group(self.rep.p)
-            self._ids = (grp.subgroup_id(self.rep.source), grp.subgroup_id(self.rep.image))
-        return self._ids
-
 
 def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
     grp = ambient_group(mor.p)
@@ -150,7 +141,7 @@ def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
     cache = mor._cls_cache
     if cache is None:
         cache = mor._cls_cache = {}
-    cached = cache.get(left.elements)
+    cached = cache.get(left.id)
     if cached is not None:
         return cached
     if not mor.source.elements <= left.elements:
@@ -164,7 +155,7 @@ def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
             layer += 1
         cls = BisetClass(key, mor, left, len(_CLASS_REGISTRY), layer)
         _CLASS_REGISTRY[key] = cls
-    cache[left.elements] = cls
+    cache[left.id] = cls
     return cls
 
 
@@ -255,9 +246,8 @@ def _may_fix(phi_cls: BisetClass, psi_cls: BisetClass) -> bool:
     """Necessary for a nonzero mark: the source and the image of psi each lie
     in a conjugate of the source and the image of phi."""
     fits = ambient_group(phi_cls.rep.p).subconjugacy
-    q_src, q_img = phi_cls.subgroup_ids
-    r_src, r_img = psi_cls.subgroup_ids
-    return fits[r_src][q_src] and fits[r_img][q_img]
+    phi, psi = phi_cls.rep, psi_cls.rep
+    return fits[psi.source.id][phi.source.id] and fits[psi.image.id][phi.image.id]
 
 
 def _transporter_mark(phi: GroupMorphism, psi: GroupMorphism) -> int:
@@ -345,10 +335,6 @@ class FormalBiset:
 
     def layer(self, r: int) -> "FormalBiset":
         return FormalBiset(self.p, {c: v for c, v in self.coeffs.items() if c.layer == r},
-                           left=self.left)
-
-    def layer_upto(self, r: int) -> "FormalBiset":
-        return FormalBiset(self.p, {c: v for c, v in self.coeffs.items() if c.layer <= r},
                            left=self.left)
 
     def transitive_count(self) -> int:
@@ -485,13 +471,11 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
     and the piece [A, a -> phi(t^-1 psi(a) t)], A = {a in R : t^-1 psi(a) t in
     Q}, as (its class over R, the morphism).  Pieces are memoised in memo by
     content, so a memo may be shared across calls."""
-    p = psi.p
-    grp = ambient_group(p)
+    grp = ambient_group(psi.p)
     elements = grp.elements
     mul = grp.product_table
     n = len(elements)
     r_sub = psi.source
-    r_id = grp.subgroup_id(r_sub)
     scan = [(r.code(), psi.mapping[r].code()) for r in r_sub.sorted_elements]
     gens = [(r.code(), psi.mapping[r].code()) for r in r_sub.canonical_gens]
     splits = []
@@ -520,11 +504,11 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
                 x = mul[mul[ti * n + m] * n + t]
                 if pos[x][0] == 0:  # coset 0 is Q itself
                     pairs.append((a, phi.mapping[elements[x]].code()))
-            key = (r_id, tuple(pairs))
+            key = (r_sub.id, tuple(pairs))
             piece = memo.get(key)
             if piece is None:
                 mapping = {elements[a]: elements[b] for a, b in pairs}
-                a_sub = Subgroup(p, mapping, _checked=True)
+                a_sub = grp.subgroup(mapping)
                 gens_a = {g: mapping[g] for g in a_sub.canonical_gens}
                 mor = GroupMorphism(a_sub, gens_a, _mapping=mapping)
                 piece = memo[key] = (biset_class(mor, left=r_sub), mor)
@@ -592,7 +576,7 @@ class MarkTable:
         self._column_uids = frozenset(cls.uid for cls in cols)
         groups = {}
         for cls in cols:
-            groups.setdefault(cls.subgroup_ids, []).append(cls)
+            groups.setdefault((cls.rep.source.id, cls.rep.image.id), []).append(cls)
         self._groups = tuple((src, img, tuple(members))
                              for (src, img), members in groups.items())
         self._fits = system.group.subconjugacy
@@ -603,8 +587,8 @@ class MarkTable:
         row = self._rows.get(test.uid)
         if row is None:
             fits = self._fits
-            r_src, r_img = test.subgroup_ids
             psi = test.rep
+            r_src, r_img = psi.source.id, psi.image.id
             row = {}
             for src, img, members in self._groups:
                 if fits[r_src][src] and fits[r_img][img]:
@@ -648,12 +632,11 @@ def _stability_sweep(system, b: FormalBiset, side: str) -> StabilityResult:
     for rep in system.all_class_reps():
         lhs = table.mark(b, biset_class(rep.morphism))
         anchor = rep.morphism.image if side == "left" else rep.morphism.source
-        key = anchor.elements
         try:
-            rhs = id_marks[key]
+            rhs = id_marks[anchor.id]
         except KeyError:
             rhs = table.mark(b, biset_class(identity_morphism(anchor)))
-            id_marks[key] = rhs
+            id_marks[anchor.id] = rhs
         if lhs != rhs:
             return StabilityResult(False, (rep, lhs, rhs))
     return StabilityResult(True, None)
@@ -791,7 +774,7 @@ class ExplicitBiset:
                 if j in right_orbit:
                     a_elems.append(r)
                     images[r] = right_orbit[j]
-            a_sub = Subgroup(self.p, a_elems)
+            a_sub = grp.subgroup(a_elems)
             gens = {g: images[g] for g in a_sub.canonical_gens}
             mor = GroupMorphism(a_sub, gens, _mapping=images)
             cls = biset_class(mor, left=r_sub)

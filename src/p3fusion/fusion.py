@@ -153,6 +153,11 @@ class FusionClass:
     r: int
 
 
+# Building a system materialises all p**3 elements of S before any other
+# check, so descriptions above this prime are refused up front.
+_MAX_SPEC_PRIME = 23
+
+
 @dataclass(frozen=True)
 class FusionSystemSpec:
     """p plus the partition of the p+1 lines into classes with their r values."""
@@ -163,6 +168,8 @@ class FusionSystemSpec:
 
     def __post_init__(self):
         require_odd_prime(self.p)
+        if self.p > _MAX_SPEC_PRIME:
+            raise ValueError(f"{self.p} is above the supported maximum {_MAX_SPEC_PRIME}")
         seen = set()
         total = 0
         f_values = set()
@@ -246,14 +253,9 @@ def _spec_field_error(data) -> str | None:
     return None
 
 
-# Building a system materialises all p**3 elements of S before any other
-# check, so description files above this prime are refused up front.
-_MAX_FILE_PRIME = 23
-
-
 def load_spec_file(path: str) -> FusionSystemSpec:
     """Read a JSON system description.  A file that is not JSON, lacks or
-    mistypes a field, has a prime above _MAX_FILE_PRIME or fails a consistency
+    mistypes a field, has a prime above _MAX_SPEC_PRIME or fails a consistency
     check raises UnknownSystemError naming the file and field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -263,12 +265,9 @@ def load_spec_file(path: str) -> FusionSystemSpec:
     problem = _spec_field_error(data)
     if problem is not None:
         raise UnknownSystemError(f"{path}: {problem}")
-    if data["prime"] > _MAX_FILE_PRIME:
-        raise UnknownSystemError(f"{path}: field 'prime': {data['prime']} is above "
-                                 f"the supported maximum {_MAX_FILE_PRIME}")
     try:
         return FusionSystemSpec.from_json(data)
-    except ValueError as exc:  # the prime is not an odd prime
+    except ValueError as exc:  # the prime is not an odd prime or is too large
         raise UnknownSystemError(f"{path}: field 'prime': {exc}") from None
     except InconsistentSpecError as exc:
         raise UnknownSystemError(f"{path}: field 'classes': {exc}") from None
@@ -703,14 +702,6 @@ class FusionSystem:
             a_i = self._alpha_to_rep[(i0, i)]
             self._alpha_cache[key] = a_j.compose(a_i.inverse())
         return self._alpha_cache[key]
-
-    def normalized_isos(self) -> dict:
-        out = {}
-        for cls in self.spec.classes:
-            for i in cls.members:
-                for j in cls.members:
-                    out[(i, j)] = self.alpha_iso(i, j)
-        return out
 
     # -- representative morphism classes --------------------------------------
 

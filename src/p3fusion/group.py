@@ -5,9 +5,11 @@ Elements are triples (a, b, c) of residues mod p multiplying by
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a*b')
 
 so that x = (1,0,0), y = (0,1,0) generate S, z = (0,0,1) = [x, y] spans the
-center, and every element has order dividing p (p odd).  Subgroups are stored
-as explicit element sets; morphisms as full element-to-element mappings built
-from generator images and verified on construction.
+center, and every element has order dividing p (p odd).  The group builds its
+whole subgroup lattice once: each subgroup is one interned object with an id,
+its position in all_subgroups, and every path that yields a subgroup returns
+that object.  Morphisms are full element-to-element mappings built from
+generator images and verified on construction.
 """
 
 from __future__ import annotations
@@ -84,74 +86,28 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     return g * h
 
 
-def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
-    """[g, h] = g h g**-1 h**-1, always central here."""
-    p = g.p
-    if h.p != p:
-        raise PrimeMismatchError(f"cannot commutate elements over p={p} and p={h.p}")
-    return GroupElement(p, 0, 0, (g.a * h.b - g.b * h.a) % p)
-
-
 class Subgroup:
-    """An explicit subgroup of the ambient group for one prime."""
+    """One subgroup of S.  Only ExtraspecialGroup builds these, once each, so
+    identity is equality; `id` is the position in all_subgroups."""
 
-    __slots__ = ("p", "elements", "order", "_sorted", "_gens", "_hash")
+    __slots__ = ("p", "id", "elements", "sorted_elements", "order", "canonical_gens")
 
-    def __init__(self, p: int, elements: Iterable[GroupElement], _checked: bool = False):
+    def __init__(self, p: int, id: int, sorted_elements: tuple):
         self.p = p
-        self.elements = frozenset(elements)
-        self.order = len(self.elements)
-        self._sorted = None
-        self._gens = None
-        self._hash = hash((p, self.elements))
-        if not _checked:
-            self._validate()
-
-    def _validate(self):
-        p = self.p
-        if GroupElement(p, 0, 0, 0) not in self.elements:
-            raise ValueError("subgroup must contain the identity")
-        if p**3 % self.order != 0:
-            raise ValueError(f"order {self.order} does not divide {p**3}")
-        for g in self.elements:
-            if g.p != p:
-                raise PrimeMismatchError("subgroup elements over mixed primes")
-            if g.inv() not in self.elements:
-                raise ValueError(f"subgroup not closed under inverse at {g}")
-        if self.order < p**3:
-            for g in self.elements:
-                for h in self.elements:
-                    if g * h not in self.elements:
-                        raise ValueError(f"subgroup not closed under product at {g}, {h}")
+        self.id = id
+        self.sorted_elements = sorted_elements
+        self.elements = frozenset(sorted_elements)
+        self.order = n = len(sorted_elements)
+        # generators read off the content: the identity sorts first, and in an
+        # order-p^2 subgroup the p central elements come before the rest
+        if n == 1:
+            self.canonical_gens = ()
+        elif n == p:
+            self.canonical_gens = (sorted_elements[1],)
+        elif n == p * p:
+            self.canonical_gens = (sorted_elements[1], sorted_elements[p])
         else:
-            if self.order != p**3:
-                raise ValueError("order exceeds the ambient group")
-
-    @property
-    def sorted_elements(self) -> tuple:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements, key=GroupElement.code))
-        return self._sorted
-
-    @property
-    def canonical_gens(self) -> tuple:
-        """Content-derived generator tuple: deterministic for equal subgroups."""
-        if self._gens is None:
-            p = self.p
-            if self.order == 1:
-                self._gens = ()
-            elif self.order == p:
-                self._gens = (min((g for g in self.elements if not g.is_identity()),
-                                  key=GroupElement.code),)
-            elif self.order == p * p:
-                z = GroupElement(p, 0, 0, 1)
-                if z not in self.elements:
-                    raise ValueError("unexpected order-p^2 subgroup without the center")
-                u = min((g for g in self.elements if not g.is_central()), key=GroupElement.code)
-                self._gens = (z, u)
-            else:
-                self._gens = (GroupElement(p, 1, 0, 0), GroupElement(p, 0, 1, 0))
-        return self._gens
+            self.canonical_gens = (GroupElement(p, 1, 0, 0), GroupElement(p, 0, 1, 0))
 
     def __contains__(self, g) -> bool:
         return g in self.elements
@@ -162,24 +118,29 @@ class Subgroup:
     def __len__(self) -> int:
         return self.order
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and self.p == other.p and self.elements == other.elements
-
     def __hash__(self) -> int:
-        return self._hash
+        return self.id
 
     def __le__(self, other) -> bool:
         return self.elements <= other.elements
 
     def __repr__(self) -> str:
-        return f"Subgroup(p={self.p}, order={self.order})"
+        return f"Subgroup(p={self.p}, order={self.order}, id={self.id})"
 
     def conjugate_by(self, x: GroupElement) -> "Subgroup":
-        return Subgroup(self.p, (g.conj_by(x) for g in self.elements), _checked=True)
+        """x * self * x**-1.  Only the noncentral order-p subgroups are not
+        normal; their conjugate is generated by the conjugated generator."""
+        if self.order != self.p or self.canonical_gens[0].is_central():
+            return self
+        return ambient_group(self.p).cyclic(self.canonical_gens[0].conj_by(x))
 
 
 class ExtraspecialGroup:
-    """Ambient context for one prime: the full group and its subgroup lattice."""
+    """Ambient context for one prime: the full group and its subgroup lattice.
+
+    The lattice is built with the group: the trivial group, the centre, one
+    cyclic subgroup per noncentral element not yet covered, the p+1 maximal
+    subgroups and S, ordered by (order, element codes)."""
 
     def __init__(self, p: int):
         self.p = require_odd_prime(p)
@@ -192,20 +153,47 @@ class ExtraspecialGroup:
             for a in range(p) for b in range(p) for c in range(p)
         )
         self.element_set = frozenset(self.elements)
-        self.full = Subgroup(p, self.elements, _checked=True)
-        self.center = Subgroup(p, (GroupElement(p, 0, 0, c) for c in range(p)), _checked=True)
-        self.trivial = Subgroup(p, [self.identity], _checked=True)
-        self._maximals = None
-        self._pinned_u = None
-        self._all_subgroups = None
-        self._subgroup_ids = None
+        n = len(self.elements)
+        # u_i = x*y**i for i < p and u_p = y; one per order-p^2 subgroup
+        self.pinned_line_generators = tuple(self.x * self.y**i for i in range(p)) + (self.y,)
+        lines = [sorted((u**i * self.z**j).code() for i in range(p) for j in range(p))
+                 for u in self.pinned_line_generators]
+        sets = [[0], list(range(p)), list(range(n))] + lines  # central codes are 0..p-1
+        covered = [False] * n
+        for code in range(p, n):
+            if not covered[code]:
+                powers = sorted((self.elements[code] ** k).code() for k in range(p))
+                for c in powers:
+                    covered[c] = True
+                sets.append(powers)
+        sets.sort(key=lambda s: (len(s), s))
+        self.all_subgroups = tuple(Subgroup(p, i, tuple(self.elements[c] for c in s))
+                                   for i, s in enumerate(sets))
+        self._by_elements = {q.elements: q for q in self.all_subgroups}
+        self._cyclic = [None] * n  # code of g -> the subgroup g generates
+        for q in self.all_subgroups:
+            if q.order <= p:
+                for g in q.elements:
+                    self._cyclic[g.code()] = q
+        self.trivial = self._cyclic[0] = self.all_subgroups[0]
+        self.full = self.all_subgroups[-1]
+        self.center = self.cyclic(self.z)
+        self.maximal_subgroups = tuple(
+            self.subgroup(self.elements[c] for c in s) for s in lines)
         self._subconjugacy = None
-        self._centralizers = {}
         self._conj_transversals = {}
         self._product_table = None
         self._coset_indices = {}
 
-    # -- subgroup construction ------------------------------------------------
+    # -- subgroup lookup ------------------------------------------------------
+
+    def subgroup(self, elements: Iterable[GroupElement]) -> Subgroup:
+        """The lattice's object with exactly these elements; ValueError when
+        they are not a subgroup of S."""
+        try:
+            return self._by_elements[frozenset(elements)]
+        except KeyError:
+            raise ValueError(f"not a subgroup of S for p={self.p}") from None
 
     def generated(self, gens: Iterable[GroupElement]) -> Subgroup:
         seen = {self.identity}
@@ -218,25 +206,12 @@ class ExtraspecialGroup:
                 if h not in seen:
                     seen.add(h)
                     frontier.append(h)
-        return Subgroup(self.p, seen, _checked=True)
+        return self.subgroup(seen)
 
     def cyclic(self, g: GroupElement) -> Subgroup:
-        return self.generated([g])
-
-    @property
-    def pinned_line_generators(self) -> tuple:
-        """u_i = x*y**i for i < p and u_p = y; one per order-p^2 subgroup."""
-        if self._pinned_u is None:
-            us = [self.x * self.y**i for i in range(self.p)]
-            us.append(self.y)
-            self._pinned_u = tuple(us)
-        return self._pinned_u
-
-    @property
-    def maximal_subgroups(self) -> tuple:
-        if self._maximals is None:
-            self._maximals = tuple(self.generated([self.z, u]) for u in self.pinned_line_generators)
-        return self._maximals
+        if g.p != self.p:
+            raise PrimeMismatchError(f"element over p={g.p} in the group over p={self.p}")
+        return self._cyclic[g.code()]
 
     @property
     def product_table(self) -> tuple:
@@ -256,44 +231,17 @@ class ExtraspecialGroup:
         return self.p
 
     def centralizer(self, q: Subgroup) -> Subgroup:
-        try:
-            return self._centralizers[q.elements]
-        except KeyError:
-            pass
-        gens = q.canonical_gens
-        members = [
-            g for g in self.elements
-            if all((g.a * h.b - g.b * h.a) % self.p == 0 for h in gens)
-        ]
-        res = Subgroup(self.p, members, _checked=True)
-        self._centralizers[q.elements] = res
-        return res
-
-    @property
-    def all_subgroups(self) -> tuple:
-        """Every subgroup of S, deterministically ordered by (order, content)."""
-        if self._all_subgroups is None:
-            subs = [self.trivial, self.center]
-            for g in self.elements:
-                if not g.is_central():
-                    c = self.cyclic(g)
-                    if c not in subs:
-                        subs.append(c)
-            subs.extend(self.maximal_subgroups)
-            subs.append(self.full)
-            uniq = {}
-            for s in subs:
-                uniq[s.elements] = s
-            self._all_subgroups = tuple(sorted(
-                uniq.values(),
-                key=lambda s: (s.order, tuple(e.code() for e in s.sorted_elements)),
-            ))
-        return self._all_subgroups
-
-    def subgroup_id(self, q: Subgroup) -> int:
-        if self._subgroup_ids is None:
-            self._subgroup_ids = {s.elements: i for i, s in enumerate(self.all_subgroups)}
-        return self._subgroup_ids[q.elements]
+        """C_S(q): S centralizes the central subgroups, a noncentral element
+        the maximal subgroup through it, and each maximal subgroup itself
+        (they are abelian and S is not); C_S(S) is the centre."""
+        p = self.p
+        if q.order == p**3:
+            return self.center
+        if q.order == p * p:
+            return q
+        if q.order == p and not q.canonical_gens[0].is_central():
+            return self.maximal_subgroups[self.line_of(q.canonical_gens[0])]
+        return self.full
 
     @property
     def subconjugacy(self) -> tuple:
@@ -327,9 +275,8 @@ class ExtraspecialGroup:
         """(reps, pos) for the left cosets of q, built on first use: reps are
         the codes of transversal(q), and pos[g.code()] == (i, h.code()) where
         g = elements[reps[i]] * h with h in q."""
-        key = q.elements
         try:
-            return self._coset_indices[key]
+            return self._coset_indices[q.id]
         except KeyError:
             pass
         reps = self.transversal(q)
@@ -338,17 +285,16 @@ class ExtraspecialGroup:
             for h in q.elements:
                 pos[(t * h).code()] = (i, h.code())
         index = (tuple(t.code() for t in reps), tuple(pos))
-        self._coset_indices[key] = index
+        self._coset_indices[q.id] = index
         return index
 
     def conj_transversal(self, q: Subgroup) -> tuple:
         """Coset reps of C_S(q): enough conjugators to reach every c_x|_q."""
-        key = q.elements
         try:
-            return self._conj_transversals[key]
+            return self._conj_transversals[q.id]
         except KeyError:
             reps = self.transversal(self.centralizer(q))
-            self._conj_transversals[key] = reps
+            self._conj_transversals[q.id] = reps
             return reps
 
 
@@ -429,7 +375,7 @@ class GroupMorphism:
     @property
     def image(self) -> Subgroup:
         if self._image is None:
-            self._image = Subgroup(self.p, self.mapping.values(), _checked=True)
+            self._image = ambient_group(self.p).subgroup(self.mapping.values())
         return self._image
 
     def compose(self, other: "GroupMorphism") -> "GroupMorphism":
@@ -452,9 +398,6 @@ class GroupMorphism:
         mapping = {g: self.mapping[g] for g in q.elements}
         gens = {g: mapping[g] for g in q.canonical_gens}
         return GroupMorphism(q, gens, _mapping=mapping)
-
-    def is_identity_map(self) -> bool:
-        return all(g == h for g, h in self.mapping.items())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupMorphism) and self.source == other.source

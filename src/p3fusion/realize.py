@@ -110,11 +110,11 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
     mul = grp.product_table
     n = len(grp.elements)
     r_sub = psi.source
-    source_pieces = index._source_pieces.get(r_sub.elements)
+    source_pieces = index._source_pieces.get(r_sub.id)
     if source_pieces is None:
         # the inclusion side does not depend on the morphism being realized
         source_pieces = _pieces_by_class(index, identity_morphism(r_sub))
-        index._source_pieces[r_sub.elements] = source_pieces
+        index._source_pieces[r_sub.id] = source_pieces
     target_pieces = _pieces_by_class(index, psi)
     if set(source_pieces) != set(target_pieces):
         raise StabilityViolationError("restriction classes of the two sides differ")

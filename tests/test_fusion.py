@@ -17,7 +17,7 @@ from p3fusion.fusion import (
     realizing_group_name,
     resolve_system,
 )
-from p3fusion.group import ambient_group
+from p3fusion.group import ambient_group, identity_morphism
 
 
 EXPECTED_ROWS = {
@@ -71,6 +71,13 @@ def test_realizing_group_ignores_name_and_line_labels():
         (FusionClass(frozenset({0, 1}), 6), FusionClass(frozenset({2, 3, 4, 5, 6, 7}), 2)),
     )
     assert realizing_group_name(custom) is None
+
+
+def test_spec_refuses_prime_above_limit():
+    # the library path refuses the primes a description file is refused for
+    with pytest.raises(ValueError, match="above the supported maximum 23"):
+        FusionSystemSpec(29, "custom", (FusionClass(frozenset(range(30)), 28),))
+    assert FusionSystemSpec(23, "custom", (FusionClass(frozenset(range(24)), 2),)).p == 23
 
 
 def test_resolve_aliases():
@@ -183,7 +190,7 @@ def test_build_out_F_unsupported_spec():
 def test_lift_matrix():
     g = ambient_group(3)
     ident = lift_matrix_to_aut(MatrixGL2(3, 1, 0, 0, 1))
-    assert ident.is_identity_map()
+    assert ident == identity_morphism(ident.source)
     m = MatrixGL2(3, 1, 0, 0, 2)
     alpha = lift_matrix_to_aut(m)
     assert alpha(g.z) == g.z**2
@@ -209,11 +216,13 @@ def test_lift_is_section_of_out_exhaustive_p3():
 def test_normalized_isos():
     for name in ("d8", "sd16", "th4s4", "rv48", "rv72", "rv96"):
         sys_ = builtin_fusion_system(name)
-        isos = sys_.normalized_isos()
+        isos = {(i, j): sys_.alpha_iso(i, j) for cls in sys_.spec.classes
+                for i in cls.members for j in cls.members}
         for (i, j), alpha in isos.items():
             assert alpha(sys_.group.z) == sys_.group.z
             assert alpha(sys_.u[i]) == sys_.u[j]
-            assert i == j or not alpha.is_identity_map() or sys_.u[i] == sys_.u[j]
+            assert (i == j or alpha != identity_morphism(alpha.source)
+                    or sys_.u[i] == sys_.u[j])
         # exact compatibility by construction
         for cls in sys_.spec.classes:
             mem = sorted(cls.members)

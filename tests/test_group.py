@@ -7,7 +7,6 @@ from p3fusion.group import (
     GroupElement,
     ambient_group,
     centralizer,
-    commutator,
     conjugation_morphism,
     identity_morphism,
     maximal_subgroups,
@@ -30,7 +29,7 @@ def test_defining_relation():
     g = ambient_group(3)
     assert g.x * g.y == GroupElement(3, 1, 1, 1)
     assert g.y * g.x == GroupElement(3, 1, 1, 0)
-    assert commutator(g.x, g.y) == g.z
+    assert g.x * g.y * g.x.inv() * g.y.inv() == g.z
 
 
 def test_group_axioms_exhaustive_p3():
@@ -99,7 +98,7 @@ def test_maximal_subgroups():
             assert g.z in v
             # elementary abelian: every pair commutes
             gens = v.canonical_gens
-            assert commutator(gens[0], gens[1]).is_identity()
+            assert (gens[0] * gens[1] * gens[0].inv() * gens[1].inv()).is_identity()
             assert centralizer(v) == v
         # pairwise intersections are exactly the center
         for i in range(len(vs)):
@@ -109,7 +108,7 @@ def test_maximal_subgroups():
 
 def test_commutator_subgroup_is_frattini_p3():
     g = ambient_group(3)
-    comms = {commutator(a, b) for a in g.elements for b in g.elements}
+    comms = {a * b * a.inv() * b.inv() for a in g.elements for b in g.elements}
     assert comms == set(g.center.elements)
     # Frattini = intersection of maximals
     inter = set(g.elements)
@@ -122,13 +121,13 @@ def test_conjugation_morphism():
     g = ambient_group(3)
     for q in g.maximal_subgroups:
         cz = conjugation_morphism(g.z, q)
-        assert cz.is_identity_map()
+        assert cz == identity_morphism(cz.source)
     # c_v(u0) = z * u0 for a v with [v, u0] = z
     p = 5
     g5 = ambient_group(p)
     u0 = g5.x
     v = g5.y.inv()
-    assert commutator(v, u0) == g5.z
+    assert v * u0 * v.inv() * u0.inv() == g5.z
     c = conjugation_morphism(v, g5.generated([g5.z, u0]))
     assert c(u0) == g5.z * u0
 
@@ -187,7 +186,8 @@ def test_morphism_compose_inverse_restrict():
     idm = identity_morphism(v0)
     assert idm.compose(idm) == idm
     c = conjugation_morphism(g.y, g.full)
-    assert c.compose(c.inverse()).is_identity_map()
+    cc = c.compose(c.inverse())
+    assert cc == identity_morphism(cc.source)
     r = c.restrict(v0)
     assert r.source == v0
     assert all(r(a) == c(a) for a in v0)
@@ -200,8 +200,52 @@ def test_subgroup_registry_deterministic():
     assert len(subs) == 1 + (9 + 3 + 1) + 4 + 1
     orders = [s.order for s in subs]
     assert orders == sorted(orders)
-    assert g.subgroup_id(g.trivial) == 0
-    assert g.subgroup_id(g.full) == len(subs) - 1
+    assert g.trivial.id == 0
+    assert g.full.id == len(subs) - 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_subgroup_lattice_is_interned(p):
+    g = ambient_group(p)
+    subs = g.all_subgroups
+    assert len(subs) == p * p + 2 * p + 4
+    assert len({q.elements for q in subs}) == len(subs)
+    keys = [(q.order, [e.code() for e in q.sorted_elements]) for q in subs]
+    assert keys == sorted(keys)
+    for i, q in enumerate(subs):
+        assert q.id == i
+        assert g.subgroup(q.elements) is q
+        assert g.subgroup(reversed(q.sorted_elements)) is q
+        assert g.generated(q.canonical_gens) is q
+        commuting = [h for h in g.elements if all(h * k == k * h for k in q.elements)]
+        assert g.centralizer(q) is g.subgroup(commuting)
+        assert identity_morphism(q).image is q
+    for h in g.elements:
+        assert g.cyclic(h) is g.generated([h])
+    assert g.maximal_subgroups == tuple(g.generated([g.z, u]) for u in g.pinned_line_generators)
+    assert g.center is g.cyclic(g.z)
+
+
+def test_lattice_paths_return_lattice_objects_p3():
+    g = ambient_group(3)
+    # every subgroup of S is generated by two elements, so this covers them all
+    assert {g.generated([a, b]).id for a in g.elements for b in g.elements} == set(
+        range(len(g.all_subgroups)))
+    for q in g.all_subgroups:
+        for x in g.elements:
+            conj = g.subgroup(h.conj_by(x) for h in q.elements)
+            assert q.conjugate_by(x) is conj
+            assert conjugation_morphism(x, q).image is conj
+    mor = morphism_from_images(g.cyclic(g.x), {g.x: g.y * g.z})
+    assert mor.image is g.cyclic(g.y * g.z)
+
+
+def test_subgroup_lookup_rejects_non_subgroups():
+    g = ambient_group(3)
+    for bad in ({g.identity, g.x}, {g.x, g.x**2}, ambient_group(5).center.elements,
+                [GroupElement(5, 0, 0, 0)]):
+        with pytest.raises(ValueError):
+            g.subgroup(bad)
 
 
 def test_transversals():

@@ -1,4 +1,5 @@
-"""Property tests over random p = 3 formal bisets (needs `hypothesis`)."""
+"""Property tests over random p = 3 formal bisets and relabelled systems
+(needs `hypothesis`)."""
 
 import pytest
 
@@ -8,6 +9,18 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from p3fusion.biset import FormalBiset, all_graph_classes, opposite  # noqa: E402
+from p3fusion.fusion import (  # noqa: E402
+    FusionClass,
+    FusionSystemSpec,
+    act_on_line,
+    fusion_system,
+    gl2_elements,
+    realizing_group_name,
+    resolve_system,
+)
+from p3fusion.idempotent import closed_forms, verify_idempotent_stability  # noqa: E402
+from p3fusion.realize import check_transitivity  # noqa: E402
+from p3fusion.solver import minimal_biset  # noqa: E402
 
 
 @st.composite
@@ -29,3 +42,25 @@ def test_opposite_is_an_involution(b):
 @given(formal_bisets_p3())
 def test_formal_biset_json_roundtrip(b):
     assert FormalBiset.from_json(b.to_json()) == b
+
+
+def _summary(system):
+    result = minimal_biset(system)
+    return {
+        "invariants": (result.f, result.d0, result.d1, result.d2, result.e),
+        "group": realizing_group_name(system.spec),
+        "closed_forms": closed_forms(system),
+        "transitive": check_transitivity(system, result.biset).ok,
+        "idempotent_stable": verify_idempotent_stability(system).ok,
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(tuple(gl2_elements(3))))
+def test_d8_invariants_survive_gl2_relabelling(g):
+    d8 = resolve_system("d8")
+    moved = tuple(FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
+                  for cls in d8.classes)
+    want = _summary(fusion_system(d8))
+    assert want["transitive"] and want["idempotent_stable"]
+    assert _summary(fusion_system(FusionSystemSpec(3, "relabelled", moved))) == want

@@ -151,7 +151,7 @@ def test_marks_at_own_classes():
 
     # mark at the central self-pair: p^3 * f * c0 (layers 0+1 only)
     zz = biset_class(morphism_from_images(grp.cyclic(grp.z), {grp.z: grp.z}))
-    assert biset_mark(x.layer_upto(1), zz) == 27 * 4
+    assert biset_mark(x.layer(0) + x.layer(1), zz) == 27 * 4
     # diagonal fixed points
     assert count_fixed_points(zz, zz) == 3**5
     ident = biset_class(identity_morphism(grp.full))
