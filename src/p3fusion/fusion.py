@@ -167,9 +167,10 @@ class FusionSystemSpec:
     classes: tuple
 
     def __post_init__(self):
-        require_odd_prime(self.p)
-        if self.p > _MAX_SPEC_PRIME:
+        # the limit comes first: primality testing a huge prime is unbounded work
+        if isinstance(self.p, int) and self.p > _MAX_SPEC_PRIME:
             raise ValueError(f"{self.p} is above the supported maximum {_MAX_SPEC_PRIME}")
+        require_odd_prime(self.p)
         seen = set()
         total = 0
         f_values = set()
@@ -260,7 +261,7 @@ def load_spec_file(path: str) -> FusionSystemSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a number too long to convert
             raise UnknownSystemError(f"{path}: not valid JSON: {exc}") from None
     problem = _spec_field_error(data)
     if problem is not None:

@@ -90,7 +90,8 @@ class Subgroup:
     """One subgroup of S.  Only ExtraspecialGroup builds these, once each, so
     identity is equality; `id` is the position in all_subgroups."""
 
-    __slots__ = ("p", "id", "elements", "sorted_elements", "order", "canonical_gens")
+    __slots__ = ("p", "id", "elements", "sorted_elements", "order", "canonical_gens",
+                 "is_normal")
 
     def __init__(self, p: int, id: int, sorted_elements: tuple):
         self.p = p
@@ -108,6 +109,9 @@ class Subgroup:
             self.canonical_gens = (sorted_elements[1], sorted_elements[p])
         else:
             self.canonical_gens = (GroupElement(p, 1, 0, 0), GroupElement(p, 0, 1, 0))
+        # every subgroup of S is normal except the noncentral order-p ones,
+        # which are conjugate exactly to the others on their line
+        self.is_normal = n != p or self.canonical_gens[0].is_central()
 
     def __contains__(self, g) -> bool:
         return g in self.elements
@@ -128,9 +132,9 @@ class Subgroup:
         return f"Subgroup(p={self.p}, order={self.order}, id={self.id})"
 
     def conjugate_by(self, x: GroupElement) -> "Subgroup":
-        """x * self * x**-1.  Only the noncentral order-p subgroups are not
-        normal; their conjugate is generated by the conjugated generator."""
-        if self.order != self.p or self.canonical_gens[0].is_central():
+        """x * self * x**-1; for a subgroup that is not normal, the subgroup
+        the conjugated generator generates."""
+        if self.is_normal:
             return self
         return ambient_group(self.p).cyclic(self.canonical_gens[0].conj_by(x))
 
@@ -239,20 +243,27 @@ class ExtraspecialGroup:
             return self.center
         if q.order == p * p:
             return q
-        if q.order == p and not q.canonical_gens[0].is_central():
+        if not q.is_normal:
             return self.maximal_subgroups[self.line_of(q.canonical_gens[0])]
         return self.full
+
+    def class_representative(self, q: Subgroup) -> Subgroup:
+        """One fixed member of q's conjugacy class: q itself when normal,
+        otherwise the subgroup its line's pinned generator generates."""
+        if q.is_normal:
+            return q
+        return self.cyclic(self.pinned_line_generators[self.line_of(q.canonical_gens[0])])
 
     @property
     def subconjugacy(self) -> tuple:
         """fits[i][j]: some conjugate of all_subgroups[i] lies inside
-        all_subgroups[j].  Every subgroup is normal except the noncentral
-        order-p ones, whose conjugates sweep the central coset of a generator."""
+        all_subgroups[j].  The conjugates of a subgroup that is not normal
+        sweep the central coset of its generator."""
         if self._subconjugacy is None:
             subs = self.all_subgroups
             rows = []
             for r in subs:
-                if r.order == self.p and not r.canonical_gens[0].is_central():
+                if not r.is_normal:
                     g = r.canonical_gens[0]
                     coset = [GroupElement(self.p, g.a, g.b, c) for c in range(self.p)]
                     rows.append(tuple(any(h in q.elements for h in coset) for q in subs))

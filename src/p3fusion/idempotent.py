@@ -200,18 +200,13 @@ def omega3(system: FusionSystem):
 
 
 def layer_sums(system: FusionSystem, om: FormalBiset) -> dict:
-    """Sum of coefficients per conjugacy class of sources, keyed by (layer, id).
-
-    A class may be represented by any conjugate source, so a noncentral
-    order-p source counts as the cyclic subgroup of its line's pinned
-    generator; every other subgroup is normal and counts as itself."""
+    """Sum of coefficients per conjugacy class of sources, keyed by (layer, id)
+    with the id of the class's fixed representative, since a biset class may
+    be represented with any conjugate source."""
     grp = system.group
     sums = {}
     for cls, c in om.coeffs.items():
-        src = cls.rep.source
-        if src.order == grp.p and not src.canonical_gens[0].is_central():
-            src = grp.cyclic(grp.pinned_line_generators[grp.line_of(src.canonical_gens[0])])
-        key = (cls.layer, src.id)
+        key = (cls.layer, grp.class_representative(cls.rep.source).id)
         sums[key] = sums.get(key, Fraction(0)) + c
     return sums
 

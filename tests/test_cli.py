@@ -183,13 +183,24 @@ def test_config_file_not_json_exit_2(tmp_path, capsys):
     assert str(cfg) in err and "not valid JSON" in err
 
 
+def test_config_file_overlong_number_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "overlong.json"
+    cfg.write_text('{"prime": ' + "1" * 5001 + ', "name": "broken", "classes": []}')
+    code, out, err = run(capsys, "minimal", "--config", str(cfg), "--no-certify")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(cfg) in err and "not valid JSON" in err
+
+
 @pytest.mark.parametrize("prime, classes, field, problem", [
     (3, [{"lines": [0, 1], "r": 2}, {"lines": [1, 2, 3], "r": 2}],
      "'classes'", "classes overlap"),
     (3, [{"lines": [0, 1], "r": 2}, {"lines": [2, 7], "r": 2}],
      "'classes'", "line index out of range"),
     (29, [{"lines": list(range(30)), "r": 28}], "'prime'", "above the supported maximum 23"),
-], ids=["overlap", "line-out-of-range", "prime-too-large"])
+    (10**400 + 1, [{"lines": [0, 1, 2, 3], "r": 2}], "'prime'", "above the supported maximum 23"),
+], ids=["overlap", "line-out-of-range", "prime-too-large", "prime-huge"])
 def test_config_file_rejected_exit_2(tmp_path, capsys, prime, classes, field, problem):
     cfg = tmp_path / "rejected.json"
     cfg.write_text(json.dumps({"prime": prime, "name": "broken", "classes": classes}))

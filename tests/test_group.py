@@ -240,6 +240,17 @@ def test_lattice_paths_return_lattice_objects_p3():
     assert mor.image is g.cyclic(g.y * g.z)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_class_representative_names_the_conjugacy_class(p):
+    g = ambient_group(p)
+    for q in g.all_subgroups:
+        conjugates = {q.conjugate_by(x) for x in g.elements}
+        assert q.is_normal == (conjugates == {q})
+        rep = g.class_representative(q)
+        assert rep in conjugates
+        assert all(g.class_representative(r) is rep for r in conjugates)
+
+
 def test_subgroup_lookup_rejects_non_subgroups():
     g = ambient_group(3)
     for bad in ({g.identity, g.x}, {g.x, g.x**2}, ambient_group(5).center.elements,

@@ -1,6 +1,8 @@
 """Property tests over random p = 3 formal bisets and relabelled systems
 (needs `hypothesis`)."""
 
+from functools import lru_cache
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -55,12 +57,17 @@ def _summary(system):
     }
 
 
+@lru_cache(maxsize=None)
+def _d8_summary():
+    return _summary(fusion_system(resolve_system("d8")))
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(tuple(gl2_elements(3))))
 def test_d8_invariants_survive_gl2_relabelling(g):
     d8 = resolve_system("d8")
     moved = tuple(FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
                   for cls in d8.classes)
-    want = _summary(fusion_system(d8))
+    want = _d8_summary()
     assert want["transitive"] and want["idempotent_stable"]
     assert _summary(fusion_system(FusionSystemSpec(3, "relabelled", moved))) == want
