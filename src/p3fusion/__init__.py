@@ -45,7 +45,6 @@ from .group import (
     centralizer,
     conjugation_morphism,
     maximal_subgroups,
-    multiply,
 )
 from .idempotent import omega0, omega1, omega2, omega3, verify_idempotent_stability
 from .realize import BisetIndex, check_transitivity, perm_from_morphism
@@ -63,7 +62,7 @@ __all__ = [
     "builtin_fusion_system", "builtin_systems", "fusion_system",
     "lambda_sets", "lift_matrix_to_aut", "resolve_system",
     "GroupElement", "GroupMorphism", "Subgroup", "ambient_group",
-    "centralizer", "conjugation_morphism", "maximal_subgroups", "multiply",
+    "centralizer", "conjugation_morphism", "maximal_subgroups",
     "omega0", "omega1", "omega2", "omega3", "verify_idempotent_stability",
     "BisetIndex", "check_transitivity", "perm_from_morphism",
     "SolverResult", "exoticity_bound", "minimal_biset", "verify_table",

@@ -29,6 +29,7 @@ from .group import (
     Subgroup,
     ambient_group,
     identity_morphism,
+    morphism_from_images,
 )
 
 __all__ = [
@@ -96,7 +97,7 @@ def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
         si = s.inv()
         q_conj = q.conjugate_by(s)
         src_code = tuple(e.code() for e in q_conj.sorted_elements)
-        base = [mor.mapping[g.conj_by(si)] for g in q_conj.canonical_gens]
+        base = [mor(g.conj_by(si)) for g in q_conj.canonical_gens]
         for t in t_reps:
             enc = (src_code, tuple(b.conj_by(t).code() for b in base))
             if best is None or enc < best:
@@ -126,7 +127,7 @@ class BisetClass:
         return hash(self.key)
 
     def __repr__(self):
-        gens = {g: self.rep.mapping[g] for g in self.rep.source.canonical_gens}
+        gens = {g: self.rep(g) for g in self.rep.source.canonical_gens}
         return f"BisetClass(|Q|={self.rep.source.order}, {gens})"
 
     @property
@@ -180,33 +181,39 @@ def _solvable_2var(p: int, rows) -> bool:
     return all(row[2] == 0 for row in mat if not row[0] and not row[1])
 
 
+def _transporters(psi: GroupMorphism, phi: GroupMorphism, candidates):
+    """Yield each x in candidates with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
+    for some y, R and Q the sources of psi and phi.
+
+    Conjugation moves only the central coordinate, so phi(x r x^-1) must agree
+    with psi(r) off the centre, and y must solve one linear equation over F_p
+    per generator r for the central difference."""
+    p = psi.p
+    gens = []  # (r, code of psi(r), y-coefficients of its equation, central part)
+    for r in psi.source.canonical_gens:
+        a = psi(r)
+        gens.append((r, a.code(), (a.b, -a.a), a.c))
+    phi_images = phi.images
+    for x in candidates:
+        rows = []
+        for r, a, coeffs, a_c in gens:
+            b = phi_images.get(r.conj_by(x).code())
+            if b is None:  # x r x^-1 lies outside Q
+                break
+            if b // p != a // p:  # phi(x r x^-1) and psi(r) differ off the centre
+                break
+            rows.append((*coeffs, b % p - a_c))
+        else:
+            if _solvable_2var(p, rows):
+                yield x
+
+
 def _transporter_reps(psi: GroupMorphism, phi: GroupMorphism) -> list:
     """Reps x of the cosets x*C_S(R) with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
     for some y; the conditions depend only on the coset."""
-    p = psi.p
-    grp = ambient_group(p)
-    r_sub, q_sub = psi.source, phi.source
-    if r_sub.order > q_sub.order:
+    if psi.source.order > phi.source.order:
         return []
-    gens = r_sub.canonical_gens
-    a_list = [psi.mapping[r] for r in gens]
-    q_elems = q_sub.elements
-    phi_map = phi.mapping
-    out = []
-    for x in grp.conj_transversal(r_sub):
-        rows = []
-        for r, a in zip(gens, a_list):
-            rx = r.conj_by(x)
-            if rx not in q_elems:
-                break
-            b = phi_map[rx]
-            if b.a != a.a or b.b != a.b:
-                break
-            rows.append((a.b, -a.a, b.c - a.c))
-        else:
-            if _solvable_2var(p, rows):
-                out.append(x)
-    return out
+    return list(_transporters(psi, phi, ambient_group(psi.p).conj_transversal(psi.source)))
 
 
 def n_size(psi: GroupMorphism, phi: GroupMorphism) -> int:
@@ -222,17 +229,6 @@ def n_set(psi: GroupMorphism, phi: GroupMorphism) -> frozenset:
 
 def is_subconjugate(psi: GroupMorphism, phi: GroupMorphism) -> bool:
     return n_size(psi, phi) > 0
-
-
-def graph_class_size(mor: GroupMorphism) -> int:
-    """Number of graph subgroups conjugate to mor: the S x S orbit has size
-    |S|^2 / (|N_phi| * |C_S(phi(Q))|)."""
-    grp = ambient_group(mor.p)
-    stab = n_size(mor, mor) * grp.centralizer(mor.image).order
-    total = grp.full.order**2
-    if total % stab:
-        raise P3FusionError("orbit-stabilizer count is not integral")
-    return total // stab
 
 
 def are_conjugate(a: GroupMorphism, b: GroupMorphism) -> bool:
@@ -288,7 +284,7 @@ def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     n = len(elements)
     reps, pos = grp.coset_index(phi.source)
     # (code of r, col) with col[k] == code of elements[k] * psi(r)**-1
-    pairs = [(r.code(), mul[psi.mapping[r].inv().code()::n])
+    pairs = [(r.code(), mul[psi(r).inv().code()::n])
              for r in psi.source.canonical_gens]
     ys = range(n)
     count = 0
@@ -298,7 +294,7 @@ def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
             idx2, q = pos[mul[r * n + t]]
             if idx2 != idx:
                 break
-            row = phi.mapping[elements[q]].code() * n
+            row = phi.images[q] * n
             here = [col[mul[row + y]] == y for y in ys]
             fixed = here if fixed is None else list(map(and_, fixed, here))
         else:
@@ -383,8 +379,7 @@ class FormalBiset:
             gens = cls.rep.source.canonical_gens
             classes.append({
                 "source_generators": [[g.a, g.b, g.c] for g in gens],
-                "image_generators": [[cls.rep.mapping[g].a, cls.rep.mapping[g].b,
-                                      cls.rep.mapping[g].c] for g in gens],
+                "image_generators": [[h.a, h.b, h.c] for h in map(cls.rep, gens)],
                 "multiplicity": str(Fraction(c)),
             })
         out = {"prime": self.p, "classes": classes}
@@ -394,8 +389,6 @@ class FormalBiset:
 
     @staticmethod
     def from_json(data: dict) -> "FormalBiset":
-        from .group import morphism_from_images
-
         p = int(data["prime"])
         grp = ambient_group(p)
         coeffs = {}
@@ -476,10 +469,11 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
     mul = grp.product_table
     n = len(elements)
     r_sub = psi.source
-    scan = [(r.code(), psi.mapping[r].code()) for r in r_sub.sorted_elements]
-    gens = [(r.code(), psi.mapping[r].code()) for r in r_sub.canonical_gens]
+    scan = sorted(psi.images.items())
+    gens = [(r, psi.images[r]) for r in map(GroupElement.code, r_sub.canonical_gens)]
     splits = []
     for phi in phis:
+        phi_images = phi.images
         reps, pos = grp.coset_index(phi.source)
         seen = [False] * len(reps)
         split = []
@@ -501,16 +495,14 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
             ti = elements[t].inv().code()
             pairs = []
             for a, m in scan:
-                x = mul[mul[ti * n + m] * n + t]
-                if pos[x][0] == 0:  # coset 0 is Q itself
-                    pairs.append((a, phi.mapping[elements[x]].code()))
+                b = phi_images.get(mul[mul[ti * n + m] * n + t])
+                if b is not None:  # t^-1 psi(a) t lies in Q
+                    pairs.append((a, b))
             key = (r_sub.id, tuple(pairs))
             piece = memo.get(key)
             if piece is None:
-                mapping = {elements[a]: elements[b] for a, b in pairs}
-                a_sub = grp.subgroup(mapping)
-                gens_a = {g: mapping[g] for g in a_sub.canonical_gens}
-                mor = GroupMorphism(a_sub, gens_a, _mapping=mapping)
+                images = dict(pairs)
+                mor = GroupMorphism(grp.subgroup(elements[a] for a in images), images)
                 piece = memo[key] = (biset_class(mor, left=r_sub), mor)
             split.append((positions, tracked, piece))
         splits.append(split)
@@ -736,7 +728,7 @@ class ExplicitBiset:
         """|X^{Delta_R^psi}|: elements with r.e = e.psi(r) for all generators."""
         fixed = None
         for r in psi.source.canonical_gens:
-            here = map(eq, self._left_perm(r), self._right_perm(psi.mapping[r]))
+            here = map(eq, self._left_perm(r), self._right_perm(psi(r)))
             fixed = list(here) if fixed is None else list(map(and_, fixed, here))
         return self.size if fixed is None else sum(fixed)
 
@@ -749,7 +741,7 @@ class ExplicitBiset:
         it is the orbit decomposition of the S-S-set, independent of marks."""
         grp = ambient_group(self.p)
         r_sub = psi.source
-        psi_gen_elems = [psi.mapping[r] for r in r_sub.canonical_gens]
+        psi_gen_elems = [psi(r) for r in r_sub.canonical_gens]
         unassigned = set(range(self.size))
         coeffs = {}
         while unassigned:
@@ -770,13 +762,11 @@ class ExplicitBiset:
                 right_orbit[self.right(seed, g)] = g
             a_elems, images = [], {}
             for r in r_sub.elements:
-                j = self.left(psi.mapping[r], seed)
+                j = self.left(psi(r), seed)
                 if j in right_orbit:
                     a_elems.append(r)
-                    images[r] = right_orbit[j]
-            a_sub = grp.subgroup(a_elems)
-            gens = {g: images[g] for g in a_sub.canonical_gens}
-            mor = GroupMorphism(a_sub, gens, _mapping=images)
+                    images[r.code()] = right_orbit[j].code()
+            mor = GroupMorphism(grp.subgroup(a_elems), images)
             cls = biset_class(mor, left=r_sub)
             coeffs[cls] = coeffs.get(cls, 0) + 1
         return FormalBiset(self.p, coeffs, left=r_sub)
@@ -827,7 +817,7 @@ def _product_explicit(a: FormalBiset, x_b: ExplicitBiset, limit: int) -> Explici
             row = (base + ti) * m
             for g in gens:
                 ti2, q = pos[(g * elements[t]).code()]
-                shift = phi.mapping[elements[q]]  # acts on the Y element from the left
+                shift = elements[phi.images[q]]  # acts on the Y element from the left
                 row2 = (base + ti2) * m
                 left_gen[g][row:row + m] = [row2 + j for j in x_b._left_perm(shift)]
                 right_gen[g][row:row + m] = [row + j for j in y_right[g]]
@@ -867,8 +857,6 @@ def all_graph_classes(p: int) -> tuple:
             pools = [(img,) for img in candidates[0]]
         else:
             pools = [(i1, i2) for i1 in candidates[0] for i2 in candidates[1]]
-        from .group import morphism_from_images
-
         for images in pools:
             try:
                 mor = morphism_from_images(r_sub, dict(zip(gens, images)))

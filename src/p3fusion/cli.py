@@ -195,6 +195,14 @@ def _run_system_suites(task):
 
 
 def cmd_verify(args) -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"{WORKERS_ENV} must be an integer of at least 1, got {raw!r}", file=sys.stderr)
+        return 2
     if args.all:
         for flag in ("table", "marks", "stability", "idempotent", "realize"):
             setattr(args, flag, True)
@@ -219,7 +227,6 @@ def cmd_verify(args) -> int:
                            and spec.p != 3)]
         if suites:
             tasks.append((spec, suites, args.oracle))
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_system_suites, tasks):

@@ -8,8 +8,8 @@ so that x = (1,0,0), y = (0,1,0) generate S, z = (0,0,1) = [x, y] spans the
 center, and every element has order dividing p (p odd).  The group builds its
 whole subgroup lattice once: each subgroup is one interned object with an id,
 its position in all_subgroups, and every path that yields a subgroup returns
-that object.  Morphisms are full element-to-element mappings built from
-generator images and verified on construction.
+that object.  A morphism is its source plus a table from element codes to
+image codes; morphism_from_images is the one checked way to build one.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ class GroupElement(NamedTuple):
     def code(self) -> int:
         """Dense integer encoding, used for deterministic sorting and keys."""
         return (self.a * self.p + self.b) * self.p + self.c
-
-
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group product; raises PrimeMismatchError on mixed primes."""
-    return g * h
 
 
 class Subgroup:
@@ -156,7 +151,6 @@ class ExtraspecialGroup:
             GroupElement(p, a, b, c)
             for a in range(p) for b in range(p) for c in range(p)
         )
-        self.element_set = frozenset(self.elements)
         n = len(self.elements)
         # u_i = x*y**i for i < p and u_p = y; one per order-p^2 subgroup
         self.pinned_line_generators = tuple(self.x * self.y**i for i in range(p)) + (self.y,)
@@ -325,120 +319,101 @@ def maximal_subgroups(p: int) -> tuple:
 class GroupMorphism:
     """An injective homomorphism from a subgroup of S into S.
 
-    Built from generator images; the full element mapping is materialised and
-    the homomorphism property f(g*s) = f(g)*f(s) is checked for every g in the
-    source and every generator s, which forces it for all pairs.
+    Stored as its source and `images`, which maps the code of every source
+    element to the code of its image.  The constructor trusts a complete
+    table; morphism_from_images is the checked entry for generator images.
     """
 
-    __slots__ = ("p", "source", "gen_images", "mapping", "_image", "_hash", "_cls_cache")
+    __slots__ = ("p", "source", "images", "_image", "_hash", "_cls_cache")
 
-    def __init__(self, source: Subgroup, gen_images: dict, _mapping: dict | None = None):
+    def __init__(self, source: Subgroup, images: dict):
         self.p = source.p
         self.source = source
-        self.gen_images = dict(gen_images)
-        if _mapping is not None:
-            self.mapping = _mapping
-        else:
-            self.mapping = self._extend()
-            self._verify()
+        self.images = images
         self._image = None
         self._hash = None
         self._cls_cache = None
 
-    def _extend(self) -> dict:
-        p = self.p
-        identity = GroupElement(p, 0, 0, 0)
-        mapping = {identity: identity}
-        frontier = [identity]
-        gens = list(self.gen_images.items())
-        for g, img in gens:
-            if g not in self.source:
-                raise MorphismError(f"generator {g} outside the source subgroup")
-            if img.p != p:
-                raise PrimeMismatchError("generator image over a different prime")
-        while frontier:
-            g = frontier.pop()
-            fg = mapping[g]
-            for s, fs in gens:
-                h = g * s
-                fh = fg * fs
-                known = mapping.get(h)
-                if known is None:
-                    mapping[h] = fh
-                    frontier.append(h)
-                elif known != fh:
-                    raise MorphismError("generator images are inconsistent with the group law")
-        if len(mapping) != self.source.order:
-            raise MorphismError("generators do not generate the source subgroup")
-        return mapping
-
-    def _verify(self):
-        for g, fg in self.mapping.items():
-            for s, fs in self.gen_images.items():
-                if self.mapping[g * s] != fg * fs:
-                    raise MorphismError("generator images do not define a homomorphism")
-        if len(set(self.mapping.values())) != len(self.mapping):
-            raise MorphismError("generator images do not define an injective map")
-
     def __call__(self, g: GroupElement) -> GroupElement:
-        return self.mapping[g]
+        if g.p != self.p:
+            raise PrimeMismatchError(f"element over p={g.p} for a morphism over p={self.p}")
+        return ambient_group(self.p).elements[self.images[g.code()]]
 
     @property
     def image(self) -> Subgroup:
         if self._image is None:
-            self._image = ambient_group(self.p).subgroup(self.mapping.values())
+            grp = ambient_group(self.p)
+            self._image = grp.subgroup(grp.elements[c] for c in self.images.values())
         return self._image
 
     def compose(self, other: "GroupMorphism") -> "GroupMorphism":
         """self after other; other's image must lie in self's source."""
-        if not other.image.elements <= self.source.elements:
+        if not other.image <= self.source:
             raise MorphismError("composition out of domain")
-        mapping = {g: self.mapping[h] for g, h in other.mapping.items()}
-        gens = {g: mapping[g] for g in other.source.canonical_gens}
-        return GroupMorphism(other.source, gens, _mapping=mapping)
+        return GroupMorphism(other.source,
+                             {g: self.images[h] for g, h in other.images.items()})
 
     def inverse(self) -> "GroupMorphism":
-        mapping = {h: g for g, h in self.mapping.items()}
-        src = self.image
-        gens = {g: mapping[g] for g in src.canonical_gens}
-        return GroupMorphism(src, gens, _mapping=mapping)
+        return GroupMorphism(self.image, {h: g for g, h in self.images.items()})
 
     def restrict(self, q: Subgroup) -> "GroupMorphism":
-        if not q.elements <= self.source.elements:
+        if not q <= self.source:
             raise MorphismError("restriction outside the source")
-        mapping = {g: self.mapping[g] for g in q.elements}
-        gens = {g: mapping[g] for g in q.canonical_gens}
-        return GroupMorphism(q, gens, _mapping=mapping)
+        return GroupMorphism(q, {c: self.images[c] for c in map(GroupElement.code, q)})
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupMorphism) and self.source == other.source
-                and self.mapping == other.mapping)
+        return (isinstance(other, GroupMorphism) and self.source is other.source
+                and self.images == other.images)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.source, frozenset(self.mapping.items())))
+            self._hash = hash((self.source.id, frozenset(self.images.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        ims = {g: self.mapping[g] for g in self.source.canonical_gens}
+        ims = {g: self(g) for g in self.source.canonical_gens}
         return f"GroupMorphism({ims})"
 
 
 def identity_morphism(q: Subgroup) -> GroupMorphism:
-    mapping = {g: g for g in q.elements}
-    gens = {g: g for g in q.canonical_gens}
-    return GroupMorphism(q, gens, _mapping=mapping)
+    return GroupMorphism(q, {c: c for c in map(GroupElement.code, q)})
 
 
 def conjugation_morphism(x: GroupElement, q: Subgroup) -> GroupMorphism:
     """The map u -> x u x**-1 restricted to q."""
     if x.p != q.p:
         raise PrimeMismatchError("conjugator over a different prime")
-    mapping = {g: g.conj_by(x) for g in q.elements}
-    gens = {g: mapping[g] for g in q.canonical_gens}
-    return GroupMorphism(q, gens, _mapping=mapping)
+    return GroupMorphism(q, {g.code(): g.conj_by(x).code() for g in q})
 
 
-def morphism_from_images(source: Subgroup, gen_images: dict) -> GroupMorphism:
-    """Public constructor that always runs the relation check."""
-    return GroupMorphism(source, gen_images)
+def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorphism:
+    """The morphism with these generator images, checked in one closure: the
+    generators lie in the source, f(g*s) == f(g)*f(s) for every reached g and
+    generator s (which forces the homomorphism property), the generators
+    generate the source, and the map is injective."""
+    p = source.p
+    gens = list(generator_images.items())
+    for g, img in gens:
+        if g not in source:
+            raise MorphismError(f"generator {g} outside the source subgroup")
+        if img.p != p:
+            raise PrimeMismatchError("generator image over a different prime")
+    identity = GroupElement(p, 0, 0, 0)
+    images = {0: 0}
+    frontier = [(identity, identity)]
+    while frontier:
+        g, fg = frontier.pop()
+        for s, fs in gens:
+            h, fh = g * s, fg * fs
+            code, image = h.code(), fh.code()
+            known = images.get(code)
+            if known is None:
+                images[code] = image
+                frontier.append((h, fh))
+            elif known != image:
+                raise MorphismError("generator images are inconsistent with the group law")
+    if len(images) != source.order:
+        raise MorphismError("generators do not generate the source subgroup")
+    if len(set(images.values())) != len(images):
+        raise MorphismError("generator images do not define an injective map")
+    return GroupMorphism(source, images)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .biset import FormalBiset, _double_cosets, _solvable_2var
+from .biset import FormalBiset, _double_cosets, _transporters
 from .errors import StabilityViolationError, TheoremViolationError
 from .fusion import FusionMorphism, FusionSystem
 from .group import GroupMorphism, identity_morphism
@@ -79,37 +79,23 @@ def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
     return out
 
 
-def _conjugation_witness(system, r_sub, a_mor, b_mor):
-    """a in R with a^-1 A a = A' and kappa' o c_{a^-1}|_A = c_b o kappa solvable."""
-    p = system.p
-    a_sub, b_sub = a_mor.source, b_mor.source
-    gens = a_sub.canonical_gens
-    for cand in r_sub.sorted_elements:  # the identity comes first
-        ci = cand.inv()
-        if any(ci * g * cand not in b_sub.elements for g in gens):
-            continue
-        rows = []
-        ok = True
-        for g in gens:
-            lhs = a_mor.mapping[g]           # kappa(g)
-            rhs = b_mor.mapping[ci * g * cand]  # kappa'(a^-1 g a)
-            if lhs.a != rhs.a or lhs.b != rhs.b:
-                ok = False
-                break
-            rows.append((lhs.b, -lhs.a, rhs.c - lhs.c))
-        if ok and _solvable_2var(p, rows):
-            return cand
+def _conjugation_witness(r_sub, a_mor, b_mor):
+    """The first a in R with a^-1 A a = A' and kappa' o c_{a^-1}|_A = c_b o kappa
+    for some b: the transporters x = a^-1 of kappa into kappa', the identity
+    tried first."""
+    for x in _transporters(a_mor, b_mor, (a.inv() for a in r_sub.sorted_elements)):
+        return x.inv()
     raise StabilityViolationError("matched pieces admit no conjugation witness")
 
 
 def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
     """The permutation of J induced by an isomorphism between the restriction
     along the inclusion and the restriction along psi."""
-    system = index.system
-    grp = system.group
+    grp = index.system.group
     mul = grp.product_table
     n = len(grp.elements)
     r_sub = psi.source
+    psi_images = psi.images
     source_pieces = index._source_pieces.get(r_sub.id)
     if source_pieces is None:
         # the inclusion side does not depend on the morphism being realized
@@ -118,7 +104,6 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
     target_pieces = _pieces_by_class(index, psi)
     if set(source_pieces) != set(target_pieces):
         raise StabilityViolationError("restriction classes of the two sides differ")
-    psi_code = {g.code(): h.code() for g, h in psi.mapping.items()}
     perm = [None] * index.size
     witnesses = {}  # copies of a class repeat the same pair of pieces
     for uid, sources in source_pieces.items():
@@ -131,11 +116,11 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
             t_block, _t_positions, _t_tracked, t, t_mor = tgt
             w = witnesses.get((s_mor, t_mor))
             if w is None:
-                w = _conjugation_witness(system, r_sub, s_mor, t_mor).code()
+                w = _conjugation_witness(r_sub, s_mor, t_mor).code()
                 witnesses[s_mor, t_mor] = w
             t_pos = grp.coset_index(t_block.cls.rep.source)[1]
             for pos, v in zip(s_positions, s_tracked):
-                image = mul[psi_code[mul[v * n + w]] * n + t]
+                image = mul[psi_images[mul[v * n + w]] * n + t]
                 perm[s_block.offset + pos] = t_block.offset + t_pos[image][0]
     seen = bytearray(index.size)
     for value in perm:

@@ -109,6 +109,16 @@ def test_verify_nothing_selected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_verify_bad_workers_exit_2(capsys, monkeypatch, workers):
+    monkeypatch.setenv("P3FUSION_WORKERS", workers)
+    code, out, err = run(capsys, "verify", "--system", "d8", "--stability")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "P3FUSION_WORKERS" in err
+
+
 def test_verify_single_system_suites(capsys):
     code, out, _ = run(capsys, "verify", "--stability", "--idempotent",
                        "--system", "d8", "--format", "json")

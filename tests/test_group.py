@@ -11,7 +11,6 @@ from p3fusion.group import (
     identity_morphism,
     maximal_subgroups,
     morphism_from_images,
-    multiply,
     require_odd_prime,
 )
 
@@ -41,7 +40,7 @@ def test_group_axioms_exhaustive_p3():
     for a in g.elements:
         for b in g.elements:
             ab = a * b
-            assert ab in g.element_set
+            assert ab in frozenset(g.elements)
             for c in g.elements:
                 assert (ab) * c == a * (b * c)
 
@@ -61,13 +60,13 @@ def test_x_power_p_is_identity_at_5():
     g = ambient_group(5)
     acc = g.identity
     for _ in range(5):
-        acc = multiply(acc, g.x)
+        acc = acc * g.x
     assert acc == g.identity
 
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatchError):
-        multiply(GroupElement(3, 1, 0, 0), GroupElement(5, 1, 0, 0))
+        GroupElement(3, 1, 0, 0) * GroupElement(5, 1, 0, 0)
 
 
 def test_center_and_sizes():
@@ -140,7 +139,7 @@ def test_conjugation_functorial_exhaustive_p3():
         for b in g.elements:
             cb = conjugation_morphism(b, v0)
             cab = conjugation_morphism(a * b, v0)
-            assert ca.compose(cb).mapping == cab.mapping
+            assert ca.compose(cb) == cab
 
 
 def test_morphism_construction_and_rejection():
@@ -149,6 +148,8 @@ def test_morphism_construction_and_rejection():
     z, u = v0.canonical_gens
     ok = morphism_from_images(v0, {z: z, u: u * g.z})
     assert ok(u) == u * g.z
+    with pytest.raises(PrimeMismatchError):
+        ok(GroupElement(5, 0, 0, 1))
     # non-injective assignment
     with pytest.raises(MorphismError):
         morphism_from_images(v0, {z: g.identity, u: u})
@@ -191,6 +192,30 @@ def test_morphism_compose_inverse_restrict():
     r = c.restrict(v0)
     assert r.source == v0
     assert all(r(a) == c(a) for a in v0)
+
+
+def test_construction_paths_give_one_morphism_p3():
+    g = ambient_group(3)
+    xs = (g.identity, g.x, g.y, g.x * g.y * g.z, g.y.inv())
+    for q in g.all_subgroups:
+        codes = {e.code() for e in q}
+        ident = identity_morphism(q)
+        for x in xs:
+            f = conjugation_morphism(x, q)
+            assert set(f.images) == codes
+            assert len(set(f.images.values())) == len(codes)
+            same = (morphism_from_images(q, {u: u.conj_by(x) for u in q.canonical_gens}),
+                    conjugation_morphism(x, g.full).restrict(q))
+            for h in same:
+                assert h == f and hash(h) == hash(f)
+            back = f.inverse().compose(f)
+            assert back == ident and hash(back) == hash(ident)
+            there = f.compose(f.inverse())
+            assert there == identity_morphism(f.image)
+            assert hash(there) == hash(identity_morphism(f.image))
+        if q is not g.full:
+            assert identity_morphism(g.full).restrict(q) == ident
+            assert conjugation_morphism(g.x, q) != conjugation_morphism(g.x, g.full)
 
 
 def test_subgroup_registry_deterministic():

@@ -3,8 +3,11 @@ import pytest
 from p3fusion.biset import biset_class
 from p3fusion.errors import StabilityViolationError
 from p3fusion.fusion import builtin_fusion_system, lift_matrix_to_aut
+from p3fusion.group import ambient_group, identity_morphism
 from p3fusion.realize import (
     BisetIndex,
+    _conjugation_witness,
+    _pieces_by_class,
     check_transitivity,
     essential_generators,
     j0_class_action_checks,
@@ -153,3 +156,39 @@ def test_stability_violation_for_wrong_biset():
     phi = essential_generators(sys_)[0]
     with pytest.raises(StabilityViolationError):
         perm_image_of_essential(index, phi)
+
+
+def _elementwise_witness(r_sub, a_mor, b_mor):
+    """Reference: the first a in R, in sorted order, with a^-1 A a <= A' and
+    kappa'(a^-1 g a) == b kappa(g) b^-1 on the generators g of A for one b in S."""
+    gens = a_mor.source.canonical_gens
+    for a in r_sub.sorted_elements:
+        ai = a.inv()
+        moved = [ai * g * a for g in gens]
+        if any(m not in b_mor.source for m in moved):
+            continue
+        if any(all(b_mor(m) == a_mor(g).conj_by(b) for g, m in zip(gens, moved))
+               for b in ambient_group(r_sub.p).elements):
+            return a
+    return None
+
+
+@pytest.mark.parametrize("name", ["d8", "sd16"])
+def test_witness_matches_elementwise_search(name):
+    sys_, index = _index(name)
+    morphisms = [rep.morphism for rep in essential_generators(sys_)]
+    morphisms += [lift_matrix_to_aut(m).inverse() for m in sys_.sorted_out]
+    pairs = 0
+    moved = 0
+    for psi in morphisms:
+        r_sub = psi.source
+        sources = _pieces_by_class(index, identity_morphism(r_sub))
+        targets = _pieces_by_class(index, psi)
+        for uid, src in sources.items():
+            for s_piece, t_piece in zip(src, targets[uid]):
+                s_mor, t_mor = s_piece[-1], t_piece[-1]
+                witness = _conjugation_witness(r_sub, s_mor, t_mor)
+                assert witness == _elementwise_witness(r_sub, s_mor, t_mor)
+                pairs += 1
+                moved += not witness.is_identity()
+    assert pairs and moved  # some witness is not the identity
