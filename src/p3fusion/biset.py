@@ -105,26 +105,27 @@ def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
     return (p, "gen", left.order, best)
 
 
-_CLASS_REGISTRY: dict = {}
-
-
 class BisetClass:
-    """A left x S conjugacy class of graph subgroups, interned by key."""
+    """A left x S conjugacy class of graph subgroups: a value equal by its key.
+    `rep` is the morphism the class was built from; classes order by
+    (layer, key)."""
 
-    __slots__ = ("key", "rep", "left", "uid", "layer")
+    __slots__ = ("key", "rep", "layer", "_hash")
 
-    def __init__(self, key, rep, left, uid, layer):
+    def __init__(self, key, rep, layer):
         self.key = key
         self.rep = rep
-        self.left = left
-        self.uid = uid
         self.layer = layer
+        self._hash = hash(key)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, BisetClass) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
+
+    def __lt__(self, other):
+        return (self.layer, self.key) < (other.layer, other.key)
 
     def __repr__(self):
         gens = {g: self.rep(g) for g in self.rep.source.canonical_gens}
@@ -136,28 +137,21 @@ class BisetClass:
 
 
 def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
-    grp = ambient_group(mor.p)
+    """The class of mor over left (S by default); the key is cached on mor."""
     if left is None:
-        left = grp.full
-    cache = mor._cls_cache
-    if cache is None:
-        cache = mor._cls_cache = {}
-    cached = cache.get(left.id)
-    if cached is not None:
-        return cached
-    if not mor.source.elements <= left.elements:
-        raise ValueError("source must lie inside the left-hand group")
-    key = _class_key(mor, left)
-    cls = _CLASS_REGISTRY.get(key)
-    if cls is None:
-        order = mor.source.order
-        layer = 0
-        while left.order > order * mor.p**layer:
-            layer += 1
-        cls = BisetClass(key, mor, left, len(_CLASS_REGISTRY), layer)
-        _CLASS_REGISTRY[key] = cls
-    cache[left.id] = cls
-    return cls
+        left = ambient_group(mor.p).full
+    keys = mor._class_keys
+    if keys is None:
+        keys = mor._class_keys = {}
+    key = keys.get(left.id)
+    if key is None:
+        if not mor.source.elements <= left.elements:
+            raise ValueError("source must lie inside the left-hand group")
+        key = keys[left.id] = _class_key(mor, left)
+    layer = 0
+    while left.order > mor.source.order * mor.p**layer:
+        layer += 1
+    return BisetClass(key, mor, layer)
 
 
 # -- transporter sets and fixed points -----------------------------------------
@@ -320,7 +314,7 @@ class FormalBiset:
             self.coeffs = {cls: c for cls, c in self.coeffs.items() if c}
 
     def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].layer, kv[0].key))
+        return [(cls, self.coeffs[cls]) for cls in sorted(self.coeffs)]
 
     @property
     def support(self):
@@ -413,9 +407,12 @@ def opposite(b: FormalBiset) -> FormalBiset:
     grp = ambient_group(b.p)
     if b.left != grp.full:
         raise ValueError("opposite is defined for S-S bisets")
+    # reuse b's class objects where they match, so the result keeps no inverses
+    own = {cls: cls for cls in b.coeffs}
     out = {}
     for cls, c in b.coeffs.items():
         opp = biset_class(cls.rep.inverse())
+        opp = own.get(opp, opp)
         out[opp] = out.get(opp, 0) + c
     return FormalBiset(b.p, out)
 
@@ -426,14 +423,13 @@ def subconjugate_closure(b: FormalBiset) -> tuple:
     """Every class [R, phi|_R] under a support class, i.e. everything that can
     have a nonzero mark on b."""
     grp = ambient_group(b.p)
-    seen = {}
+    seen = set()
     for cls in b.support:
         phi = cls.rep
         for r_sub in grp.all_subgroups:
             if r_sub.elements <= phi.source.elements:
-                sub = biset_class(phi.restrict(r_sub))
-                seen[sub.uid] = sub
-    return tuple(sorted(seen.values(), key=lambda c: (c.layer, c.key)))
+                seen.add(biset_class(phi.restrict(r_sub)))
+    return tuple(sorted(seen))
 
 
 def mark_vector(b: FormalBiset, classes=None) -> dict:
@@ -565,7 +561,7 @@ class MarkTable:
         cols = [biset_class(identity_morphism(system.group.trivial))]
         cols.extend(biset_class(rep.morphism) for rep in system.all_class_reps())
         self.columns = tuple(cols)
-        self._column_uids = frozenset(cls.uid for cls in cols)
+        self._column_set = frozenset(cols)
         groups = {}
         for cls in cols:
             groups.setdefault((cls.rep.source.id, cls.rep.image.id), []).append(cls)
@@ -576,7 +572,7 @@ class MarkTable:
 
     def row(self, test: BisetClass) -> dict:
         """{column class: mark at test} over the columns with a nonzero mark."""
-        row = self._rows.get(test.uid)
+        row = self._rows.get(test)
         if row is None:
             fits = self._fits
             psi = test.rep
@@ -588,7 +584,7 @@ class MarkTable:
                         value = _transporter_mark(cls.rep, psi)
                         if value:
                             row[cls] = value
-            self._rows[test.uid] = row
+            self._rows[test] = row
         return row
 
     def mark(self, b: FormalBiset, test: BisetClass):
@@ -611,9 +607,9 @@ def mark_table(system) -> MarkTable:
 
 def check_condition_a(system, b: FormalBiset):
     """Support must lie inside the system's morphism classes."""
-    allowed = mark_table(system)._column_uids
+    allowed = mark_table(system)._column_set
     for cls in b.support:
-        if cls.uid not in allowed:
+        if cls not in allowed:
             raise ConditionAViolationError(cls)
 
 
@@ -845,12 +841,11 @@ def all_graph_classes(p: int) -> tuple:
     if p > 5:
         raise ResourceLimitError("full graph-class enumeration is limited to p <= 5")
     grp = ambient_group(p)
-    found = {}
+    found = set()
     for r_sub in grp.all_subgroups:
         gens = r_sub.canonical_gens
         if not gens:
-            cls = biset_class(identity_morphism(r_sub))
-            found[cls.uid] = cls
+            found.add(biset_class(identity_morphism(r_sub)))
             continue
         candidates = [[g for g in grp.elements if not g.is_identity()]] * len(gens)
         if len(gens) == 1:
@@ -862,9 +857,8 @@ def all_graph_classes(p: int) -> tuple:
                 mor = morphism_from_images(r_sub, dict(zip(gens, images)))
             except MorphismError:
                 continue
-            cls = biset_class(mor)
-            found.setdefault(cls.uid, cls)
-    return tuple(sorted(found.values(), key=lambda c: (c.layer, c.key)))
+            found.add(biset_class(mor))
+    return tuple(sorted(found))
 
 
 def decompose_by_marks(x: ExplicitBiset, classes=None) -> FormalBiset:
@@ -875,7 +869,7 @@ def decompose_by_marks(x: ExplicitBiset, classes=None) -> FormalBiset:
     if classes is None:
         classes = all_graph_classes(p)
     coeffs = {}
-    for cls in sorted(classes, key=lambda c: (c.layer, c.key)):
+    for cls in sorted(classes):
         mark = x.fixed_point_count(cls.rep)
         for prev, c in coeffs.items():
             if prev.layer <= cls.layer:

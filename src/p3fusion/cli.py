@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except UnknownSystemError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a --config path that is missing, a directory, unreadable
         print(str(exc), file=sys.stderr)
         return 2
     except P3FusionError as exc:

@@ -228,13 +228,18 @@ class FusionSystemSpec:
         return FusionSystemSpec(int(data["prime"]), str(data.get("name", "custom")), classes)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is a subclass of int, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _spec_field_error(data) -> str | None:
     """The first missing or malformed field of a JSON system description."""
     if not isinstance(data, dict):
         return "expected a JSON object with fields 'prime' and 'classes'"
     if "prime" not in data:
         return "missing field 'prime'"
-    if not isinstance(data["prime"], int):
+    if not _is_int(data["prime"]):
         return "field 'prime' must be an integer"
     if "classes" not in data:
         return "missing field 'classes'"
@@ -247,9 +252,9 @@ def _spec_field_error(data) -> str | None:
             if name not in entry:
                 return f"missing field 'classes[{k}].{name}'"
         lines = entry["lines"]
-        if not isinstance(lines, list) or not all(isinstance(i, int) for i in lines):
+        if not isinstance(lines, list) or not all(map(_is_int, lines)):
             return f"field 'classes[{k}].lines' must be a list of integers"
-        if not isinstance(entry["r"], int) or entry["r"] < 1:
+        if not _is_int(entry["r"]) or entry["r"] < 1:
             return f"field 'classes[{k}].r' must be a positive integer"
     return None
 

@@ -324,7 +324,7 @@ class GroupMorphism:
     table; morphism_from_images is the checked entry for generator images.
     """
 
-    __slots__ = ("p", "source", "images", "_image", "_hash", "_cls_cache")
+    __slots__ = ("p", "source", "images", "_image", "_hash", "_class_keys")
 
     def __init__(self, source: Subgroup, images: dict):
         self.p = source.p
@@ -332,7 +332,7 @@ class GroupMorphism:
         self.images = images
         self._image = None
         self._hash = None
-        self._cls_cache = None
+        self._class_keys = None
 
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.p != self.p:

@@ -17,8 +17,15 @@ from dataclasses import dataclass
 
 from .biset import FormalBiset, _double_cosets, _transporters
 from .errors import StabilityViolationError, TheoremViolationError
-from .fusion import FusionMorphism, FusionSystem
+from .fusion import (
+    FusionMorphism,
+    FusionSystem,
+    lift_matrix_to_aut,
+    matrix_closure,
+    matrix_of_automorphism,
+)
 from .group import GroupMorphism, identity_morphism
+from .solver import minimal_biset
 
 
 @dataclass
@@ -63,7 +70,7 @@ class BisetIndex:
 # -- permutations from fusion morphisms -----------------------------------------
 
 def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
-    """{piece class uid: [(block, positions, tracked, t, piece)]}: the
+    """{piece class: [(block, positions, tracked, t, piece)]}: the
     restriction of every block along psi, in block order and, within a block,
     in order of the orbit's first coset t.  The split depends only on the
     block's class, so copies share it."""
@@ -74,7 +81,7 @@ def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
         reps = grp.coset_index(cls.rep.source)[0]
         for block in blocks:
             for positions, tracked, (piece_cls, piece) in split:
-                out.setdefault(piece_cls.uid, []).append(
+                out.setdefault(piece_cls, []).append(
                     (block, positions, tracked, reps[positions[0]], piece))
     return out
 
@@ -106,11 +113,11 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
         raise StabilityViolationError("restriction classes of the two sides differ")
     perm = [None] * index.size
     witnesses = {}  # copies of a class repeat the same pair of pieces
-    for uid, sources in source_pieces.items():
-        targets = target_pieces[uid]
+    for piece_cls, sources in source_pieces.items():
+        targets = target_pieces[piece_cls]
         if len(sources) != len(targets):
             raise StabilityViolationError(
-                f"restriction multiplicity mismatch on piece class {uid}")
+                f"restriction multiplicity mismatch on piece class {piece_cls!r}")
         for src, tgt in zip(sources, targets):
             s_block, s_positions, s_tracked, _s_t, s_mor = src
             t_block, _t_positions, _t_tracked, t, t_mor = tgt
@@ -171,8 +178,6 @@ class UnionFind:
 
 def _out_generator_matrices(system: FusionSystem):
     """A small generating subset of the outer matrix group."""
-    from .fusion import matrix_closure
-
     mats = system.sorted_out
     gens = []
     generated = {mats[0] * mats[0].inv()}
@@ -193,18 +198,10 @@ def j0_class_action_checks(system: FusionSystem, biset: FormalBiset | None = Non
     in the matrix group, which is free and transitive.  The bijection is the
     substantive check; it fails if the top layer ever collapses classes."""
     if biset is None:
-        from .solver import minimal_biset
-
         biset = minimal_biset(system, certify=False).biset
     top = biset.layer(0)
-    mats = set()
-    for cls in top.support:
-        mor = cls.rep
-        grp = system.group
-        fx, fy = mor(grp.x), mor(grp.y)
-        mats.add((system.p, fx.a, fy.a, fx.b, fy.b))
-    expected = {tuple(m) for m in system.sorted_out}
-    if mats != expected:
+    mats = {matrix_of_automorphism(cls.rep) for cls in top.support}
+    if mats != set(system.sorted_out):
         return False, "singleton classes do not biject with the outer matrices"
     if len(top.support) != len(system.sorted_out):
         return False, "top layer collapses outer classes"
@@ -268,8 +265,6 @@ def check_transitivity(system: FusionSystem,
     """
     start = time.perf_counter()
     if biset is None:
-        from .solver import minimal_biset
-
         biset = minimal_biset(system, certify=False).biset
     index = BisetIndex(system, biset)
     all_out_reps = system.p <= 3
@@ -283,8 +278,6 @@ def check_transitivity(system: FusionSystem,
         out_mats = list(system.sorted_out)
     else:
         out_mats = _out_generator_matrices(system)
-    from .fusion import lift_matrix_to_aut
-
     out_perm_info = []
     for m in out_mats:
         perm = perm_image_of_out(index, lift_matrix_to_aut(m))

@@ -190,7 +190,7 @@ def test_class_keys_separate_all_reps():
     for name in ("d8", "sd16"):
         sys_ = builtin_fusion_system(name)
         reps = sys_.all_class_reps()
-        keys = {biset_class(r.morphism).uid for r in reps}
+        keys = {biset_class(r.morphism).key for r in reps}
         assert len(keys) == len(reps)
 
 

@@ -203,6 +203,14 @@ def test_config_file_overlong_number_exit_2(tmp_path, capsys):
     assert str(cfg) in err and "not valid JSON" in err
 
 
+def test_config_directory_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "minimal", "--config", str(tmp_path), "--no-certify")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(tmp_path) in err
+
+
 @pytest.mark.parametrize("prime, classes, field, problem", [
     (3, [{"lines": [0, 1], "r": 2}, {"lines": [1, 2, 3], "r": 2}],
      "'classes'", "classes overlap"),
@@ -210,7 +218,12 @@ def test_config_file_overlong_number_exit_2(tmp_path, capsys):
      "'classes'", "line index out of range"),
     (29, [{"lines": list(range(30)), "r": 28}], "'prime'", "above the supported maximum 23"),
     (10**400 + 1, [{"lines": [0, 1, 2, 3], "r": 2}], "'prime'", "above the supported maximum 23"),
-], ids=["overlap", "line-out-of-range", "prime-too-large", "prime-huge"])
+    (3, [{"lines": [0, 1, True], "r": 2}, {"lines": [2, 3], "r": 2}],
+     "'classes[0].lines'", "must be a list of integers"),
+    (3, [{"lines": [0, 1, 2, 3], "r": True}], "'classes[0].r'", "must be a positive integer"),
+    (True, [{"lines": [0, 1, 2, 3], "r": 2}], "'prime'", "must be an integer"),
+], ids=["overlap", "line-out-of-range", "prime-too-large", "prime-huge",
+        "lines-bool", "r-bool", "prime-bool"])
 def test_config_file_rejected_exit_2(tmp_path, capsys, prime, classes, field, problem):
     cfg = tmp_path / "rejected.json"
     cfg.write_text(json.dumps({"prime": prime, "name": "broken", "classes": classes}))

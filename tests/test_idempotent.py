@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from p3fusion.biset import biset_class, biset_mark, is_left_stable
+from p3fusion.biset import FormalBiset, biset_class, biset_mark, is_left_stable
 from p3fusion.errors import NotComputedError
 from p3fusion.fusion import builtin_fusion_system
+from p3fusion.group import conjugation_morphism
 from p3fusion.idempotent import (
     closed_forms,
     layer1_degree_counts,
@@ -130,30 +131,19 @@ def test_rational_marks_match_integer_machinery():
 
 
 def test_layer_sums_independent_of_class_representatives():
-    # a fresh interpreter, so the conjugate representative below is the first
-    # to intern its class and becomes the class's rep
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    code = (
-        "from p3fusion.biset import biset_class\n"
-        "from p3fusion.fusion import builtin_fusion_system\n"
-        "from p3fusion.group import conjugation_morphism\n"
-        "from p3fusion.idempotent import verify_idempotent_stability\n"
-        "system = builtin_fusion_system('d8')\n"
-        "grp = system.group\n"
-        "phi = next(r.morphism for r in system.order_p_reps()\n"
-        "           if not r.meta[0].is_central() and not r.meta[1].is_central())\n"
-        "q = phi.source.conjugate_by(grp.y)\n"
-        "cls = biset_class(phi.compose(conjugation_morphism(grp.y.inv(), q)))\n"
-        "print(cls.rep.source is q, q is not phi.source)\n"
-        "print(verify_idempotent_stability(system).ok)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out.split() == ["True"] * 3
+    # a class may be built from any conjugate source: swapping one order-p
+    # class of omega for its conjugate-source twin leaves every sum alone
+    system = builtin_fusion_system("d8")
+    grp = system.group
+    om = omega_upto2(system)
+    phi = next(r.morphism for r in system.order_p_reps()
+               if not r.meta[0].is_central() and not r.meta[1].is_central())
+    q = phi.source.conjugate_by(grp.y)
+    twin = biset_class(phi.compose(conjugation_morphism(grp.y.inv(), q)))
+    assert q is not phi.source and twin.rep.source is q
+    coeffs = dict(om.coeffs)
+    coeffs[twin] = coeffs.pop(biset_class(phi))
+    swapped = FormalBiset(system.p, coeffs)
+    assert swapped == om
+    assert any(cls.rep.source is q for cls in swapped.coeffs)
+    assert layer_sums(system, swapped) == layer_sums(system, om)

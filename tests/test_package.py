@@ -13,3 +13,24 @@ def test_no_assert_statements_in_the_package():
                      if isinstance(node, ast.Assert))
     assert list(SRC.rglob("*.py"))
     assert found == []
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "set", "list") and not node.args
+            and not node.keywords)
+
+
+def test_no_module_level_memo_in_the_package():
+    # an empty container assigned at module level is a module-global memo;
+    # cached state belongs to the object that uses it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    node.value is not None and _is_empty_container(node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

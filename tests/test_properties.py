@@ -28,7 +28,7 @@ from p3fusion.solver import minimal_biset  # noqa: E402
 @st.composite
 def formal_bisets_p3(draw):
     classes = all_graph_classes(3)
-    support = draw(st.lists(st.sampled_from(classes), max_size=5, unique_by=lambda c: c.uid))
+    support = draw(st.lists(st.sampled_from(classes), max_size=5, unique_by=lambda c: c.key))
     coeffs = {cls: draw(st.fractions(min_value=-6, max_value=6, max_denominator=12))
               for cls in support}
     return FormalBiset(3, coeffs)

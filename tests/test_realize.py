@@ -112,9 +112,9 @@ def test_double_application_respects_block_classes():
     combined = [perm_inv[perm[i]] for i in range(index.size)]
     labels_by_class = {}
     for b in index.blocks:
-        labels_by_class.setdefault(b.cls.uid, set()).update(
+        labels_by_class.setdefault(b.cls, set()).update(
             range(b.offset, b.offset + b.size))
-    for uid, labels in labels_by_class.items():
+    for labels in labels_by_class.values():
         assert {combined[i] for i in labels} == labels
 
 
@@ -184,8 +184,8 @@ def test_witness_matches_elementwise_search(name):
         r_sub = psi.source
         sources = _pieces_by_class(index, identity_morphism(r_sub))
         targets = _pieces_by_class(index, psi)
-        for uid, src in sources.items():
-            for s_piece, t_piece in zip(src, targets[uid]):
+        for cls, src in sources.items():
+            for s_piece, t_piece in zip(src, targets[cls]):
                 s_mor, t_mor = s_piece[-1], t_piece[-1]
                 witness = _conjugation_witness(r_sub, s_mor, t_mor)
                 assert witness == _elementwise_witness(r_sub, s_mor, t_mor)

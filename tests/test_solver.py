@@ -181,3 +181,39 @@ def test_solver_result_json():
     assert data["e"] == 968
     assert data["coefficients"]["c0"] == 1
     assert data["biset"]["prime"] == 3
+
+
+def test_biset_json_independent_of_earlier_classes():
+    # two fresh interpreters: one first builds the class of a conjugated
+    # order-p representative, which must not change how X prints
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    prelude = (
+        "from p3fusion.biset import biset_class\n"
+        "from p3fusion.group import conjugation_morphism\n"
+        "phi = next(r.morphism for r in system.order_p_reps()\n"
+        "           if not r.meta[0].is_central() and not r.meta[1].is_central())\n"
+        "q = phi.source.conjugate_by(grp.y)\n"
+        "biset_class(phi.compose(conjugation_morphism(grp.y.inv(), q)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+
+    def run(extra):
+        code = (
+            "import json\n"
+            "from p3fusion.fusion import builtin_fusion_system\n"
+            "from p3fusion.solver import minimal_biset\n"
+            "system = builtin_fusion_system('d8')\n"
+            "grp = system.group\n"
+            + extra +
+            "print(json.dumps(minimal_biset(system, certify=False).biset.to_json()))\n"
+        )
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True).stdout
+
+    assert run(prelude) == run("")
