@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import and_, eq
+from operator import and_, eq, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -156,58 +156,118 @@ def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
 
 # -- transporter sets and fixed points -----------------------------------------
 
-def _solvable_2var(p: int, rows) -> bool:
-    """Consistency of rows (c1, c2, t): c1*y1 + c2*y2 = t over F_p."""
-    mat = [[r[0] % p, r[1] % p, r[2] % p] for r in rows]
-    piv = 0
-    for col in (0, 1):
-        row_i = next((i for i in range(piv, len(mat)) if mat[i][col]), None)
-        if row_i is None:
-            continue
-        mat[piv], mat[row_i] = mat[row_i], mat[piv]
-        inv = pow(mat[piv][col], p - 2, p)
-        mat[piv] = [v * inv % p for v in mat[piv]]
-        for i in range(len(mat)):
-            if i != piv and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[piv])]
-        piv += 1
-    return all(row[2] == 0 for row in mat if not row[0] and not row[1])
+def _central_functionals(p: int, rows) -> tuple:
+    """A basis of the functionals lam with sum_i lam_i * rows[i] == 0 over F_p,
+    for at most two rows (u, v).  The system u_i*y1 + v_i*y2 == t_i is
+    solvable exactly when every such lam vanishes on t."""
+    live = [i for i, (u, v) in enumerate(rows) if u % p or v % p]
+    if not live:  # no y moves anything: every t_i must vanish
+        return tuple(tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows)))
+    if len(rows) == 1:
+        return ()
+    (u1, v1), (u2, v2) = rows
+    if (u1 * v2 - v1 * u2) % p:
+        return ()
+    # rank 1: the other row is mu times the live row i
+    i = live[0]
+    col = 0 if rows[i][0] % p else 1
+    mu = rows[1 - i][col] * pow(rows[i][col], p - 2, p) % p
+    lam = [0, 0]
+    lam[i], lam[1 - i] = mu, p - 1
+    return (tuple(lam),)
+
+
+class _TransporterSearch:
+    """The transporter condition of one test morphism psi: R -> S, prepared
+    once and run against many phi: Q -> S.  x passes when xRx^-1 <= Q and
+    phi o c_x|_R = c_y o psi for some y; it suffices to check the generators r.
+
+    Conjugation moves only the central coordinate, so the code of x r x^-1 is
+    the code of r with a new central digit, phi(x r x^-1) must agree with
+    psi(r) off the centre, and y must solve one linear equation over F_p per
+    generator for the central difference t_r.  The y-coefficients
+    (psi(r).b, -psi(r).a) depend only on psi, so solvability is fixed once as
+    the functionals that must vanish on t: none when R is trivial or S, one
+    when |R| = p and psi(r) is central, and one when |R| = p^2."""
+
+    __slots__ = ("psi", "p", "_gens", "_targets", "_functionals", "_scale")
+
+    def __init__(self, psi: GroupMorphism):
+        p = self.p = psi.p
+        self.psi = psi
+        elements = ambient_group(p).elements
+        gens, targets, rows = [], [], []
+        for r in psi.source.canonical_gens:
+            a = elements[psi.images[r.code()]]
+            gens.append((r.code() - r.c, r.c, r.a, r.b))
+            targets.append((a.code() // p, a.c))  # psi(r) off the centre, central digit
+            rows.append((a.b, -a.a))
+        self._gens = tuple(gens)
+        self._targets = tuple(targets)
+        self._functionals = _central_functionals(p, rows)
+        self._scale = None
+
+    def conjugates(self, candidates=None):
+        """(x, codes of x r x^-1 over the generators r) for each candidate x,
+        lazily; by default x runs over the coset reps of C_S(R), on which the
+        condition depends."""
+        p, gens = self.p, self._gens
+        if candidates is None:
+            candidates = ambient_group(p).conj_transversal(self.psi.source)
+        for x in candidates:
+            xa, xb = x.a, x.b
+            yield x, tuple(base + (c + xa * rb - xb * ra) % p for base, c, ra, rb in gens)
+
+    def transporters(self, phi: GroupMorphism, conjugates):
+        """Each x of the (x, codes) pairs that passes for phi, in order."""
+        p = self.p
+        images = phi.images
+        targets = self._targets
+        functionals = self._functionals
+        for x, codes in conjugates:
+            diffs = []
+            for code, (off, c) in zip(codes, targets):
+                b = images.get(code)
+                if b is None or b // p != off:  # outside Q, or off the centre
+                    break
+                diffs.append(b % p - c)
+            else:
+                for lam in functionals:
+                    if sum(map(mul, lam, diffs)) % p:
+                        break
+                else:
+                    yield x
+
+    def mark(self, phi: GroupMorphism, conjugates) -> int:
+        """The transporter formula |N_{psi,phi}| / |Q| * |C_S(psi(R))|, N
+        counted over conjugates, which must hold every coset rep of C_S(R)
+        that passes for phi."""
+        if self._scale is None:
+            grp = ambient_group(self.p)
+            self._scale = (grp.centralizer(self.psi.source).order
+                           * grp.centralizer(self.psi.image).order)
+        hits = 0
+        for _ in self.transporters(phi, conjugates):
+            hits += 1
+        num = hits * self._scale
+        q_order = phi.source.order
+        if num % q_order:
+            raise P3FusionError("fixed-point formula returned a non-integer")
+        return num // q_order
 
 
 def _transporters(psi: GroupMorphism, phi: GroupMorphism, candidates):
     """Yield each x in candidates with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
-    for some y, R and Q the sources of psi and phi.
-
-    Conjugation moves only the central coordinate, so phi(x r x^-1) must agree
-    with psi(r) off the centre, and y must solve one linear equation over F_p
-    per generator r for the central difference."""
-    p = psi.p
-    gens = []  # (r, code of psi(r), y-coefficients of its equation, central part)
-    for r in psi.source.canonical_gens:
-        a = psi(r)
-        gens.append((r, a.code(), (a.b, -a.a), a.c))
-    phi_images = phi.images
-    for x in candidates:
-        rows = []
-        for r, a, coeffs, a_c in gens:
-            b = phi_images.get(r.conj_by(x).code())
-            if b is None:  # x r x^-1 lies outside Q
-                break
-            if b // p != a // p:  # phi(x r x^-1) and psi(r) differ off the centre
-                break
-            rows.append((*coeffs, b % p - a_c))
-        else:
-            if _solvable_2var(p, rows):
-                yield x
+    for some y, R and Q the sources of psi and phi."""
+    search = _TransporterSearch(psi)
+    return search.transporters(phi, search.conjugates(candidates))
 
 
 def _transporter_reps(psi: GroupMorphism, phi: GroupMorphism) -> list:
     """Reps x of the cosets x*C_S(R) with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
     for some y; the conditions depend only on the coset."""
-    if psi.source.order > phi.source.order:
-        return []
-    return list(_transporters(psi, phi, ambient_group(psi.p).conj_transversal(psi.source)))
+    search = _TransporterSearch(psi)
+    return list(search.transporters(phi, search.conjugates()))
 
 
 def n_size(psi: GroupMorphism, phi: GroupMorphism) -> int:
@@ -240,15 +300,6 @@ def _may_fix(phi_cls: BisetClass, psi_cls: BisetClass) -> bool:
     return fits[psi.source.id][phi.source.id] and fits[psi.image.id][phi.image.id]
 
 
-def _transporter_mark(phi: GroupMorphism, psi: GroupMorphism) -> int:
-    """The transporter formula |N_{psi,phi}| / |Q| * |C_S(psi(R))|."""
-    num = n_size(psi, phi) * ambient_group(phi.p).centralizer(psi.image).order
-    q_order = phi.source.order
-    if num % q_order:
-        raise P3FusionError("fixed-point formula returned a non-integer")
-    return num // q_order
-
-
 def _same_prime(cls: BisetClass, by: BisetClass) -> None:
     if cls.rep.p != by.rep.p:
         raise PrimeMismatchError(
@@ -259,7 +310,10 @@ def count_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     """Fixed points of the graph of `by` on the transitive biset of `cls`:
     |N_{psi,phi}| / |Q| * |C_S(psi(R))|."""
     _same_prime(cls, by)
-    return _transporter_mark(cls.rep, by.rep) if _may_fix(cls, by) else 0
+    if not _may_fix(cls, by):
+        return 0
+    search = _TransporterSearch(by.rep)
+    return search.mark(cls.rep, search.conjugates())
 
 
 def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
@@ -555,6 +609,9 @@ class MarkTable:
     A row, built on first request, holds the nonzero marks of the columns at
     one test class.  Columns are grouped by the ids of their source and image,
     and a group is visited only when the subconjugacy matrix allows both.
+    A row prepares one transporter search for its test class and keeps the
+    conjugators x with xRx^-1 <= Q once per source Q, so a column costs only
+    lookups in its image table.
     """
 
     def __init__(self, system):
@@ -577,11 +634,21 @@ class MarkTable:
             fits = self._fits
             psi = test.rep
             r_src, r_img = psi.source.id, psi.image.id
+            search = _TransporterSearch(psi)
+            conjugates = tuple(search.conjugates())
+            inside = {}  # source id -> the conjugates with xRx^-1 <= that source
             row = {}
             for src, img, members in self._groups:
                 if fits[r_src][src] and fits[r_img][img]:
+                    here = inside.get(src)
+                    if here is None:
+                        q_codes = members[0].rep.images  # the members share Q
+                        here = inside[src] = [pair for pair in conjugates
+                                              if all(c in q_codes for c in pair[1])]
+                    if not here:
+                        continue
                     for cls in members:
-                        value = _transporter_mark(cls.rep, psi)
+                        value = search.mark(cls.rep, here)
                         if value:
                             row[cls] = value
             self._rows[test] = row

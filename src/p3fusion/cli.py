@@ -13,7 +13,13 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .biset import biset_class, brute_force_fixed_points, count_fixed_points
+from .biset import (
+    biset_class,
+    brute_force_fixed_points,
+    count_fixed_points,
+    is_left_stable,
+    is_right_stable,
+)
 from .errors import P3FusionError, UnknownSystemError
 from .fusion import (
     FusionSystemSpec,
@@ -70,7 +76,6 @@ def cmd_minimal(args) -> int:
     system = fusion_system(spec)
     result = minimal_biset(system, certify=not args.no_certify)
     data = result.to_json()
-    data.pop("wall_time_s", None)
     if args.format == "json":
         _print_json(data)
     else:
@@ -95,7 +100,6 @@ def cmd_idempotent(args) -> int:
     system = fusion_system(spec)
     report = verify_idempotent_stability(system)
     data = report.to_json()
-    data.pop("wall_time_s", None)
     if args.format == "json":
         _print_json(data)
     else:
@@ -137,9 +141,29 @@ def _suite_table(specs) -> dict:
 def _suite_stability(spec) -> dict:
     system = fusion_system(spec)
     res = minimal_biset(system, certify=True)
-    return {"suite": "stability", "system": spec.name, "ok": res.certificates_ok(),
-            "stable_left": res.stable_left, "stable_right": res.stable_right,
-            "minimal": res.minimal, "unique": res.unique}
+    out = {"suite": "stability", "system": spec.name, "ok": res.certificates_ok(),
+           "stable_left": res.stable_left, "stable_right": res.stable_right,
+           "minimal": res.minimal, "unique": res.unique}
+    # the first failing sweep runs again for its witness: a class and its two marks
+    for side, ok, sweep in (("left", res.stable_left, is_left_stable),
+                            ("right", res.stable_right, is_right_stable)):
+        if not ok:
+            rep, lhs, rhs = sweep(system, res.biset).witness
+            mor = rep.morphism
+            gens = mor.source.canonical_gens
+            out["witness"] = {"side": side, "kind": rep.kind,
+                              "source_generators": [[g.a, g.b, g.c] for g in gens],
+                              "image_generators": [[h.a, h.b, h.c] for h in map(mor, gens)],
+                              "lhs": str(lhs), "rhs": str(rhs)}
+            break
+    return out
+
+
+def _describe_witness(w) -> str:
+    pairs = ", ".join(f"{tuple(g)}->{tuple(h)}"
+                      for g, h in zip(w["source_generators"], w["image_generators"]))
+    return (f"{w['side']} sweep at the {w['kind']} class [{pairs}]: "
+            f"mark {w['lhs']}, identity-class mark {w['rhs']}")
 
 
 def _suite_idempotent(spec) -> dict:
@@ -240,7 +264,10 @@ def cmd_verify(args) -> int:
     else:
         for r in results:
             label = r.get("system", "all")
-            print(f"{r['suite']:<11s} {label:<8s} {'PASS' if r['ok'] else 'FAIL'}")
+            line = f"{r['suite']:<11s} {label:<8s} {'PASS' if r['ok'] else 'FAIL'}"
+            if "witness" in r:
+                line += "  " + _describe_witness(r["witness"])
+            print(line)
             if r["suite"] == "table":
                 bad = {m["system"] for m in r["mismatches"]}
                 for row in r["rows"]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from p3fusion.biset import (
     restrict_left_biset,
     subconjugate_closure,
 )
-from p3fusion.errors import ConditionAViolationError, PrimeMismatchError
+from p3fusion.errors import ConditionAViolationError, MorphismError, PrimeMismatchError
 from p3fusion.fusion import builtin_fusion_system
 from p3fusion.group import (
     ExtraspecialGroup,
@@ -138,9 +139,36 @@ def test_oracle_calls_nothing_from_the_transporter_path(monkeypatch):
 
     monkeypatch.setattr(biset, "_transporter_reps", forbidden)
     monkeypatch.setattr(biset, "_transporters", forbidden)
-    monkeypatch.setattr(biset, "_solvable_2var", forbidden)
+    monkeypatch.setattr(biset, "_TransporterSearch", forbidden)
     monkeypatch.setattr(ExtraspecialGroup, "conj_transversal", forbidden)
     assert [brute_force_fixed_points(a, b) for a, b in pairs] == expected
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_closed_form_solvability_matches_search_over_y(p):
+    """For every injective psi: R -> S, the functionals the transporter search
+    derives from psi accept exactly the central differences t that some
+    y in S/Z realises, t_r = (y psi(r) y^-1).c - psi(r).c.  Neither side reads
+    the central digits of the generator images, so those are 0 unless the
+    image is central; every subgroup R is a source."""
+    grp = ambient_group(p)
+    pool = [g for g in grp.elements if not g.is_identity() and (g.c == 0 or g.is_central())]
+    ys = [y for y in grp.elements if y.c == 0]
+    checked = 0
+    for r_sub in grp.all_subgroups:
+        gens = r_sub.canonical_gens
+        for images in itertools.product(pool, repeat=len(gens)):
+            try:
+                psi = morphism_from_images(r_sub, dict(zip(gens, images)))
+            except MorphismError:
+                continue
+            functionals = biset._TransporterSearch(psi)._functionals
+            reachable = {tuple((a.conj_by(y).c - a.c) % p for a in images) for y in ys}
+            for t in itertools.product(range(p), repeat=len(gens)):
+                closed = all(sum(l * v for l, v in zip(lam, t)) % p == 0 for lam in functionals)
+                assert closed == (t in reachable), (psi, t)
+            checked += 1
+    assert checked > 0
 
 
 def test_fixed_point_routines_refuse_mixed_primes():
@@ -550,6 +578,42 @@ def test_mark_table_sampled_rows_match_dense_scan():
         table = mark_table(builtin_fusion_system(name))
         for test in rng.sample(table.columns, 50):
             assert table.row(test) == _dense_row(table, test)
+
+
+def _test_classes(system, table):
+    """The classes a row is built for: each column, then the identity class
+    of every subgroup (the stability sweeps' right-hand sides)."""
+    ids = (biset_class(identity_morphism(q)) for q in system.group.all_subgroups)
+    return list(dict.fromkeys([*table.columns, *ids]))
+
+
+def test_mark_table_rows_match_oracle_p3():
+    for name in ("d8", "sd16"):
+        system = builtin_fusion_system(name)
+        table = mark_table(system)
+        for test in _test_classes(system, table):
+            row = table.row(test)
+            assert [row.get(col, 0) for col in table.columns] == \
+                [brute_force_fixed_points(col, test) for col in table.columns]
+
+
+def test_mark_table_sampled_pairs_match_oracle():
+    """200 seeded (test, column) pairs per system; every other column is drawn
+    from the row's nonzero entries, since a row at p >= 5 is mostly zeros."""
+    rng = random.Random(61)
+    for name in ("4s4", "d16x3"):
+        system = builtin_fusion_system(name)
+        table = mark_table(system)
+        tests = _test_classes(system, table)
+        nonzero = 0
+        for k in range(200):
+            test = rng.choice(tests)
+            row = table.row(test)
+            col = rng.choice(sorted(row) if k % 2 and row else table.columns)
+            value = brute_force_fixed_points(col, test)
+            assert row.get(col, 0) == value
+            nonzero += value != 0
+        assert nonzero >= 50
 
 
 def test_mark_table_mark_equals_biset_mark():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from p3fusion.cli import main
+from p3fusion.group import morphism_from_images
 
 
 def run(capsys, *argv):
@@ -41,7 +42,18 @@ def test_minimal_deterministic(capsys):
                      "--no-certify")
     _, out2, _ = run(capsys, "minimal", "--system", "d8", "--format", "json",
                      "--no-certify")
-    assert out1 == out2
+    data1, data2 = json.loads(out1), json.loads(out2)
+    del data1["wall_time_s"], data2["wall_time_s"]
+    assert data1 == data2
+
+
+@pytest.mark.parametrize("command", ["minimal", "idempotent"])
+def test_json_keeps_wall_time(capsys, command):
+    argv = [command, "--system", "d8", "--format", "json"]
+    code, out, _ = run(capsys, *argv + (["--no-certify"] if command == "minimal" else []))
+    assert code == 0
+    wall = json.loads(out)["wall_time_s"]
+    assert isinstance(wall, float) and wall >= 0
 
 
 def test_minimal_json_roundtrip(capsys):
@@ -126,6 +138,50 @@ def test_verify_single_system_suites(capsys):
     data = json.loads(out)
     assert {r["suite"] for r in data["results"]} == {"stability", "idempotent"}
     assert data["ok"] is True
+
+
+def test_verify_stability_failure_prints_witness(capsys, monkeypatch):
+    """A biset that is not stable (omega_upto2 plus 1/3 of the central diagonal
+    class) makes the stability suite fail with its witness: the side, the
+    morphism class and both marks, in the FAIL line and in the JSON."""
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from p3fusion import cli
+    from p3fusion.biset import FormalBiset, biset_class, is_left_stable, is_right_stable
+    from p3fusion.idempotent import omega_upto2
+
+    real = cli.minimal_biset
+    found = {}
+
+    def perturbed(system, certify=True):
+        grp = system.group
+        zz = biset_class(morphism_from_images(grp.center, {grp.z: grp.z}))
+        bad = omega_upto2(system) + FormalBiset(system.p, {zz: Fraction(1, 3)})
+        found["left"] = is_left_stable(system, bad)
+        return replace(real(system, certify=False), biset=bad,
+                       stable_left=found["left"].ok,
+                       stable_right=is_right_stable(system, bad).ok)
+
+    monkeypatch.setattr(cli, "minimal_biset", perturbed)
+    code, out, _ = run(capsys, "verify", "--stability", "--system", "d8")
+    assert code == 1
+    rep, lhs, rhs = found["left"].witness
+    gens = rep.morphism.source.canonical_gens
+    line, = [ln for ln in out.splitlines() if ln.startswith("stability")]
+    assert "FAIL" in line and "left sweep" in line and rep.kind in line
+    assert f"mark {lhs}, identity-class mark {rhs}" in line
+    assert str(tuple(gens[0][1:])) in line
+
+    code, out, _ = run(capsys, "verify", "--stability", "--system", "d8",
+                       "--format", "json")
+    assert code == 1
+    witness = json.loads(out)["results"][0]["witness"]
+    assert witness == {
+        "side": "left", "kind": rep.kind,
+        "source_generators": [[g.a, g.b, g.c] for g in gens],
+        "image_generators": [[h.a, h.b, h.c] for h in map(rep.morphism, gens)],
+        "lhs": str(lhs), "rhs": str(rhs)}
 
 
 def test_verify_marks_sampled(capsys):
