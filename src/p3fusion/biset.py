@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import and_, eq, mul
 from typing import NamedTuple
 
@@ -64,45 +65,49 @@ __all__ = [
 
 # -- conjugacy-class keys ------------------------------------------------------
 
-def _conjugators_in(left: Subgroup, q: Subgroup) -> tuple:
-    """Coset reps of the centralizer of q inside `left`: enough conjugators
-    to hit every conjugate pair (source, twisted map)."""
-    grp = ambient_group(left.p)
-    if left.order == grp.full.order:
-        return grp.conj_transversal(q)
-    cent = grp.centralizer(q)
-    reps, covered = [], set()
-    for g in left.sorted_elements:
-        if g not in covered:
-            reps.append(g)
-            covered.update(g * h for h in cent.elements if h in left.elements)
-    return tuple(reps)
+def _least_central_digits(p: int, codes: list) -> tuple:
+    """The least c_t(codes) over t in S, for codes of elements of one proper
+    (so abelian) subgroup.  c_t moves only central digits, c to
+    c + t.a*b - t.b*a, so the least tuple has digit 0 at the first noncentral
+    element, put there by t = (0, c/a), or (-c/b, 0) when a = 0; that t is
+    unique modulo the element's centralizer, which centralizes the others."""
+    pp = p * p
+    for code in codes:
+        if code >= p:  # the central codes are 0..p-1
+            a, b, c = code // pp, code // p % p, code % p
+            ta, tb = (0, c * pow(a, p - 2, p)) if a else (-c * pow(b, p - 2, p), 0)
+            return tuple(k - k % p + (k + ta * (k // p % p) - tb * (k // pp)) % p
+                         for k in codes)
+    return tuple(codes)
 
 
 def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
     """Lexicographic minimum over the left x S conjugation orbit of the
-    normal-form encoding (sorted source, images of canonical generators)."""
+    normal-form encoding (sorted source codes, image codes of the canonical
+    generators), read off without enumerating the orbit.  A proper `left`
+    that contains Q centralizes Q.  For left = S, a normal Q stays put under
+    the coset reps s of C_S(Q), and mor o c_s^-1 reads mor at g's code with
+    the central digit c - s.a*g.b + s.b*g.a; of the p conjugates of a
+    noncentral Q of order p only the one whose generator s g s^-1 has central
+    digit 0 can win, and the twisted map sends that generator to mor(g)."""
     p = mor.p
     grp = ambient_group(p)
     q = mor.source
-    if q.order == p**3 and left.order == p**3:
+    if q.order == p**3:  # then left = S
         # automorphisms of S are conjugate exactly when they induce the same
         # map on S modulo the center
         fx, fy = mor(grp.x), mor(grp.y)
         return (p, "auts", fx.a, fy.a, fx.b, fy.b)
-    image = mor.image
-    t_reps = grp.conj_transversal(image)
-    best = None
-    for s in _conjugators_in(left, q):
-        si = s.inv()
-        q_conj = q.conjugate_by(s)
-        src_code = tuple(e.code() for e in q_conj.sorted_elements)
-        base = [mor(g.conj_by(si)) for g in q_conj.canonical_gens]
-        for t in t_reps:
-            enc = (src_code, tuple(b.conj_by(t).code() for b in base))
-            if best is None or enc < best:
-                best = enc
-    return (p, "gen", left.order, best)
+    gens = [(g.code() - g.c, g.c, g.a, g.b) for g in q.canonical_gens]
+    source, conjugators = q, (grp.identity,)
+    if left.order == p**3 and q.is_normal:
+        conjugators = grp.conj_transversal(q)
+    elif left.order == p**3:
+        source = grp.cyclic(grp.elements[gens[0][0]])
+    best = min(_least_central_digits(
+        p, [mor.images[base + (c - s.a * b + s.b * a) % p] for base, c, a, b in gens])
+        for s in conjugators)
+    return (p, "gen", left.order, (source.codes, best))
 
 
 class BisetClass:
@@ -911,15 +916,7 @@ def all_graph_classes(p: int) -> tuple:
     found = set()
     for r_sub in grp.all_subgroups:
         gens = r_sub.canonical_gens
-        if not gens:
-            found.add(biset_class(identity_morphism(r_sub)))
-            continue
-        candidates = [[g for g in grp.elements if not g.is_identity()]] * len(gens)
-        if len(gens) == 1:
-            pools = [(img,) for img in candidates[0]]
-        else:
-            pools = [(i1, i2) for i1 in candidates[0] for i2 in candidates[1]]
-        for images in pools:
+        for images in product(grp.elements[1:], repeat=len(gens)):
             try:
                 mor = morphism_from_images(r_sub, dict(zip(gens, images)))
             except MorphismError:

@@ -85,12 +85,13 @@ class Subgroup:
     """One subgroup of S.  Only ExtraspecialGroup builds these, once each, so
     identity is equality; `id` is the position in all_subgroups."""
 
-    __slots__ = ("p", "id", "elements", "sorted_elements", "order", "canonical_gens",
-                 "is_normal")
+    __slots__ = ("p", "id", "codes", "elements", "sorted_elements", "order",
+                 "canonical_gens", "is_normal")
 
-    def __init__(self, p: int, id: int, sorted_elements: tuple):
+    def __init__(self, p: int, id: int, codes: tuple, sorted_elements: tuple):
         self.p = p
         self.id = id
+        self.codes = codes  # the codes of sorted_elements, in the same order
         self.sorted_elements = sorted_elements
         self.elements = frozenset(sorted_elements)
         self.order = n = len(sorted_elements)
@@ -165,7 +166,7 @@ class ExtraspecialGroup:
                     covered[c] = True
                 sets.append(powers)
         sets.sort(key=lambda s: (len(s), s))
-        self.all_subgroups = tuple(Subgroup(p, i, tuple(self.elements[c] for c in s))
+        self.all_subgroups = tuple(Subgroup(p, i, tuple(s), tuple(self.elements[c] for c in s))
                                    for i, s in enumerate(sets))
         self._by_elements = {q.elements: q for q in self.all_subgroups}
         self._cyclic = [None] * n  # code of g -> the subgroup g generates
@@ -359,7 +360,7 @@ class GroupMorphism:
     def restrict(self, q: Subgroup) -> "GroupMorphism":
         if not q <= self.source:
             raise MorphismError("restriction outside the source")
-        return GroupMorphism(q, {c: self.images[c] for c in map(GroupElement.code, q)})
+        return GroupMorphism(q, {c: self.images[c] for c in q.codes})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupMorphism) and self.source is other.source
@@ -376,7 +377,7 @@ class GroupMorphism:
 
 
 def identity_morphism(q: Subgroup) -> GroupMorphism:
-    return GroupMorphism(q, {c: c for c in map(GroupElement.code, q)})
+    return GroupMorphism(q, {c: c for c in q.codes})
 
 
 def conjugation_morphism(x: GroupElement, q: Subgroup) -> GroupMorphism:
@@ -392,24 +393,25 @@ def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorph
     generator s (which forces the homomorphism property), the generators
     generate the source, and the map is injective."""
     p = source.p
-    gens = list(generator_images.items())
-    for g, img in gens:
+    gens = []
+    for g, img in generator_images.items():
         if g not in source:
             raise MorphismError(f"generator {g} outside the source subgroup")
         if img.p != p:
             raise PrimeMismatchError("generator image over a different prime")
-    identity = GroupElement(p, 0, 0, 0)
+        gens.append((g.a, g.b, g.c, img.a, img.b, img.c))
     images = {0: 0}
-    frontier = [(identity, identity)]
+    frontier = [(0, 0, 0, 0, 0, 0)]
     while frontier:
-        g, fg = frontier.pop()
-        for s, fs in gens:
-            h, fh = g * s, fg * fs
-            code, image = h.code(), fh.code()
+        a, b, c, fa, fb, fc = frontier.pop()
+        for sa, sb, sc, ta, tb, tc in gens:
+            ha, hb, hc = (a + sa) % p, (b + sb) % p, (c + sc + a * sb) % p
+            ka, kb, kc = (fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p
+            code, image = (ha * p + hb) * p + hc, (ka * p + kb) * p + kc
             known = images.get(code)
             if known is None:
                 images[code] = image
-                frontier.append((h, fh))
+                frontier.append((ha, hb, hc, ka, kb, kc))
             elif known != image:
                 raise MorphismError("generator images are inconsistent with the group law")
     if len(images) != source.order:

@@ -222,6 +222,82 @@ def test_class_keys_separate_all_reps():
         assert len(keys) == len(reps)
 
 
+def _reference_class_key(mor, left):
+    """The class key by enumeration: the least (sorted source codes, image
+    codes of the canonical generators) over every conjugator s in `left` (one
+    per coset of C_S(Q)) and t in S (one per coset of C_S(mor(Q)))."""
+    p = mor.p
+    grp = ambient_group(p)
+    q = mor.source
+    if q.order == p**3 and left.order == p**3:
+        fx, fy = mor(grp.x), mor(grp.y)
+        return (p, "auts", fx.a, fy.a, fx.b, fy.b)
+    cent = grp.centralizer(q)
+    s_reps, covered = [], set()
+    for g in left.sorted_elements:
+        if g not in covered:
+            s_reps.append(g)
+            covered.update(g * h for h in cent.elements if h in left.elements)
+    best = None
+    for s in s_reps:
+        si = s.inv()
+        q_conj = q.conjugate_by(s)
+        src_code = tuple(e.code() for e in q_conj.sorted_elements)
+        base = [mor(g.conj_by(si)) for g in q_conj.canonical_gens]
+        for t in grp.conj_transversal(mor.image):
+            enc = (src_code, tuple(b.conj_by(t).code() for b in base))
+            if best is None or enc < best:
+                best = enc
+    return (p, "gen", left.order, best)
+
+
+def test_class_keys_match_enumeration_p3():
+    """Every injective morphism out of every subgroup, over every lattice
+    subgroup that contains its source; the reps of all_graph_classes(3) are
+    among them, and so are the morphisms that are not the least of their
+    class."""
+    grp = ambient_group(3)
+    checked = 0
+    for q in grp.all_subgroups:
+        for images in itertools.product(grp.elements[1:], repeat=len(q.canonical_gens)):
+            try:
+                mor = morphism_from_images(q, dict(zip(q.canonical_gens, images)))
+            except MorphismError:
+                continue
+            for left in grp.all_subgroups:
+                if q <= left:
+                    assert biset._class_key(mor, left) == _reference_class_key(mor, left)
+                    checked += 1
+    assert checked == 3079
+
+
+@pytest.mark.parametrize("name", ["4s4", "d16x3"])
+def test_class_keys_match_enumeration_sampled(name):
+    """Seeded samples of the system's class reps over S and of the pieces the
+    realization's double-coset split yields, over their R."""
+    from p3fusion.fusion import lift_matrix_to_aut
+    from p3fusion.realize import _out_generator_matrices, essential_generators
+    from p3fusion.solver import minimal_biset
+
+    system = builtin_fusion_system(name)
+    full = system.group.full
+    reps = [rep.morphism for rep in system.all_class_reps()]
+    rng = random.Random(71)
+    for mor in rng.sample(reps, 300):
+        assert biset._class_key(mor, full) == _reference_class_key(mor, full)
+    phis = [cls.rep for cls in minimal_biset(system, certify=False).biset.support]
+    psis = [rep.morphism for rep in essential_generators(system)]
+    psis += [identity_morphism(psi.source) for psi in psis]
+    psis += [lift_matrix_to_aut(m).inverse() for m in _out_generator_matrices(system)]
+    memo = {}
+    for psi in psis:
+        biset._double_cosets(phis, psi, memo)
+    assert len(memo) > 2000
+    for (r_id, _pairs), (piece_cls, piece) in rng.sample(list(memo.items()), 1000):
+        left = system.group.all_subgroups[r_id]
+        assert piece_cls.key == _reference_class_key(piece, left)
+
+
 def test_opposite_involution_and_classes():
     rng = random.Random(13)
     sys_ = builtin_fusion_system("d8")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -158,6 +159,47 @@ def test_morphism_construction_and_rejection():
         morphism_from_images(g.full, {g.x: g.x, g.y: g.identity})
 
 
+def _reference_closure(source, generator_images):
+    """The image table by GroupElement products, or the message of the
+    MorphismError the checked constructor must raise."""
+    identity = ambient_group(source.p).identity
+    images = {0: 0}
+    frontier = [(identity, identity)]
+    while frontier:
+        g, fg = frontier.pop()
+        for s, fs in generator_images.items():
+            h, fh = g * s, fg * fs
+            known = images.get(h.code())
+            if known is None:
+                images[h.code()] = fh.code()
+                frontier.append((h, fh))
+            elif known != fh.code():
+                return "generator images are inconsistent with the group law"
+    if len(images) != source.order:
+        return "generators do not generate the source subgroup"
+    if len(set(images.values())) != len(images):
+        return "generator images do not define an injective map"
+    return images
+
+
+def test_morphism_closure_matches_element_products_p3():
+    """Every assignment of generator images, on every subgroup, gives the
+    table or the error that the closure over GroupElement products gives."""
+    g = ambient_group(3)
+    accepted = 0
+    for q in g.all_subgroups:
+        for images in itertools.product(g.elements, repeat=len(q.canonical_gens)):
+            assignment = dict(zip(q.canonical_gens, images))
+            want = _reference_closure(q, assignment)
+            try:
+                got = morphism_from_images(q, assignment).images
+                accepted += 1
+            except MorphismError as exc:
+                got = str(exc)
+            assert got == want
+    assert accepted == 1539
+
+
 def test_morphism_random_rejection_property():
     rng = random.Random(7)
     g = ambient_group(3)
@@ -239,6 +281,7 @@ def test_subgroup_lattice_is_interned(p):
     assert keys == sorted(keys)
     for i, q in enumerate(subs):
         assert q.id == i
+        assert q.codes == tuple(e.code() for e in q.sorted_elements)
         assert g.subgroup(q.elements) is q
         assert g.subgroup(reversed(q.sorted_elements)) is q
         assert g.generated(q.canonical_gens) is q

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from p3fusion.biset import FormalBiset, all_graph_classes, opposite  # noqa: E402
+from p3fusion.biset import FormalBiset, all_graph_classes, biset_class, opposite  # noqa: E402
 from p3fusion.fusion import (  # noqa: E402
     FusionClass,
     FusionSystemSpec,
@@ -20,6 +20,7 @@ from p3fusion.fusion import (  # noqa: E402
     realizing_group_name,
     resolve_system,
 )
+from p3fusion.group import ambient_group, conjugation_morphism  # noqa: E402
 from p3fusion.idempotent import closed_forms, verify_idempotent_stability  # noqa: E402
 from p3fusion.realize import check_transitivity  # noqa: E402
 from p3fusion.solver import minimal_biset  # noqa: E402
@@ -44,6 +45,32 @@ def test_opposite_is_an_involution(b):
 @given(formal_bisets_p3())
 def test_formal_biset_json_roundtrip(b):
     assert FormalBiset.from_json(b.to_json()) == b
+
+
+@lru_cache(maxsize=None)
+def _class_reps(p):
+    """Every graph class rep at p = 3; the 4S4 system's class reps at p = 5."""
+    if p == 3:
+        return tuple(cls.rep for cls in all_graph_classes(3))
+    return tuple(rep.morphism for rep in fusion_system(resolve_system("4s4")).all_class_reps())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_class_key_is_invariant_under_conjugation(p, data):
+    """[sQs^-1, c_t o mor o c_s^-1] over left is the class of [Q, mor] for any
+    s in left and t in S, mor first restricted to a random subgroup."""
+    grp = ambient_group(p)
+    mor = data.draw(st.sampled_from(_class_reps(p)))
+    q = data.draw(st.sampled_from([r for r in grp.all_subgroups if r <= mor.source]))
+    mor = mor.restrict(q)
+    left = data.draw(st.sampled_from([g for g in grp.all_subgroups if q <= g]))
+    s = data.draw(st.sampled_from(left.sorted_elements))
+    t = data.draw(st.sampled_from(grp.elements))
+    twisted = conjugation_morphism(t, mor.image).compose(
+        mor.compose(conjugation_morphism(s.inv(), q.conjugate_by(s))))
+    assert biset_class(twisted, left).key == biset_class(mor, left).key
 
 
 def _summary(system):
