@@ -10,6 +10,7 @@ so each can check the other.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -508,59 +509,71 @@ def biset_mark(b: FormalBiset, test: BisetClass) -> int:
 
 # -- restriction -------------------------------------------------------------------
 
-def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
-    """For each phi in phis, split the left cosets S/Q, Q the source of phi,
-    into orbits of psi(R).
+def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
+    """(tracked, orbits) for the psi(R)-orbits on S/Q, which depend only on Q
+    and psi.  tracked[k] codes some v in R with psi(v) t in coset k, t the
+    first coset of k's orbit; an orbit is (positions, codes of A = {a in R :
+    t^-1 psi(a) t in Q}, codes of those t^-1 psi(a) t), A read off Q through
+    psi's inverse table `preimage`."""
+    grp = ambient_group(q_sub.p)
+    mul = grp.product_table
+    n = len(grp.elements)
+    gens = [(r.code(), psi.images[r.code()]) for r in psi.source.canonical_gens]
+    reps, pos = grp.coset_index(q_sub)
+    tracked = array("l", [-1]) * len(reps)
+    orbits = []
+    for start, t in enumerate(reps):
+        if tracked[start] >= 0:
+            continue
+        tracked[start] = 0
+        positions = [start]
+        for here in positions:
+            v, h = tracked[here], reps[here]
+            for r, m in gens:
+                nxt = pos[mul[m * n + h]][0]
+                if tracked[nxt] < 0:
+                    tracked[nxt] = mul[r * n + v]
+                    positions.append(nxt)
+        positions.sort()
+        ti = grp.elements[t].inv().code()
+        a_codes, q_codes = zip(*sorted(  # the a with t q t^-1 = psi(a)
+            (a, q) for q in q_sub.codes
+            if (a := preimage.get(mul[mul[t * n + q] * n + ti])) is not None))
+        orbits.append((array("l", positions), a_codes, q_codes))
+    return tracked, orbits
 
-    Works over the codes of coset_index(Q) and the product table.  Orbits come
-    in order of their first coset, whose representative t is the least element
-    of the double coset psi(R) t Q.  Per orbit the split holds the coset
-    positions, the code of some v in R with psi(v) t in each of those cosets,
-    and the piece [A, a -> phi(t^-1 psi(a) t)], A = {a in R : t^-1 psi(a) t in
-    Q}, as (its class over R, the morphism).  Pieces are memoised in memo by
-    content, so a memo may be shared across calls."""
+
+def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
+    """For each phi in phis, the left cosets S/Q, Q the source of phi, split
+    into psi(R)-orbits once per Q over the codes of coset_index(Q) and the
+    product table: (tracked, [(positions, piece class, piece)]), see
+    _coset_orbits.  Orbits come in order of their first coset t, the least
+    element of psi(R) t Q, with sorted positions; the piece is
+    [A, a -> phi(t^-1 psi(a) t)] with its class over R, memoised in memo by
+    (R.id, codes of A, their images), so a memo may be shared across calls."""
     grp = ambient_group(psi.p)
     elements = grp.elements
-    mul = grp.product_table
-    n = len(elements)
     r_sub = psi.source
-    scan = sorted(psi.images.items())
-    gens = [(r, psi.images[r]) for r in map(GroupElement.code, r_sub.canonical_gens)]
+    preimage = {m: r for r, m in psi.images.items()}
+    by_source = {}
     splits = []
     for phi in phis:
+        q_sub = phi.source
+        split = by_source.get(q_sub.id)
+        if split is None:
+            split = by_source[q_sub.id] = _coset_orbits(q_sub, psi, preimage)
+        tracked, orbits = split
         phi_images = phi.images
-        reps, pos = grp.coset_index(phi.source)
-        seen = [False] * len(reps)
-        split = []
-        for start, t in enumerate(reps):
-            if seen[start]:
-                continue
-            seen[start] = True
-            positions, tracked = [start], [0]
-            k = 0
-            while k < len(positions):
-                here, v = reps[positions[k]], tracked[k]
-                k += 1
-                for r, m in gens:
-                    nxt = pos[mul[m * n + here]][0]
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        positions.append(nxt)
-                        tracked.append(mul[r * n + v])
-            ti = elements[t].inv().code()
-            pairs = []
-            for a, m in scan:
-                b = phi_images.get(mul[mul[ti * n + m] * n + t])
-                if b is not None:  # t^-1 psi(a) t lies in Q
-                    pairs.append((a, b))
-            key = (r_sub.id, tuple(pairs))
+        pieces = []
+        for positions, a_codes, q_codes in orbits:
+            key = (r_sub.id, a_codes, tuple([phi_images[q] for q in q_codes]))
             piece = memo.get(key)
             if piece is None:
-                images = dict(pairs)
-                mor = GroupMorphism(grp.subgroup(elements[a] for a in images), images)
+                mor = GroupMorphism(grp.subgroup(elements[a] for a in a_codes),
+                                    dict(zip(a_codes, key[2])))
                 piece = memo[key] = (biset_class(mor, left=r_sub), mor)
-            split.append((positions, tracked, piece))
-        splits.append(split)
+            pieces.append((positions, *piece))
+        splits.append((tracked, pieces))
     return splits
 
 
@@ -574,8 +587,8 @@ def restrict_left(cls: BisetClass, psi: GroupMorphism) -> FormalBiset:
     r_sub = psi.source
     coeffs = {}
     total_ratio = 0
-    split, = _double_cosets([phi], psi, {})
-    for _positions, _tracked, (piece_cls, piece) in split:
+    (_tracked, pieces), = _double_cosets([phi], psi, {})
+    for _positions, piece_cls, piece in pieces:
         coeffs[piece_cls] = coeffs.get(piece_cls, 0) + 1
         total_ratio += r_sub.order // piece.source.order
     # size preserved: the regular right-S-orbits of the pieces count |S:Q|
@@ -916,7 +929,13 @@ def all_graph_classes(p: int) -> tuple:
     found = set()
     for r_sub in grp.all_subgroups:
         gens = r_sub.canonical_gens
+        abelian = r_sub.order < p**3
         for images in product(grp.elements[1:], repeat=len(gens)):
+            # [u, v] = z^(u.a*v.b - u.b*v.a) is 1 on an abelian source and a
+            # nontrivial image of z = [x, y] on S
+            if len(images) == 2 and abelian == bool(
+                    (images[0].a * images[1].b - images[0].b * images[1].a) % p):
+                continue
             try:
                 mor = morphism_from_images(r_sub, dict(zip(gens, images)))
             except MorphismError:

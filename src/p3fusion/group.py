@@ -217,8 +217,10 @@ class ExtraspecialGroup:
         """mul[i*n + j] == (elements[i] * elements[j]).code() with n = p**3,
         read off the group law on first use (elements[g.code()] == g)."""
         if self._product_table is None:
-            els = self.elements
-            self._product_table = tuple((g * h).code() for g in els for h in els)
+            els, p = self.elements, self.p
+            self._product_table = tuple(
+                ((g.a + h.a) % p * p + (g.b + h.b) % p) * p + (g.c + h.c + g.a * h.b) % p
+                for g in els for h in els)
         return self._product_table
 
     def line_of(self, g: GroupElement) -> int:

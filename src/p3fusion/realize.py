@@ -13,7 +13,9 @@ labels.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .biset import FormalBiset, _double_cosets, _transporters
 from .errors import StabilityViolationError, TheoremViolationError
@@ -28,11 +30,8 @@ from .group import GroupMorphism, identity_morphism
 from .solver import minimal_biset
 
 
-@dataclass
-class Block:
-    index: int
-    cls: object          # BisetClass of the summand
-    copy: int
+class Block(NamedTuple):
+    cls: object  # BisetClass of the summand
     offset: int
     size: int
 
@@ -45,19 +44,16 @@ class BisetIndex:
         if not biset.is_genuine():
             raise ValueError("the index set needs nonnegative integer multiplicities")
         self.system = system
-        self.biset = biset
-        self.p = system.p
         order = system.group.full.order
         blocks = []
         self.classes = []  # (class, its blocks), in block order
         offset = 0
         for cls, mult in biset.items():
             size = order // cls.rep.source.order
-            first = len(blocks)
-            for copy in range(int(mult)):
-                blocks.append(Block(len(blocks), cls, copy, offset, size))
-                offset += size
-            self.classes.append((cls, blocks[first:]))
+            copies = [Block(cls, offset + k * size, size) for k in range(int(mult))]
+            offset += len(copies) * size
+            blocks += copies
+            self.classes.append((cls, copies))
         self.blocks = blocks
         self.size = offset
         self.j0 = tuple(b.offset for b in blocks if b.size == 1)
@@ -70,19 +66,15 @@ class BisetIndex:
 # -- permutations from fusion morphisms -----------------------------------------
 
 def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
-    """{piece class: [(block, positions, tracked, t, piece)]}: the
-    restriction of every block along psi, in block order and, within a block,
-    in order of the orbit's first coset t.  The split depends only on the
-    block's class, so copies share it."""
-    grp = index.system.group
+    """{piece class: [(block, positions, tracked, piece)]}: the restriction of
+    every block along psi, in block order and, within a block, in orbit order.
+    Copies, and classes with one source, share the split of that source."""
     splits = _double_cosets([cls.rep for cls, _ in index.classes], psi, index._pieces)
     out = {}
-    for (cls, blocks), split in zip(index.classes, splits):
-        reps = grp.coset_index(cls.rep.source)[0]
+    for (_cls, blocks), (tracked, pieces) in zip(index.classes, splits):
         for block in blocks:
-            for positions, tracked, (piece_cls, piece) in split:
-                out.setdefault(piece_cls, []).append(
-                    (block, positions, tracked, reps[positions[0]], piece))
+            for positions, piece_cls, piece in pieces:
+                out.setdefault(piece_cls, []).append((block, positions, tracked, piece))
     return out
 
 
@@ -95,7 +87,7 @@ def _conjugation_witness(r_sub, a_mor, b_mor):
     raise StabilityViolationError("matched pieces admit no conjugation witness")
 
 
-def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
+def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     """The permutation of J induced by an isomorphism between the restriction
     along the inclusion and the restriction along psi."""
     grp = index.system.group
@@ -103,47 +95,54 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> list:
     n = len(grp.elements)
     r_sub = psi.source
     psi_images = psi.images
-    source_pieces = index._source_pieces.get(r_sub.id)
-    if source_pieces is None:
-        # the inclusion side does not depend on the morphism being realized
-        source_pieces = _pieces_by_class(index, identity_morphism(r_sub))
-        index._source_pieces[r_sub.id] = source_pieces
+    if r_sub.id not in index._source_pieces:  # the inclusion side does not depend on psi
+        index._source_pieces[r_sub.id] = _pieces_by_class(index, identity_morphism(r_sub))
+    source_pieces = index._source_pieces[r_sub.id]
     target_pieces = _pieces_by_class(index, psi)
     if set(source_pieces) != set(target_pieces):
         raise StabilityViolationError("restriction classes of the two sides differ")
-    perm = [None] * index.size
+    perm = array("l", [-1]) * index.size
     witnesses = {}  # copies of a class repeat the same pair of pieces
+    # (source orbit, target orbit, witness) -> the target coset of each source
+    # position; orbits live through the call, so their ids key them.  Every
+    # orbit of J is the target of one pair, so perm is bijective if each pair is
+    relative = {}
     for piece_cls, sources in source_pieces.items():
         targets = target_pieces[piece_cls]
         if len(sources) != len(targets):
             raise StabilityViolationError(
                 f"restriction multiplicity mismatch on piece class {piece_cls!r}")
-        for src, tgt in zip(sources, targets):
-            s_block, s_positions, s_tracked, _s_t, s_mor = src
-            t_block, _t_positions, _t_tracked, t, t_mor = tgt
+        for (s_block, s_positions, s_tracked, s_mor), (t_block, t_positions, _, t_mor) \
+                in zip(sources, targets):
             w = witnesses.get((s_mor, t_mor))
             if w is None:
-                w = _conjugation_witness(r_sub, s_mor, t_mor).code()
-                witnesses[s_mor, t_mor] = w
-            t_pos = grp.coset_index(t_block.cls.rep.source)[1]
-            for pos, v in zip(s_positions, s_tracked):
-                image = mul[psi_images[mul[v * n + w]] * n + t]
-                perm[s_block.offset + pos] = t_block.offset + t_pos[image][0]
-    seen = bytearray(index.size)
-    for value in perm:
-        if value is None or seen[value]:
-            raise StabilityViolationError("induced map on labels is not a permutation")
-        seen[value] = 1
+                w = witnesses[s_mor, t_mor] = _conjugation_witness(r_sub, s_mor, t_mor).code()
+            key = (id(s_positions), id(t_positions), w)
+            images = relative.get(key)
+            if images is None:
+                t_reps, t_pos = grp.coset_index(t_block.cls.rep.source)
+                t = t_reps[t_positions[0]]
+                images = relative[key] = array("l", [
+                    t_pos[mul[psi_images[mul[s_tracked[k] * n + w]] * n + t]][0]
+                    for k in s_positions])
+                if array("l", sorted(images)) != t_positions:
+                    raise StabilityViolationError(
+                        "induced map on labels is not a permutation")
+            s_offset, t_offset = s_block.offset, t_block.offset
+            for pos, image in zip(s_positions, images):
+                perm[s_offset + pos] = t_offset + image
+    if -1 in perm:
+        raise StabilityViolationError("induced map on labels is not a permutation")
     return perm
 
 
-def perm_image_of_out(index: BisetIndex, alpha: GroupMorphism) -> list:
+def perm_image_of_out(index: BisetIndex, alpha: GroupMorphism) -> array:
     """Permutation realizing an automorphism of S; on singleton labels it acts
     by composition, [S, sigma] -> [S, sigma o alpha]."""
     return perm_from_morphism(index, alpha.inverse())
 
 
-def perm_image_of_essential(index: BisetIndex, phi: FusionMorphism) -> list:
+def perm_image_of_essential(index: BisetIndex, phi: FusionMorphism) -> array:
     """Permutation realizing a nonextendable automorphism of some V_i."""
     if phi.extendable is not False:
         raise ValueError("expected a nonextendable morphism")
@@ -152,28 +151,19 @@ def perm_image_of_essential(index: BisetIndex, phi: FusionMorphism) -> list:
 
 # -- orbit computation ------------------------------------------------------------
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
+def _join_orbits(parent, perm) -> int:
+    """Join the orbits of i and perm[i] for each label i in the flat forest
+    `parent` (roots are their own parents; paths halve); returns the merges."""
+    merged = 0
+    for i, j in enumerate(perm):
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-            self.count -= 1
-
-    def apply_perm(self, perm):
-        for i, j in enumerate(perm):
-            if i != j:
-                self.union(i, j)
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[j] = i
+            merged += 1
+    return merged
 
 
 def _out_generator_matrices(system: FusionSystem):
@@ -268,65 +258,54 @@ def check_transitivity(system: FusionSystem,
         biset = minimal_biset(system, certify=False).biset
     index = BisetIndex(system, biset)
     all_out_reps = system.p <= 3
-    uf = UnionFind(index.size)
-    generator_count = 0
+    parent = list(range(index.size))
+    orbits = index.size
     essentials = essential_generators(system)
     for rep in essentials:
-        uf.apply_perm(perm_image_of_essential(index, rep))
-        generator_count += 1
-    if all_out_reps:
-        out_mats = list(system.sorted_out)
-    else:
-        out_mats = _out_generator_matrices(system)
-    out_perm_info = []
+        orbits -= _join_orbits(parent, perm_image_of_essential(index, rep))
+    out_mats = list(system.sorted_out) if all_out_reps else _out_generator_matrices(system)
+    out_j0_images = []  # of each outer permutation only its images of J0 are kept
     for m in out_mats:
         perm = perm_image_of_out(index, lift_matrix_to_aut(m))
-        out_perm_info.append((m, perm))
-        uf.apply_perm(perm)
-        generator_count += 1
-        if uf.count == 1 and not all_out_reps:
+        out_j0_images.append((m, [perm[label] for label in index.j0]))
+        orbits -= _join_orbits(parent, perm)
+        if orbits == 1 and not all_out_reps:
             break
     extra = 0
-    if uf.count > 1:
-        for cls in system.spec.classes:
-            for i in sorted(cls.members):
-                for rep in system.v_source_reps(i):
-                    if rep.extendable is False and rep.meta[0] == rep.meta[1] == i:
-                        uf.apply_perm(perm_image_of_essential(index, rep))
-                        generator_count += 1
-                        extra += 1
-                        if uf.count == 1:
-                            break
-                if uf.count == 1:
-                    break
-            if uf.count == 1:
-                break
-    if uf.count > 1:
+    for rep in (rep for cls in system.spec.classes for i in sorted(cls.members)
+                for rep in system.v_source_reps(i)
+                if rep.extendable is False and rep.meta[0] == rep.meta[1] == i):
+        if orbits == 1:
+            break
+        orbits -= _join_orbits(parent, perm_image_of_essential(index, rep))
+        extra += 1
+    if orbits > 1:
         raise TheoremViolationError(
-            f"{uf.count} orbits remain on J with the maximal generator set")
+            f"{orbits} orbits remain on J with the maximal generator set")
     # singleton-label subcheck: classes biject with the outer matrices, so the
     # class action is regular; the constructed permutations are checked on J0
     j0_regular, reason = j0_class_action_checks(system, biset)
     if not j0_regular:
         raise TheoremViolationError(reason)
     j0_pos = {label: k for k, label in enumerate(index.j0)}
-    j0_uf = UnionFind(len(index.j0))
-    for m, perm in out_perm_info:
+    j0_parent = list(range(len(index.j0)))
+    j0_orbits = len(index.j0)
+    for m, images in out_j0_images:
         identity_matrix = m.is_identity()
-        for label, k in j0_pos.items():
-            image = perm[label]
+        j0_perm = []
+        for label, image in zip(index.j0, images):
             if image not in j0_pos:
                 raise TheoremViolationError("outer image leaves the singleton labels")
             if not identity_matrix and image == label:
                 raise TheoremViolationError(
                     "a nontrivial outer permutation fixes a singleton label")
-            j0_uf.union(k, j0_pos[image])
-    j0_orbits = j0_uf.count
+            j0_perm.append(j0_pos[image])
+        j0_orbits -= _join_orbits(j0_parent, j0_perm)
     return RealizationReport(
         system_name=system.spec.name,
         j_size=index.size,
-        generator_count=generator_count,
-        orbit_count=uf.count,
+        generator_count=len(essentials) + len(out_j0_images) + extra,
+        orbit_count=orbits,
         j0_size=len(index.j0),
         j0_orbit_count=j0_orbits,
         j0_regular=j0_regular,

@@ -293,7 +293,7 @@ def test_class_keys_match_enumeration_sampled(name):
     for psi in psis:
         biset._double_cosets(phis, psi, memo)
     assert len(memo) > 2000
-    for (r_id, _pairs), (piece_cls, piece) in rng.sample(list(memo.items()), 1000):
+    for (r_id, _a_codes, _b_codes), (piece_cls, piece) in rng.sample(list(memo.items()), 1000):
         left = system.group.all_subgroups[r_id]
         assert piece_cls.key == _reference_class_key(piece, left)
 
@@ -369,37 +369,59 @@ def test_restrict_left_matches_explicit_orbits():
             assert total == g.full.order // cls.rep.source.order
 
 
+def _check_double_cosets(g, psi, phis):
+    """Each orbit of the shared split, recomputed from its first coset t with
+    element arithmetic: t is the least element of psi(R) t Q, the tracked v
+    has psi(v) t in the orbit's coset, the orbit has |R:A| cosets, and the
+    piece is a -> phi(t^-1 psi(a) t) on A."""
+    r_sub = psi.source
+    for phi, (tracked, pieces) in zip(phis, biset._double_cosets(phis, psi, {})):
+        q = phi.source
+        reps = g.coset_index(q)[0]
+        covered = []
+        for positions, piece_cls, piece in pieces:
+            assert list(positions) == sorted(positions)
+            t = g.elements[reps[positions[0]]]
+            ti = t.inv()
+            assert min((psi(r) * t * h).code() for r in r_sub for h in q) == t.code()
+            for k in positions:
+                coset = {g.elements[reps[k]] * h for h in q.elements}
+                assert psi(g.elements[tracked[k]]) * t in coset
+            a_elems = {a for a in r_sub.elements if ti * psi(a) * t in q.elements}
+            assert piece.source.elements == a_elems
+            assert all(piece(a) == phi(ti * psi(a) * t) for a in a_elems)
+            assert len(positions) * len(a_elems) == r_sub.order
+            assert piece_cls == biset_class(piece, left=r_sub)
+            covered.extend(positions)
+        assert sorted(covered) == list(range(len(reps)))
+
+
+def _split_psis(sys_):
+    v0 = sys_.maximals[0]
+    moves = [r.morphism for r in sys_.v_source_reps(0) if r.meta[1] != 0]
+    return [identity_morphism(v0), moves[0], moves[-1], sys_.aut_s_reps()[3].morphism]
+
+
 def test_double_cosets_orbits_and_pieces():
-    # each orbit of the shared split, recomputed from its first coset t with
-    # element arithmetic: the tracked v has psi(v) t in the orbit's coset, the
-    # orbit has |R:A| cosets, and the piece is a -> phi(t^-1 psi(a) t) on A
+    # every support class of the D8 minimal biset in one call, and a seeded
+    # 4S4 sample of 40 (phi, psi) pairs: five sources with two classes each,
+    # passed together so the second class of a source reuses its split
     from p3fusion.solver import minimal_biset
 
     sys_ = builtin_fusion_system("d8")
-    g = sys_.group
-    v0 = sys_.maximals[0]
-    moves = [r.morphism for r in sys_.v_source_reps(0) if r.meta[1] != 0]
-    psis = [identity_morphism(v0), moves[0], moves[-1], sys_.aut_s_reps()[3].morphism]
     phis = [cls.rep for cls in minimal_biset(sys_, certify=False).biset.support]
-    for psi in psis:
-        r_sub = psi.source
-        for phi, split in zip(phis, biset._double_cosets(phis, psi, {})):
-            q = phi.source
-            reps = g.coset_index(q)[0]
-            covered = []
-            for positions, tracked, (piece_cls, piece) in split:
-                t = g.elements[reps[positions[0]]]
-                ti = t.inv()
-                for k, v in zip(positions, tracked):
-                    coset = {g.elements[reps[k]] * h for h in q.elements}
-                    assert psi(g.elements[v]) * t in coset
-                a_elems = {a for a in r_sub.elements if ti * psi(a) * t in q.elements}
-                assert piece.source.elements == a_elems
-                assert all(piece(a) == phi(ti * psi(a) * t) for a in a_elems)
-                assert len(positions) * len(a_elems) == r_sub.order
-                assert piece_cls == biset_class(piece, left=r_sub)
-                covered.extend(positions)
-            assert sorted(covered) == list(range(len(reps)))
+    for psi in _split_psis(sys_):
+        _check_double_cosets(sys_.group, psi, phis)
+    sys_ = builtin_fusion_system("4s4")
+    by_source = {}
+    for cls in minimal_biset(sys_, certify=False).biset.support:
+        by_source.setdefault(cls.source.id, []).append(cls.rep)
+    rng = random.Random(1997)
+    shared = sorted(q for q, reps in by_source.items() if len(reps) > 1)
+    phis = [phi for q in rng.sample(shared, 5) for phi in rng.sample(by_source[q], 2)]
+    assert len({phi.source.id for phi in phis}) == 5
+    for psi in _split_psis(sys_):
+        _check_double_cosets(sys_.group, psi, phis)
 
 
 def test_restrict_left_biset_linear():

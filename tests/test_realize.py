@@ -1,12 +1,17 @@
+import random
+from array import array
+
 import pytest
 
+from p3fusion import realize
 from p3fusion.biset import biset_class
-from p3fusion.errors import StabilityViolationError
+from p3fusion.errors import StabilityViolationError, TheoremViolationError
 from p3fusion.fusion import builtin_fusion_system, lift_matrix_to_aut
 from p3fusion.group import ambient_group, identity_morphism
 from p3fusion.realize import (
     BisetIndex,
     _conjugation_witness,
+    _join_orbits,
     _pieces_by_class,
     check_transitivity,
     essential_generators,
@@ -82,7 +87,7 @@ def test_identity_perm_is_identity():
     sys_, index = _index("d8")
     ident = lift_matrix_to_aut(sys_.sorted_out[0] * sys_.sorted_out[0].inv())
     perm = perm_image_of_out(index, ident)
-    assert perm == list(range(index.size))
+    assert list(perm) == list(range(index.size))
 
 
 def test_essential_perm_merges_block_sizes():
@@ -135,6 +140,81 @@ def test_transitivity_p3_both_systems():
     assert rep.generator_count == 17 and rep.extra_essential_generators == 0
 
 
+def _bfs_orbit_count(n, perms):
+    seen = [False] * n
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for perm in perms:
+                if not seen[perm[i]]:
+                    seen[perm[i]] = True
+                    stack.append(perm[i])
+    return count
+
+
+def test_join_orbits_matches_bfs_after_each_generator():
+    # the count after each generator decides the early break and the
+    # generator count, so it is checked after every one; sparse permutations
+    # (a few random cycles) make the count fall slowly
+    rng = random.Random(2010)
+    for n in (1, 2, 9, 120, 700):
+        parent = list(range(n))
+        orbits = n
+        perms = []
+        for _ in range(8):
+            perm = array("l", range(n))
+            cycle = rng.sample(range(n), rng.randint(1, min(n, 6)))
+            for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[i] = j
+            perms.append(perm)
+            orbits -= _join_orbits(parent, perm)
+            assert orbits == _bfs_orbit_count(n, perms)
+        perms.append(array("l", rng.sample(range(n), n)))
+        orbits -= _join_orbits(parent, perms[-1])
+        assert orbits == _bfs_orbit_count(n, perms)
+
+
+def _wrap_out_perms(monkeypatch, change):
+    """Make check_transitivity see every outer permutation after `change`,
+    which must leave it a bijection of J."""
+    plain = realize.perm_image_of_out
+
+    def wrapped(index, alpha):
+        perm = plain(index, alpha)
+        change(index, perm)
+        assert sorted(perm) == list(range(index.size))
+        return perm
+
+    monkeypatch.setattr(realize, "perm_image_of_out", wrapped)
+
+
+def test_outer_permutation_fixing_a_singleton_label_is_refused(monkeypatch):
+    def fix_j0(index, perm):
+        for label in index.j0:
+            perm[label] = label
+
+    _wrap_out_perms(monkeypatch, fix_j0)
+    with pytest.raises(TheoremViolationError, match="fixes a singleton label"):
+        check_transitivity(builtin_fusion_system("d8"))
+
+
+def test_outer_permutation_leaving_the_singleton_labels_is_refused(monkeypatch):
+    def swap_out(index, perm):
+        label = index.j0[0]
+        other = next(b.offset for b in index.blocks if b.size > 1)
+        perm[label], perm[other] = perm[other], perm[label]
+
+    _wrap_out_perms(monkeypatch, swap_out)
+    with pytest.raises(TheoremViolationError, match="leaves the singleton labels"):
+        check_transitivity(builtin_fusion_system("d8"))
+
+
 def test_report_json():
     rep = check_transitivity(builtin_fusion_system("d8"))
     data = rep.to_json()
@@ -156,6 +236,17 @@ def test_stability_violation_for_wrong_biset():
     phi = essential_generators(sys_)[0]
     with pytest.raises(StabilityViolationError):
         perm_image_of_essential(index, phi)
+
+
+def test_wrong_witness_is_refused_as_not_a_permutation(monkeypatch):
+    # the identity in place of the conjugation witness sends two labels of
+    # some orbit to one label
+    sys_, index = _index("d8")
+    monkeypatch.setattr(realize, "_conjugation_witness",
+                        lambda r_sub, a_mor, b_mor: r_sub.sorted_elements[0])
+    alpha = lift_matrix_to_aut(sys_.sorted_out[1])
+    with pytest.raises(StabilityViolationError, match="not a permutation"):
+        perm_image_of_out(index, alpha)
 
 
 def _elementwise_witness(r_sub, a_mor, b_mor):
