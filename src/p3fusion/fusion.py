@@ -177,11 +177,13 @@ class FusionSystemSpec:
         for cls in self.classes:
             if not cls.members:
                 raise InconsistentSpecError("empty conjugacy class")
+            if not _is_int(cls.r) or cls.r < 1:
+                raise InconsistentSpecError(f"r={cls.r!r} is not a positive integer")
             if (self.p - 1) % cls.r:
                 raise InconsistentSpecError(f"r={cls.r} does not divide p-1={self.p - 1}")
             if seen & cls.members:
                 raise InconsistentSpecError("classes overlap")
-            if not cls.members <= set(range(self.p + 2)) or max(cls.members) > self.p:
+            if not cls.members <= set(range(self.p + 1)):
                 raise InconsistentSpecError("line index out of range")
             seen |= cls.members
             total += len(cls.members)
@@ -241,6 +243,8 @@ def _spec_field_error(data) -> str | None:
         return "missing field 'prime'"
     if not _is_int(data["prime"]):
         return "field 'prime' must be an integer"
+    if not isinstance(data.get("name", ""), str):
+        return "field 'name' must be a string"
     if "classes" not in data:
         return "missing field 'classes'"
     if not isinstance(data["classes"], list):

@@ -61,9 +61,6 @@ class LinExpr:
     def __rmul__(self, scalar):
         return LinExpr({k: scalar * v for k, v in self.terms.items()}, scalar * self.const)
 
-    def __truediv__(self, scalar):
-        return Fraction(1, 1) / Fraction(scalar) * self
-
     def evaluate(self, assignment):
         total = self.const
         for k, v in self.terms.items():
@@ -71,14 +68,12 @@ class LinExpr:
         return total
 
     def substitute(self, partial) -> "LinExpr":
-        terms = {}
-        const = self.const
+        """Replace named coefficients by numbers or by affine expressions."""
+        out = LinExpr({k: v for k, v in self.terms.items() if k not in partial}, self.const)
         for k, v in self.terms.items():
             if k in partial:
-                const += v * partial[k]
-            else:
-                terms[k] = v
-        return LinExpr(terms, const)
+                out = out + v * partial[k]
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, LinExpr) and self.const == other.const
@@ -295,11 +290,8 @@ def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u) -> LayerCoefficients:
     if c2z < 0:
         raise InfeasibleCoefficientsError(f"c2z={c2z} must be nonnegative")
     relations, _reps = derive_layer2_relations(system)
-    assignment = {C0: c0, c2z_var(): c2z}
-    for i in range(p + 1):
-        assignment[c1_var(i)] = c1[i]
-        assignment[c2u_var(i)] = c2u[i]
-    mults = {}
+    coeffs = LayerCoefficients(c0, tuple(c1), c2z, tuple(c2u), pair_mults={})
+    assignment = coeffs.assignment()
     for key, expr in relations.items():
         frac = Fraction(expr.evaluate(assignment))
         if frac.denominator != 1:
@@ -311,8 +303,8 @@ def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u) -> LayerCoefficients:
             raise InfeasibleCoefficientsError(
                 f"multiplicity of pair {key} is {value} < 0; "
                 f"c2u must dominate (f-r_i)*c0 + p*(f-r_i)*c1_i")
-        mults[key] = value
-    return LayerCoefficients(c0, tuple(c1), c2z, tuple(c2u), pair_mults=mults)
+        coeffs.pair_mults[key] = value
+    return coeffs
 
 
 # -- layer builders ----------------------------------------------------------------
@@ -416,90 +408,71 @@ def minimal_coefficients(system: FusionSystem) -> LayerCoefficients:
     return solve_layer2(system, 1, (0,) * (p + 1), 0, c2u)
 
 
+def _size_expr(system: FusionSystem) -> LinExpr:
+    """e(X) as one affine expression in c0, c1(i), c2z and c2u(i): every class
+    of the top two layers and every bottom pair counts p**layer per copy."""
+    p = system.p
+    relations, _reps = derive_layer2_relations(system)
+    total = LinExpr.of(0)
+    for cls, mult in _layer01_template(system).items():
+        total = total + p**cls.layer * mult
+    for expr in relations.values():
+        total = total + (p * p) * expr
+    return total
+
+
 def size_of(system: FusionSystem, coeffs: LayerCoefficients) -> int:
     """e(X) for a coefficient assignment, without materialising the biset."""
-    p = system.p
-    spec = system.spec
-    out_order = spec.out_order
-    e = coeffs.c0 * out_order
-    for i in range(p + 1):
-        r_i = spec.r_of_line(i)
-        non_count = len(spec.class_of_line(i).members) * (p - 1) * r_i
-        e += p * (out_order * coeffs.c1[i] + non_count * (coeffs.c0 + p * coeffs.c1[i]))
-    e += p * p * sum(coeffs.pair_mults.values())
-    return e
+    return int(_size_expr(system).evaluate(coeffs.assignment()))
+
+
+def _lattice_walk(weights, room, p, point=()):
+    """Nonnegative integer points with weighted sum at most room, in
+    lexicographic order; the first coordinate is c0, at least 1 and prime to p."""
+    if len(point) == len(weights):
+        yield point
+        return
+    weight = weights[len(point)]
+    v = 0 if point else 1
+    while v * weight <= room:
+        if point or v % p:
+            yield from _lattice_walk(weights, room - v * weight, p, point + (v,))
+        v += 1
 
 
 def enumerate_feasible_upto(system: FusionSystem, e_max: int):
-    """All feasible coefficient tuples with size at most e_max.
+    """All feasible coefficient tuples with size at most e_max, in
+    lexicographic order of (c0, c1, c2z, k).
 
-    The size is strictly increasing in every free coefficient, so each search
-    direction is cut off as soon as the minimum completion exceeds the bound.
+    A feasible c2u(i) is its least value (f - r_i)*(c0 + p*c1(i)) plus p*k_i
+    with k_i >= 0.  On the coordinates c0, c1(i), c2z and k_i every pair
+    multiplicity must be a nonnegative combination and e(X) must have a
+    positive weight on each coordinate; either failure is a defect in the
+    relations and raises.  The walk then visits the finitely many points with
+    e(X) <= e_max and solves the bottom layer once per point, keeping every
+    integrality and sign check of solve_layer2.
     """
-    p = system.p
-    f = system.f
-    n = p + 1
-
-    def lower_c2u(c0, c1):
-        return tuple((f - system.spec.r_of_line(i)) * c0
-                     + p * (f - system.spec.r_of_line(i)) * c1[i] for i in range(n))
-
+    p, f = system.p, system.f
+    lines = range(p + 1)
+    coords = [C0, *map(c1_var, lines), c2z_var(), *(("k", i) for i in lines)]
+    lift = {c2u_var(i): (f - system.spec.r_of_line(i))
+            * (LinExpr.var(C0) + p * LinExpr.var(c1_var(i))) + p * LinExpr.var(("k", i))
+            for i in lines}
+    relations, _reps = derive_layer2_relations(system)
+    for key, expr in relations.items():
+        lifted = expr.substitute(lift)
+        if lifted.const < 0 or min(lifted.terms.values(), default=0) < 0:
+            raise InconsistentSpecError(f"multiplicity of pair {key} is {lifted}, "
+                                        f"negative somewhere on the walk")
+    size = _size_expr(system).substitute(lift)
+    weights = [size.terms.get(v, 0) for v in coords]
+    if min(weights) <= 0:
+        raise InconsistentSpecError(f"e(X) = {size} does not grow with every coordinate")
     found = []
-    c0 = 0
-    while True:
-        c0 += 1
-        if c0 % p == 0:
-            continue
-        base = solve_layer2(system, c0, (0,) * n, 0, lower_c2u(c0, (0,) * n))
-        if size_of(system, base) > e_max:
-            break
-
-        def walk_c1(prefix):
-            if len(prefix) == n:
-                c1 = tuple(prefix)
-                floor_c2u = lower_c2u(c0, c1)
-                coeffs = solve_layer2(system, c0, c1, 0, floor_c2u)
-                if size_of(system, coeffs) > e_max:
-                    return False
-                c2z = 0
-                while True:
-                    base2 = solve_layer2(system, c0, c1, c2z, floor_c2u)
-                    if size_of(system, base2) > e_max:
-                        break
-
-                    def walk_c2u(idx, current):
-                        coeffs_now = solve_layer2(system, c0, c1, c2z, tuple(current))
-                        if size_of(system, coeffs_now) > e_max:
-                            return
-                        if idx == n:
-                            found.append(coeffs_now)
-                            return
-                        k = 0
-                        while True:
-                            trial = list(current)
-                            trial[idx] = floor_c2u[idx] + p * k
-                            probe = solve_layer2(system, c0, c1, c2z, tuple(trial))
-                            if size_of(system, probe) > e_max:
-                                break
-                            walk_c2u(idx + 1, trial)
-                            k += 1
-
-                    walk_c2u(0, list(floor_c2u))
-                    c2z += 1
-                return True
-            i = len(prefix)
-            v = 0
-            while True:
-                tail = (0,) * (n - i - 1)
-                c1_probe = tuple(prefix) + (v,) + tail
-                probe = solve_layer2(system, c0, c1_probe, 0, lower_c2u(c0, c1_probe))
-                if size_of(system, probe) > e_max:
-                    return v > 0
-                if not walk_c1(list(prefix) + [v]):
-                    return v > 0
-                v += 1
-
-        walk_c1([])
+    for point in _lattice_walk(weights, e_max - size.const, p):
+        at = dict(zip(coords, point))
+        c2u = [lift[c2u_var(i)].evaluate(at) for i in lines]
+        found.append(solve_layer2(system, point[0], point[1:p + 2], point[p + 2], c2u))
     return found
 
 

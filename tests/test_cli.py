@@ -288,3 +288,15 @@ def test_config_file_rejected_exit_2(tmp_path, capsys, prime, classes, field, pr
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert str(cfg) in err and field in err and problem in err
+
+
+@pytest.mark.parametrize("name", [None, 5], ids=["null", "number"])
+def test_config_file_name_not_a_string_exit_2(tmp_path, capsys, name):
+    cfg = tmp_path / "badname.json"
+    cfg.write_text(json.dumps({"prime": 3, "name": name,
+                               "classes": [{"lines": [0, 1, 2, 3], "r": 2}]}))
+    code, out, err = run(capsys, "minimal", "--config", str(cfg), "--no-certify")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(cfg) in err and "field 'name' must be a string" in err

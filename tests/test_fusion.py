@@ -103,6 +103,13 @@ def test_spec_validation():
         FusionSystemSpec(4, "bad", (FusionClass(frozenset(range(5)), 1),))
 
 
+@pytest.mark.parametrize("r", [0, -6, 2.0, True], ids=["zero", "negative", "float", "bool"])
+def test_spec_refuses_r_not_a_positive_int(r):
+    # each of these divides p - 1 = 6 in Python arithmetic, or divides by zero
+    with pytest.raises(InconsistentSpecError, match="not a positive integer"):
+        FusionSystemSpec(7, "bad", (FusionClass(frozenset(range(8)), r),))
+
+
 def test_spec_json_roundtrip():
     for spec in builtin_systems():
         assert FusionSystemSpec.from_json(spec.to_json()) == spec

@@ -1,11 +1,16 @@
+from itertools import product
+
 import pytest
 
+from p3fusion import solver
 from p3fusion.biset import biset_class, biset_mark, count_fixed_points, opposite
-from p3fusion.errors import InfeasibleCoefficientsError
-from p3fusion.fusion import builtin_fusion_system
+from p3fusion.errors import InconsistentSpecError, InfeasibleCoefficientsError
+from p3fusion.fusion import FusionSystem, builtin_fusion_system, resolve_system
 from p3fusion.solver import (
     EXPECTED_TABLE,
+    _lattice_walk,
     assemble,
+    derive_layer2_relations,
     enumerate_feasible_upto,
     exoticity_bound,
     layer0,
@@ -121,6 +126,62 @@ def test_uniqueness_frontier():
     wider = enumerate_feasible_upto(sys_, e_min + 234)
     assert len(wider) > 1
     assert min(size_of(sys_, c) for c in wider) == e_min
+    # tuple counts a budget 10% over the minimum admits
+    assert len(enumerate_feasible_upto(builtin_fusion_system("sd16"), 2323)) == 6
+    assert len(enumerate_feasible_upto(builtin_fusion_system("th4s4"), 82473)) == 36
+
+
+def test_feasible_tuples_match_brute_force(monkeypatch):
+    sys_ = builtin_fusion_system("d8")
+    p, f, budget = 3, 4, 968 + 234
+
+    def floor(c0, c1):
+        return tuple((f - sys_.spec.r_of_line(i)) * (c0 + p * c1[i]) for i in range(4))
+
+    def least_size(c0, c1):
+        return size_of(sys_, solve_layer2(sys_, c0, c1, 0, floor(c0, c1)))
+
+    # only c0 = 1, c1 = 0 fits: the next c0 prime to p, or any one c1, is over
+    zero = (0,) * 4
+    assert least_size(2, zero) > budget
+    for i in range(4):
+        assert least_size(1, tuple(int(j == i) for j in range(4))) > budget
+    want = []
+    for c2z, c2u in product(range(2), product(range(6), repeat=4)):
+        try:
+            coeffs = solve_layer2(sys_, 1, zero, c2z, c2u)
+        except InfeasibleCoefficientsError:
+            continue
+        if size_of(sys_, coeffs) <= budget:
+            want.append(coeffs)
+    calls = []
+    real_solve = solver.solve_layer2
+    monkeypatch.setattr(solver, "solve_layer2",
+                        lambda *args: calls.append(args) or real_solve(*args))
+    got = enumerate_feasible_upto(sys_, budget)
+    assert len(got) == len(want) == 6
+    assert got == want
+    assert [c.pair_mults for c in got] == [c.pair_mults for c in want]
+    assert len(calls) == len(got)  # one bottom-layer solve per tuple
+
+
+def test_lattice_walk_skips_c0_divisible_by_p():
+    assert list(_lattice_walk((1, 1), 4, 3)) == [
+        (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (4, 0)]
+
+
+@pytest.mark.parametrize("scale, keys, problem", [
+    (-1, [(0, 0, 1)], r"pair \(0, 0, 1\)"),
+    (0, None, "does not grow with every coordinate"),
+], ids=["one-relation-negated", "all-relations-zero"])
+def test_walk_refuses_broken_relations(scale, keys, problem):
+    # a fresh system, so the cached relations of the shared one stay intact
+    sys_ = FusionSystem(resolve_system("d8"))
+    relations, _reps = derive_layer2_relations(sys_)
+    for key in keys or list(relations):
+        relations[key] = scale * relations[key]
+    with pytest.raises(InconsistentSpecError, match=problem):
+        enumerate_feasible_upto(sys_, 968)
 
 
 def test_monotonicity_of_size():
