@@ -196,7 +196,8 @@ class _TransporterSearch:
     the functionals that must vanish on t: none when R is trivial or S, one
     when |R| = p and psi(r) is central, and one when |R| = p^2."""
 
-    __slots__ = ("psi", "p", "_gens", "_targets", "_functionals", "_scale")
+    __slots__ = ("psi", "p", "_gens", "_own", "_targets", "_functionals", "_scale",
+                 "_weight")
 
     def __init__(self, psi: GroupMorphism):
         p = self.p = psi.p
@@ -209,6 +210,7 @@ class _TransporterSearch:
             targets.append((a.code() // p, a.c))  # psi(r) off the centre, central digit
             rows.append((a.b, -a.a))
         self._gens = tuple(gens)
+        self._own = tuple(base + c for base, c, _, _ in gens)  # the conjugate at x = 1
         self._targets = tuple(targets)
         self._functionals = _central_functionals(p, rows)
         self._scale = None
@@ -247,14 +249,20 @@ class _TransporterSearch:
     def mark(self, phi: GroupMorphism, conjugates) -> int:
         """The transporter formula |N_{psi,phi}| / |Q| * |C_S(psi(R))|, N
         counted over conjugates, which must hold every coset rep of C_S(R)
-        that passes for phi."""
+        that passes for phi.  An automorphism phi has phi o c_x = c_phi(x) o phi,
+        so every x passes or none does: x = 1 decides, weighted by the number
+        of coset reps, and conjugates is not read."""
         if self._scale is None:
             grp = ambient_group(self.p)
             self._scale = (grp.centralizer(self.psi.source).order
                            * grp.centralizer(self.psi.image).order)
+            self._weight = len(grp.conj_transversal(self.psi.source))
+        weight = 1
+        if phi.source.order == self.p**3:
+            conjugates, weight = ((None, self._own),), self._weight
         hits = 0
         for _ in self.transporters(phi, conjugates):
-            hits += 1
+            hits += weight
         num = hits * self._scale
         q_order = phi.source.order
         if num % q_order:
@@ -300,9 +308,12 @@ def are_conjugate(a: GroupMorphism, b: GroupMorphism) -> bool:
 
 def _may_fix(phi_cls: BisetClass, psi_cls: BisetClass) -> bool:
     """Necessary for a nonzero mark: the source and the image of psi each lie
-    in a conjugate of the source and the image of phi."""
-    fits = ambient_group(phi_cls.rep.p).subconjugacy
+    in a conjugate of the source and the image of phi, and at equal order the
+    two are one S x S class, since a transporter x then has xRx^-1 = Q."""
     phi, psi = phi_cls.rep, psi_cls.rep
+    if phi.source.order == psi.source.order:
+        return biset_class(phi) == biset_class(psi)
+    fits = ambient_group(phi.p).subconjugacy
     return fits[psi.source.id][phi.source.id] and fits[psi.image.id][phi.image.id]
 
 
@@ -625,25 +636,47 @@ class MarkTable:
 
     The columns are the trivial class and every enumerated F-morphism class.
     A row, built on first request, holds the nonzero marks of the columns at
-    one test class.  Columns are grouped by the ids of their source and image,
-    and a group is visited only when the subconjugacy matrix allows both.
-    A row prepares one transporter search for its test class and keeps the
-    conjugators x with xRx^-1 <= Q once per source Q, so a column costs only
-    lookups in its image table.
+    one test class psi: R -> S, and visits only the columns that can have one.
+    A column whose source Q is proper and larger than R is visited when the
+    subconjugacy matrix allows its source and image; columns are grouped by
+    those ids, and the conjugators x with xRx^-1 <= Q are kept once per Q, so
+    a column costs only lookups in its image table.  At |Q| = |R| only the
+    column of the test's own S x S class can be nonzero.  An automorphism
+    column passes for every x or for none, so it is decided at x = 1; the
+    automorphism columns are indexed per R by the off-centre digits of their
+    images at R's generators, and a row reads its candidates from the index.
     """
 
     def __init__(self, system):
         cols = [biset_class(identity_morphism(system.group.trivial))]
         cols.extend(biset_class(rep.morphism) for rep in system.all_class_reps())
         self.columns = tuple(cols)
-        self._column_set = frozenset(cols)
+        self._column_of = {cls: cls for cls in cols}
+        full = system.group.full
         groups = {}
         for cls in cols:
-            groups.setdefault((cls.rep.source.id, cls.rep.image.id), []).append(cls)
-        self._groups = tuple((src, img, tuple(members))
+            if cls.source is not full:
+                groups.setdefault((cls.rep.source.id, cls.rep.image.id), []).append(cls)
+        self._groups = tuple((src, img, members[0].source.order, tuple(members))
                              for (src, img), members in groups.items())
+        self._automorphisms = tuple(cls for cls in cols if cls.source is full)
+        self._automorphism_index = {}  # R.id -> {off-centre images of R's generators: columns}
         self._fits = system.group.subconjugacy
         self._rows = {}
+
+    def _automorphisms_for(self, search: _TransporterSearch):
+        """The automorphism columns whose images at R's generators agree with
+        the test's off the centre: the only ones that can pass at x = 1."""
+        r_sub = search.psi.source
+        index = self._automorphism_index.get(r_sub.id)
+        if index is None:
+            index = self._automorphism_index[r_sub.id] = {}
+            p = search.p
+            for cls in self._automorphisms:
+                images = cls.rep.images
+                index.setdefault(tuple(images[code] // p for code in search._own),
+                                 []).append(cls)
+        return index.get(tuple(off for off, _ in search._targets), ())
 
     def row(self, test: BisetClass) -> dict:
         """{column class: mark at test} over the columns with a nonzero mark."""
@@ -651,24 +684,35 @@ class MarkTable:
         if row is None:
             fits = self._fits
             psi = test.rep
-            r_src, r_img = psi.source.id, psi.image.id
+            r_src, r_img, order = psi.source.id, psi.image.id, psi.source.order
             search = _TransporterSearch(psi)
             conjugates = tuple(search.conjugates())
             inside = {}  # source id -> the conjugates with xRx^-1 <= that source
+
+            def conjugates_in(cls):
+                here = inside.get(cls.source.id)
+                if here is None:
+                    q_codes = cls.rep.images
+                    here = inside[cls.source.id] = [pair for pair in conjugates
+                                                    if all(c in q_codes for c in pair[1])]
+                return here
+
             row = {}
-            for src, img, members in self._groups:
-                if fits[r_src][src] and fits[r_img][img]:
-                    here = inside.get(src)
-                    if here is None:
-                        q_codes = members[0].rep.images  # the members share Q
-                        here = inside[src] = [pair for pair in conjugates
-                                              if all(c in q_codes for c in pair[1])]
-                    if not here:
-                        continue
-                    for cls in members:
-                        value = search.mark(cls.rep, here)
-                        if value:
-                            row[cls] = value
+            candidates = []
+            for src, img, q_order, members in self._groups:
+                if q_order > order and fits[r_src][src] and fits[r_img][img]:
+                    here = conjugates_in(members[0])  # the members share Q
+                    if here:
+                        candidates.extend((cls, here) for cls in members)
+            own = self._column_of.get(biset_class(psi))  # the test's S x S class
+            if own is not None:
+                candidates.append((own, conjugates_in(own)))
+            if order < psi.p**3:
+                candidates.extend((cls, ()) for cls in self._automorphisms_for(search))
+            for cls, here in candidates:
+                value = search.mark(cls.rep, here)
+                if value:
+                    row[cls] = value
             self._rows[test] = row
         return row
 
@@ -692,7 +736,7 @@ def mark_table(system) -> MarkTable:
 
 def check_condition_a(system, b: FormalBiset):
     """Support must lie inside the system's morphism classes."""
-    allowed = mark_table(system)._column_set
+    allowed = mark_table(system)._column_of
     for cls in b.support:
         if cls not in allowed:
             raise ConditionAViolationError(cls)
@@ -927,6 +971,7 @@ def all_graph_classes(p: int) -> tuple:
         raise ResourceLimitError("full graph-class enumeration is limited to p <= 5")
     grp = ambient_group(p)
     found = set()
+    automorphisms = set()  # the images mod Z of the automorphisms found so far
     for r_sub in grp.all_subgroups:
         gens = r_sub.canonical_gens
         abelian = r_sub.order < p**3
@@ -936,10 +981,16 @@ def all_graph_classes(p: int) -> tuple:
             if len(images) == 2 and abelian == bool(
                     (images[0].a * images[1].b - images[0].b * images[1].a) % p):
                 continue
+            if not abelian:  # an automorphism's class is its images modulo Z
+                key = (images[0].a, images[1].a, images[0].b, images[1].b)
+                if key in automorphisms:
+                    continue
             try:
                 mor = morphism_from_images(r_sub, dict(zip(gens, images)))
             except MorphismError:
                 continue
+            if not abelian:
+                automorphisms.add(key)
             found.add(biset_class(mor))
     return tuple(sorted(found))
 

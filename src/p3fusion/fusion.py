@@ -223,11 +223,14 @@ class FusionSystemSpec:
 
     @staticmethod
     def from_json(data: dict) -> "FusionSystemSpec":
-        classes = tuple(
-            FusionClass(frozenset(entry["lines"]), int(entry["r"]))
-            for entry in data["classes"]
-        )
-        return FusionSystemSpec(int(data["prime"]), str(data.get("name", "custom")), classes)
+        """The spec a JSON system description names.  A missing or mistyped
+        field raises UnknownSystemError naming it, as for a file."""
+        problem = _spec_field_error(data)
+        if problem is not None:
+            raise UnknownSystemError(problem)
+        classes = tuple(FusionClass(frozenset(entry["lines"]), entry["r"])
+                        for entry in data["classes"])
+        return FusionSystemSpec(data["prime"], data.get("name", "custom"), classes)
 
 
 def _is_int(value) -> bool:
@@ -272,11 +275,10 @@ def load_spec_file(path: str) -> FusionSystemSpec:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or a number too long to convert
             raise UnknownSystemError(f"{path}: not valid JSON: {exc}") from None
-    problem = _spec_field_error(data)
-    if problem is not None:
-        raise UnknownSystemError(f"{path}: {problem}")
     try:
         return FusionSystemSpec.from_json(data)
+    except UnknownSystemError as exc:  # a missing or mistyped field
+        raise UnknownSystemError(f"{path}: {exc}") from None
     except ValueError as exc:  # the prime is not an odd prime or is too large
         raise UnknownSystemError(f"{path}: field 'prime': {exc}") from None
     except InconsistentSpecError as exc:

@@ -714,6 +714,78 @@ def test_mark_table_sampled_pairs_match_oracle():
         assert nonzero >= 50
 
 
+def _reference_row(table, test):
+    """The row loop before any column was skipped: every column that the
+    subconjugacy matrix allows, scanned over every coset rep of C_S(R) that
+    conjugates R into its source, with the mark formula applied by hand to
+    the plain count of transporters."""
+    psi = test.rep
+    grp = ambient_group(psi.p)
+    fits = grp.subconjugacy
+    search = biset._TransporterSearch(psi)
+    conjugates = tuple(search.conjugates())
+    scale = grp.centralizer(psi.source).order * grp.centralizer(psi.image).order
+    row = {}
+    for cls in table.columns:
+        phi = cls.rep
+        if fits[psi.source.id][phi.source.id] and fits[psi.image.id][phi.image.id]:
+            here = [pair for pair in conjugates if all(c in phi.images for c in pair[1])]
+            hits = sum(1 for _ in search.transporters(phi, here))
+            value, rest = divmod(hits * scale, phi.source.order)
+            assert rest == 0
+            if value:
+                row[cls] = value
+    return row
+
+
+@pytest.mark.parametrize("name", ["d8", "sd16", "4s4", "d16x3"])
+def test_mark_table_rows_equal_reference_row(name):
+    """Every row of the table, and the row of each column's graph taken over
+    its own source (a class whose key differs from the column's S x S class),
+    equals the row that visits every column with every conjugate."""
+    system = builtin_fusion_system(name)
+    table = mark_table(system)
+    for test in _test_classes(system, table):
+        assert table.row(test) == _reference_row(table, test)
+    for col in [cls for cls in table.columns if cls.source is not system.group.full][::7]:
+        test = biset_class(col.rep, left=col.source)
+        assert test != col
+        assert table.row(test) == _reference_row(table, test) != {}
+
+
+def test_marks_at_automorphism_and_equal_order_columns_match_oracle_p5():
+    """Seeded 4S4 pairs on the columns a row decides without a scan, against
+    the explicit coset count: automorphism columns at restrictions of an
+    automorphism, and columns of the test's order, with the test also taken
+    over its own source, whose key is not its S x S class."""
+    rng = random.Random(71)
+    system = builtin_fusion_system("4s4")
+    table = mark_table(system)
+    grp = system.group
+    auts = [cls for cls in table.columns if cls.source is grp.full]
+    proper = [cls for cls in table.columns if cls.source is not grp.full]
+    pairs = []
+    for k in range(80):
+        aut = rng.choice(auts)
+        test = biset_class(aut.rep.restrict(rng.choice(grp.all_subgroups)))
+        pairs.append(("automorphism", aut if k % 2 else rng.choice(auts), test))
+    for _ in range(60):
+        test = rng.choice(proper)
+        col = rng.choice([cls for cls in proper
+                          if cls.source.order == test.source.order and cls != test])
+        pairs.append(("equal order", col, test))
+        pairs.append(("own source", test, biset_class(test.rep, left=test.source)))
+    nonzero = {kind: 0 for kind, _, _ in pairs}
+    for kind, col, test in pairs:
+        value = brute_force_fixed_points(col, test)
+        assert count_fixed_points(col, test) == value
+        assert table.row(test).get(col, 0) == value
+        nonzero[kind] += value != 0
+    assert nonzero["automorphism"] >= 40
+    assert nonzero["equal order"] == 0
+    assert nonzero["own source"] == 60
+
+
 def test_mark_table_mark_equals_biset_mark():
     from p3fusion.idempotent import omega_upto2
     from p3fusion.solver import minimal_biset
@@ -737,6 +809,24 @@ def test_mark_table_sweep_witness_matches_dense_sweep():
         res = sweep(sys_, bad)
         assert not res.ok
         assert res.witness == _dense_sweep(sys_, bad, side)
+
+
+def test_all_graph_classes_p3_matches_full_closure():
+    """Skipping the closure of an automorphism whose images modulo Z were
+    already seen keeps every class and the first representative of each."""
+    grp = ambient_group(3)
+    first = {}
+    for r_sub in grp.all_subgroups:
+        gens = r_sub.canonical_gens
+        for images in itertools.product(grp.elements[1:], repeat=len(gens)):
+            try:
+                mor = morphism_from_images(r_sub, dict(zip(gens, images)))
+            except MorphismError:
+                continue
+            first.setdefault(biset_class(mor), mor)
+    classes = all_graph_classes(3)
+    assert list(classes) == sorted(first)
+    assert all(cls.rep == first[cls] for cls in classes)
 
 
 def test_public_names_resolve():

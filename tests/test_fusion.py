@@ -115,6 +115,20 @@ def test_spec_json_roundtrip():
         assert FusionSystemSpec.from_json(spec.to_json()) == spec
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"name": None}, "'name'"),
+    ({"classes": [{"lines": [0, 1, 2, 3], "r": 2.5}]}, r"'classes\[0\]\.r'"),
+    ({"prime": True}, "'prime'"),
+    ({"classes": [{"lines": ["0", "1", "2", "3"], "r": 2}]}, r"'classes\[0\]\.lines'"),
+], ids=["name-none", "r-float", "prime-bool", "lines-strings"])
+def test_spec_from_json_refuses_what_a_file_is_refused_for(change, field):
+    # the library entry must not coerce a field into a different system
+    data = {"prime": 3, "name": "custom",
+            "classes": [{"lines": [0, 1, 2, 3], "r": 2}], **change}
+    with pytest.raises(UnknownSystemError, match=f"field {field}"):
+        FusionSystemSpec.from_json(data)
+
+
 def test_f_number_values():
     by_name = {s.name: s for s in builtin_systems()}
     assert by_name["SD16"].f == 8
