@@ -270,29 +270,23 @@ class _TransporterSearch:
         return num // q_order
 
 
-def _transporters(psi: GroupMorphism, phi: GroupMorphism, candidates):
+def _transporters(psi: GroupMorphism, phi: GroupMorphism, candidates=None):
     """Yield each x in candidates with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
-    for some y, R and Q the sources of psi and phi."""
+    for some y, R and Q the sources of psi and phi.  By default x runs over
+    the coset reps of C_S(R), on which the conditions depend."""
     search = _TransporterSearch(psi)
     return search.transporters(phi, search.conjugates(candidates))
 
 
-def _transporter_reps(psi: GroupMorphism, phi: GroupMorphism) -> list:
-    """Reps x of the cosets x*C_S(R) with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
-    for some y; the conditions depend only on the coset."""
-    search = _TransporterSearch(psi)
-    return list(search.transporters(phi, search.conjugates()))
-
-
 def n_size(psi: GroupMorphism, phi: GroupMorphism) -> int:
     """|N_{psi,phi}| = |{x : xRx^-1 <= Q and phi o c_x|_R = c_y o psi for some y}|."""
-    return len(_transporter_reps(psi, phi)) * ambient_group(psi.p).centralizer(psi.source).order
+    return len(list(_transporters(psi, phi))) * ambient_group(psi.p).centralizer(psi.source).order
 
 
 def n_set(psi: GroupMorphism, phi: GroupMorphism) -> frozenset:
     """The transporter subset of S realised elementwise (see n_size)."""
     cent = ambient_group(psi.p).centralizer(psi.source).elements
-    return frozenset(x * c for x in _transporter_reps(psi, phi) for c in cent)
+    return frozenset(x * c for x in _transporters(psi, phi) for c in cent)
 
 
 def is_subconjugate(psi: GroupMorphism, phi: GroupMorphism) -> bool:
@@ -338,32 +332,30 @@ def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     (t, y) and count the ones fixed by every generator pair (r, psi(r)) of
     the graph, i.e. r*t = t*q in tQ and phi(q) * y * psi(r)**-1 == y.
 
-    Elements are integer codes multiplied through the product table; the
-    left condition does not involve y, so it is tested once per coset tQ."""
+    Elements are integer codes multiplied through the product table.  The
+    left condition does not involve y, so it is tested once per coset tQ.
+    The right one says y**-1 * phi(q) * y == psi(r), so the y that pass are
+    one bitmask of the group's conjugation masks; a coset tQ contributes the
+    popcount of the AND of its generators' masks."""
     _same_prime(cls, by)
-    phi = cls.rep
-    psi = by.rep
+    phi, psi = cls.rep, by.rep
     grp = ambient_group(phi.p)
-    elements = grp.elements
     mul = grp.product_table
-    n = len(elements)
+    n = len(grp.elements)
     reps, pos = grp.coset_index(phi.source)
-    # (code of r, col) with col[k] == code of elements[k] * psi(r)**-1
-    pairs = [(r.code(), mul[psi(r).inv().code()::n])
-             for r in psi.source.canonical_gens]
-    ys = range(n)
+    pairs = [(r.code(), psi.images[r.code()]) for r in psi.source.canonical_gens]
     count = 0
     for idx, t in enumerate(reps):
-        fixed = None
-        for r, col in pairs:
+        fixed = (1 << n) - 1
+        for r, target in pairs:
             idx2, q = pos[mul[r * n + t]]
             if idx2 != idx:
                 break
-            row = phi.images[q] * n
-            here = [col[mul[row + y]] == y for y in ys]
-            fixed = here if fixed is None else list(map(and_, fixed, here))
+            fixed &= grp.conjugation_masks(phi.images[q]).get(target, 0)
+            if not fixed:
+                break
         else:
-            count += n if fixed is None else sum(fixed)
+            count += fixed.bit_count()
     return count
 
 
@@ -377,12 +369,7 @@ class FormalBiset:
     def __init__(self, p: int, coeffs: dict | None = None, left: Subgroup | None = None):
         self.p = p
         self.left = left if left is not None else ambient_group(p).full
-        self.coeffs = {}
-        if coeffs:
-            for cls, c in coeffs.items():
-                if c:
-                    self.coeffs[cls] = self.coeffs.get(cls, 0) + c
-            self.coeffs = {cls: c for cls, c in self.coeffs.items() if c}
+        self.coeffs = {cls: c for cls, c in coeffs.items() if c} if coeffs else {}
 
     def items(self):
         return [(cls, self.coeffs[cls]) for cls in sorted(self.coeffs)]
@@ -458,10 +445,8 @@ class FormalBiset:
         grp = ambient_group(p)
         coeffs = {}
         for entry in data["classes"]:
-            srcs = [GroupElement(p, *map(lambda v: v % p, triple))
-                    for triple in entry["source_generators"]]
-            imgs = [GroupElement(p, *map(lambda v: v % p, triple))
-                    for triple in entry["image_generators"]]
+            srcs, imgs = ([GroupElement(p, *(v % p for v in triple)) for triple in entry[k]]
+                          for k in ("source_generators", "image_generators"))
             source = grp.generated(srcs) if srcs else grp.trivial
             mor = (identity_morphism(grp.trivial) if not srcs
                    else morphism_from_images(source, dict(zip(srcs, imgs))))
@@ -611,12 +596,9 @@ def restrict_left(cls: BisetClass, psi: GroupMorphism) -> FormalBiset:
 
 
 def restrict_left_biset(b: FormalBiset, psi: GroupMorphism) -> FormalBiset:
-    out = None
+    out = FormalBiset(b.p, {}, left=psi.source)
     for cls, c in b.items():
-        piece = c * restrict_left(cls, psi)
-        out = piece if out is None else out + piece
-    if out is None:
-        return FormalBiset(b.p, {}, left=psi.source)
+        out = out + c * restrict_left(cls, psi)
     return out
 
 

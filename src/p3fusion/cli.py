@@ -114,8 +114,8 @@ def cmd_idempotent(args) -> int:
 
 def cmd_realize(args) -> int:
     spec = _resolve_spec(args)
-    if spec.p >= 7 and not args.big:
-        print("p = 7 realization is gated behind --big", file=sys.stderr)
+    if gated := _suite_filter("realize", spec, args):
+        print(gated, file=sys.stderr)
         return 2
     system = fusion_system(spec)
     report = check_transitivity(system)
@@ -180,24 +180,34 @@ def _suite_realize(spec) -> dict:
     return data
 
 
-def _suite_marks(spec, oracle) -> dict:
-    system = fusion_system(spec)
+def _marks_pairs(system, oracle) -> list:
+    """Every pair of class reps under p3-exhaustive at p = 3, else 200 seeded
+    pairs, every other one a rep against its restriction to a random subgroup
+    R of its source: a nonzero mark, since x = 1 is a transporter."""
     reps = [biset_class(r.morphism) for r in system.all_class_reps()]
-    checked = 0
-    failures = []
     if oracle == "p3-exhaustive" and system.p == 3:
-        pairs = [(a, b) for a in reps for b in reps]
-    else:
-        rng = random.Random(20100501 + system.p)
-        pairs = [(rng.choice(reps), rng.choice(reps)) for _ in range(200)]
+        return [(a, b) for a in reps for b in reps]
+    rng = random.Random(20100501 + system.p)
+    pairs = []
+    for k in range(200):
+        a = rng.choice(reps)
+        if k % 2:
+            r = rng.choice([q for q in system.group.all_subgroups if q <= a.source])
+            pairs.append((a, biset_class(a.rep.restrict(r))))
+        else:
+            pairs.append((a, rng.choice(reps)))
+    return pairs
+
+
+def _suite_marks(spec, oracle) -> dict:
+    pairs = _marks_pairs(fusion_system(spec), oracle)
+    failures = []
     for a, b in pairs:
-        fast = count_fixed_points(a, b)
-        slow = brute_force_fixed_points(a, b)
-        checked += 1
+        fast, slow = count_fixed_points(a, b), brute_force_fixed_points(a, b)
         if fast != slow:
             failures.append({"pair": (repr(a), repr(b)), "fast": fast, "slow": slow})
     return {"suite": "marks", "system": spec.name, "oracle": oracle,
-            "pairs_checked": checked, "ok": not failures, "failures": failures}
+            "pairs_checked": len(pairs), "ok": not failures, "failures": failures}
 
 
 _SUITE_RUNNERS = {
@@ -216,6 +226,15 @@ def _run_system_suites(task):
         else:
             out.append(_SUITE_RUNNERS[suite](spec))
     return out
+
+
+def _suite_filter(suite, spec, args) -> str | None:
+    """Why verify (and realize, for its --big gate) skips this suite here, or None."""
+    if suite == "realize" and spec.p >= 7 and not args.big:
+        return f"realize at p = {spec.p} is gated behind --big"
+    if suite == "marks" and args.oracle != "sampled" and (args.oracle == "off" or spec.p != 3):
+        return f"--oracle {args.oracle} skips the marks suite at p = {spec.p}"
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -244,13 +263,13 @@ def cmd_verify(args) -> int:
         results.append(_suite_table(specs))
     tasks = []
     for spec in specs:
-        suites = [s for s in wanted
-                  if not (s == "realize" and spec.p >= 7 and not args.big)
-                  and not (s == "marks" and args.oracle == "off")
-                  and not (s == "marks" and args.oracle == "p3-exhaustive"
-                           and spec.p != 3)]
+        suites = [s for s in wanted if not _suite_filter(s, spec, args)]
         if suites:
             tasks.append((spec, suites, args.oracle))
+    if not tasks and not args.table:  # every selected suite was filtered out
+        reasons = dict.fromkeys(_suite_filter(s, spec, args) for spec in specs for s in wanted)
+        print("nothing to verify: " + "; ".join(reasons), file=sys.stderr)
+        return 2
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_system_suites, tasks):

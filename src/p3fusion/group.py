@@ -182,6 +182,7 @@ class ExtraspecialGroup:
         self._subconjugacy = None
         self._conj_transversals = {}
         self._product_table = None
+        self._conjugation_masks = [None] * n
         self._coset_indices = {}
 
     # -- subgroup lookup ------------------------------------------------------
@@ -222,6 +223,19 @@ class ExtraspecialGroup:
                 ((g.a + h.a) % p * p + (g.b + h.b) % p) * p + (g.c + h.c + g.a * h.b) % p
                 for g in els for h in els)
         return self._product_table
+
+    def conjugation_masks(self, g: int) -> dict:
+        """{h: mask} for the element code g: bit y of mask is set exactly when
+        y**-1 * g * y == h.  Read off the product table on first use and kept
+        per code, beside product_table and coset_index."""
+        masks = self._conjugation_masks[g]
+        if masks is None:
+            mul, n, elements = self.product_table, len(self.elements), self.elements
+            masks = self._conjugation_masks[g] = {}
+            for y, gy in enumerate(mul[g * n:g * n + n]):
+                h = mul[elements[y].inv().code() * n + gy]
+                masks[h] = masks.get(h, 0) | 1 << y
+        return masks
 
     def line_of(self, g: GroupElement) -> int:
         """Index i of the order-p^2 subgroup containing a noncentral g."""

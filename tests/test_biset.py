@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -119,11 +120,42 @@ def test_oracle_equivalence_sampled_p3():
         assert count_fixed_points(ca, cb) == brute_force_fixed_points(ca, cb)
 
 
+def _reference_oracle(cls, by):
+    """The explicit coset count before the conjugation masks: for each coset
+    tQ whose left condition holds, one list of booleans over every y per
+    generator r, phi(q) * y * psi(r)**-1 == y, ANDed together."""
+    phi, psi = cls.rep, by.rep
+    grp = ambient_group(phi.p)
+    mul = grp.product_table
+    n = len(grp.elements)
+    reps, pos = grp.coset_index(phi.source)
+    # (code of r, col) with col[k] == code of elements[k] * psi(r)**-1
+    pairs = [(r.code(), mul[psi(r).inv().code()::n])
+             for r in psi.source.canonical_gens]
+    ys = range(n)
+    count = 0
+    for idx, t in enumerate(reps):
+        fixed = None
+        for r, col in pairs:
+            idx2, q = pos[mul[r * n + t]]
+            if idx2 != idx:
+                break
+            row = phi.images[q] * n
+            here = [col[mul[row + y]] == y for y in ys]
+            fixed = here if fixed is None else list(map(operator.and_, fixed, here))
+        else:
+            count += n if fixed is None else sum(fixed)
+    return count
+
+
 def test_oracle_equivalence_all_graph_classes_p3():
+    """The transporter formula, the oracle and the reference oracle agree on
+    every pair of graph classes at p = 3."""
     classes = all_graph_classes(3)
     assert len(classes) == 227
     mismatches = [(a, b) for a in classes for b in classes
-                  if count_fixed_points(a, b) != brute_force_fixed_points(a, b)]
+                  if not count_fixed_points(a, b) == brute_force_fixed_points(a, b)
+                  == _reference_oracle(a, b)]
     assert mismatches == []
 
 
@@ -137,11 +169,48 @@ def test_oracle_calls_nothing_from_the_transporter_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached the transporter path")
 
-    monkeypatch.setattr(biset, "_transporter_reps", forbidden)
     monkeypatch.setattr(biset, "_transporters", forbidden)
     monkeypatch.setattr(biset, "_TransporterSearch", forbidden)
+    monkeypatch.setattr(biset, "_may_fix", forbidden)
+    monkeypatch.setattr(biset, "biset_class", forbidden)
     monkeypatch.setattr(ExtraspecialGroup, "conj_transversal", forbidden)
+    monkeypatch.setattr(ExtraspecialGroup, "centralizer", forbidden)
     assert [brute_force_fixed_points(a, b) for a, b in pairs] == expected
+
+
+def test_oracle_equals_reference_oracle_sampled_4s4():
+    """Seeded 4S4 pairs of class reps; every other test is the class's own
+    rep restricted to a random subgroup of its source, a nonzero mark."""
+    rng = random.Random(83)
+    system = builtin_fusion_system("4s4")
+    reps = [biset_class(r.morphism) for r in system.all_class_reps()]
+    nonzero = 0
+    for k in range(200):
+        a = rng.choice(reps)
+        if k % 2:
+            r_sub = rng.choice([q for q in system.group.all_subgroups if q <= a.source])
+            b = biset_class(a.rep.restrict(r_sub))
+        else:
+            b = rng.choice(reps)
+        value = brute_force_fixed_points(a, b)
+        assert value == _reference_oracle(a, b) == count_fixed_points(a, b)
+        nonzero += value != 0
+    assert nonzero >= 100
+
+
+def test_conjugation_masks_p3():
+    """Every mask of every element code: bit y is set in the mask of h
+    exactly when g * y == y * h, and the masks of g partition S."""
+    grp = ExtraspecialGroup(3)
+    n = len(grp.elements)
+    for g in grp.elements:
+        masks = grp.conjugation_masks(g.code())
+        assert grp.conjugation_masks(g.code()) is masks
+        assert sum(mask.bit_count() for mask in masks.values()) == n
+        for h in grp.elements:
+            mask = masks.get(h.code(), 0)
+            for y in grp.elements:
+                assert bool(mask >> y.code() & 1) == (g * y == y * h)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -184,6 +184,43 @@ def test_verify_stability_failure_prints_witness(capsys, monkeypatch):
         "lhs": str(lhs), "rhs": str(rhs)}
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--realize", "--system", "d16x3"], "--big"),
+    (["--marks", "--oracle", "off", "--system", "d8"], "--oracle off"),
+    (["--marks", "--oracle", "p3-exhaustive", "--system", "4s4"], "--oracle p3-exhaustive"),
+])
+def test_verify_everything_filtered_out_exit_2(capsys, argv, reason):
+    code, out, err = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("nothing to verify") and reason in err
+
+
+def test_verify_table_alone_survives_filters(capsys):
+    code, out, _ = run(capsys, "verify", "--table", "--realize", "--system", "d16x3",
+                       "--format", "json")
+    assert code == 0
+    assert [r["suite"] for r in json.loads(out)["results"]] == ["table"]
+
+
+def test_sampled_marks_pairs_hold_nonzero_marks_p7():
+    """The sampled marks suite at D16x3: 200 pairs, at least 100 with a
+    nonzero mark, each equal to the transporter formula."""
+    from p3fusion.biset import brute_force_fixed_points, count_fixed_points
+    from p3fusion.cli import _marks_pairs
+    from p3fusion.fusion import builtin_fusion_system
+
+    pairs = _marks_pairs(builtin_fusion_system("d16x3"), "sampled")
+    assert len(pairs) == 200
+    nonzero = 0
+    for a, b in pairs:
+        value = brute_force_fixed_points(a, b)
+        assert value == count_fixed_points(a, b)
+        nonzero += value != 0
+    assert nonzero >= 100
+
+
 def test_verify_marks_sampled(capsys):
     code, out, _ = run(capsys, "verify", "--marks", "--system", "d8",
                        "--oracle", "sampled", "--format", "json")
