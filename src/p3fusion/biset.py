@@ -142,10 +142,8 @@ class BisetClass:
         return self.rep.source
 
 
-def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
-    """The class of mor over left (S by default); the key is cached on mor."""
-    if left is None:
-        left = ambient_group(mor.p).full
+def _cached_key(mor: GroupMorphism, left: Subgroup) -> tuple:
+    """The class key of mor over left, computed once and cached on mor."""
     keys = mor._class_keys
     if keys is None:
         keys = mor._class_keys = {}
@@ -154,6 +152,14 @@ def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
         if not mor.source.elements <= left.elements:
             raise ValueError("source must lie inside the left-hand group")
         key = keys[left.id] = _class_key(mor, left)
+    return key
+
+
+def biset_class(mor: GroupMorphism, left: Subgroup | None = None) -> BisetClass:
+    """The class of mor over left (S by default)."""
+    if left is None:
+        left = ambient_group(mor.p).full
+    key = _cached_key(mor, left)
     layer = 0
     while left.order > mor.source.order * mor.p**layer:
         layer += 1
@@ -196,35 +202,21 @@ class _TransporterSearch:
     the functionals that must vanish on t: none when R is trivial or S, one
     when |R| = p and psi(r) is central, and one when |R| = p^2."""
 
-    __slots__ = ("psi", "p", "_gens", "_own", "_targets", "_functionals", "_scale",
-                 "_weight")
+    __slots__ = ("psi", "p", "_own", "_targets", "_functionals", "_scale", "_weight")
 
     def __init__(self, psi: GroupMorphism):
         p = self.p = psi.p
         self.psi = psi
         elements = ambient_group(p).elements
-        gens, targets, rows = [], [], []
+        targets, rows = [], []
         for r in psi.source.canonical_gens:
             a = elements[psi.images[r.code()]]
-            gens.append((r.code() - r.c, r.c, r.a, r.b))
             targets.append((a.code() // p, a.c))  # psi(r) off the centre, central digit
             rows.append((a.b, -a.a))
-        self._gens = tuple(gens)
-        self._own = tuple(base + c for base, c, _, _ in gens)  # the conjugate at x = 1
+        self._own = tuple(r.code() for r in psi.source.canonical_gens)  # the conjugate at x = 1
         self._targets = tuple(targets)
         self._functionals = _central_functionals(p, rows)
         self._scale = None
-
-    def conjugates(self, candidates=None):
-        """(x, codes of x r x^-1 over the generators r) for each candidate x,
-        lazily; by default x runs over the coset reps of C_S(R), on which the
-        condition depends."""
-        p, gens = self.p, self._gens
-        if candidates is None:
-            candidates = ambient_group(p).conj_transversal(self.psi.source)
-        for x in candidates:
-            xa, xb = x.a, x.b
-            yield x, tuple(base + (c + xa * rb - xb * ra) % p for base, c, ra, rb in gens)
 
     def transporters(self, phi: GroupMorphism, conjugates):
         """Each x of the (x, codes) pairs that passes for phi, in order."""
@@ -270,23 +262,25 @@ class _TransporterSearch:
         return num // q_order
 
 
-def _transporters(psi: GroupMorphism, phi: GroupMorphism, candidates=None):
-    """Yield each x in candidates with xRx^-1 <= Q and phi o c_x|_R = c_y o psi
-    for some y, R and Q the sources of psi and phi.  By default x runs over
-    the coset reps of C_S(R), on which the conditions depend."""
-    search = _TransporterSearch(psi)
-    return search.transporters(phi, search.conjugates(candidates))
+def _prepared_search(psi: GroupMorphism) -> tuple:
+    """(psi's search, kept on psi; the group's conjugates of R = psi.source)."""
+    if psi._search is None:
+        psi._search = _TransporterSearch(psi)
+    return psi._search, ambient_group(psi.p).conjugates(psi.source)
 
 
 def n_size(psi: GroupMorphism, phi: GroupMorphism) -> int:
     """|N_{psi,phi}| = |{x : xRx^-1 <= Q and phi o c_x|_R = c_y o psi for some y}|."""
-    return len(list(_transporters(psi, phi))) * ambient_group(psi.p).centralizer(psi.source).order
+    search, conjugates = _prepared_search(psi)
+    hits = sum(1 for _ in search.transporters(phi, conjugates))
+    return hits * ambient_group(psi.p).centralizer(psi.source).order
 
 
 def n_set(psi: GroupMorphism, phi: GroupMorphism) -> frozenset:
     """The transporter subset of S realised elementwise (see n_size)."""
+    search, conjugates = _prepared_search(psi)
     cent = ambient_group(psi.p).centralizer(psi.source).elements
-    return frozenset(x * c for x in _transporters(psi, phi) for c in cent)
+    return frozenset(x * c for x in search.transporters(phi, conjugates) for c in cent)
 
 
 def is_subconjugate(psi: GroupMorphism, phi: GroupMorphism) -> bool:
@@ -305,9 +299,10 @@ def _may_fix(phi_cls: BisetClass, psi_cls: BisetClass) -> bool:
     in a conjugate of the source and the image of phi, and at equal order the
     two are one S x S class, since a transporter x then has xRx^-1 = Q."""
     phi, psi = phi_cls.rep, psi_cls.rep
+    grp = ambient_group(phi.p)
     if phi.source.order == psi.source.order:
-        return biset_class(phi) == biset_class(psi)
-    fits = ambient_group(phi.p).subconjugacy
+        return _cached_key(phi, grp.full) == _cached_key(psi, grp.full)
+    fits = grp.subconjugacy
     return fits[psi.source.id][phi.source.id] and fits[psi.image.id][phi.image.id]
 
 
@@ -323,8 +318,8 @@ def count_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     _same_prime(cls, by)
     if not _may_fix(cls, by):
         return 0
-    search = _TransporterSearch(by.rep)
-    return search.mark(cls.rep, search.conjugates())
+    search, conjugates = _prepared_search(by.rep)
+    return search.mark(cls.rep, conjugates)
 
 
 def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
@@ -332,25 +327,20 @@ def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     (t, y) and count the ones fixed by every generator pair (r, psi(r)) of
     the graph, i.e. r*t = t*q in tQ and phi(q) * y * psi(r)**-1 == y.
 
-    Elements are integer codes multiplied through the product table.  The
-    left condition does not involve y, so it is tested once per coset tQ.
-    The right one says y**-1 * phi(q) * y == psi(r), so the y that pass are
-    one bitmask of the group's conjugation masks; a coset tQ contributes the
-    popcount of the AND of its generators' masks."""
+    Elements are integer codes.  The left condition does not involve y, so
+    only the cosets tQ that every r fixes are walked, with their q, read off
+    the product table into the group's fixed_cosets.  The right one says
+    y**-1 * phi(q) * y == psi(r), so the y that pass are one bitmask of the
+    group's conjugation masks; a coset tQ adds the popcount of their AND."""
     _same_prime(cls, by)
     phi, psi = cls.rep, by.rep
     grp = ambient_group(phi.p)
-    mul = grp.product_table
-    n = len(grp.elements)
-    reps, pos = grp.coset_index(phi.source)
-    pairs = [(r.code(), psi.images[r.code()]) for r in psi.source.canonical_gens]
+    cosets = grp.fixed_cosets(phi.source, psi.source)
+    targets = [psi.images[r.code()] for r in psi.source.canonical_gens] if cosets else ()
     count = 0
-    for idx, t in enumerate(reps):
-        fixed = (1 << n) - 1
-        for r, target in pairs:
-            idx2, q = pos[mul[r * n + t]]
-            if idx2 != idx:
-                break
+    for qs in cosets:
+        fixed = (1 << len(grp.elements)) - 1
+        for q, target in zip(qs, targets):
             fixed &= grp.conjugation_masks(phi.images[q]).get(target, 0)
             if not fixed:
                 break
@@ -531,7 +521,7 @@ def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
                     tracked[nxt] = mul[r * n + v]
                     positions.append(nxt)
         positions.sort()
-        ti = grp.elements[t].inv().code()
+        ti = grp.inverse_codes[t]
         a_codes, q_codes = zip(*sorted(  # the a with t q t^-1 = psi(a)
             (a, q) for q in q_sub.codes
             if (a := preimage.get(mul[mul[t * n + q] * n + ti])) is not None))
@@ -667,8 +657,7 @@ class MarkTable:
             fits = self._fits
             psi = test.rep
             r_src, r_img, order = psi.source.id, psi.image.id, psi.source.order
-            search = _TransporterSearch(psi)
-            conjugates = tuple(search.conjugates())
+            search, conjugates = _prepared_search(psi)
             inside = {}  # source id -> the conjugates with xRx^-1 <= that source
 
             def conjugates_in(cls):

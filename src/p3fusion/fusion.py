@@ -627,11 +627,12 @@ class FusionSystem:
         self._v_reps = {}
         self._order_p_reps = None
         self._class_reps_all = None
-        # per-system caches, filled on first use: biset.mark_table and the
-        # solver's symbolic layer-0/1 template and layer-2 relations
+        # per-system caches, filled on first use: biset.mark_table, the solver's
+        # template and layer-2 relations, and the agreed idempotent coefficients
         self._mark_table = None
         self._layer01_template = None
         self._layer2_relations = None
+        self._coefficient_forms = None
 
     # -- normalization of line generators and the alpha_{i,j} family ---------
 

@@ -181,8 +181,11 @@ class ExtraspecialGroup:
             self.subgroup(self.elements[c] for c in s) for s in lines)
         self._subconjugacy = None
         self._conj_transversals = {}
+        self._conjugates = {}
         self._product_table = None
+        self._inverse_codes = None
         self._conjugation_masks = [None] * n
+        self._fixed_cosets = {}
         self._coset_indices = {}
 
     # -- subgroup lookup ------------------------------------------------------
@@ -224,18 +227,38 @@ class ExtraspecialGroup:
                 for g in els for h in els)
         return self._product_table
 
+    @property
+    def inverse_codes(self) -> tuple:
+        """inv[g] is the code of elements[g]**-1, found in the product table."""
+        if self._inverse_codes is None:
+            mul, n = self.product_table, len(self.elements)
+            self._inverse_codes = tuple(mul.index(0, g * n, g * n + n) - g * n for g in range(n))
+        return self._inverse_codes
+
     def conjugation_masks(self, g: int) -> dict:
         """{h: mask} for the element code g: bit y of mask is set exactly when
         y**-1 * g * y == h.  Read off the product table on first use and kept
         per code, beside product_table and coset_index."""
         masks = self._conjugation_masks[g]
         if masks is None:
-            mul, n, elements = self.product_table, len(self.elements), self.elements
+            mul, n, inv = self.product_table, len(self.elements), self.inverse_codes
             masks = self._conjugation_masks[g] = {}
             for y, gy in enumerate(mul[g * n:g * n + n]):
-                h = mul[elements[y].inv().code() * n + gy]
+                h = mul[inv[y] * n + gy]
                 masks[h] = masks.get(h, 0) | 1 << y
         return masks
+
+    def fixed_cosets(self, q: Subgroup, r: Subgroup) -> tuple:
+        """The cosets tQ (in order) that each canonical generator g of r fixes, as the
+        codes of t^-1 g t in q; read off coset_index(q) and the product table."""
+        key = (q.id, r.id)
+        if key not in self._fixed_cosets:
+            mul, n = self.product_table, len(self.elements)
+            reps, pos = self.coset_index(q)
+            moved = ([pos[mul[g.code() * n + t]] for g in r.canonical_gens] for t in reps)
+            self._fixed_cosets[key] = tuple(tuple(h for _, h in m) for i, m in enumerate(moved)
+                                            if all(j == i for j, _ in m))
+        return self._fixed_cosets[key]
 
     def line_of(self, g: GroupElement) -> int:
         """Index i of the order-p^2 subgroup containing a noncentral g."""
@@ -319,6 +342,22 @@ class ExtraspecialGroup:
             self._conj_transversals[q.id] = reps
             return reps
 
+    def conjugates_by(self, q: Subgroup, xs: Iterable[GroupElement]):
+        """(x, codes of x g x**-1 over the canonical generators g of q) for each
+        x in xs, lazily; conjugation moves only the central digit of a code."""
+        p = self.p
+        gens = [(g.code() - g.c, g.c, g.a, g.b) for g in q.canonical_gens]
+        for x in xs:
+            yield x, tuple(base + (c + x.a * b - x.b * a) % p for base, c, a, b in gens)
+
+    def conjugates(self, q: Subgroup) -> tuple:
+        """conjugates_by(q, conj_transversal(q)), built on first use and kept
+        per q.id: the conjugates on which a transporter condition depends."""
+        found = self._conjugates.get(q.id)
+        if found is None:
+            found = self._conjugates[q.id] = tuple(self.conjugates_by(q, self.conj_transversal(q)))
+        return found
+
 
 @lru_cache(maxsize=None)
 def ambient_group(p: int) -> ExtraspecialGroup:
@@ -341,7 +380,7 @@ class GroupMorphism:
     table; morphism_from_images is the checked entry for generator images.
     """
 
-    __slots__ = ("p", "source", "images", "_image", "_hash", "_class_keys")
+    __slots__ = ("p", "source", "images", "_image", "_hash", "_class_keys", "_search")
 
     def __init__(self, source: Subgroup, images: dict):
         self.p = source.p
@@ -350,6 +389,7 @@ class GroupMorphism:
         self._image = None
         self._hash = None
         self._class_keys = None
+        self._search = None  # biset's transporter search with this as the test
 
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.p != self.p:

@@ -141,14 +141,17 @@ def rational_solve(system: FusionSystem) -> dict:
 
 
 def _check_routes_agree(system: FusionSystem) -> dict:
-    a, b = closed_forms(system), rational_solve(system)
-    if set(a) != set(b):
-        raise InconsistentSpecError("coefficient families differ between routes")
-    for key in a:
-        if a[key] != b[key]:
-            raise InconsistentSpecError(
-                f"coefficient {key!r} disagrees: closed {a[key]} vs solved {b[key]}")
-    return a
+    """The closed forms, checked against rational_solve once per system."""
+    if system._coefficient_forms is None:
+        a, b = closed_forms(system), rational_solve(system)
+        if set(a) != set(b):
+            raise InconsistentSpecError("coefficient families differ between routes")
+        for key in a:
+            if a[key] != b[key]:
+                raise InconsistentSpecError(
+                    f"coefficient {key!r} disagrees: closed {a[key]} vs solved {b[key]}")
+        system._coefficient_forms = a
+    return dict(system._coefficient_forms)
 
 
 def omega0(system: FusionSystem) -> FormalBiset:

@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .biset import FormalBiset, _double_cosets, _transporters
+from .biset import FormalBiset, _double_cosets, _TransporterSearch
 from .errors import StabilityViolationError, TheoremViolationError
 from .fusion import (
     FusionMorphism,
@@ -26,7 +26,7 @@ from .fusion import (
     matrix_closure,
     matrix_of_automorphism,
 )
-from .group import GroupMorphism, identity_morphism
+from .group import GroupMorphism, ambient_group, identity_morphism
 from .solver import minimal_biset
 
 
@@ -78,11 +78,12 @@ def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
     return out
 
 
-def _conjugation_witness(r_sub, a_mor, b_mor):
-    """The first a in R with a^-1 A a = A' and kappa' o c_{a^-1}|_A = c_b o kappa
-    for some b: the transporters x = a^-1 of kappa into kappa', the identity
-    tried first."""
-    for x in _transporters(a_mor, b_mor, (a.inv() for a in r_sub.sorted_elements)):
+def _conjugation_witness(candidates, a_mor, b_mor):
+    """The first a of candidates with a^-1 A a = A' and kappa' o c_{a^-1}|_A =
+    c_b o kappa for some b: the transporters x = a^-1 of kappa into kappa',
+    from a search prepared for this call (the pieces outlive it)."""
+    conjugates = ambient_group(a_mor.p).conjugates_by(a_mor.source, (a.inv() for a in candidates))
+    for x in _TransporterSearch(a_mor).transporters(b_mor, conjugates):
         return x.inv()
     raise StabilityViolationError("matched pieces admit no conjugation witness")
 
@@ -102,6 +103,8 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     if set(source_pieces) != set(target_pieces):
         raise StabilityViolationError("restriction classes of the two sides differ")
     perm = array("l", [-1]) * index.size
+    # a^-1 passes or fails with all of aZ: try the first a of each coset in R
+    candidates = [a for a in r_sub.sorted_elements if a.c == 0 or grp.z not in r_sub]
     witnesses = {}  # copies of a class repeat the same pair of pieces
     # (source orbit, target orbit, witness) -> the target coset of each source
     # position; orbits live through the call, so their ids key them.  Every
@@ -116,7 +119,7 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
                 in zip(sources, targets):
             w = witnesses.get((s_mor, t_mor))
             if w is None:
-                w = witnesses[s_mor, t_mor] = _conjugation_witness(r_sub, s_mor, t_mor).code()
+                w = witnesses[s_mor, t_mor] = _conjugation_witness(candidates, s_mor, t_mor).code()
             key = (id(s_positions), id(t_positions), w)
             images = relative.get(key)
             if images is None:

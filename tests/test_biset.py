@@ -31,9 +31,10 @@ from p3fusion.biset import (
     subconjugate_closure,
 )
 from p3fusion.errors import ConditionAViolationError, MorphismError, PrimeMismatchError
-from p3fusion.fusion import builtin_fusion_system
+from p3fusion.fusion import FusionSystem, builtin_fusion_system
 from p3fusion.group import (
     ExtraspecialGroup,
+    GroupMorphism,
     ambient_group,
     conjugation_morphism,
     identity_morphism,
@@ -169,13 +170,40 @@ def test_oracle_calls_nothing_from_the_transporter_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached the transporter path")
 
-    monkeypatch.setattr(biset, "_transporters", forbidden)
     monkeypatch.setattr(biset, "_TransporterSearch", forbidden)
+    monkeypatch.setattr(biset, "_prepared_search", forbidden)
     monkeypatch.setattr(biset, "_may_fix", forbidden)
+    monkeypatch.setattr(biset, "_cached_key", forbidden)
     monkeypatch.setattr(biset, "biset_class", forbidden)
     monkeypatch.setattr(ExtraspecialGroup, "conj_transversal", forbidden)
+    monkeypatch.setattr(ExtraspecialGroup, "conjugates", forbidden)
     monkeypatch.setattr(ExtraspecialGroup, "centralizer", forbidden)
     assert [brute_force_fixed_points(a, b) for a, b in pairs] == expected
+
+
+def test_one_search_per_test_morphism(monkeypatch):
+    """A mark-table row, count_fixed_points and n_size at one test morphism
+    prepare its transporter search once, and keep it on the morphism."""
+    system = FusionSystem(builtin_fusion_system("d8").spec)  # its own mark table
+    table = mark_table(system)
+    rep = system.order_p_reps()[0].morphism
+    psi = GroupMorphism(rep.source, dict(rep.images))  # no search prepared yet
+    test = biset_class(psi)
+    built = []
+
+    class Counting(biset._TransporterSearch):
+        def __init__(self, psi):
+            built.append(psi)
+            super().__init__(psi)
+
+    monkeypatch.setattr(biset, "_TransporterSearch", Counting)
+    row = table.row(test)
+    assert row and row[table._column_of[test]] > 0
+    assert [count_fixed_points(col, test) for col in table.columns] == [
+        row.get(col, 0) for col in table.columns]
+    assert [n_size(psi, col.rep) > 0 for col in table.columns] == [
+        col in row for col in table.columns]
+    assert built == [psi] and psi._search is not None
 
 
 def test_oracle_equals_reference_oracle_sampled_4s4():
@@ -792,7 +820,8 @@ def _reference_row(table, test):
     grp = ambient_group(psi.p)
     fits = grp.subconjugacy
     search = biset._TransporterSearch(psi)
-    conjugates = tuple(search.conjugates())
+    conjugates = [(x, tuple(r.conj_by(x).code() for r in psi.source.canonical_gens))
+                  for x in grp.conj_transversal(psi.source)]
     scale = grp.centralizer(psi.source).order * grp.centralizer(psi.image).order
     row = {}
     for cls in table.columns:

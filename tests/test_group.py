@@ -382,6 +382,24 @@ def test_coset_index_partitions_the_group(p):
         assert g.coset_index(q) is g.coset_index(q)
 
 
+def test_fixed_coset_table_p3():
+    """For every pair (Q, R): the cosets tQ with r*t in t*Q for each canonical
+    generator r of R, in coset order, each with the codes of q = t^-1 r t;
+    checked in element arithmetic, with the inverse codes beside it."""
+    g = ambient_group(3)
+    assert all(g.elements[i] * g.elements[j] == g.identity
+               for i, j in enumerate(g.inverse_codes))
+    for q in g.all_subgroups:
+        cosets = [(t, {t * h for h in q}) for t in g.transversal(q)]
+        for r in g.all_subgroups:
+            gens = r.canonical_gens
+            expected = tuple(tuple((t.inv() * s * t).code() for s in gens)
+                             for t, coset in cosets if all(s * t in coset for s in gens))
+            assert g.fixed_cosets(q, r) == expected
+            assert g.fixed_cosets(q, r) is g.fixed_cosets(q, r)
+        assert len(g.fixed_cosets(q, g.trivial)) == len(cosets)
+
+
 def test_tables_not_built_by_group_or_system_construction():
     # a fresh interpreter, so no earlier test has asked for the tables
     import os

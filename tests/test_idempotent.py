@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from p3fusion import idempotent
 from p3fusion.biset import FormalBiset, biset_class, biset_mark, is_left_stable
 from p3fusion.errors import NotComputedError
-from p3fusion.fusion import builtin_fusion_system
+from p3fusion.fusion import FusionSystem, builtin_fusion_system
 from p3fusion.group import conjugation_morphism
 from p3fusion.idempotent import (
     closed_forms,
@@ -53,6 +54,22 @@ def test_rational_solve_agrees_with_closed_forms():
     for name in ("d8", "sd16", "th4s4"):
         sys_ = builtin_fusion_system(name)
         assert rational_solve(sys_) == closed_forms(sys_)
+
+
+def test_coefficient_routes_solved_once_per_system(monkeypatch):
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return rational_solve(system)
+
+    monkeypatch.setattr(idempotent, "rational_solve", counting)
+    system = FusionSystem(builtin_fusion_system("d16x3").spec)
+    report = verify_idempotent_stability(system)
+    report.coefficients.clear()  # the report's copy, not the system's
+    assert omega_upto2(system) == omega0(system) + omega1(system) + omega2(system)
+    assert verify_idempotent_stability(system).coefficients == closed_forms(system)
+    assert report.ok and calls == [system]
 
 
 def test_omega1_relation():

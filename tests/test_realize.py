@@ -1,3 +1,4 @@
+import hashlib
 import random
 from array import array
 
@@ -7,12 +8,11 @@ from p3fusion import realize
 from p3fusion.biset import biset_class
 from p3fusion.errors import StabilityViolationError, TheoremViolationError
 from p3fusion.fusion import builtin_fusion_system, lift_matrix_to_aut
-from p3fusion.group import ambient_group, identity_morphism
+from p3fusion.group import ambient_group
 from p3fusion.realize import (
     BisetIndex,
     _conjugation_witness,
     _join_orbits,
-    _pieces_by_class,
     check_transitivity,
     essential_generators,
     j0_class_action_checks,
@@ -239,11 +239,11 @@ def test_stability_violation_for_wrong_biset():
 
 
 def test_wrong_witness_is_refused_as_not_a_permutation(monkeypatch):
-    # the identity in place of the conjugation witness sends two labels of
-    # some orbit to one label
+    # the identity (the first candidate) in place of the conjugation witness
+    # sends two labels of some orbit to one label
     sys_, index = _index("d8")
     monkeypatch.setattr(realize, "_conjugation_witness",
-                        lambda r_sub, a_mor, b_mor: r_sub.sorted_elements[0])
+                        lambda candidates, a_mor, b_mor: candidates[0])
     alpha = lift_matrix_to_aut(sys_.sorted_out[1])
     with pytest.raises(StabilityViolationError, match="not a permutation"):
         perm_image_of_out(index, alpha)
@@ -264,22 +264,90 @@ def _elementwise_witness(r_sub, a_mor, b_mor):
     return None
 
 
-@pytest.mark.parametrize("name", ["d8", "sd16"])
-def test_witness_matches_elementwise_search(name):
+@pytest.mark.parametrize("name", ["d8", "sd16", "4s4"])
+def test_witness_matches_elementwise_search(name, monkeypatch):
+    """Every witness perm_from_morphism asks for, tried only at one candidate
+    per coset of the centre, is the first a of all of R that the elementwise
+    search accepts.  At 4S4 a seeded sample of morphisms and of their pairs."""
     sys_, index = _index(name)
     morphisms = [rep.morphism for rep in essential_generators(sys_)]
     morphisms += [lift_matrix_to_aut(m).inverse() for m in sys_.sorted_out]
+    rng = random.Random(29)
+    sample = 4 if name == "4s4" else None
+    if sample:
+        morphisms = rng.sample(morphisms, sample)
+    asked = []
+
+    def recording(candidates, a_mor, b_mor):
+        witness = _conjugation_witness(candidates, a_mor, b_mor)
+        asked.append((a_mor, b_mor, witness))
+        return witness
+
+    monkeypatch.setattr(realize, "_conjugation_witness", recording)
     pairs = 0
     moved = 0
     for psi in morphisms:
-        r_sub = psi.source
-        sources = _pieces_by_class(index, identity_morphism(r_sub))
-        targets = _pieces_by_class(index, psi)
-        for cls, src in sources.items():
-            for s_piece, t_piece in zip(src, targets[cls]):
-                s_mor, t_mor = s_piece[-1], t_piece[-1]
-                witness = _conjugation_witness(r_sub, s_mor, t_mor)
-                assert witness == _elementwise_witness(r_sub, s_mor, t_mor)
-                pairs += 1
-                moved += not witness.is_identity()
+        asked.clear()
+        perm_from_morphism(index, psi)
+        for s_mor, t_mor, witness in rng.sample(asked, min(len(asked), 10)) if sample else asked:
+            assert witness == _elementwise_witness(psi.source, s_mor, t_mor)
+            pairs += 1
+            moved += not witness.is_identity()
     assert pairs and moved  # some witness is not the identity
+
+
+# SHA-256 of each permutation check_transitivity builds, in the order built,
+# each written as its images joined by commas
+PERMUTATION_DIGESTS = {
+    "d8": [
+        "1d98aa7fbfabeb7baff6b3603f5dc77fbf25485c5ce1ebdca955601f3a8cf2ed",
+        "3faab82024366e1e51d4999213872826c23eb296acaf31f716dc66f0661554c4",
+        "d4c446b04e1f534e3f288fe814c620d4e0753ab8d569e4f5891ae8e0530fc727",
+        "ae7c26d569b77da2911ebc4ecde0e66921c981017a5ea233d868d65dec3607f7",
+        "ff114a3a7d8f4943504e73fb569d6a381ba356706e66050178eb44800a0ae0cc",
+        "d9881cb39a85e0564c04199b03858d7552f2f2a004ef74c3b7c2f7f36efd0135",
+        "7483d525c7e59bda4183dd805b37811bc4524147f978e548caf76455bbd3f721",
+        "29478216769c4cadae25b415fa1ced92d16d43710554eb49ef6978b357fd2cf2",
+        "759fc07ae3fc13bded3df8cde4d19d03a9223a5a4c88564cfcdad6ca82d52a28",
+        "ed5e240d227a856156eea508f036c8092b92e1545afe1ce1362773d034aadb89",
+    ],
+    "sd16": [
+        "48dce5b8a9cb518c07543d03883278e4042f19de2dfaa38fb198c9017c59d9c6",
+        "74c46f4b796ebdd3be1de17aed48c57f2286d33c25cfd4d788c7aa19920bf9fa",
+        "15385f0d4a120b10aca1507634fcc03d363f7973390fcd5624725342a161dc6b",
+        "db3f16e7e0251c589704761333a7a0bfa9f1abc4d87fa5cc356822cedd9774e9",
+        "850bd2dbdf8a9452c6348904cfa2e9822c57a460bbf734d2399da1b944af9e3b",
+        "f4438932680286f752f0a998d235b14d7643988604f6b97ad02129de7ed1955a",
+        "2a31ab99a207ddab3add5d63fb157a9a916235815f0a598099aaa0d82432cd28",
+        "b6d8b0761e23f6242349fb4ec96637668bda60e1e1d95b3d5d52ce06d577719b",
+        "8dfecfd30fc610f77423541d2ec166858ccb68cc2253da249baadb66035a072b",
+        "abdba9d832703a48965b9b172d1660c858b0be0a73d9031f4093d6d1ce956500",
+        "f9c8fa62a9fec3da1fda17df6d8e5260adfc5746f325c624c4104d6df8dca609",
+        "ff3445a84fdf407ad0502fa4e69303db3dfcf64dc792d6c51f1fd5b5d6a20020",
+        "e83a6b6c4c1800600fed40a38708d8e46dbf6b61d7aa488e3b6e7741ef1f8302",
+        "73c6325330244482a7547d45e67041f5d81c489eba32ef320b0242d5510fe556",
+        "10751783b158dabaaa199606edd2cf142a843805ba6ce01948da2277d8023763",
+        "0361c742444a4f4d47d861a11e68a0d339db09992a98a3260e5f8aa7e28d6db2",
+        "91171fe0ffc6ebf8c1e6190bdace7bf9c57391a730eaa8e8c8f47c266ac3ced6",
+    ],
+    "4s4": [
+        "8a5758c0db54485fcca92f256849ee96c238227e03e84db904e0f12ab9fabd39",
+        "c600946f7ed10faa864c32e31e5857f8f001137edf3b136da8c193133de77de9",
+        "971dad1db7825f99e702086d45b090af2f340b4a99a37a3793beab2e3c942bfe",
+        "2f2b31ffb9166763ed0645afdf28709d2d17d4391922342f77d8f7e5ce8c412e",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTATION_DIGESTS))
+def test_realization_permutations_are_pinned(name, monkeypatch):
+    built = []
+
+    def recording(index, psi):
+        perm = perm_from_morphism(index, psi)
+        built.append(hashlib.sha256(",".join(map(str, perm)).encode()).hexdigest())
+        return perm
+
+    monkeypatch.setattr(realize, "perm_from_morphism", recording)
+    check_transitivity(builtin_fusion_system(name))
+    assert built == PERMUTATION_DIGESTS[name]
