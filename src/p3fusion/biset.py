@@ -149,7 +149,7 @@ def _cached_key(mor: GroupMorphism, left: Subgroup) -> tuple:
         keys = mor._class_keys = {}
     key = keys.get(left.id)
     if key is None:
-        if not mor.source.elements <= left.elements:
+        if not mor.source <= left:
             raise ValueError("source must lie inside the left-hand group")
         key = keys[left.id] = _class_key(mor, left)
     return key
@@ -207,10 +207,9 @@ class _TransporterSearch:
     def __init__(self, psi: GroupMorphism):
         p = self.p = psi.p
         self.psi = psi
-        elements = ambient_group(p).elements
         targets, rows = [], []
         for r in psi.source.canonical_gens:
-            a = elements[psi.images[r.code()]]
+            a = psi(r)
             targets.append((a.code() // p, a.c))  # psi(r) off the centre, central digit
             rows.append((a.b, -a.a))
         self._own = tuple(r.code() for r in psi.source.canonical_gens)  # the conjugate at x = 1
@@ -279,7 +278,7 @@ def n_size(psi: GroupMorphism, phi: GroupMorphism) -> int:
 def n_set(psi: GroupMorphism, phi: GroupMorphism) -> frozenset:
     """The transporter subset of S realised elementwise (see n_size)."""
     search, conjugates = _prepared_search(psi)
-    cent = ambient_group(psi.p).centralizer(psi.source).elements
+    cent = ambient_group(psi.p).centralizer(psi.source)
     return frozenset(x * c for x in search.transporters(phi, conjugates) for c in cent)
 
 
@@ -473,7 +472,7 @@ def subconjugate_closure(b: FormalBiset) -> tuple:
     for cls in b.support:
         phi = cls.rep
         for r_sub in grp.all_subgroups:
-            if r_sub.elements <= phi.source.elements:
+            if r_sub <= phi.source:
                 seen.add(biset_class(phi.restrict(r_sub)))
     return tuple(sorted(seen))
 
@@ -538,7 +537,6 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
     [A, a -> phi(t^-1 psi(a) t)] with its class over R, memoised in memo by
     (R.id, codes of A, their images), so a memo may be shared across calls."""
     grp = ambient_group(psi.p)
-    elements = grp.elements
     r_sub = psi.source
     preimage = {m: r for r, m in psi.images.items()}
     by_source = {}
@@ -555,8 +553,7 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
             key = (r_sub.id, a_codes, tuple([phi_images[q] for q in q_codes]))
             piece = memo.get(key)
             if piece is None:
-                mor = GroupMorphism(grp.subgroup(elements[a] for a in a_codes),
-                                    dict(zip(a_codes, key[2])))
+                mor = GroupMorphism(grp.by_codes(a_codes), dict(zip(a_codes, key[2])))
                 piece = memo[key] = (biset_class(mor, left=r_sub), mor)
             pieces.append((positions, *piece))
         splits.append((tracked, pieces))
@@ -856,13 +853,12 @@ class ExplicitBiset:
             right_orbit = {}
             for g in grp.elements:
                 right_orbit[self.right(seed, g)] = g
-            a_elems, images = [], {}
-            for r in r_sub.elements:
+            images = {}
+            for r in r_sub:
                 j = self.left(psi(r), seed)
                 if j in right_orbit:
-                    a_elems.append(r)
                     images[r.code()] = right_orbit[j].code()
-            mor = GroupMorphism(grp.subgroup(a_elems), images)
+            mor = GroupMorphism(grp.by_codes(tuple(images)), images)
             cls = biset_class(mor, left=r_sub)
             coeffs[cls] = coeffs.get(cls, 0) + 1
         return FormalBiset(self.p, coeffs, left=r_sub)
@@ -870,11 +866,10 @@ class ExplicitBiset:
 
 def _regular_biset(p: int) -> ExplicitBiset:
     """S as an explicit S-S-set under left and right multiplication."""
-    grp = ambient_group(p)
-    index = {g: i for i, g in enumerate(grp.elements)}
+    grp = ambient_group(p)  # elements are listed by code
     gens = (grp.x, grp.y, grp.z)
-    left_gen = {g: [index[g * y] for y in grp.elements] for g in gens}
-    right_gen = {g: [index[y * g] for y in grp.elements] for g in gens}
+    left_gen = {g: [(g * y).code() for y in grp.elements] for g in gens}
+    right_gen = {g: [(y * g).code() for y in grp.elements] for g in gens}
     return ExplicitBiset(p, len(grp.elements), left_gen, right_gen)
 
 

@@ -24,6 +24,7 @@ from .group import (
     ambient_group,
     conjugation_morphism,
     identity_morphism,
+    line_index,
     morphism_from_images,
     require_odd_prime,
 )
@@ -104,19 +105,10 @@ def line_vectors(p: int) -> tuple:
     return tuple((1, i) for i in range(p)) + ((0, 1),)
 
 
-def line_index(p: int, v: tuple) -> int:
-    a, b = v[0] % p, v[1] % p
-    if (a, b) == (0, 0):
-        raise ValueError("zero vector spans no line")
-    if a:
-        return b * pow(a, p - 2, p) % p
-    return p
-
-
 def act_on_line(m: MatrixGL2, i: int) -> int:
     p = m.p
     v = line_vectors(p)[i]
-    return line_index(p, (m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]))
+    return line_index(p, m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
 
 
 def line_scaling(m: MatrixGL2, i: int) -> int:
@@ -421,15 +413,21 @@ def builtin_systems() -> tuple:
     return tuple(row[0] for row in _builtin_table())
 
 
-def realizing_group_name(spec: FusionSystemSpec):
-    """ATLAS-style name of a finite group realizing the system, None if exotic.
-
-    A description matches a built-in row when some element of GL_2(p) carries
-    the row's classes onto its own; the name plays no part."""
+def matching_builtin(spec: FusionSystemSpec):
+    """(built-in description, realizing group or None) of the row whose
+    classes some element of GL_2(p) carries onto spec's, or None when no row
+    matches; the name plays no part."""
     for built, _, group_name in _builtin_table():
-        if group_name is not None and _line_relabelling(built, spec) is not None:
-            return group_name
+        if _line_relabelling(built, spec) is not None:
+            return built, group_name
     return None
+
+
+def realizing_group_name(spec: FusionSystemSpec):
+    """ATLAS-style name of a finite group realizing the system, None if exotic
+    or if it matches no built-in row."""
+    match = matching_builtin(spec)
+    return match[1] if match else None
 
 
 def resolve_system(name: str) -> FusionSystemSpec:
@@ -784,19 +782,16 @@ class FusionSystem:
     def enumerate_hom_classes(self, q: Subgroup) -> tuple:
         """Class representatives of F-morphisms out of q (canonical sources)."""
         p = self.p
-        if not q.elements <= self.group.full.elements or q.p != p:
+        if q.p != p or not q <= self.group.full:
             raise UnknownSystemError("q is not a subgroup of S")
         if q.order == p**3:
             return self.aut_s_reps()
         if q.order == p * p:
-            i = self.group.line_of(next(g for g in q.elements if not g.is_central()))
+            i = self.group.line_of(q.canonical_gens[1])  # the noncentral generator
             return self.v_source_reps(i)
         if q.order == p:
             gen = q.canonical_gens[0]
-            if gen.is_central():
-                want = self.group.z
-            else:
-                want = self.u[self.group.line_of(gen)]
+            want = self.group.z if gen.is_central() else self.u[self.group.line_of(gen)]
             return tuple(r for r in self.order_p_reps() if r.meta[0] == want)
         if q.order == 1:
             return (FusionMorphism(identity_morphism(q), "trivial", None, ()),)

@@ -6,10 +6,11 @@ Elements are triples (a, b, c) of residues mod p multiplying by
 
 so that x = (1,0,0), y = (0,1,0) generate S, z = (0,0,1) = [x, y] spans the
 center, and every element has order dividing p (p odd).  The group builds its
-whole subgroup lattice once: each subgroup is one interned object with an id,
-its position in all_subgroups, and every path that yields a subgroup returns
-that object.  A morphism is its source plus a table from element codes to
-image codes; morphism_from_images is the one checked way to build one.
+whole subgroup lattice once, keyed by the sorted element codes that are each
+subgroup's one stored content: each subgroup is one interned object with an
+id, its position in all_subgroups, and every path that yields a subgroup
+returns that object.  A morphism is its source plus a table from element
+codes to image codes; morphism_from_images is the one checked way to build one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ def require_odd_prime(p: int) -> int:
         if p % q == 0:
             raise ValueError(f"p must be an odd prime, got {p!r}")
     return p
+
+
+def line_index(p: int, a: int, b: int) -> int:
+    """Index of the line of F_p^2 that (a, b) spans: i < p for the line
+    through (1, i), p for the line through (0, 1)."""
+    a, b = a % p, b % p
+    if not (a or b):
+        raise ValueError("zero vector spans no line")
+    return b * pow(a, p - 2, p) % p if a else p
 
 
 class GroupElement(NamedTuple):
@@ -85,35 +95,35 @@ class Subgroup:
     """One subgroup of S.  Only ExtraspecialGroup builds these, once each, so
     identity is equality; `id` is the position in all_subgroups."""
 
-    __slots__ = ("p", "id", "codes", "elements", "sorted_elements", "order",
-                 "canonical_gens", "is_normal")
+    __slots__ = ("p", "id", "codes", "order", "canonical_gens", "is_normal")
 
-    def __init__(self, p: int, id: int, codes: tuple, sorted_elements: tuple):
+    def __init__(self, p: int, id: int, codes: tuple, elements: tuple):
         self.p = p
         self.id = id
-        self.codes = codes  # the codes of sorted_elements, in the same order
-        self.sorted_elements = sorted_elements
-        self.elements = frozenset(sorted_elements)
-        self.order = n = len(sorted_elements)
-        # generators read off the content: the identity sorts first, and in an
-        # order-p^2 subgroup the p central elements come before the rest
+        self.codes = codes  # the sorted element codes: the one stored content
+        self.order = n = len(codes)
+        # generators read off the content (elements is S by code): the identity
+        # sorts first, and in an order-p^2 subgroup the p central elements
+        # come before the rest
         if n == 1:
             self.canonical_gens = ()
         elif n == p:
-            self.canonical_gens = (sorted_elements[1],)
+            self.canonical_gens = (elements[codes[1]],)
         elif n == p * p:
-            self.canonical_gens = (sorted_elements[1], sorted_elements[p])
+            self.canonical_gens = (elements[codes[1]], elements[codes[p]])
         else:
-            self.canonical_gens = (GroupElement(p, 1, 0, 0), GroupElement(p, 0, 1, 0))
+            self.canonical_gens = (elements[p * p], elements[p])
         # every subgroup of S is normal except the noncentral order-p ones,
         # which are conjugate exactly to the others on their line
         self.is_normal = n != p or self.canonical_gens[0].is_central()
 
     def __contains__(self, g) -> bool:
-        return g in self.elements
+        # codes collide across primes, so the prime is checked first
+        return isinstance(g, GroupElement) and g.p == self.p and g.code() in self.codes
 
     def __iter__(self):
-        return iter(self.sorted_elements)
+        elements = ambient_group(self.p).elements
+        return (elements[c] for c in self.codes)
 
     def __len__(self) -> int:
         return self.order
@@ -122,7 +132,7 @@ class Subgroup:
         return self.id
 
     def __le__(self, other) -> bool:
-        return self.elements <= other.elements
+        return self.p == other.p and all(g.code() in other.codes for g in self.canonical_gens)
 
     def __repr__(self) -> str:
         return f"Subgroup(p={self.p}, order={self.order}, id={self.id})"
@@ -166,19 +176,18 @@ class ExtraspecialGroup:
                     covered[c] = True
                 sets.append(powers)
         sets.sort(key=lambda s: (len(s), s))
-        self.all_subgroups = tuple(Subgroup(p, i, tuple(s), tuple(self.elements[c] for c in s))
+        self.all_subgroups = tuple(Subgroup(p, i, tuple(s), self.elements)
                                    for i, s in enumerate(sets))
-        self._by_elements = {q.elements: q for q in self.all_subgroups}
+        self._by_codes = {q.codes: q for q in self.all_subgroups}
         self._cyclic = [None] * n  # code of g -> the subgroup g generates
         for q in self.all_subgroups:
             if q.order <= p:
-                for g in q.elements:
-                    self._cyclic[g.code()] = q
+                for c in q.codes:
+                    self._cyclic[c] = q
         self.trivial = self._cyclic[0] = self.all_subgroups[0]
         self.full = self.all_subgroups[-1]
         self.center = self.cyclic(self.z)
-        self.maximal_subgroups = tuple(
-            self.subgroup(self.elements[c] for c in s) for s in lines)
+        self.maximal_subgroups = tuple(self._by_codes[tuple(s)] for s in lines)
         self._subconjugacy = None
         self._conj_transversals = {}
         self._conjugates = {}
@@ -192,24 +201,29 @@ class ExtraspecialGroup:
 
     def subgroup(self, elements: Iterable[GroupElement]) -> Subgroup:
         """The lattice's object with exactly these elements; ValueError when
-        they are not a subgroup of S."""
+        they are not a subgroup of S (elements over another prime included)."""
+        codes = set()
+        for g in elements:
+            if not isinstance(g, GroupElement) or g.p != self.p:
+                raise ValueError(f"{g!r} is not an element of S for p={self.p}")
+            codes.add(g.code())
+        return self.by_codes(tuple(sorted(codes)))
+
+    def by_codes(self, codes: tuple) -> Subgroup:
+        """The lattice's object whose sorted element codes are `codes`."""
         try:
-            return self._by_elements[frozenset(elements)]
+            return self._by_codes[codes]
         except KeyError:
             raise ValueError(f"not a subgroup of S for p={self.p}") from None
 
     def generated(self, gens: Iterable[GroupElement]) -> Subgroup:
-        seen = {self.identity}
-        frontier = [self.identity]
+        """The least subgroup holding every generator: the lattice is ordered
+        by order, and the subgroups holding them are closed under meets."""
         gens = list(gens)
-        while frontier:
-            g = frontier.pop()
-            for s in gens:
-                h = g * s
-                if h not in seen:
-                    seen.add(h)
-                    frontier.append(h)
-        return self.subgroup(seen)
+        for g in gens:
+            if g.p != self.p:
+                raise PrimeMismatchError(f"element over p={g.p} in the group over p={self.p}")
+        return next(q for q in self.all_subgroups if all(g in q for g in gens))
 
     def cyclic(self, g: GroupElement) -> Subgroup:
         if g.p != self.p:
@@ -264,9 +278,7 @@ class ExtraspecialGroup:
         """Index i of the order-p^2 subgroup containing a noncentral g."""
         if g.is_central():
             raise ValueError("central elements lie on every line")
-        if g.a % self.p != 0:
-            return g.b * pow(g.a, self.p - 2, self.p) % self.p
-        return self.p
+        return line_index(self.p, g.a, g.b)
 
     def centralizer(self, q: Subgroup) -> Subgroup:
         """C_S(q): S centralizes the central subgroups, a noncentral element
@@ -298,49 +310,39 @@ class ExtraspecialGroup:
             rows = []
             for r in subs:
                 if not r.is_normal:
-                    g = r.canonical_gens[0]
-                    coset = [GroupElement(self.p, g.a, g.b, c) for c in range(self.p)]
-                    rows.append(tuple(any(h in q.elements for h in coset) for q in subs))
+                    base = r.codes[1] - r.codes[1] % self.p  # the generator's central coset
+                    rows.append(tuple(any(c in q.codes for c in range(base, base + self.p))
+                                      for q in subs))
                 else:
-                    rows.append(tuple(r.elements <= q.elements for q in subs))
+                    rows.append(tuple(r <= q for q in subs))
             self._subconjugacy = tuple(rows)
         return self._subconjugacy
 
     def transversal(self, q: Subgroup) -> tuple:
         """Lexicographic left-coset representatives of q in S."""
-        reps = []
-        covered = set()
-        for g in self.elements:
-            if g not in covered:
-                reps.append(g)
-                covered.update(g * h for h in q.elements)
-        return tuple(reps)
+        return tuple(self.elements[t] for t in self.coset_index(q)[0])
 
     def coset_index(self, q: Subgroup) -> tuple:
         """(reps, pos) for the left cosets of q, built on first use: reps are
-        the codes of transversal(q), and pos[g.code()] == (i, h.code()) where
-        g = elements[reps[i]] * h with h in q."""
-        try:
-            return self._coset_indices[q.id]
-        except KeyError:
-            pass
-        reps = self.transversal(q)
-        pos = [None] * len(self.elements)
-        for i, t in enumerate(reps):
-            for h in q.elements:
-                pos[(t * h).code()] = (i, h.code())
-        index = (tuple(t.code() for t in reps), tuple(pos))
-        self._coset_indices[q.id] = index
+        the codes of the least element of each coset, and pos[g.code()] ==
+        (i, h.code()) where g = elements[reps[i]] * h with h in q."""
+        index = self._coset_indices.get(q.id)
+        if index is None:
+            reps, pos = [], [None] * len(self.elements)
+            for code, t in enumerate(self.elements):
+                if pos[code] is None:
+                    for h in q:
+                        pos[(t * h).code()] = (len(reps), h.code())
+                    reps.append(code)
+            index = self._coset_indices[q.id] = (tuple(reps), tuple(pos))
         return index
 
     def conj_transversal(self, q: Subgroup) -> tuple:
         """Coset reps of C_S(q): enough conjugators to reach every c_x|_q."""
-        try:
-            return self._conj_transversals[q.id]
-        except KeyError:
-            reps = self.transversal(self.centralizer(q))
-            self._conj_transversals[q.id] = reps
-            return reps
+        reps = self._conj_transversals.get(q.id)
+        if reps is None:
+            reps = self._conj_transversals[q.id] = self.transversal(self.centralizer(q))
+        return reps
 
     def conjugates_by(self, q: Subgroup, xs: Iterable[GroupElement]):
         """(x, codes of x g x**-1 over the canonical generators g of q) for each
@@ -394,13 +396,15 @@ class GroupMorphism:
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.p != self.p:
             raise PrimeMismatchError(f"element over p={g.p} for a morphism over p={self.p}")
-        return ambient_group(self.p).elements[self.images[g.code()]]
+        try:
+            return ambient_group(self.p).elements[self.images[g.code()]]
+        except KeyError:
+            raise MorphismError(f"{g} lies outside the source") from None
 
     @property
     def image(self) -> Subgroup:
         if self._image is None:
-            grp = ambient_group(self.p)
-            self._image = grp.subgroup(grp.elements[c] for c in self.images.values())
+            self._image = ambient_group(self.p).by_codes(tuple(sorted(self.images.values())))
         return self._image
 
     def compose(self, other: "GroupMorphism") -> "GroupMorphism":

@@ -104,7 +104,7 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
         raise StabilityViolationError("restriction classes of the two sides differ")
     perm = array("l", [-1]) * index.size
     # a^-1 passes or fails with all of aZ: try the first a of each coset in R
-    candidates = [a for a in r_sub.sorted_elements if a.c == 0 or grp.z not in r_sub]
+    candidates = [a for a in r_sub if a.c == 0 or grp.z not in r_sub]
     witnesses = {}  # copies of a class repeat the same pair of pieces
     # (source orbit, target orbit, witness) -> the target coset of each source
     # position; orbits live through the call, so their ids key them.  Every

@@ -23,7 +23,7 @@ from .biset import (
     opposite,
 )
 from .errors import InconsistentSpecError, InfeasibleCoefficientsError
-from .fusion import FusionSystem, FusionMorphism, realizing_group_name
+from .fusion import FusionSystem, FusionMorphism, matching_builtin, realizing_group_name
 
 
 # -- affine expressions in the free coefficients -------------------------------
@@ -561,12 +561,14 @@ class TableReport:
 
 def verify_table(systems, certify: bool = False) -> TableReport:
     """Recompute (f, d0, d1, d2, e) plus the bound or realizing group for each
-    system and diff against the expected values."""
+    system and diff against the expected row of the built-in system it
+    matches up to relabelling; a system that matches none is not compared."""
     rows = []
     mismatches = []
     for system in systems:
         res = minimal_biset(system, certify=certify)
-        last = res.exoticity_bound_value if res.exotic else realizing_group_name(system.spec)
+        match = matching_builtin(system.spec)  # (built-in row, group) or None
+        last = res.exoticity_bound_value if res.exotic else match[1]
         row = {
             "system": res.system_name, "p": res.p, "f": res.f,
             "d0": res.d0, "d1": res.d1, "d2": res.d2, "e": res.e,
@@ -574,9 +576,9 @@ def verify_table(systems, certify: bool = False) -> TableReport:
             "certificates_ok": res.certificates_ok(),
         }
         rows.append(row)
-        expected = EXPECTED_TABLE.get(res.system_name)
-        if expected is None:
+        if match is None:
             continue
+        expected = EXPECTED_TABLE[match[0].name]
         got = (res.p, res.f, res.d0, res.d1, res.d2, res.e, last)
         if got != expected:
             mismatches.append({"system": res.system_name,

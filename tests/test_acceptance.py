@@ -3,6 +3,8 @@
 Exact-arithmetic checks throughout; no tolerances anywhere.
 """
 
+import hashlib
+import json
 import random
 
 from p3fusion.biset import (
@@ -17,6 +19,7 @@ from p3fusion.biset import (
     is_right_stable,
 )
 from p3fusion.fusion import builtin_fusion_system
+from p3fusion.group import identity_morphism
 from p3fusion.idempotent import (
     closed_forms,
     rational_solve,
@@ -43,6 +46,14 @@ EXPECTED = {
 }
 
 EXPECTED_BOUNDS = {"D16x3": 425744, "6sq:2": 638620, "SD32x3": 851496}
+
+# SHA-256 of `realize --big --format json` at p = 7 without wall_time_s,
+# dumped with sorted keys as in test_golden.py
+REALIZE_DIGESTS = {
+    "D16x3": "aa9c51c9e0a242d0a60868fabdec5e96f9a695bac8917f39f4ff698671ab49bc",
+    "6sq:2": "af986c300b2f76c8899d3b3dfd4da7690fdce14f15787fe8899bd5ba9631d462",
+    "SD32x3": "c748d10db4b5b9b9d8082ae83e3f7d9bb6beb732b7856cea9615e630e9ff469f",
+}
 
 _RESULTS = {}
 
@@ -114,24 +125,35 @@ def test_criterion_6_oracle_equivalence():
     for name in ("D8", "SD16"):
         system = builtin_fusion_system(name)
         reps = [biset_class(r.morphism) for r in system.all_class_reps()]
-        reps.append(biset_class(
-            __import__("p3fusion.group", fromlist=["identity_morphism"])
-            .identity_morphism(system.group.trivial)))
+        reps.append(biset_class(identity_morphism(system.group.trivial)))
         for a in reps:
             for b in reps:
                 assert count_fixed_points(a, b) == brute_force_fixed_points(a, b)
                 total += 1
-    sampled = 0
+    # at p = 5 and 7 two random classes almost never have a nonzero mark, so
+    # every other pair is a class against its restriction to a random
+    # subgroup R of its source, where x = 1 is a transporter
+    sampled = nonzero = 0
     for name in ("4S4", "6sq:2"):
         system = builtin_fusion_system(name)
         reps = [biset_class(r.morphism) for r in system.all_class_reps()]
         rng = random.Random(62 + system.p)
-        for _ in range(200):
-            a, b = rng.choice(reps), rng.choice(reps)
-            assert count_fixed_points(a, b) == brute_force_fixed_points(a, b)
+        here = 0
+        for k in range(200):
+            a = rng.choice(reps)
+            if k % 2:
+                r = rng.choice([q for q in system.group.all_subgroups if q <= a.source])
+                b = biset_class(a.rep.restrict(r))
+            else:
+                b = rng.choice(reps)
+            value = brute_force_fixed_points(a, b)
+            assert count_fixed_points(a, b) == value
             sampled += 1
+            here += value != 0
+        assert here >= 100, f"{name}: {here} nonzero marks in 200 pairs"
+        nonzero += here
     _ok(6, f"transporter formula equals explicit count on {total} exhaustive "
-           f"p=3 pairs and {sampled} sampled pairs at p=5,7")
+           f"p=3 pairs and {sampled} sampled pairs at p=5,7, {nonzero} of them nonzero")
 
 
 def test_criterion_7_idempotent_coefficients():
@@ -162,6 +184,11 @@ def test_criterion_8_realization():
         ok, reason = j0_class_action_checks(system)
         assert ok, reason
         sizes[name] = report.j_size
+        if name in REALIZE_DIGESTS:
+            data = report.to_json()
+            del data["wall_time_s"]
+            digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+            assert digest == REALIZE_DIGESTS[name], name
     assert sizes["D8"] == 968 and sizes["SD16"] == 1936
     assert sizes["4S4"] == 74976
     assert sizes["D16x3"] == 134448 and sizes["6sq:2"] == 201672

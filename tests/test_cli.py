@@ -266,6 +266,39 @@ def test_verify_config_file_with_custom_name(tmp_path, capsys):
     assert data["results"][1]["system"] == "mine"
 
 
+def _verify_table_json(capsys, tmp_path, name, classes):
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps({"prime": 3, "name": name, "classes": classes}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg), "--table", "--format", "json")
+    return code, json.loads(out)["results"][0], err
+
+
+def test_verify_table_ignores_the_chosen_name(tmp_path, capsys):
+    # SD16's lines under the name D8 are compared with SD16's row
+    code, suite, err = _verify_table_json(capsys, tmp_path, "D8",
+                                          [{"lines": [0, 1, 2, 3], "r": 2}])
+    assert code == 0, err
+    assert suite["mismatches"] == []
+    assert suite["rows"][0]["system"] == "D8"
+    assert suite["rows"][0]["group_or_bound"] == "J4"
+    assert suite["rows"][0]["e"] == 1936
+
+
+def test_verify_table_compares_a_relabelled_row(tmp_path, capsys, monkeypatch):
+    # D8 with its lines relabelled, under a name of no built-in row, is still
+    # compared with D8's row: a wrong expected row makes it fail
+    from p3fusion import solver
+
+    classes = [{"lines": [0, 1], "r": 2}, {"lines": [2, 3], "r": 2}]
+    code, suite, err = _verify_table_json(capsys, tmp_path, "custom", classes)
+    assert code == 0, err
+    assert suite["rows"][0]["e"] == 968
+    monkeypatch.setitem(solver.EXPECTED_TABLE, "D8", (3, 4, 8, 32, 96, 969, "2F4(2)'"))
+    code, suite, _ = _verify_table_json(capsys, tmp_path, "custom", classes)
+    assert code == 1
+    assert [m["system"] for m in suite["mismatches"]] == ["custom"]
+
+
 def test_config_file_missing_classes_exit_2(tmp_path, capsys):
     cfg = tmp_path / "noclasses.json"
     cfg.write_text(json.dumps({"prime": 3, "name": "broken"}))

@@ -10,6 +10,7 @@ from p3fusion.group import (
     centralizer,
     conjugation_morphism,
     identity_morphism,
+    line_index,
     maximal_subgroups,
     morphism_from_images,
     require_odd_prime,
@@ -103,18 +104,18 @@ def test_maximal_subgroups():
         # pairwise intersections are exactly the center
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
-                assert vs[i].elements & vs[j].elements == g.center.elements
+                assert frozenset(vs[i]) & frozenset(vs[j]) == frozenset(g.center)
 
 
 def test_commutator_subgroup_is_frattini_p3():
     g = ambient_group(3)
     comms = {a * b * a.inv() * b.inv() for a in g.elements for b in g.elements}
-    assert comms == set(g.center.elements)
+    assert comms == set(g.center)
     # Frattini = intersection of maximals
     inter = set(g.elements)
     for v in g.maximal_subgroups:
-        inter &= v.elements
-    assert inter == set(g.center.elements)
+        inter &= frozenset(v)
+    assert inter == set(g.center)
 
 
 def test_conjugation_morphism():
@@ -151,6 +152,11 @@ def test_morphism_construction_and_rejection():
     assert ok(u) == u * g.z
     with pytest.raises(PrimeMismatchError):
         ok(GroupElement(5, 0, 0, 1))
+    # an element outside the source
+    with pytest.raises(MorphismError, match="outside the source"):
+        identity_morphism(g.center)(g.x)
+    with pytest.raises(MorphismError):
+        ok(g.y)
     # non-injective assignment
     with pytest.raises(MorphismError):
         morphism_from_images(v0, {z: g.identity, u: u})
@@ -276,16 +282,16 @@ def test_subgroup_lattice_is_interned(p):
     g = ambient_group(p)
     subs = g.all_subgroups
     assert len(subs) == p * p + 2 * p + 4
-    assert len({q.elements for q in subs}) == len(subs)
-    keys = [(q.order, [e.code() for e in q.sorted_elements]) for q in subs]
+    assert len({frozenset(q) for q in subs}) == len(subs)
+    keys = [(q.order, [e.code() for e in q]) for q in subs]
     assert keys == sorted(keys)
     for i, q in enumerate(subs):
         assert q.id == i
-        assert q.codes == tuple(e.code() for e in q.sorted_elements)
-        assert g.subgroup(q.elements) is q
-        assert g.subgroup(reversed(q.sorted_elements)) is q
+        assert q.codes == tuple(e.code() for e in q)
+        assert g.subgroup(frozenset(q)) is q
+        assert g.subgroup(reversed(tuple(q))) is q
         assert g.generated(q.canonical_gens) is q
-        commuting = [h for h in g.elements if all(h * k == k * h for k in q.elements)]
+        commuting = [h for h in g.elements if all(h * k == k * h for k in q)]
         assert g.centralizer(q) is g.subgroup(commuting)
         assert identity_morphism(q).image is q
     for h in g.elements:
@@ -301,7 +307,7 @@ def test_lattice_paths_return_lattice_objects_p3():
         range(len(g.all_subgroups)))
     for q in g.all_subgroups:
         for x in g.elements:
-            conj = g.subgroup(h.conj_by(x) for h in q.elements)
+            conj = g.subgroup(h.conj_by(x) for h in q)
             assert q.conjugate_by(x) is conj
             assert conjugation_morphism(x, q).image is conj
     mor = morphism_from_images(g.cyclic(g.x), {g.x: g.y * g.z})
@@ -321,10 +327,39 @@ def test_class_representative_names_the_conjugacy_class(p):
 
 def test_subgroup_lookup_rejects_non_subgroups():
     g = ambient_group(3)
-    for bad in ({g.identity, g.x}, {g.x, g.x**2}, ambient_group(5).center.elements,
+    for bad in ({g.identity, g.x}, {g.x, g.x**2}, frozenset(ambient_group(5).center),
                 [GroupElement(5, 0, 0, 0)]):
         with pytest.raises(ValueError):
             g.subgroup(bad)
+
+
+def test_codes_collide_across_primes_but_membership_does_not():
+    # (0, 0, 1) over p = 5 has code 1, the code of z over p = 3
+    g = ambient_group(3)
+    stranger = GroupElement(5, 0, 0, 1)
+    assert stranger.code() == g.z.code()
+    assert g.z in g.center
+    assert stranger not in g.center
+    assert stranger not in g.full
+    assert not ambient_group(5).center <= g.full
+    with pytest.raises(ValueError):
+        g.subgroup([g.identity, stranger, GroupElement(5, 0, 0, 2)])
+    with pytest.raises(ValueError):
+        g.subgroup(ambient_group(5).trivial)
+    with pytest.raises(PrimeMismatchError):
+        g.generated([stranger])
+
+
+def test_line_numbering():
+    g = ambient_group(5)
+    for i, u in enumerate(g.pinned_line_generators):
+        assert g.line_of(u) == i
+        assert g.line_of(u**3 * g.z) == i
+        assert line_index(5, 3 * u.a, 3 * u.b) == i
+    with pytest.raises(ValueError, match="every line"):
+        g.line_of(g.z)
+    with pytest.raises(ValueError, match="zero vector"):
+        line_index(5, 5, 0)
 
 
 def test_transversals():
@@ -334,7 +369,7 @@ def test_transversals():
         assert len(reps) == g.full.order // q.order
         seen = set()
         for t in reps:
-            coset = {t * h for h in q.elements}
+            coset = {t * h for h in q}
             assert not (coset & seen)
             seen |= coset
         assert len(seen) == g.full.order

@@ -253,7 +253,7 @@ def _elementwise_witness(r_sub, a_mor, b_mor):
     """Reference: the first a in R, in sorted order, with a^-1 A a <= A' and
     kappa'(a^-1 g a) == b kappa(g) b^-1 on the generators g of A for one b in S."""
     gens = a_mor.source.canonical_gens
-    for a in r_sub.sorted_elements:
+    for a in r_sub:
         ai = a.inv()
         moved = [ai * g * a for g in gens]
         if any(m not in b_mor.source for m in moved):
