@@ -497,9 +497,9 @@ def biset_mark(b: FormalBiset, test: BisetClass) -> int:
 def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
     """(tracked, orbits) for the psi(R)-orbits on S/Q, which depend only on Q
     and psi.  tracked[k] codes some v in R with psi(v) t in coset k, t the
-    first coset of k's orbit; an orbit is (positions, codes of A = {a in R :
-    t^-1 psi(a) t in Q}, codes of those t^-1 psi(a) t), A read off Q through
-    psi's inverse table `preimage`."""
+    first coset of k's orbit; an orbit is (positions, A = {a in R : t^-1 psi(a)
+    t in Q}, codes of those t^-1 psi(a) t along A.codes and at A's canonical
+    generators), A read off Q through psi's inverse table `preimage`."""
     grp = ambient_group(q_sub.p)
     mul = grp.product_table
     n = len(grp.elements)
@@ -524,7 +524,8 @@ def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
         a_codes, q_codes = zip(*sorted(  # the a with t q t^-1 = psi(a)
             (a, q) for q in q_sub.codes
             if (a := preimage.get(mul[mul[t * n + q] * n + ti])) is not None))
-        orbits.append((array("l", positions), a_codes, q_codes))
+        orbits.append((array("l", positions), (a_sub := grp.by_codes(a_codes)), q_codes,
+                       tuple([q_codes[a_codes.index(g.code())] for g in a_sub.canonical_gens])))
     return tracked, orbits
 
 
@@ -535,8 +536,8 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
     _coset_orbits.  Orbits come in order of their first coset t, the least
     element of psi(R) t Q, with sorted positions; the piece is
     [A, a -> phi(t^-1 psi(a) t)] with its class over R, memoised in memo by
-    (R.id, codes of A, their images), so a memo may be shared across calls."""
-    grp = ambient_group(psi.p)
+    (R.id, A.id, images of A's generators), which fix it, so a memo may be
+    shared across calls; only a new piece gets its full image table."""
     r_sub = psi.source
     preimage = {m: r for r, m in psi.images.items()}
     by_source = {}
@@ -549,11 +550,11 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
         tracked, orbits = split
         phi_images = phi.images
         pieces = []
-        for positions, a_codes, q_codes in orbits:
-            key = (r_sub.id, a_codes, tuple([phi_images[q] for q in q_codes]))
+        for positions, a_sub, q_codes, gen_codes in orbits:
+            key = (r_sub.id, a_sub.id, tuple([phi_images[q] for q in gen_codes]))
             piece = memo.get(key)
             if piece is None:
-                mor = GroupMorphism(grp.by_codes(a_codes), dict(zip(a_codes, key[2])))
+                mor = GroupMorphism(a_sub, dict(zip(a_sub.codes, [phi_images[q] for q in q_codes])))
                 piece = memo[key] = (biset_class(mor, left=r_sub), mor)
             pieces.append((positions, *piece))
         splits.append((tracked, pieces))

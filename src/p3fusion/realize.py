@@ -17,8 +17,8 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .biset import FormalBiset, _double_cosets, _TransporterSearch
-from .errors import StabilityViolationError, TheoremViolationError
+from .biset import FormalBiset, _double_cosets, _TransporterSearch, check_condition_a
+from .errors import PrimeMismatchError, StabilityViolationError, TheoremViolationError
 from .fusion import (
     FusionMorphism,
     FusionSystem,
@@ -41,41 +41,54 @@ class BisetIndex:
     coset of each summand's source, numbered as in coset_index."""
 
     def __init__(self, system: FusionSystem, biset: FormalBiset):
+        if biset.p != system.p:
+            raise PrimeMismatchError(f"a biset over p={biset.p} for a system over p={system.p}")
         if not biset.is_genuine():
             raise ValueError("the index set needs nonnegative integer multiplicities")
+        check_condition_a(system, biset)
         self.system = system
-        order = system.group.full.order
+        full = system.group.full
         blocks = []
         self.classes = []  # (class, its blocks), in block order
+        # the double-coset split memoises pieces for this index; along id_S a
+        # block is one orbit with t = 1 whose piece is the class's own rep
+        self._pieces = {}
         offset = 0
         for cls, mult in biset.items():
-            size = order // cls.rep.source.order
+            size = full.order // cls.source.order
             copies = [Block(cls, offset + k * size, size) for k in range(int(mult))]
             offset += len(copies) * size
             blocks += copies
             self.classes.append((cls, copies))
+            gen_images = tuple([cls.rep.images[g.code()] for g in cls.source.canonical_gens])
+            self._pieces[full.id, cls.source.id, gen_images] = (cls, cls.rep)
         self.blocks = blocks
         self.size = offset
         self.j0 = tuple(b.offset for b in blocks if b.size == 1)
-        # piece classes repeat heavily across classes and morphisms, so the
-        # double-coset split memoises them by content for this index
-        self._pieces = {}
         self._source_pieces = {}
+        self._witnesses = {}  # by the ids of two pieces, which live as long as the index
 
 
 # -- permutations from fusion morphisms -----------------------------------------
 
 def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
-    """{piece class: [(block, positions, tracked, piece)]}: the restriction of
-    every block along psi, in block order and, within a block, in orbit order.
-    Copies, and classes with one source, share the split of that source."""
+    """{piece class: [(blocks, tracked, [(positions, piece)])]}: the restriction
+    of every class along psi, one entry per class with its copies and its orbits
+    of that piece class, in orbit order.  Classes with one source share a split."""
     splits = _double_cosets([cls.rep for cls, _ in index.classes], psi, index._pieces)
     out = {}
     for (_cls, blocks), (tracked, pieces) in zip(index.classes, splits):
-        for block in blocks:
-            for positions, piece_cls, piece in pieces:
-                out.setdefault(piece_cls, []).append((block, positions, tracked, piece))
+        mine = {}
+        for positions, piece_cls, piece in pieces:
+            mine.setdefault(piece_cls, []).append((positions, piece))
+        for piece_cls, orbits in mine.items():
+            out.setdefault(piece_cls, []).append((blocks, tracked, orbits))
     return out
+
+
+def _copies(entries):
+    """(block, positions, tracked, piece) per copy and orbit: block order, then orbit order."""
+    return ((b, pos, tr, piece) for bs, tr, orbits in entries for b in bs for pos, piece in orbits)
 
 
 def _conjugation_witness(candidates, a_mor, b_mor):
@@ -105,21 +118,20 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     perm = array("l", [-1]) * index.size
     # a^-1 passes or fails with all of aZ: try the first a of each coset in R
     candidates = [a for a in r_sub if a.c == 0 or grp.z not in r_sub]
-    witnesses = {}  # copies of a class repeat the same pair of pieces
     # (source orbit, target orbit, witness) -> the target coset of each source
     # position; orbits live through the call, so their ids key them.  Every
     # orbit of J is the target of one pair, so perm is bijective if each pair is
     relative = {}
     for piece_cls, sources in source_pieces.items():
         targets = target_pieces[piece_cls]
-        if len(sources) != len(targets):
-            raise StabilityViolationError(
-                f"restriction multiplicity mismatch on piece class {piece_cls!r}")
+        if sum(len(b) * len(o) for b, _, o in sources) != \
+                sum(len(b) * len(o) for b, _, o in targets):
+            raise StabilityViolationError(f"restriction multiplicity mismatch on {piece_cls!r}")
         for (s_block, s_positions, s_tracked, s_mor), (t_block, t_positions, _, t_mor) \
-                in zip(sources, targets):
-            w = witnesses.get((s_mor, t_mor))
+                in zip(_copies(sources), _copies(targets)):
+            w = index._witnesses.get(pair := (id(s_mor), id(t_mor)))
             if w is None:
-                w = witnesses[s_mor, t_mor] = _conjugation_witness(candidates, s_mor, t_mor).code()
+                w = index._witnesses[pair] = _conjugation_witness(candidates, s_mor, t_mor).code()
             key = (id(s_positions), id(t_positions), w)
             images = relative.get(key)
             if images is None:
@@ -154,10 +166,12 @@ def perm_image_of_essential(index: BisetIndex, phi: FusionMorphism) -> array:
 
 # -- orbit computation ------------------------------------------------------------
 
-def _join_orbits(parent, perm) -> int:
+def _join_orbits(parent, perm, orbits: int) -> int:
     """Join the orbits of i and perm[i] for each label i in the flat forest
-    `parent` (roots are their own parents; paths halve); returns the merges."""
-    merged = 0
+    `parent` (roots are their own parents; paths halve) with `orbits` orbits;
+    returns the count left, and stops reading perm once it is one."""
+    if orbits == 1:
+        return 1
     for i, j in enumerate(perm):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
@@ -165,8 +179,10 @@ def _join_orbits(parent, perm) -> int:
             parent[j] = j = parent[parent[j]]
         if i != j:
             parent[j] = i
-            merged += 1
-    return merged
+            orbits -= 1
+            if orbits == 1:
+                return 1
+    return orbits
 
 
 def _out_generator_matrices(system: FusionSystem):
@@ -254,7 +270,7 @@ def check_transitivity(system: FusionSystem,
     At p = 3 every outer class contributes a permutation; otherwise a
     generating subset is used.  The subset generates a subgroup of the full
     realized group, so a single orbit for the subset certifies transitivity
-    of the whole.
+    of the whole.  Every outer permutation is built: the J0 check needs all.
     """
     start = time.perf_counter()
     if biset is None:
@@ -265,22 +281,21 @@ def check_transitivity(system: FusionSystem,
     orbits = index.size
     essentials = essential_generators(system)
     for rep in essentials:
-        orbits -= _join_orbits(parent, perm_image_of_essential(index, rep))
+        orbits = _join_orbits(parent, perm_image_of_essential(index, rep), orbits)
     out_mats = list(system.sorted_out) if all_out_reps else _out_generator_matrices(system)
     out_j0_images = []  # of each outer permutation only its images of J0 are kept
     for m in out_mats:
         perm = perm_image_of_out(index, lift_matrix_to_aut(m))
         out_j0_images.append((m, [perm[label] for label in index.j0]))
-        orbits -= _join_orbits(parent, perm)
-        if orbits == 1 and not all_out_reps:
-            break
+        orbits = _join_orbits(parent, perm, orbits)
+        del perm  # so the next one is built with none alive
     extra = 0
     for rep in (rep for cls in system.spec.classes for i in sorted(cls.members)
                 for rep in system.v_source_reps(i)
                 if rep.extendable is False and rep.meta[0] == rep.meta[1] == i):
         if orbits == 1:
             break
-        orbits -= _join_orbits(parent, perm_image_of_essential(index, rep))
+        orbits = _join_orbits(parent, perm_image_of_essential(index, rep), orbits)
         extra += 1
     if orbits > 1:
         raise TheoremViolationError(
@@ -294,16 +309,15 @@ def check_transitivity(system: FusionSystem,
     j0_parent = list(range(len(index.j0)))
     j0_orbits = len(index.j0)
     for m, images in out_j0_images:
-        identity_matrix = m.is_identity()
         j0_perm = []
         for label, image in zip(index.j0, images):
             if image not in j0_pos:
                 raise TheoremViolationError("outer image leaves the singleton labels")
-            if not identity_matrix and image == label:
+            if image == label and not m.is_identity():
                 raise TheoremViolationError(
                     "a nontrivial outer permutation fixes a singleton label")
             j0_perm.append(j0_pos[image])
-        j0_orbits -= _join_orbits(j0_parent, j0_perm)
+        j0_orbits = _join_orbits(j0_parent, j0_perm, j0_orbits)
     return RealizationReport(
         system_name=system.spec.name,
         j_size=index.size,

@@ -386,13 +386,25 @@ def test_class_keys_match_enumeration_sampled(name):
     psis = [rep.morphism for rep in essential_generators(system)]
     psis += [identity_morphism(psi.source) for psi in psis]
     psis += [lift_matrix_to_aut(m).inverse() for m in _out_generator_matrices(system)]
+    grp = system.group
     memo = {}
+    found = {}  # id of a piece -> (psi, phi, t) of every orbit that found it
     for psi in psis:
-        biset._double_cosets(phis, psi, memo)
+        for phi, (_tracked, pieces) in zip(phis, biset._double_cosets(phis, psi, memo)):
+            reps = grp.coset_index(phi.source)[0]
+            for positions, _piece_cls, piece in pieces:
+                found.setdefault(id(piece), []).append((psi, phi, grp.elements[reps[positions[0]]]))
     assert len(memo) > 2000
-    for (r_id, _a_codes, _b_codes), (piece_cls, piece) in rng.sample(list(memo.items()), 1000):
-        left = system.group.all_subgroups[r_id]
+    for (r_id, a_id, gen_images), (piece_cls, piece) in rng.sample(list(memo.items()), 1000):
+        left = grp.all_subgroups[r_id]
         assert piece_cls.key == _reference_class_key(piece, left)
+        # the generator images fix the piece: every orbit that found it under
+        # its key has the piece's full table a -> phi(t^-1 psi(a) t)
+        a_sub = piece.source
+        assert a_sub.id == a_id
+        assert gen_images == tuple(piece.images[g.code()] for g in a_sub.canonical_gens)
+        for psi, phi, t in found[id(piece)]:
+            assert piece.images == {a.code(): phi(t.inv() * psi(a) * t).code() for a in a_sub}
 
 
 def test_opposite_involution_and_classes():

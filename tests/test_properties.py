@@ -7,13 +7,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from p3fusion.biset import FormalBiset, all_graph_classes, biset_class, opposite  # noqa: E402
 from p3fusion.fusion import (  # noqa: E402
     FusionClass,
     FusionSystemSpec,
+    MatrixGL2,
     act_on_line,
     fusion_system,
     gl2_elements,
@@ -85,16 +86,31 @@ def _summary(system):
 
 
 @lru_cache(maxsize=None)
-def _d8_summary():
-    return _summary(fusion_system(resolve_system("d8")))
+def _builtin_summary(name):
+    return _summary(fusion_system(resolve_system(name)))
+
+
+def _relabelled_summary(name, g):
+    spec = resolve_system(name)
+    moved = tuple(FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
+                  for cls in spec.classes)
+    return _summary(fusion_system(FusionSystemSpec(spec.p, "relabelled", moved)))
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(tuple(gl2_elements(3))))
 def test_d8_invariants_survive_gl2_relabelling(g):
-    d8 = resolve_system("d8")
-    moved = tuple(FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
-                  for cls in d8.classes)
-    want = _d8_summary()
+    want = _builtin_summary("d8")
     assert want["transitive"] and want["idempotent_stable"]
-    assert _summary(fusion_system(FusionSystemSpec(3, "relabelled", moved))) == want
+    assert _relabelled_summary("d8", g) == want
+
+
+# a relabelling whose outer generators reach one orbit on J before the last
+# one: the singleton-label check still needs all of them
+@example(MatrixGL2(7, 0, 1, 1, 5))
+@settings(max_examples=1, deadline=None)
+@given(st.sampled_from(tuple(gl2_elements(7))))
+def test_d16x3_invariants_survive_gl2_relabelling(g):
+    want = _builtin_summary("d16x3")
+    assert want["transitive"] and want["idempotent_stable"]
+    assert _relabelled_summary("d16x3", g) == want

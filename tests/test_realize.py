@@ -4,11 +4,16 @@ from array import array
 
 import pytest
 
-from p3fusion import realize
+from p3fusion import biset, realize
 from p3fusion.biset import biset_class
-from p3fusion.errors import StabilityViolationError, TheoremViolationError
+from p3fusion.errors import (
+    ConditionAViolationError,
+    PrimeMismatchError,
+    StabilityViolationError,
+    TheoremViolationError,
+)
 from p3fusion.fusion import builtin_fusion_system, lift_matrix_to_aut
-from p3fusion.group import ambient_group
+from p3fusion.group import ambient_group, identity_morphism
 from p3fusion.realize import (
     BisetIndex,
     _conjugation_witness,
@@ -50,6 +55,50 @@ def test_index_set_rejects_virtual():
     sys_ = builtin_fusion_system("d8")
     with pytest.raises(ValueError):
         BisetIndex(sys_, omega_upto2(sys_))
+
+
+def test_index_set_refuses_a_biset_over_another_prime():
+    x = minimal_biset(builtin_fusion_system("4s4"), certify=False).biset
+    with pytest.raises(PrimeMismatchError, match="p=5"):
+        check_transitivity(builtin_fusion_system("d8"), biset=x)
+
+
+def test_index_set_refuses_a_biset_of_another_system():
+    x = minimal_biset(builtin_fusion_system("sd16"), certify=False).biset
+    with pytest.raises(ConditionAViolationError):
+        check_transitivity(builtin_fusion_system("d8"), biset=x)
+
+
+@pytest.mark.parametrize("name", ["d8", "sd16"])
+def test_one_witness_search_per_pair_of_pieces(name, monkeypatch):
+    # the pieces are memoised per index, so a pair met again, by a copy or by
+    # a later generator over the same R, reuses its witness
+    asked = []
+
+    def recording(candidates, a_mor, b_mor):
+        asked.append((a_mor, b_mor))  # holding the pieces keeps their ids apart
+        return _conjugation_witness(candidates, a_mor, b_mor)
+
+    monkeypatch.setattr(realize, "_conjugation_witness", recording)
+    check_transitivity(builtin_fusion_system(name))
+    assert asked
+    assert len({(id(a), id(b)) for a, b in asked}) == len(asked)
+
+
+@pytest.mark.parametrize("name", ["d8", "sd16"])
+def test_blocks_are_their_own_pieces_along_the_identity(name, monkeypatch):
+    sys_, index = _index(name)
+    keyed = []
+    plain = biset._class_key
+    monkeypatch.setattr(biset, "_class_key", lambda mor, left: keyed.append(mor) or plain(mor, left))
+    pieces = realize._pieces_by_class(index, identity_morphism(sys_.group.full))
+    assert not keyed
+    assert len(pieces) == len(index.classes)
+    for cls, blocks in index.classes:
+        (entry_blocks, _tracked, orbits), = pieces[cls]
+        (positions, piece), = orbits
+        assert entry_blocks is blocks and piece is cls.rep
+        assert list(positions) == list(range(blocks[0].size))
 
 
 def test_out_perm_bijective_and_class_respecting():
@@ -159,9 +208,9 @@ def _bfs_orbit_count(n, perms):
 
 
 def test_join_orbits_matches_bfs_after_each_generator():
-    # the count after each generator decides the early break and the
-    # generator count, so it is checked after every one; sparse permutations
-    # (a few random cycles) make the count fall slowly
+    # the count after each generator decides which essential generators are
+    # added and the generator count, so it is checked after every one; sparse
+    # permutations (a few random cycles) make the count fall slowly
     rng = random.Random(2010)
     for n in (1, 2, 9, 120, 700):
         parent = list(range(n))
@@ -173,11 +222,26 @@ def test_join_orbits_matches_bfs_after_each_generator():
             for i, j in zip(cycle, cycle[1:] + cycle[:1]):
                 perm[i] = j
             perms.append(perm)
-            orbits -= _join_orbits(parent, perm)
+            orbits = _join_orbits(parent, perm, orbits)
             assert orbits == _bfs_orbit_count(n, perms)
         perms.append(array("l", rng.sample(range(n), n)))
-        orbits -= _join_orbits(parent, perms[-1])
+        orbits = _join_orbits(parent, perms[-1], orbits)
         assert orbits == _bfs_orbit_count(n, perms)
+
+
+def test_join_orbits_stops_at_one_orbit():
+    # the images 1, 2, ..., n - 1 of the labels 0, ..., n - 2 leave one orbit
+    # at label n - 2, so nothing past it is read; with one orbit given,
+    # nothing is read at all
+    n = 50
+
+    def images_then_raise(images):
+        yield from images
+        raise AssertionError("read past the label that leaves one orbit")
+
+    parent = list(range(n))
+    assert _join_orbits(parent, images_then_raise(range(1, n)), n) == 1
+    assert _join_orbits(parent, images_then_raise(()), 1) == 1
 
 
 def _wrap_out_perms(monkeypatch, change):
