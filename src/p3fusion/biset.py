@@ -87,8 +87,8 @@ def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
     normal-form encoding (sorted source codes, image codes of the canonical
     generators), read off without enumerating the orbit.  A proper `left`
     that contains Q centralizes Q.  For left = S, a normal Q stays put under
-    the coset reps s of C_S(Q), and mor o c_s^-1 reads mor at g's code with
-    the central digit c - s.a*g.b + s.b*g.a; of the p conjugates of a
+    the coset reps x of C_S(Q), and mor o c_x reads mor at the codes of
+    x g x^-1 that grp.conjugates(Q) keeps; of the p conjugates of a
     noncentral Q of order p only the one whose generator s g s^-1 has central
     digit 0 can win, and the twisted map sends that generator to mor(g)."""
     p = mor.p
@@ -99,15 +99,14 @@ def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
         # map on S modulo the center
         fx, fy = mor(grp.x), mor(grp.y)
         return (p, "auts", fx.a, fy.a, fx.b, fy.b)
-    gens = [(g.code() - g.c, g.c, g.a, g.b) for g in q.canonical_gens]
-    source, conjugators = q, (grp.identity,)
+    source, conjugates = q, [(grp.identity, [g.code() for g in q.canonical_gens])]
     if left.order == p**3 and q.is_normal:
-        conjugators = grp.conj_transversal(q)
+        conjugates = grp.conjugates(q)
     elif left.order == p**3:
-        source = grp.cyclic(grp.elements[gens[0][0]])
-    best = min(_least_central_digits(
-        p, [mor.images[base + (c - s.a * b + s.b * a) % p] for base, c, a, b in gens])
-        for s in conjugators)
+        g = q.canonical_gens[0]
+        source = grp.cyclic(grp.elements[g.code() - g.c])
+    best = min(_least_central_digits(p, [mor.images[c] for c in codes])
+               for _x, codes in conjugates)
     return (p, "gen", left.order, (source.codes, best))
 
 

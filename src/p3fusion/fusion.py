@@ -253,6 +253,11 @@ def _spec_field_error(data) -> str | None:
         lines = entry["lines"]
         if not isinstance(lines, list) or not all(map(_is_int, lines)):
             return f"field 'classes[{k}].lines' must be a list of integers"
+        seen = set()
+        for line in lines:
+            if line in seen:
+                return f"field 'classes[{k}].lines' repeats line {line}"
+            seen.add(line)
         if not _is_int(entry["r"]) or entry["r"] < 1:
             return f"field 'classes[{k}].r' must be a positive integer"
     return None
@@ -626,10 +631,11 @@ class FusionSystem:
         self._order_p_reps = None
         self._class_reps_all = None
         # per-system caches, filled on first use: biset.mark_table, the solver's
-        # template and layer-2 relations, and the agreed idempotent coefficients
+        # symbolic biset and the class of each order-p pair, and the agreed
+        # idempotent coefficients
         self._mark_table = None
-        self._layer01_template = None
-        self._layer2_relations = None
+        self._symbolic_biset = None
+        self._layer2_classes = None
         self._coefficient_forms = None
 
     # -- normalization of line generators and the alpha_{i,j} family ---------

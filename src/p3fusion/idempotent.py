@@ -1,10 +1,12 @@
 """Exact rational coefficients of the characteristic idempotent, layers 0-2.
 
-Every coefficient is computed twice: from the closed forms and by solving
-the same linear relations the integer solver derives, with the layerwise
-sum conditions replacing nonnegativity.  The two routes must agree, all
-denominators must be prime to p, and the resulting virtual biset must pass
-the same stability sweep as the minimal biset.
+The minimal biset and the idempotent are one affine family, the solver's
+symbolic biset, evaluated at two points.  Every coefficient is computed
+twice: from the closed forms, and by one loop over the symbolic biset that
+imposes the layerwise sum conditions in place of nonnegativity and reads
+each family's value back.  The two routes must agree, all denominators must
+be prime to p, and the resulting virtual biset must pass the same stability
+sweep as the minimal biset.
 """
 
 from __future__ import annotations
@@ -16,25 +18,13 @@ from fractions import Fraction
 from .biset import FormalBiset, biset_class, is_left_stable, is_right_stable
 from .errors import InconsistentSpecError, NotComputedError
 from .fusion import FusionSystem
-from .solver import (
-    C0,
-    LinExpr,
-    c1_var,
-    c2u_var,
-    c2z_var,
-    derive_layer2_relations,
-    pair_key_of_rep,
-)
-
-
-def _c0(system: FusionSystem) -> Fraction:
-    return Fraction(1, system.spec.out_order)
+from .solver import LinExpr, derive_layer2_relations, symbolic_biset
 
 
 def closed_forms(system: FusionSystem) -> dict:
     """The published coefficient values keyed by family."""
     p = system.p
-    c0 = _c0(system)
+    c0 = Fraction(1, system.spec.out_order)
     forms = {
         "c0": c0,
         "c1_extendable": -c0 / (1 + p),
@@ -52,91 +42,67 @@ def closed_forms(system: FusionSystem) -> dict:
     return forms
 
 
-def layer1_degree_counts(system: FusionSystem, i: int):
-    """(extendable, nonextendable) class counts out of V_i."""
-    reps = system.v_source_reps(i)
-    d_e = sum(1 for r in reps if r.extendable)
-    d_n = sum(1 for r in reps if r.extendable is False)
-    return d_e, d_n
+def _families(system: FusionSystem) -> dict:
+    """The family of closed_forms that each class of layers 0-2 belongs to."""
+    spec = system.spec
+    families = {biset_class(rep.morphism): "c0" for rep in system.aut_s_reps()}
+    for i in range(system.p + 1):
+        for rep in system.v_source_reps(i):
+            families[biset_class(rep.morphism)] = (
+                "c1_extendable" if rep.extendable else "c1_nonextendable")
+    _relations, classes = derive_layer2_relations(system)
+    for (xi, zj, _m), cls in classes.items():
+        if xi == -1:
+            families[cls] = "c2_z" if zj == -1 else "c2_z_to_u"
+        elif zj == -1:
+            families[cls] = "c2_u_to_z"
+        elif zj in spec.class_of_line(xi).members:
+            families[cls] = ("c2_same", xi)
+        else:
+            families[cls] = "c2_cross"
+    return families
 
 
 def rational_solve(system: FusionSystem) -> dict:
-    """Re-derive every coefficient from the linear relations plus the
-    layerwise sum conditions; returns the same keys as closed_forms."""
-    p = system.p
-    c0 = _c0(system)
-    out = {"c0": c0}
-    # layer 1: d_e * c_e + d_n * c_n = 0 with c_n = c0 + p * c_e
-    c1e = {}
-    for i in range(p + 1):
-        d_e, d_n = layer1_degree_counts(system, i)
-        c_e = Fraction(-d_n, d_e + p * d_n) * c0
-        c1e[i] = c_e
-    values_e = set(c1e.values())
-    values_n = {c0 + p * v for v in values_e}
-    if len(values_e) != 1 or len(values_n) != 1:
-        raise InconsistentSpecError("layer-1 coefficients unexpectedly vary by line")
-    out["c1_extendable"] = values_e.pop()
-    out["c1_nonextendable"] = values_n.pop()
-    # layer 2: substitute c0 and c1 into the derived relations, then impose
-    # the sum conditions per source class
-    relations, _reps = derive_layer2_relations(system)
-    partial = {C0: c0}
-    for i in range(p + 1):
-        partial[c1_var(i)] = c1e[i]
-    reduced = {key: expr.substitute(partial) for key, expr in relations.items()}
-    # source <z>: all keys with xi == -1, unknown c2z only
-    eq = LinExpr.of(0)
-    for key, expr in reduced.items():
-        if key[0] == -1:
-            eq = eq + expr
-    coef = eq.terms.get(c2z_var(), 0)
-    if not coef or set(eq.terms) != {c2z_var()}:
-        raise InconsistentSpecError("central sum condition is not a single-variable equation")
-    c2z = Fraction(-eq.const, 1) / coef
-    out["c2_z"] = c2z
-    # per source <u_i>: unknown c2u(i)
-    c2u = {}
-    for i in range(p + 1):
-        eq = LinExpr.of(0)
-        for key, expr in reduced.items():
-            if key[0] == i:
-                eq = eq + expr
-        coef = eq.terms.get(c2u_var(i), 0)
-        if not coef or set(eq.terms) != {c2u_var(i)}:
-            raise InconsistentSpecError("line sum condition is not a single-variable equation")
-        c2u[i] = Fraction(-eq.const, 1) / coef
-        out[("c2_same", i)] = c2u[i]
-    # derived off-diagonal families, read back from the relations
-    assignment = dict(partial)
-    assignment[c2z_var()] = c2z
-    for i in range(p + 1):
-        assignment[c2u_var(i)] = c2u[i]
-    u_to_z = set()
-    z_to_u = set()
-    cross = set()
-    for key, expr in relations.items():
-        xi, zj, _m = key
-        value = expr.evaluate(assignment)
-        if xi == -1 and zj == -1:
-            if value != c2z:
-                raise InconsistentSpecError("central diagonal family is not constant")
-        elif xi == -1:
-            z_to_u.add(value)
-        elif zj == -1:
-            u_to_z.add(value)
-        elif zj not in system.spec.class_of_line(xi).members:
-            cross.add(value)
-        else:
-            if value != c2u[xi]:
-                raise InconsistentSpecError("same-class family does not match its diagonal")
-    for name, bag in (("c2_u_to_z", u_to_z), ("c2_z_to_u", z_to_u), ("c2_cross", cross)):
-        if len(bag) > 1:
-            raise InconsistentSpecError(f"{name} family is not constant: {sorted(bag)}")
-        if bag:
-            out[name] = bag.pop()
-        elif name != "c2_cross":
-            raise InconsistentSpecError(f"{name} family is unexpectedly empty")
+    """Re-derive every coefficient from the symbolic biset alone; returns the
+    same keys as closed_forms.  Its sum per conjugacy class of sources is 1
+    at the top layer and 0 below.  Solved in sorted order, each sum must leave
+    exactly one unknown; then every class is evaluated once, and each family
+    must be constant."""
+    grp = system.group
+    sym = symbolic_biset(system)
+    sums = {}
+    for cls, expr in sym.items():
+        key = (cls.layer, grp.class_representative(cls.source).id)
+        total = sums.get(key)
+        if total is None:
+            total = sums[key] = LinExpr()
+        for name, v in expr.terms.items():
+            total.terms[name] = total.terms.get(name, 0) + v
+        total.const += expr.const
+    at = {}
+    for key in sorted(sums):
+        eq = sums[key]
+        rest = eq.const - (1 if key[0] == 0 else 0)
+        unknowns = []
+        for name, v in eq.terms.items():
+            if name in at:
+                rest += v * at[name]
+            elif v:
+                unknowns.append((name, v))
+        if len(unknowns) != 1:
+            raise InconsistentSpecError(
+                f"sum condition {key} is not a single-variable equation: {eq}")
+        (name, v), = unknowns
+        at[name] = Fraction(-rest) / v
+    values = {}
+    for cls, family in _families(system).items():
+        values.setdefault(family, set()).add(sym[cls].evaluate(at))
+    out = {}
+    for family, bag in values.items():
+        if len(bag) != 1:
+            raise InconsistentSpecError(f"{family} family is not constant: {sorted(bag)}")
+        out[family] = bag.pop()
     return out
 
 
@@ -154,45 +120,25 @@ def _check_routes_agree(system: FusionSystem) -> dict:
     return dict(system._coefficient_forms)
 
 
+def omega_upto2(system: FusionSystem) -> FormalBiset:
+    """Every class of layers 0-2 at the agreed value of its family."""
+    forms = _check_routes_agree(system)
+    return FormalBiset(system.p, {cls: forms[family]
+                                  for cls, family in _families(system).items()})
+
+
 def omega0(system: FusionSystem) -> FormalBiset:
     """1/|Out_F(S)| on every [S, alpha]."""
-    c0 = _c0(system)
-    return FormalBiset(system.p,
-                       {biset_class(rep.morphism): c0 for rep in system.aut_s_reps()})
+    return omega_upto2(system).layer(0)
 
 
 def omega1(system: FusionSystem) -> FormalBiset:
     """-c0/(1+p) on extendable classes, +c0/(1+p) on nonextendable ones."""
-    forms = _check_routes_agree(system)
-    coeffs = {}
-    for i in range(system.p + 1):
-        for rep in system.v_source_reps(i):
-            value = forms["c1_extendable"] if rep.extendable else forms["c1_nonextendable"]
-            coeffs[biset_class(rep.morphism)] = value
-    return FormalBiset(system.p, coeffs)
+    return omega_upto2(system).layer(1)
 
 
 def omega2(system: FusionSystem) -> FormalBiset:
-    forms = _check_routes_agree(system)
-    coeffs = {}
-    for rep in system.order_p_reps():
-        xi, zj, _m = pair_key_of_rep(system, rep)
-        if xi == -1 and zj == -1:
-            value = forms["c2_z"]
-        elif xi == -1:
-            value = forms["c2_z_to_u"]
-        elif zj == -1:
-            value = forms["c2_u_to_z"]
-        elif zj in system.spec.class_of_line(xi).members:
-            value = forms[("c2_same", xi)]
-        else:
-            value = forms["c2_cross"]
-        coeffs[biset_class(rep.morphism)] = value
-    return FormalBiset(system.p, coeffs)
-
-
-def omega_upto2(system: FusionSystem) -> FormalBiset:
-    return omega0(system) + omega1(system) + omega2(system)
+    return omega_upto2(system).layer(2)
 
 
 def omega3(system: FusionSystem):

@@ -1,17 +1,18 @@
 """Minimal characteristic bisets: layer coefficients, the linear system for
 the bottom layer, uniqueness certification, and the summary table.
 
-The bottom-layer relations are derived symbolically: marks of the top two
-layers are read off the system's sparse mark table with the multiplicities
-kept as affine expressions in the free coefficients, and the stability
-equations then express every bottom multiplicity in terms of the diagonal
-ones.  The closed forms serve as a cross-check, not as the source of truth.
+One symbolic biset holds every multiplicity of layers 0-2 as an affine
+expression in the free coefficients: the top two layers from the
+classification, the bottom layer derived from the stability equations, with
+marks of the top two layers read off the system's sparse mark table.  The
+assembled biset, e(X) and the idempotent's solve all read it.  The closed
+forms serve as a cross-check, not as the source of truth.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .biset import (
@@ -116,60 +117,61 @@ def pair_key_of_rep(system: FusionSystem, rep: FusionMorphism):
     return (xi_idx, j, system._power_along_line(zeta, j))
 
 
-def _layer01_template(system: FusionSystem) -> dict:
-    """Support classes of the top two layers with symbolic multiplicities."""
-    if system._layer01_template is not None:
-        return system._layer01_template
-    entries = {}
-    for rep in system.aut_s_reps():
-        entries[biset_class(rep.morphism)] = LinExpr.var(C0)
-    p = system.p
-    for i in range(p + 1):
-        for rep in system.v_source_reps(i):
-            if rep.extendable:
-                mult = LinExpr.var(c1_var(i))
-            else:
-                mult = LinExpr.var(C0) + p * LinExpr.var(c1_var(i))
-            entries[biset_class(rep.morphism)] = mult
-    system._layer01_template = entries
-    return entries
-
-
-def _marks_upto1(system: FusionSystem, row: dict) -> LinExpr:
+def _marks_upto1(sym: dict, row: dict) -> LinExpr:
     """The top-two-layer mark at one test class, from its mark-table row."""
-    template = _layer01_template(system)
     total = LinExpr.of(0)
     for cls, fp in row.items():
-        mult = template.get(cls)
-        if mult is not None:
+        mult = sym.get(cls)
+        if mult is not None and cls.layer < 2:
             total = total + fp * mult
     return total
 
 
-def derive_layer2_relations(system: FusionSystem):
-    """For every order-p pair (xi, zeta): the multiplicity of its class as an
-    affine expression in c0, c1(i) and the diagonal variables c2z, c2u(i),
-    read off from the stability equations with marks from the mark table."""
-    if system._layer2_relations is not None:
-        return system._layer2_relations
+def symbolic_biset(system: FusionSystem) -> dict:
+    """Every class of layers 0-2 with its multiplicity as an affine expression
+    in c0, c1(i), c2z and c2u(i), built once per system.  The top two layers
+    come from the classification: c0 on every [S, alpha], c1(i) on the
+    extendable and c0 + p*c1(i) on the nonextendable classes out of V_i.  Each
+    order-p pair (xi, zeta) is then read off the stability equations, with
+    marks from the mark table: its multiplicity in terms of c0, c1(i) and the
+    diagonal variables c2z, c2u(i)."""
+    sym = system._symbolic_biset
+    if sym is not None:
+        return sym
+    sym = {}
+    p = system.p
+    for rep in system.aut_s_reps():
+        sym[biset_class(rep.morphism)] = LinExpr.var(C0)
+    for i in range(p + 1):
+        for rep in system.v_source_reps(i):
+            c1 = LinExpr.var(c1_var(i))
+            sym[biset_class(rep.morphism)] = c1 if rep.extendable else LinExpr.var(C0) + p * c1
     table = mark_table(system)
-    reps = {pair_key_of_rep(system, rep): rep for rep in system.order_p_reps()}
+    classes = {pair_key_of_rep(system, rep): biset_class(rep.morphism)
+               for rep in system.order_p_reps()}
     marks_upto1 = {}
     diag = {}
-    for key, rep in reps.items():
-        test = biset_class(rep.morphism)
+    for key, test in classes.items():
         row = table.row(test)
-        marks_upto1[key] = _marks_upto1(system, row)
+        marks_upto1[key] = _marks_upto1(sym, row)
         diag[key] = row[test]
-    relations = {}
-    for key in reps:
+    for key, cls in classes.items():
         xi_idx = key[0]
         diag_key = (xi_idx, -1, 1) if xi_idx == -1 else (xi_idx, xi_idx, 1)
         diag_var = LinExpr.var(c2z_var()) if xi_idx == -1 else LinExpr.var(c2u_var(xi_idx))
         numer = (diag[diag_key] * diag_var + marks_upto1[diag_key] - marks_upto1[key])
-        relations[key] = Fraction(1, diag[key]) * numer
-    system._layer2_relations = (relations, reps)
-    return relations, reps
+        sym[cls] = Fraction(1, diag[key]) * numer
+    system._symbolic_biset = sym
+    system._layer2_classes = classes
+    return sym
+
+
+def derive_layer2_relations(system: FusionSystem):
+    """For every order-p pair (xi, zeta): its multiplicity in the symbolic
+    biset, and its class, both keyed by the pair."""
+    sym = symbolic_biset(system)
+    classes = system._layer2_classes
+    return {key: sym[cls] for key, cls in classes.items()}, classes
 
 
 def closed_form_layer2_relations(system: FusionSystem):
@@ -220,13 +222,14 @@ def verify_relation_derivation(system: FusionSystem) -> bool:
 def mark_identity_checks(system: FusionSystem):
     """Named identities for the top-two-layer marks at every order-p pair."""
     table = mark_table(system)
+    sym = symbolic_biset(system)
     p, f = system.p, system.f
     spec = system.spec
     checks = []
     for rep in system.order_p_reps():
         key = pair_key_of_rep(system, rep)
         xi_idx, zeta_idx, _m = key
-        got = _marks_upto1(system, table.row(biset_class(rep.morphism)))
+        got = _marks_upto1(sym, table.row(biset_class(rep.morphism)))
         if xi_idx == -1 and zeta_idx == -1:
             want = p**3 * f * LinExpr.var(C0)
             for i in range(p + 1):
@@ -265,7 +268,6 @@ class LayerCoefficients:
     c1: tuple          # per line index
     c2z: object
     c2u: tuple         # per line index
-    pair_mults: dict = field(compare=False, repr=False, default=None)
 
     def assignment(self):
         out = {C0: self.c0, c2z_var(): self.c2z}
@@ -289,8 +291,8 @@ def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u) -> LayerCoefficients:
         raise InfeasibleCoefficientsError(f"c1={c1} must be nonnegative")
     if c2z < 0:
         raise InfeasibleCoefficientsError(f"c2z={c2z} must be nonnegative")
-    relations, _reps = derive_layer2_relations(system)
-    coeffs = LayerCoefficients(c0, tuple(c1), c2z, tuple(c2u), pair_mults={})
+    relations, _classes = derive_layer2_relations(system)
+    coeffs = LayerCoefficients(c0, tuple(c1), c2z, tuple(c2u))
     assignment = coeffs.assignment()
     for key, expr in relations.items():
         frac = Fraction(expr.evaluate(assignment))
@@ -298,49 +300,21 @@ def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u) -> LayerCoefficients:
             raise InfeasibleCoefficientsError(
                 f"multiplicity of pair {key} is {frac}, not an integer "
                 f"(divisibility of c2u by p fails)")
-        value = int(frac)
-        if value < 0:
+        if frac < 0:
             raise InfeasibleCoefficientsError(
-                f"multiplicity of pair {key} is {value} < 0; "
+                f"multiplicity of pair {key} is {frac} < 0; "
                 f"c2u must dominate (f-r_i)*c0 + p*(f-r_i)*c1_i")
-        coeffs.pair_mults[key] = value
     return coeffs
 
 
-# -- layer builders ----------------------------------------------------------------
-
-def layer0(system: FusionSystem, c0: int) -> FormalBiset:
-    """c0 copies of [S, alpha] over every outer class."""
-    p = system.p
-    if c0 < 1 or c0 % p == 0:
-        raise InfeasibleCoefficientsError(f"c0={c0} must be >= 1 and prime to p")
-    return FormalBiset(p, {biset_class(rep.morphism): c0 for rep in system.aut_s_reps()})
-
-
-def layer1(system: FusionSystem, c0: int, c1) -> FormalBiset:
-    """Extendable classes with multiplicity c1(i); nonextendable with c0 + p*c1(i)."""
-    p = system.p
-    coeffs = {}
-    for i in range(p + 1):
-        for rep in system.v_source_reps(i):
-            mult = c1[i] if rep.extendable else c0 + p * c1[i]
-            if mult:
-                coeffs[biset_class(rep.morphism)] = mult
-    return FormalBiset(p, coeffs)
-
-
-def layer2(system: FusionSystem, coeffs: LayerCoefficients) -> FormalBiset:
-    out = {}
-    for rep in system.order_p_reps():
-        mult = coeffs.pair_mults[pair_key_of_rep(system, rep)]
-        if mult:
-            out[biset_class(rep.morphism)] = mult
-    return FormalBiset(system.p, out)
-
-
 def assemble(system: FusionSystem, coeffs: LayerCoefficients) -> FormalBiset:
-    return (layer0(system, coeffs.c0) + layer1(system, coeffs.c0, coeffs.c1)
-            + layer2(system, coeffs))
+    """The symbolic biset evaluated at a coefficient assignment."""
+    at = coeffs.assignment()
+    mults = {}
+    for cls, expr in symbolic_biset(system).items():
+        value = Fraction(expr.evaluate(at))
+        mults[cls] = value.numerator if value.denominator == 1 else value
+    return FormalBiset(system.p, mults)
 
 
 # -- the minimal biset ----------------------------------------------------------------
@@ -410,14 +384,11 @@ def minimal_coefficients(system: FusionSystem) -> LayerCoefficients:
 
 def _size_expr(system: FusionSystem) -> LinExpr:
     """e(X) as one affine expression in c0, c1(i), c2z and c2u(i): every class
-    of the top two layers and every bottom pair counts p**layer per copy."""
+    of the symbolic biset counts p**layer per copy."""
     p = system.p
-    relations, _reps = derive_layer2_relations(system)
     total = LinExpr.of(0)
-    for cls, mult in _layer01_template(system).items():
+    for cls, mult in symbolic_biset(system).items():
         total = total + p**cls.layer * mult
-    for expr in relations.values():
-        total = total + (p * p) * expr
     return total
 
 
@@ -458,7 +429,7 @@ def enumerate_feasible_upto(system: FusionSystem, e_max: int):
     lift = {c2u_var(i): (f - system.spec.r_of_line(i))
             * (LinExpr.var(C0) + p * LinExpr.var(c1_var(i))) + p * LinExpr.var(("k", i))
             for i in lines}
-    relations, _reps = derive_layer2_relations(system)
+    relations, _classes = derive_layer2_relations(system)
     for key, expr in relations.items():
         lifted = expr.substitute(lift)
         if lifted.const < 0 or min(lifted.terms.values(), default=0) < 0:

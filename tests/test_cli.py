@@ -348,8 +348,9 @@ def test_config_directory_exit_2(tmp_path, capsys):
      "'classes[0].lines'", "must be a list of integers"),
     (3, [{"lines": [0, 1, 2, 3], "r": True}], "'classes[0].r'", "must be a positive integer"),
     (True, [{"lines": [0, 1, 2, 3], "r": 2}], "'prime'", "must be an integer"),
+    (3, [{"lines": [0, 1, 1, 2, 3], "r": 2}], "'classes[0].lines'", "repeats line 1"),
 ], ids=["overlap", "line-out-of-range", "prime-too-large", "prime-huge",
-        "lines-bool", "r-bool", "prime-bool"])
+        "lines-bool", "r-bool", "prime-bool", "line-repeated"])
 def test_config_file_rejected_exit_2(tmp_path, capsys, prime, classes, field, problem):
     cfg = tmp_path / "rejected.json"
     cfg.write_text(json.dumps({"prime": prime, "name": "broken", "classes": classes}))

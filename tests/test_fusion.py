@@ -120,7 +120,8 @@ def test_spec_json_roundtrip():
     ({"classes": [{"lines": [0, 1, 2, 3], "r": 2.5}]}, r"'classes\[0\]\.r'"),
     ({"prime": True}, "'prime'"),
     ({"classes": [{"lines": ["0", "1", "2", "3"], "r": 2}]}, r"'classes\[0\]\.lines'"),
-], ids=["name-none", "r-float", "prime-bool", "lines-strings"])
+    ({"classes": [{"lines": [0, 1, 1, 2, 3], "r": 2}]}, r"'classes\[0\]\.lines' repeats line 1"),
+], ids=["name-none", "r-float", "prime-bool", "lines-strings", "line-repeated"])
 def test_spec_from_json_refuses_what_a_file_is_refused_for(change, field):
     # the library entry must not coerce a field into a different system
     data = {"prime": 3, "name": "custom",

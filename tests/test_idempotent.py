@@ -4,12 +4,11 @@ import pytest
 
 from p3fusion import idempotent
 from p3fusion.biset import FormalBiset, biset_class, biset_mark, is_left_stable
-from p3fusion.errors import NotComputedError
-from p3fusion.fusion import FusionSystem, builtin_fusion_system
+from p3fusion.errors import InconsistentSpecError, NotComputedError
+from p3fusion.fusion import FusionSystem, builtin_fusion_system, resolve_system
 from p3fusion.group import conjugation_morphism
 from p3fusion.idempotent import (
     closed_forms,
-    layer1_degree_counts,
     layer_sums,
     omega0,
     omega1,
@@ -19,6 +18,7 @@ from p3fusion.idempotent import (
     rational_solve,
     verify_idempotent_stability,
 )
+from p3fusion.solver import LinExpr, c2u_var, derive_layer2_relations, symbolic_biset
 
 
 def test_omega0_values():
@@ -46,7 +46,9 @@ def test_layer1_degree_counts_match_inverse_c0():
     for name in ("d8", "sd16", "th4s4", "rv48", "rv72", "rv96"):
         sys_ = builtin_fusion_system(name)
         for i in range(sys_.p + 1):
-            d_e, d_n = layer1_degree_counts(sys_, i)
+            reps = sys_.v_source_reps(i)
+            d_e = sum(1 for r in reps if r.extendable)
+            d_n = sum(1 for r in reps if r.extendable is False)
             assert d_e == d_n == sys_.spec.out_order
 
 
@@ -54,6 +56,27 @@ def test_rational_solve_agrees_with_closed_forms():
     for name in ("d8", "sd16", "th4s4"):
         sys_ = builtin_fusion_system(name)
         assert rational_solve(sys_) == closed_forms(sys_)
+
+
+def _broken_d8(key, change):
+    # a fresh system, so the cached symbolic biset of the shared one stays intact
+    system = FusionSystem(resolve_system("d8"))
+    sym = symbolic_biset(system)
+    cls = derive_layer2_relations(system)[1][key]
+    sym[cls] = change(sym[cls])
+    return system
+
+
+def test_scaled_layer2_entry_breaks_route_agreement():
+    system = _broken_d8((0, 0, 1), lambda expr: 2 * expr)
+    with pytest.raises(InconsistentSpecError, match="not constant"):
+        verify_idempotent_stability(system)
+
+
+def test_second_unknown_in_a_sum_is_refused():
+    system = _broken_d8((-1, 0, 1), lambda expr: expr + LinExpr.var(c2u_var(0)))
+    with pytest.raises(InconsistentSpecError, match="not a single-variable equation"):
+        rational_solve(system)
 
 
 def test_coefficient_routes_solved_once_per_system(monkeypatch):

@@ -91,10 +91,17 @@ def _builtin_summary(name):
 
 
 def _relabelled_summary(name, g):
+    """The summary of the system with its lines moved by g, with each
+    coefficient keyed by a line keyed back by the line g moved there."""
     spec = resolve_system(name)
     moved = tuple(FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
                   for cls in spec.classes)
-    return _summary(fusion_system(FusionSystemSpec(spec.p, "relabelled", moved)))
+    summary = _summary(fusion_system(FusionSystemSpec(spec.p, "relabelled", moved)))
+    back = {act_on_line(g, i): i for i in range(spec.p + 1)}
+    summary["closed_forms"] = {
+        ("c2_same", back[key[1]]) if isinstance(key, tuple) else key: value
+        for key, value in summary["closed_forms"].items()}
+    return summary
 
 
 @settings(max_examples=12, deadline=None)
@@ -114,3 +121,14 @@ def test_d16x3_invariants_survive_gl2_relabelling(g):
     want = _builtin_summary("d16x3")
     assert want["transitive"] and want["idempotent_stable"]
     assert _relabelled_summary("d16x3", g) == want
+
+
+# the lines of 6sq:2 carry different r, so this relabelling swaps the
+# coefficients of lines 0 and 5
+@example(MatrixGL2(7, 0, 1, 1, 5))
+@settings(max_examples=1, deadline=None)
+@given(st.sampled_from(tuple(gl2_elements(7))))
+def test_6sq2_invariants_survive_gl2_relabelling(g):
+    want = _builtin_summary("6sq:2")
+    assert want["transitive"] and want["idempotent_stable"]
+    assert _relabelled_summary("6sq:2", g) == want

@@ -292,9 +292,9 @@ def test_stability_violation_for_wrong_biset():
     # a lopsided biset is not stable: the permutation construction must fail
     sys_ = builtin_fusion_system("d8")
     from p3fusion.biset import FormalBiset
-    from p3fusion.solver import layer0
+    from p3fusion.solver import assemble, minimal_coefficients
 
-    x0 = layer0(sys_, 1)
+    x0 = assemble(sys_, minimal_coefficients(sys_)).layer(0)
     bad = FormalBiset(3, dict(list(x0.coeffs.items())[:3]))
     index = BisetIndex(sys_, bad)
     phi = essential_generators(sys_)[0]

@@ -13,13 +13,12 @@ from p3fusion.solver import (
     derive_layer2_relations,
     enumerate_feasible_upto,
     exoticity_bound,
-    layer0,
-    layer1,
     mark_identity_checks,
     minimal_biset,
     minimal_coefficients,
     size_of,
     solve_layer2,
+    symbolic_biset,
     verify_relation_derivation,
     verify_table,
 )
@@ -29,27 +28,26 @@ SMALL = ("d8", "sd16")
 
 def test_layer0_structure():
     sys_ = builtin_fusion_system("d8")
-    x0 = layer0(sys_, 1)
+    x0 = assemble(sys_, solve_layer2(sys_, 1, (0,) * 4, 0, (2,) * 4)).layer(0)
     assert x0.transitive_count() == 8
     assert len(x0.coeffs) == 8
     assert x0.e() == 8
     # marks at each own class equal c0 * |Z(S)|
     for cls in x0.support:
         assert biset_mark(x0, cls) == 3
-    with pytest.raises(InfeasibleCoefficientsError):
-        layer0(sys_, 3)
-    with pytest.raises(InfeasibleCoefficientsError):
-        layer0(sys_, 0)
+    for c0 in (3, 0):
+        with pytest.raises(InfeasibleCoefficientsError, match="prime to p"):
+            solve_layer2(sys_, c0, (0,) * 4, 0, (2 * c0,) * 4)
 
 
 def test_layer1_structure():
     sys_ = builtin_fusion_system("d8")
-    x1 = layer1(sys_, 1, (0, 0, 0, 0))
+    x1 = assemble(sys_, solve_layer2(sys_, 1, (0, 0, 0, 0), 0, (2,) * 4)).layer(1)
     # only nonextendable classes, multiplicity 1 each
     assert x1.transitive_count() == 32
     assert all(mult == 1 for _, mult in x1.items())
     assert all(not sys_.is_extendable_v_morphism(cls.rep) for cls in x1.support)
-    x1b = layer1(sys_, 1, (1, 0, 0, 0))
+    x1b = assemble(sys_, solve_layer2(sys_, 1, (1, 0, 0, 0), 0, (8, 2, 2, 2))).layer(1)
     ext = [cls for cls in x1b.support if sys_.is_extendable_v_morphism(cls.rep)]
     assert len(ext) == 8  # extendable classes out of V_0 appear with c1(0) = 1
     for cls in ext:
@@ -74,8 +72,11 @@ def test_solve_layer2_minimal_case():
     c2u = tuple(f - sys_.spec.r_of_line(i) for i in range(4))
     assert c2u == (2, 2, 2, 2)
     coeffs = solve_layer2(sys_, 1, (0,) * 4, 0, c2u)
+    relations, _classes = derive_layer2_relations(sys_)
+    at = coeffs.assignment()
     # cross-class pairs get multiplicity f, central pairs vanish
-    for (xi, zj, _m), mult in coeffs.pair_mults.items():
+    for (xi, zj, _m), expr in relations.items():
+        mult = expr.evaluate(at)
         if xi == -1 and zj == -1:
             assert mult == 0
         elif xi == -1 or zj == -1:
@@ -161,7 +162,7 @@ def test_feasible_tuples_match_brute_force(monkeypatch):
     got = enumerate_feasible_upto(sys_, budget)
     assert len(got) == len(want) == 6
     assert got == want
-    assert [c.pair_mults for c in got] == [c.pair_mults for c in want]
+    assert [assemble(sys_, c) for c in got] == [assemble(sys_, c) for c in want]
     assert len(calls) == len(got)  # one bottom-layer solve per tuple
 
 
@@ -175,11 +176,12 @@ def test_lattice_walk_skips_c0_divisible_by_p():
     (0, None, "does not grow with every coordinate"),
 ], ids=["one-relation-negated", "all-relations-zero"])
 def test_walk_refuses_broken_relations(scale, keys, problem):
-    # a fresh system, so the cached relations of the shared one stay intact
+    # a fresh system, so the cached symbolic biset of the shared one stays intact
     sys_ = FusionSystem(resolve_system("d8"))
-    relations, _reps = derive_layer2_relations(sys_)
-    for key in keys or list(relations):
-        relations[key] = scale * relations[key]
+    sym = symbolic_biset(sys_)
+    _relations, classes = derive_layer2_relations(sys_)
+    for key in keys or list(classes):
+        sym[classes[key]] = scale * sym[classes[key]]
     with pytest.raises(InconsistentSpecError, match=problem):
         enumerate_feasible_upto(sys_, 968)
 
