@@ -148,15 +148,18 @@ def _suite_stability(spec) -> dict:
     for side, ok, sweep in (("left", res.stable_left, is_left_stable),
                             ("right", res.stable_right, is_right_stable)):
         if not ok:
-            rep, lhs, rhs = sweep(system, res.biset).witness
-            mor = rep.morphism
-            gens = mor.source.canonical_gens
-            out["witness"] = {"side": side, "kind": rep.kind,
-                              "source_generators": [[g.a, g.b, g.c] for g in gens],
-                              "image_generators": [[h.a, h.b, h.c] for h in map(mor, gens)],
-                              "lhs": str(lhs), "rhs": str(rhs)}
+            out["witness"] = _witness(side, *sweep(system, res.biset).witness)
             break
     return out
+
+
+def _witness(side, rep, lhs, rhs) -> dict:
+    mor = rep.morphism
+    gens = mor.source.canonical_gens
+    return {"side": side, "kind": rep.kind,
+            "source_generators": [[g.a, g.b, g.c] for g in gens],
+            "image_generators": [[h.a, h.b, h.c] for h in map(mor, gens)],
+            "lhs": str(lhs), "rhs": str(rhs)}
 
 
 def _describe_witness(w) -> str:
@@ -169,7 +172,10 @@ def _describe_witness(w) -> str:
 def _suite_idempotent(spec) -> dict:
     system = fusion_system(spec)
     report = verify_idempotent_stability(system)
-    return {"suite": "idempotent", "system": spec.name, "ok": report.ok}
+    out = {"suite": "idempotent", "system": spec.name, "ok": report.ok}
+    if report.witness:
+        out["witness"] = _witness(*report.witness)
+    return out
 
 
 def _suite_realize(spec) -> dict:

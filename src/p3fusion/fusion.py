@@ -623,6 +623,7 @@ class FusionSystem:
         self.group = ambient_group(spec.p)
         self.out_matrices = build_out_F(spec)
         self.sorted_out = tuple(sorted(self.out_matrices))
+        self.out_lifts = {m: lift_matrix_to_aut(m) for m in self.sorted_out}
         self.f = spec.f
         self.maximals = self.group.maximal_subgroups
         self._normalize_generators()
@@ -631,11 +632,12 @@ class FusionSystem:
         self._order_p_reps = None
         self._class_reps_all = None
         # per-system caches, filled on first use: biset.mark_table, the solver's
-        # symbolic biset and the class of each order-p pair, and the agreed
-        # idempotent coefficients
+        # symbolic biset, the class of each order-p pair and e(X), and the
+        # agreed idempotent coefficients
         self._mark_table = None
         self._symbolic_biset = None
         self._layer2_classes = None
+        self._size_expr = None
         self._coefficient_forms = None
 
     # -- normalization of line generators and the alpha_{i,j} family ---------
@@ -658,7 +660,7 @@ class FusionSystem:
                         f"no determinant-1 outer element moves line {i0} to line {j}")
                 lam = line_scaling(m, i0)
                 u[j] = pinned[j] ** lam
-                alpha = lift_matrix_to_aut(m)
+                alpha = self.out_lifts[m]
                 # adjust by an inner map so u_{i0} goes exactly to the new u_j
                 img = alpha(u[i0])
                 defect = (img.c - u[j].c) % p  # img = u_j * z**defect
@@ -677,8 +679,7 @@ class FusionSystem:
         outer representative to every V_i lands in the automorphism group of
         the target line (its determinant is an allowed power)."""
         p = self.p
-        for m in self.sorted_out:
-            alpha = lift_matrix_to_aut(m)
+        for m, alpha in self.out_lifts.items():
             k = alpha(self.group.z).c  # z -> z**k with k = det(m)
             for i in range(p + 1):
                 img = alpha(self.u[i])
@@ -725,10 +726,8 @@ class FusionSystem:
     def aut_s_reps(self) -> tuple:
         """One automorphism of S per outer class, tagged with its matrix."""
         if self._aut_s_reps is None:
-            reps = []
-            for m in self.sorted_out:
-                reps.append(FusionMorphism(lift_matrix_to_aut(m), "aut_s", None, (m,)))
-            self._aut_s_reps = tuple(reps)
+            self._aut_s_reps = tuple(FusionMorphism(alpha, "aut_s", None, (m,))
+                                     for m, alpha in self.out_lifts.items())
         return self._aut_s_reps
 
     def v_source_reps(self, i: int) -> tuple:

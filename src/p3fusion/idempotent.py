@@ -6,7 +6,8 @@ twice: from the closed forms, and by one loop over the symbolic biset that
 imposes the layerwise sum conditions in place of nonnegativity and reads
 each family's value back.  The two routes must agree, all denominators must
 be prime to p, and the resulting virtual biset must pass the same stability
-sweep as the minimal biset.
+sweep as the minimal biset.  Stability is linear and homogeneous, so the sweep
+runs on the integer multiple D*omega, D the lcm of the denominators.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .biset import FormalBiset, biset_class, is_left_stable, is_right_stable
 from .errors import InconsistentSpecError, NotComputedError
@@ -74,12 +76,7 @@ def rational_solve(system: FusionSystem) -> dict:
     sums = {}
     for cls, expr in sym.items():
         key = (cls.layer, grp.class_representative(cls.source).id)
-        total = sums.get(key)
-        if total is None:
-            total = sums[key] = LinExpr()
-        for name, v in expr.terms.items():
-            total.terms[name] = total.terms.get(name, 0) + v
-        total.const += expr.const
+        sums.setdefault(key, LinExpr()).add_scaled(expr, 1)
     at = {}
     for key in sorted(sums):
         eq = sums[key]
@@ -170,6 +167,7 @@ class IdempotentReport:
     stable_right: bool
     z_local: bool
     wall_time_s: float
+    witness: tuple | None = None  # (side, FusionMorphism, lhs, rhs) of a failing sweep
 
     @property
     def ok(self) -> bool:
@@ -205,15 +203,20 @@ def verify_idempotent_stability(system: FusionSystem) -> IdempotentReport:
     om = omega_upto2(system)
     per_source = layer_sums(system, om)
     by_layer = {}
-    ok = True
     for (layer, _src), value in per_source.items():
         by_layer[layer] = by_layer.get(layer, Fraction(0)) + value
-        want = Fraction(1) if layer == 0 else Fraction(0)
-        if value != want:
-            ok = False
-    left = is_left_stable(system, om)
-    right = is_right_stable(system, om)
-    z_local = om.denominators_coprime_to_p()
+    ok = all(value == (1 if layer == 0 else 0) for (layer, _src), value in per_source.items())
+    d = lcm(*(c.denominator for c in om.coeffs.values()))
+    scaled = FormalBiset(system.p, {cls: c.numerator * (d // c.denominator)
+                                    for cls, c in om.coeffs.items()})
+    left = is_left_stable(system, scaled)
+    right = is_right_stable(system, scaled)
+    witness = None
+    for side, res in (("left", left), ("right", right)):
+        if not res.ok:  # the first failing sweep, its marks divided back by D
+            rep, lhs, rhs = res.witness
+            witness = (side, rep, Fraction(lhs, d), Fraction(rhs, d))
+            break
     return IdempotentReport(
         system_name=system.spec.name,
         coefficients=forms,
@@ -221,6 +224,7 @@ def verify_idempotent_stability(system: FusionSystem) -> IdempotentReport:
         sum_conditions_ok=ok,
         stable_left=left.ok,
         stable_right=right.ok,
-        z_local=z_local,
+        z_local=om.denominators_coprime_to_p(),
         wall_time_s=time.perf_counter() - start,
+        witness=witness,
     )

@@ -19,13 +19,7 @@ from typing import NamedTuple
 
 from .biset import FormalBiset, _double_cosets, _TransporterSearch, check_condition_a
 from .errors import PrimeMismatchError, StabilityViolationError, TheoremViolationError
-from .fusion import (
-    FusionMorphism,
-    FusionSystem,
-    lift_matrix_to_aut,
-    matrix_closure,
-    matrix_of_automorphism,
-)
+from .fusion import FusionMorphism, FusionSystem, matrix_closure, matrix_of_automorphism
 from .group import GroupMorphism, ambient_group, identity_morphism
 from .solver import minimal_biset
 
@@ -285,7 +279,7 @@ def check_transitivity(system: FusionSystem,
     out_mats = list(system.sorted_out) if all_out_reps else _out_generator_matrices(system)
     out_j0_images = []  # of each outer permutation only its images of J0 are kept
     for m in out_mats:
-        perm = perm_image_of_out(index, lift_matrix_to_aut(m))
+        perm = perm_image_of_out(index, system.out_lifts[m])
         out_j0_images.append((m, [perm[label] for label in index.j0]))
         orbits = _join_orbits(parent, perm, orbits)
         del perm  # so the next one is built with none alive

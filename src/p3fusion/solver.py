@@ -62,6 +62,13 @@ class LinExpr:
     def __rmul__(self, scalar):
         return LinExpr({k: scalar * v for k, v in self.terms.items()}, scalar * self.const)
 
+    def add_scaled(self, other: "LinExpr", k) -> None:
+        """self += k * other, in place."""
+        terms = self.terms
+        for name, v in other.terms.items():
+            terms[name] = terms.get(name, 0) + k * v
+        self.const += k * other.const
+
     def evaluate(self, assignment):
         total = self.const
         for k, v in self.terms.items():
@@ -119,12 +126,20 @@ def pair_key_of_rep(system: FusionSystem, rep: FusionMorphism):
 
 def _marks_upto1(sym: dict, row: dict) -> LinExpr:
     """The top-two-layer mark at one test class, from its mark-table row."""
-    total = LinExpr.of(0)
+    total = LinExpr()
     for cls, fp in row.items():
         mult = sym.get(cls)
         if mult is not None and cls.layer < 2:
-            total = total + fp * mult
+            total.add_scaled(mult, fp)
     return total
+
+
+def _divided(expr: LinExpr, d: int) -> LinExpr:
+    """expr / d for integer coefficients: a Fraction only where d does not divide."""
+    def div(v):
+        q, r = divmod(v, d)
+        return Fraction(v, d) if r else q
+    return LinExpr({k: div(v) for k, v in expr.terms.items()}, div(expr.const))
 
 
 def symbolic_biset(system: FusionSystem) -> dict:
@@ -160,7 +175,7 @@ def symbolic_biset(system: FusionSystem) -> dict:
         diag_key = (xi_idx, -1, 1) if xi_idx == -1 else (xi_idx, xi_idx, 1)
         diag_var = LinExpr.var(c2z_var()) if xi_idx == -1 else LinExpr.var(c2u_var(xi_idx))
         numer = (diag[diag_key] * diag_var + marks_upto1[diag_key] - marks_upto1[key])
-        sym[cls] = Fraction(1, diag[key]) * numer
+        sym[cls] = _divided(numer, diag[key])
     system._symbolic_biset = sym
     system._layer2_classes = classes
     return sym
@@ -295,14 +310,14 @@ def solve_layer2(system: FusionSystem, c0, c1, c2z, c2u) -> LayerCoefficients:
     coeffs = LayerCoefficients(c0, tuple(c1), c2z, tuple(c2u))
     assignment = coeffs.assignment()
     for key, expr in relations.items():
-        frac = Fraction(expr.evaluate(assignment))
-        if frac.denominator != 1:
+        value = expr.evaluate(assignment)
+        if value.denominator != 1:
             raise InfeasibleCoefficientsError(
-                f"multiplicity of pair {key} is {frac}, not an integer "
+                f"multiplicity of pair {key} is {value}, not an integer "
                 f"(divisibility of c2u by p fails)")
-        if frac < 0:
+        if value < 0:
             raise InfeasibleCoefficientsError(
-                f"multiplicity of pair {key} is {frac} < 0; "
+                f"multiplicity of pair {key} is {value} < 0; "
                 f"c2u must dominate (f-r_i)*c0 + p*(f-r_i)*c1_i")
     return coeffs
 
@@ -312,7 +327,7 @@ def assemble(system: FusionSystem, coeffs: LayerCoefficients) -> FormalBiset:
     at = coeffs.assignment()
     mults = {}
     for cls, expr in symbolic_biset(system).items():
-        value = Fraction(expr.evaluate(at))
+        value = expr.evaluate(at)
         mults[cls] = value.numerator if value.denominator == 1 else value
     return FormalBiset(system.p, mults)
 
@@ -384,11 +399,13 @@ def minimal_coefficients(system: FusionSystem) -> LayerCoefficients:
 
 def _size_expr(system: FusionSystem) -> LinExpr:
     """e(X) as one affine expression in c0, c1(i), c2z and c2u(i): every class
-    of the symbolic biset counts p**layer per copy."""
-    p = system.p
-    total = LinExpr.of(0)
-    for cls, mult in symbolic_biset(system).items():
-        total = total + p**cls.layer * mult
+    of the symbolic biset counts p**layer per copy.  Built on first use and
+    kept on the system."""
+    total = system._size_expr
+    if total is None:
+        total = system._size_expr = LinExpr()
+        for cls, mult in symbolic_biset(system).items():
+            total.add_scaled(mult, system.p**cls.layer)
     return total
 
 

@@ -371,3 +371,44 @@ def test_config_file_name_not_a_string_exit_2(tmp_path, capsys, name):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert str(cfg) in err and "field 'name' must be a string" in err
+
+
+def test_verify_idempotent_failure_prints_witness(capsys, monkeypatch):
+    """An idempotent that is not stable (omega_upto2 plus 1/3 of the central
+    diagonal class) fails verify --idempotent with the witness of its sweep,
+    the marks divided back to the rational biset's."""
+    from fractions import Fraction
+
+    from p3fusion import idempotent
+    from p3fusion.biset import FormalBiset, biset_class, is_left_stable
+    from p3fusion.fusion import builtin_fusion_system
+
+    system = builtin_fusion_system("d8")
+    grp = system.group
+    zz = biset_class(morphism_from_images(grp.center, {grp.z: grp.z}))
+    bad = idempotent.omega_upto2(system) + FormalBiset(system.p, {zz: Fraction(1, 3)})
+    rep, lhs, rhs = is_left_stable(system, bad).witness
+    monkeypatch.setattr(idempotent, "omega_upto2", lambda system: bad)
+
+    code, out, _ = run(capsys, "verify", "--idempotent", "--system", "d8")
+    assert code == 1
+    line, = [ln for ln in out.splitlines() if ln.startswith("idempotent")]
+    assert "FAIL" in line and "left sweep" in line and rep.kind in line
+    assert f"mark {lhs}, identity-class mark {rhs}" in line
+
+    code, out, _ = run(capsys, "verify", "--idempotent", "--system", "d8", "--format", "json")
+    assert code == 1
+    witness = json.loads(out)["results"][0]["witness"]
+    gens = rep.morphism.source.canonical_gens
+    assert witness == {
+        "side": "left", "kind": rep.kind,
+        "source_generators": [[g.a, g.b, g.c] for g in gens],
+        "image_generators": [[h.a, h.b, h.c] for h in map(rep.morphism, gens)],
+        "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def test_verify_idempotent_pass_has_no_witness(capsys):
+    code, out, _ = run(capsys, "verify", "--idempotent", "--system", "d8", "--format", "json")
+    assert code == 0
+    result, = json.loads(out)["results"]
+    assert result == {"suite": "idempotent", "system": "D8", "ok": True}

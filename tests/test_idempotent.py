@@ -1,12 +1,21 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from p3fusion import idempotent
-from p3fusion.biset import FormalBiset, biset_class, biset_mark, is_left_stable
+from p3fusion.biset import (
+    FormalBiset,
+    MarkTable,
+    biset_class,
+    biset_mark,
+    is_left_stable,
+    is_right_stable,
+    mark_table,
+)
 from p3fusion.errors import InconsistentSpecError, NotComputedError
 from p3fusion.fusion import FusionSystem, builtin_fusion_system, resolve_system
-from p3fusion.group import conjugation_morphism
+from p3fusion.group import conjugation_morphism, morphism_from_images
 from p3fusion.idempotent import (
     closed_forms,
     layer_sums,
@@ -187,3 +196,58 @@ def test_layer_sums_independent_of_class_representatives():
     assert swapped == om
     assert any(cls.rep.source is q for cls in swapped.coeffs)
     assert layer_sums(system, swapped) == layer_sums(system, om)
+
+
+def _scaled(om):
+    """D*om with D the lcm of om's denominators, as integers."""
+    d = lcm(*(c.denominator for c in om.coeffs.values()))
+    return d, FormalBiset(om.p, {cls: int(d * c) for cls, c in om.coeffs.items()})
+
+
+@pytest.mark.parametrize("name", ["d8", "sd16", "th4s4"])
+def test_scaled_sweep_agrees_with_fraction_sweep(name):
+    sys_ = builtin_fusion_system(name)
+    om = omega_upto2(sys_)
+    d, scaled = _scaled(om)
+    assert all(type(c) is int for c in scaled.coeffs.values())
+    for sweep in (is_left_stable, is_right_stable):
+        assert sweep(sys_, om) == sweep(sys_, scaled) == (True, None)
+    table = mark_table(sys_)
+    for rep in sys_.all_class_reps():
+        test = biset_class(rep.morphism)
+        assert table.mark(scaled, test) == d * table.mark(om, test)
+
+
+def test_perturbed_scaled_sweep_keeps_the_rational_witness(monkeypatch):
+    # omega_upto2 plus 1/3 of the central diagonal class is not stable
+    sys_ = builtin_fusion_system("d8")
+    grp = sys_.group
+    zz = biset_class(morphism_from_images(grp.cyclic(grp.z), {grp.z: grp.z}))
+    bad = omega_upto2(sys_) + FormalBisetLike(zz)
+    d, scaled = _scaled(bad)
+    rep, lhs, rhs = is_left_stable(sys_, bad).witness
+    s_rep, s_lhs, s_rhs = is_left_stable(sys_, scaled).witness
+    assert s_rep is rep and (s_lhs, s_rhs) == (d * lhs, d * rhs)
+    monkeypatch.setattr(idempotent, "omega_upto2", lambda system: bad)
+    report = verify_idempotent_stability(sys_)
+    assert not report.ok and not report.stable_left
+    assert report.witness == ("left", rep, lhs, rhs)
+
+
+def test_passing_report_has_no_witness():
+    report = verify_idempotent_stability(builtin_fusion_system("sd16"))
+    assert report.ok and report.witness is None
+
+
+def test_idempotent_sweep_marks_integer_coefficients(monkeypatch):
+    seen = []
+    real = MarkTable.mark
+
+    def recording(self, b, test):
+        seen.extend(type(c) for c in b.coeffs.values())
+        return real(self, b, test)
+
+    monkeypatch.setattr(MarkTable, "mark", recording)
+    system = FusionSystem(resolve_system("d8"))
+    assert verify_idempotent_stability(system).ok
+    assert seen and set(seen) == {int}

@@ -4,7 +4,7 @@ from array import array
 
 import pytest
 
-from p3fusion import biset, realize
+from p3fusion import biset, fusion, realize
 from p3fusion.biset import biset_class
 from p3fusion.errors import (
     ConditionAViolationError,
@@ -415,3 +415,21 @@ def test_realization_permutations_are_pinned(name, monkeypatch):
     monkeypatch.setattr(realize, "perm_from_morphism", recording)
     check_transitivity(builtin_fusion_system(name))
     assert built == PERMUTATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["d8", "th4s4"])
+def test_each_outer_matrix_lifted_once(monkeypatch, name):
+    calls = []
+    real = fusion.lift_matrix_to_aut
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    # wherever the lift is imported, each call is counted
+    for module in (fusion, realize):
+        monkeypatch.setattr(module, "lift_matrix_to_aut", counting, raising=False)
+    system = fusion.FusionSystem(fusion.resolve_system(name))
+    system.all_class_reps()
+    assert check_transitivity(system).ok
+    assert sorted(calls) == list(system.sorted_out)

@@ -280,3 +280,15 @@ def test_biset_json_independent_of_earlier_classes():
                               text=True, timeout=120, check=True).stdout
 
     assert run(prelude) == run("")
+
+
+def test_size_expression_built_once_per_system(monkeypatch):
+    sys_ = FusionSystem(resolve_system("d8"))
+    base = minimal_coefficients(sys_)  # builds the symbolic biset, not e(X)
+    calls = []
+    real = solver.symbolic_biset
+    monkeypatch.setattr(solver, "symbolic_biset",
+                        lambda system: calls.append(system) or real(system))
+    sizes = [size_of(sys_, base) for _ in range(20)]
+    assert calls == [sys_]
+    assert sizes == [assemble(sys_, base).e()] * 20 == [968] * 20
