@@ -11,6 +11,7 @@ so each can check the other.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -201,7 +202,7 @@ class _TransporterSearch:
     the functionals that must vanish on t: none when R is trivial or S, one
     when |R| = p and psi(r) is central, and one when |R| = p^2."""
 
-    __slots__ = ("psi", "p", "_own", "_targets", "_functionals", "_scale", "_weight")
+    __slots__ = ("psi", "p", "_own", "_targets", "_functionals", "_scale")
 
     def __init__(self, psi: GroupMorphism):
         p = self.p = psi.p
@@ -230,11 +231,22 @@ class _TransporterSearch:
                     break
                 diffs.append(b % p - c)
             else:
-                for lam in functionals:
-                    if sum(map(mul, lam, diffs)) % p:
-                        break
-                else:
+                if self._solvable(diffs):
                     yield x
+
+    def _solvable(self, diffs) -> bool:
+        """Some y solves the central equations for these differences t_r."""
+        return not any(sum(map(mul, lam, diffs)) % self.p for lam in self._functionals)
+
+    def marks_filed(self, index, conjugates) -> dict:
+        """{column: mark} for a test of order p, from index[(code, b // p)] =
+        [(column, b)], b the column's image at the code of x r x^-1: x passes
+        where b agrees with psi(r) off the centre and t_r = b - psi(r) is solvable."""
+        (off, c), = self._targets
+        central = {d for d in range(self.p) if self._solvable((d - c,))}  # b's passing digits
+        hits = Counter(cls for _x, (code,) in conjugates
+                       for cls, b in index.get((code, off), ()) if b % self.p in central)
+        return {cls: self._value(n, cls.source.order) for cls, n in hits.items()}
 
     def mark(self, phi: GroupMorphism, conjugates) -> int:
         """The transporter formula |N_{psi,phi}| / |Q| * |C_S(psi(R))|, N
@@ -242,19 +254,20 @@ class _TransporterSearch:
         that passes for phi.  An automorphism phi has phi o c_x = c_phi(x) o phi,
         so every x passes or none does: x = 1 decides, weighted by the number
         of coset reps, and conjugates is not read."""
+        weight = 1
+        if phi.source.order == self.p**3:
+            conjugates = ((None, self._own),)
+            weight = len(ambient_group(self.p).conj_transversal(self.psi.source))
+        hits = sum(1 for _ in self.transporters(phi, conjugates))
+        return self._value(weight * hits, phi.source.order)
+
+    def _value(self, hits: int, q_order: int) -> int:
+        """hits / |Q| * |C_S(R)| * |C_S(psi(R))|, which must be an integer."""
         if self._scale is None:
             grp = ambient_group(self.p)
             self._scale = (grp.centralizer(self.psi.source).order
                            * grp.centralizer(self.psi.image).order)
-            self._weight = len(grp.conj_transversal(self.psi.source))
-        weight = 1
-        if phi.source.order == self.p**3:
-            conjugates, weight = ((None, self._own),), self._weight
-        hits = 0
-        for _ in self.transporters(phi, conjugates):
-            hits += weight
         num = hits * self._scale
-        q_order = phi.source.order
         if num % q_order:
             raise P3FusionError("fixed-point formula returned a non-integer")
         return num // q_order
@@ -606,14 +619,15 @@ class MarkTable:
     The columns are the trivial class and every enumerated F-morphism class.
     A row, built on first request, holds the nonzero marks of the columns at
     one test class psi: R -> S, and visits only the columns that can have one.
-    A column whose source Q is proper and larger than R is visited when the
-    subconjugacy matrix allows its source and image; columns are grouped by
-    those ids, and the conjugators x with xRx^-1 <= Q are kept once per Q, so
-    a column costs only lookups in its image table.  At |Q| = |R| only the
-    column of the test's own S x S class can be nonzero.  An automorphism
-    column passes for every x or for none, so it is decided at x = 1; the
-    automorphism columns are indexed per R by the off-centre digits of their
-    images at R's generators, and a row reads its candidates from the index.
+    A test of order p reads its proper columns from a file of them under their
+    images at the codes of x r x^-1, made by rows() once per R and dropped
+    with the call, so it adds nothing to the table's memory.  Other tests
+    have a normal R and run the search on the proper columns larger than R
+    (there are some only when R is trivial), and at |Q| = |R| on the column
+    of the test's own S x S class alone, which then has Q = R.  An
+    automorphism column passes for every x or for none, so it is decided at
+    x = 1; the automorphism columns are indexed per R by the off-centre digits
+    of their images at R's generators, and a row reads its candidates there.
     """
 
     def __init__(self, system):
@@ -622,15 +636,13 @@ class MarkTable:
         self.columns = tuple(cols)
         self._column_of = {cls: cls for cls in cols}
         full = system.group.full
-        groups = {}
+        groups = {}  # source id -> the proper columns on that source
         for cls in cols:
             if cls.source is not full:
-                groups.setdefault((cls.rep.source.id, cls.rep.image.id), []).append(cls)
-        self._groups = tuple((src, img, members[0].source.order, tuple(members))
-                             for (src, img), members in groups.items())
+                groups.setdefault(cls.source.id, []).append(cls)
+        self._groups = tuple(map(tuple, groups.values()))
         self._automorphisms = tuple(cls for cls in cols if cls.source is full)
         self._automorphism_index = {}  # R.id -> {off-centre images of R's generators: columns}
-        self._fits = system.group.subconjugacy
         self._rows = {}
 
     def _automorphisms_for(self, search: _TransporterSearch):
@@ -650,39 +662,43 @@ class MarkTable:
     def row(self, test: BisetClass) -> dict:
         """{column class: mark at test} over the columns with a nonzero mark."""
         row = self._rows.get(test)
-        if row is None:
-            fits = self._fits
+        if row is None and test.source.order == test.rep.p:
+            row, = self.rows((test,))
+        elif row is None:  # R is normal, so every conjugate lies in each candidate's Q
             psi = test.rep
-            r_src, r_img, order = psi.source.id, psi.image.id, psi.source.order
             search, conjugates = _prepared_search(psi)
-            inside = {}  # source id -> the conjugates with xRx^-1 <= that source
-
-            def conjugates_in(cls):
-                here = inside.get(cls.source.id)
-                if here is None:
-                    q_codes = cls.rep.images
-                    here = inside[cls.source.id] = [pair for pair in conjugates
-                                                    if all(c in q_codes for c in pair[1])]
-                return here
-
-            row = {}
-            candidates = []
-            for src, img, q_order, members in self._groups:
-                if q_order > order and fits[r_src][src] and fits[r_img][img]:
-                    here = conjugates_in(members[0])  # the members share Q
-                    if here:
-                        candidates.extend((cls, here) for cls in members)
+            candidates = [cls for members in self._groups
+                          if members[0].source.order > psi.source.order for cls in members]
             own = self._column_of.get(biset_class(psi))  # the test's S x S class
             if own is not None:
-                candidates.append((own, conjugates_in(own)))
-            if order < psi.p**3:
-                candidates.extend((cls, ()) for cls in self._automorphisms_for(search))
-            for cls, here in candidates:
-                value = search.mark(cls.rep, here)
-                if value:
-                    row[cls] = value
-            self._rows[test] = row
+                candidates.append(own)
+            if psi.source.order < psi.p**3:
+                candidates.extend(self._automorphisms_for(search))
+            row = self._rows[test] = {cls: value for cls in candidates
+                                      if (value := search.mark(cls.rep, conjugates))}
         return row
+
+    def rows(self, tests) -> list:
+        """[row(test) for test in tests]; the missing rows of order p are built
+        per R from a file of the proper columns made here, (code, b // p) ->
+        [(column, b)], b the image at each code of x r x^-1 that Q holds."""
+        tests, by_source = tuple(tests), {}
+        for test in tests:
+            if test not in self._rows and test.source.order == test.rep.p:
+                by_source.setdefault(test.source, {})[test] = None
+        for r_sub, batch in by_source.items():
+            conjugates, index = ambient_group(r_sub.p).conjugates(r_sub), {}
+            for members in self._groups:
+                held = [c for _x, (c,) in conjugates if c in members[0].rep.images]
+                for cls, c in product(members, held):
+                    b = cls.rep.images[c]
+                    index.setdefault((c, b // r_sub.p), []).append((cls, b))
+            for test in batch:
+                search, _ = _prepared_search(test.rep)
+                row = self._rows[test] = search.marks_filed(index, conjugates)
+                row.update((cls, v) for cls in self._automorphisms_for(search)
+                           if (v := search.mark(cls.rep, ())))
+        return [self.row(test) for test in tests]
 
     def mark(self, b: FormalBiset, test: BisetClass):
         """biset_mark(b, test) for b supported on the columns."""
@@ -705,9 +721,9 @@ def mark_table(system) -> MarkTable:
 def check_condition_a(system, b: FormalBiset):
     """Support must lie inside the system's morphism classes."""
     allowed = mark_table(system)._column_of
-    for cls in b.support:
-        if cls not in allowed:
-            raise ConditionAViolationError(cls)
+    outside = [cls for cls in b.coeffs if cls not in allowed]
+    if outside:
+        raise ConditionAViolationError(min(outside))
 
 
 def _stability_sweep(system, b: FormalBiset, side: str) -> StabilityResult:

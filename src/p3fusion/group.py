@@ -196,6 +196,7 @@ class ExtraspecialGroup:
         self._conjugation_masks = [None] * n
         self._fixed_cosets = {}
         self._coset_indices = {}
+        self._closure_walks = {}
 
     # -- subgroup lookup ------------------------------------------------------
 
@@ -337,6 +338,27 @@ class ExtraspecialGroup:
             index = self._coset_indices[q.id] = (tuple(reps), tuple(pos))
         return index
 
+    def closure_walk(self, gen_codes: tuple) -> tuple:
+        """(codes in the order reached, tree, checks) of the closure from 1 under
+        these generators, walked once per tuple: tree step (k, s) reaches a new
+        code as codes[k] * gen s, and check (k, s, t) lands on codes[t]."""
+        walk = self._closure_walks.get(gen_codes)
+        if walk is None:
+            codes, slot_of, tree, checks, frontier = [0], {0: 0}, [], [], [0]
+            while frontier:
+                k = frontier.pop()
+                for s, g in enumerate(gen_codes):
+                    code = (self.elements[codes[k]] * self.elements[g]).code()
+                    t = slot_of.setdefault(code, len(codes))
+                    if t < len(codes):
+                        checks.append((k, s, t))
+                    else:
+                        codes.append(code)
+                        tree.append((k, s))
+                        frontier.append(t)
+            walk = self._closure_walks[gen_codes] = (tuple(codes), tuple(tree), tuple(checks))
+        return walk
+
     def conj_transversal(self, q: Subgroup) -> tuple:
         """Coset reps of C_S(q): enough conjugators to reach every c_x|_q."""
         reps = self._conj_transversals.get(q.id)
@@ -451,31 +473,31 @@ def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorph
     """The morphism with these generator images, checked in one closure: the
     generators lie in the source, f(g*s) == f(g)*f(s) for every reached g and
     generator s (which forces the homomorphism property), the generators
-    generate the source, and the map is injective."""
+    generate the source, and the map is injective.  The source side is the
+    group's closure_walk, so only the images are computed here."""
     p = source.p
-    gens = []
+    gen_codes, targets = [], []
     for g, img in generator_images.items():
         if g not in source:
             raise MorphismError(f"generator {g} outside the source subgroup")
         if img.p != p:
             raise PrimeMismatchError("generator image over a different prime")
-        gens.append((g.a, g.b, g.c, img.a, img.b, img.c))
-    images = {0: 0}
-    frontier = [(0, 0, 0, 0, 0, 0)]
-    while frontier:
-        a, b, c, fa, fb, fc = frontier.pop()
-        for sa, sb, sc, ta, tb, tc in gens:
-            ha, hb, hc = (a + sa) % p, (b + sb) % p, (c + sc + a * sb) % p
-            ka, kb, kc = (fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p
-            code, image = (ha * p + hb) * p + hc, (ka * p + kb) * p + kc
-            known = images.get(code)
-            if known is None:
-                images[code] = image
-                frontier.append((ha, hb, hc, ka, kb, kc))
-            elif known != image:
-                raise MorphismError("generator images are inconsistent with the group law")
-    if len(images) != source.order:
+        gen_codes.append(g.code())
+        targets.append((img.a, img.b, img.c))
+    codes, tree, checks = ambient_group(p).closure_walk(tuple(gen_codes))
+    images = [(0, 0, 0)]
+    for k, s in tree:
+        fa, fb, fc = images[k]
+        ta, tb, tc = targets[s]
+        images.append(((fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p))
+    for k, s, t in checks:
+        fa, fb, fc = images[k]
+        ta, tb, tc = targets[s]
+        if images[t] != ((fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p):
+            raise MorphismError("generator images are inconsistent with the group law")
+    if len(codes) != source.order:
         raise MorphismError("generators do not generate the source subgroup")
-    if len(set(images.values())) != len(images):
+    image_codes = [(a * p + b) * p + c for a, b, c in images]
+    if len(set(image_codes)) != len(image_codes):
         raise MorphismError("generator images do not define an injective map")
-    return GroupMorphism(source, images)
+    return GroupMorphism(source, dict(zip(codes, image_codes)))

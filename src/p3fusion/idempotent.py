@@ -92,9 +92,12 @@ def rational_solve(system: FusionSystem) -> dict:
                 f"sum condition {key} is not a single-variable equation: {eq}")
         (name, v), = unknowns
         at[name] = Fraction(-rest) / v
-    values = {}
+    values, memo = {}, {}  # (const, terms) -> value: few entries are distinct
     for cls, family in _families(system).items():
-        values.setdefault(family, set()).add(sym[cls].evaluate(at))
+        key = (sym[cls].const, tuple(sym[cls].terms.items()))
+        if key not in memo:
+            memo[key] = sym[cls].evaluate(at)
+        values.setdefault(family, set()).add(memo[key])
     out = {}
     for family, bag in values.items():
         if len(bag) != 1:

@@ -166,8 +166,7 @@ def symbolic_biset(system: FusionSystem) -> dict:
                for rep in system.order_p_reps()}
     marks_upto1 = {}
     diag = {}
-    for key, test in classes.items():
-        row = table.row(test)
+    for (key, test), row in zip(classes.items(), table.rows(classes.values())):
         marks_upto1[key] = _marks_upto1(sym, row)
         diag[key] = row[test]
     for key, cls in classes.items():

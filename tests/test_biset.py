@@ -206,6 +206,50 @@ def test_one_search_per_test_morphism(monkeypatch):
     assert built == [psi] and psi._search is not None
 
 
+def test_order_p_rows_search_no_proper_column(monkeypatch):
+    """Order-p rows at D16x3, built together as the solver builds them and one
+    at a time, read their proper-source columns from the filed index: the
+    per-pair search runs only for automorphism columns, and the rows are the
+    reference rows."""
+    system = FusionSystem(builtin_fusion_system("d16x3").spec)  # its own mark table
+    table = mark_table(system)
+    full = system.group.full
+    searched = []
+    mark = biset._TransporterSearch.mark
+
+    def counting(self, phi, conjugates):
+        searched.append(phi.source)
+        return mark(self, phi, conjugates)
+
+    monkeypatch.setattr(biset._TransporterSearch, "mark", counting)
+    single = [table.row(biset_class(identity_morphism(q)))
+              for q in system.group.all_subgroups if q.order == system.p]
+    assert all(src is full for src in searched)
+    tests = [biset_class(rep.morphism) for rep in system.order_p_reps()][::5]
+    batch = table.rows(tests)
+    assert searched and all(src is full for src in searched)
+    assert batch == [_reference_row(table, test) for test in tests]
+    assert all(single) and all(batch)
+
+
+def test_left_sweep_sorts_no_class(monkeypatch):
+    """Condition A is a membership test over the coefficients: the D16x3 left
+    sweep compares no two classes."""
+    from p3fusion.solver import minimal_biset
+    system = builtin_fusion_system("d16x3")
+    b = minimal_biset(system, certify=False).biset
+    compared = []
+    less = biset.BisetClass.__lt__
+
+    def counting(self, other):
+        compared.append(self)
+        return less(self, other)
+
+    monkeypatch.setattr(biset.BisetClass, "__lt__", counting)
+    assert is_left_stable(system, b)
+    assert compared == []
+
+
 def test_oracle_equals_reference_oracle_sampled_4s4():
     """Seeded 4S4 pairs of class reps; every other test is the class's own
     rep restricted to a random subgroup of its source, a nonzero mark."""

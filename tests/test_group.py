@@ -206,6 +206,42 @@ def test_morphism_closure_matches_element_products_p3():
     assert accepted == 1539
 
 
+def test_morphism_closure_matches_element_products_sampled_p5():
+    """Seeded p = 5 assignments on canonical and on drawn generators give the
+    table, in the order reached, or the error of the closure over
+    GroupElement products.  The walk is kept per tuple of generator codes,
+    so a failing assignment on a kept walk is followed by a passing one."""
+    rng = random.Random(5)
+    g = ambient_group(5)
+    outcomes = set()
+    for _ in range(400):
+        q = rng.choice(g.all_subgroups[1:])
+        gens = q.canonical_gens
+        if rng.random() < 0.5:
+            gens = tuple(rng.sample(list(q)[1:], len(gens)))
+        x, k = rng.choice(g.elements), rng.randrange(5)
+        assignment = rng.choice([{s: rng.choice(g.elements) for s in gens},
+                                 {s: s.conj_by(x) for s in gens}, {s: s**k for s in gens}])
+        want = _reference_closure(q, assignment)
+        try:
+            got = list(morphism_from_images(q, assignment).images.items())
+            want = list(want.items())
+        except MorphismError as exc:
+            got = str(exc)
+        assert got == want
+        outcomes.add(got if isinstance(got, str) else "accepted")
+    assert len(outcomes) == 4  # every error, and some accepted tables
+    v = g.maximal_subgroups[2]
+    z, u = v.canonical_gens
+    walk = g.closure_walk((z.code(), u.code()))  # kept from here on
+    for bad, message in (({z: u, u: g.x}, "inconsistent"), ({z: g.z, u: g.z}, "injective")):
+        with pytest.raises(MorphismError, match=message):
+            morphism_from_images(v, bad)
+    good = {z: g.z, u: u * g.z}
+    assert morphism_from_images(v, good).images == _reference_closure(v, good)
+    assert g.closure_walk((z.code(), u.code())) is walk
+
+
 def test_morphism_random_rejection_property():
     rng = random.Random(7)
     g = ambient_group(3)
