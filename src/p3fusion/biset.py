@@ -106,7 +106,8 @@ def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
     elif left.order == p**3:
         g = q.canonical_gens[0]
         source = grp.cyclic(grp.elements[g.code() - g.c])
-    best = min(_least_central_digits(p, [mor.images[c] for c in codes])
+    table, where = mor.table, q.position
+    best = min(_least_central_digits(p, [table[where[c]] for c in codes])
                for _x, codes in conjugates)
     return (p, "gen", left.order, (source.codes, best))
 
@@ -143,15 +144,14 @@ class BisetClass:
 
 
 def _cached_key(mor: GroupMorphism, left: Subgroup) -> tuple:
-    """The class key of mor over left, computed once and cached on mor."""
-    keys = mor._class_keys
-    if keys is None:
-        keys = mor._class_keys = {}
-    key = keys.get(left.id)
-    if key is None:
-        if not mor.source <= left:
-            raise ValueError("source must lie inside the left-hand group")
-        key = keys[left.id] = _class_key(mor, left)
+    """The class key of mor over left, cached on mor as a (left.id, key) pair."""
+    for left_id, key in mor._class_keys:
+        if left_id == left.id:
+            return key
+    if not mor.source <= left:
+        raise ValueError("source must lie inside the left-hand group")
+    key = _class_key(mor, left)
+    mor._class_keys += ((left.id, key),)
     return key
 
 
@@ -220,14 +220,12 @@ class _TransporterSearch:
     def transporters(self, phi: GroupMorphism, conjugates):
         """Each x of the (x, codes) pairs that passes for phi, in order."""
         p = self.p
-        images = phi.images
-        targets = self._targets
-        functionals = self._functionals
+        table, where = phi.table, phi.source.position
         for x, codes in conjugates:
             diffs = []
-            for code, (off, c) in zip(codes, targets):
-                b = images.get(code)
-                if b is None or b // p != off:  # outside Q, or off the centre
+            for code, (off, c) in zip(codes, self._targets):
+                i = where.get(code)
+                if i is None or (b := table[i]) // p != off:  # outside Q, or off the centre
                     break
                 diffs.append(b % p - c)
             else:
@@ -338,21 +336,22 @@ def brute_force_fixed_points(cls: BisetClass, by: BisetClass) -> int:
     (t, y) and count the ones fixed by every generator pair (r, psi(r)) of
     the graph, i.e. r*t = t*q in tQ and phi(q) * y * psi(r)**-1 == y.
 
-    Elements are integer codes.  The left condition does not involve y, so
-    only the cosets tQ that every r fixes are walked, with their q, read off
-    the product table into the group's fixed_cosets.  The right one says
-    y**-1 * phi(q) * y == psi(r), so the y that pass are one bitmask of the
-    group's conjugation masks; a coset tQ adds the popcount of their AND."""
+    Elements are integer codes.  The left condition does not involve y, so only
+    the cosets tQ that every r fixes are walked, with the positions of their q in
+    Q, from the group's fixed_cosets.  The right one says y**-1 * phi(q) * y ==
+    psi(r), so the y that pass are one bitmask of the group's conjugation
+    masks; a coset tQ adds the popcount of their AND."""
     _same_prime(cls, by)
     phi, psi = cls.rep, by.rep
     grp = ambient_group(phi.p)
-    cosets = grp.fixed_cosets(phi.source, psi.source)
-    targets = [psi.images[r.code()] for r in psi.source.canonical_gens] if cosets else ()
+    if not (cosets := grp.fixed_cosets(phi.source, psi.source)):
+        return 0
+    targets = [psi.table[psi.source.position[r.code()]] for r in psi.source.canonical_gens]
     count = 0
     for qs in cosets:
         fixed = (1 << len(grp.elements)) - 1
-        for q, target in zip(qs, targets):
-            fixed &= grp.conjugation_masks(phi.images[q]).get(target, 0)
+        for i, target in zip(qs, targets):
+            fixed &= grp.conjugation_masks(phi.table[i]).get(target, 0)
             if not fixed:
                 break
         else:
@@ -510,12 +509,12 @@ def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
     """(tracked, orbits) for the psi(R)-orbits on S/Q, which depend only on Q
     and psi.  tracked[k] codes some v in R with psi(v) t in coset k, t the
     first coset of k's orbit; an orbit is (positions, A = {a in R : t^-1 psi(a)
-    t in Q}, codes of those t^-1 psi(a) t along A.codes and at A's canonical
-    generators), A read off Q through psi's inverse table `preimage`."""
+    t in Q}, the positions in Q.codes of those t^-1 psi(a) t along A.codes and
+    at A's canonical generators), A read off Q through psi's inverse `preimage`."""
     grp = ambient_group(q_sub.p)
     mul = grp.product_table
     n = len(grp.elements)
-    gens = [(r.code(), psi.images[r.code()]) for r in psi.source.canonical_gens]
+    gens = [(r.code(), psi(r).code()) for r in psi.source.canonical_gens]
     reps, pos = grp.coset_index(q_sub)
     tracked = array("l", [-1]) * len(reps)
     orbits = []
@@ -533,11 +532,11 @@ def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
                     positions.append(nxt)
         positions.sort()
         ti = grp.inverse_codes[t]
-        a_codes, q_codes = zip(*sorted(  # the a with t q t^-1 = psi(a)
-            (a, q) for q in q_sub.codes
+        a_codes, q_at = zip(*sorted(  # the a with t q t^-1 = psi(a), q at q_sub.codes[i]
+            (a, i) for i, q in enumerate(q_sub.codes)
             if (a := preimage.get(mul[mul[t * n + q] * n + ti])) is not None))
-        orbits.append((array("l", positions), (a_sub := grp.by_codes(a_codes)), q_codes,
-                       tuple([q_codes[a_codes.index(g.code())] for g in a_sub.canonical_gens])))
+        orbits.append((array("l", positions), (a_sub := grp.by_codes(a_codes)), q_at,
+                       tuple([q_at[a_sub.position[g.code()]] for g in a_sub.canonical_gens])))
     return tracked, orbits
 
 
@@ -549,9 +548,9 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
     element of psi(R) t Q, with sorted positions; the piece is
     [A, a -> phi(t^-1 psi(a) t)] with its class over R, memoised in memo by
     (R.id, A.id, images of A's generators), which fix it, so a memo may be
-    shared across calls; only a new piece gets its full image table."""
+    shared across calls; only a new piece gets its table, read off phi's."""
     r_sub = psi.source
-    preimage = {m: r for r, m in psi.images.items()}
+    preimage = dict(zip(psi.table, r_sub.codes))
     by_source = {}
     splits = []
     for phi in phis:
@@ -560,13 +559,12 @@ def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
         if split is None:
             split = by_source[q_sub.id] = _coset_orbits(q_sub, psi, preimage)
         tracked, orbits = split
-        phi_images = phi.images
         pieces = []
-        for positions, a_sub, q_codes, gen_codes in orbits:
-            key = (r_sub.id, a_sub.id, tuple([phi_images[q] for q in gen_codes]))
+        for positions, a_sub, q_at, gens_at in orbits:
+            key = (r_sub.id, a_sub.id, tuple(map(phi.table.__getitem__, gens_at)))
             piece = memo.get(key)
             if piece is None:
-                mor = GroupMorphism(a_sub, dict(zip(a_sub.codes, [phi_images[q] for q in q_codes])))
+                mor = GroupMorphism(a_sub, tuple(map(phi.table.__getitem__, q_at)))
                 piece = memo[key] = (biset_class(mor, left=r_sub), mor)
             pieces.append((positions, *piece))
         splits.append((tracked, pieces))
@@ -653,10 +651,9 @@ class MarkTable:
         if index is None:
             index = self._automorphism_index[r_sub.id] = {}
             p = search.p
-            for cls in self._automorphisms:
-                images = cls.rep.images
-                index.setdefault(tuple(images[code] // p for code in search._own),
-                                 []).append(cls)
+            for cls in self._automorphisms:  # on S a code is its own position
+                key = tuple(cls.rep.table[code] // p for code in search._own)
+                index.setdefault(key, []).append(cls)
         return index.get(tuple(off for off, _ in search._targets), ())
 
     def row(self, test: BisetClass) -> dict:
@@ -689,9 +686,10 @@ class MarkTable:
         for r_sub, batch in by_source.items():
             conjugates, index = ambient_group(r_sub.p).conjugates(r_sub), {}
             for members in self._groups:
-                held = [c for _x, (c,) in conjugates if c in members[0].rep.images]
-                for cls, c in product(members, held):
-                    b = cls.rep.images[c]
+                where = members[0].source.position
+                held = [(c, i) for _x, (c,) in conjugates if (i := where.get(c)) is not None]
+                for cls, (c, i) in product(members, held):
+                    b = cls.rep.table[i]
                     index.setdefault((c, b // r_sub.p), []).append((cls, b))
             for test in batch:
                 search, _ = _prepared_search(test.rep)
@@ -866,15 +864,10 @@ class ExplicitBiset:
                         orbit.add(j)
                         frontier.append(j)
             unassigned -= orbit
-            right_orbit = {}
-            for g in grp.elements:
-                right_orbit[self.right(seed, g)] = g
-            images = {}
-            for r in r_sub:
-                j = self.left(psi(r), seed)
-                if j in right_orbit:
-                    images[r.code()] = right_orbit[j].code()
-            mor = GroupMorphism(grp.by_codes(tuple(images)), images)
+            right_orbit = {self.right(seed, g): g.code() for g in grp.elements}
+            held = [(r.code(), right_orbit.get(self.left(psi(r), seed))) for r in r_sub]
+            codes, table = zip(*[(r, y) for r, y in held if y is not None])
+            mor = GroupMorphism(grp.by_codes(codes), table)
             cls = biset_class(mor, left=r_sub)
             coeffs[cls] = coeffs.get(cls, 0) + 1
         return FormalBiset(self.p, coeffs, left=r_sub)
@@ -924,7 +917,7 @@ def _product_explicit(a: FormalBiset, x_b: ExplicitBiset, limit: int) -> Explici
             row = (base + ti) * m
             for g in gens:
                 ti2, q = pos[(g * elements[t]).code()]
-                shift = elements[phi.images[q]]  # acts on the Y element from the left
+                shift = elements[phi.table[phi.source.position[q]]]  # acts on Y from the left
                 row2 = (base + ti2) * m
                 left_gen[g][row:row + m] = [row2 + j for j in x_b._left_perm(shift)]
                 right_gen[g][row:row + m] = [row + j for j in y_right[g]]

@@ -9,8 +9,8 @@ center, and every element has order dividing p (p odd).  The group builds its
 whole subgroup lattice once, keyed by the sorted element codes that are each
 subgroup's one stored content: each subgroup is one interned object with an
 id, its position in all_subgroups, and every path that yields a subgroup
-returns that object.  A morphism is its source plus a table from element
-codes to image codes; morphism_from_images is the one checked way to build one.
+returns that object.  A morphism is its source plus a tuple of image codes
+along the source's codes; morphism_from_images is the one checked way to build one.
 """
 
 from __future__ import annotations
@@ -95,12 +95,13 @@ class Subgroup:
     """One subgroup of S.  Only ExtraspecialGroup builds these, once each, so
     identity is equality; `id` is the position in all_subgroups."""
 
-    __slots__ = ("p", "id", "codes", "order", "canonical_gens", "is_normal")
+    __slots__ = ("p", "id", "codes", "position", "order", "canonical_gens", "is_normal")
 
     def __init__(self, p: int, id: int, codes: tuple, elements: tuple):
         self.p = p
         self.id = id
         self.codes = codes  # the sorted element codes: the one stored content
+        self.position = {c: i for i, c in enumerate(codes)}  # code -> its index in codes
         self.order = n = len(codes)
         # generators read off the content (elements is S by code): the identity
         # sorts first, and in an order-p^2 subgroup the p central elements
@@ -119,7 +120,7 @@ class Subgroup:
 
     def __contains__(self, g) -> bool:
         # codes collide across primes, so the prime is checked first
-        return isinstance(g, GroupElement) and g.p == self.p and g.code() in self.codes
+        return isinstance(g, GroupElement) and g.p == self.p and g.code() in self.position
 
     def __iter__(self):
         elements = ambient_group(self.p).elements
@@ -132,7 +133,7 @@ class Subgroup:
         return self.id
 
     def __le__(self, other) -> bool:
-        return self.p == other.p and all(g.code() in other.codes for g in self.canonical_gens)
+        return self.p == other.p and all(g.code() in other.position for g in self.canonical_gens)
 
     def __repr__(self) -> str:
         return f"Subgroup(p={self.p}, order={self.order}, id={self.id})"
@@ -265,14 +266,14 @@ class ExtraspecialGroup:
 
     def fixed_cosets(self, q: Subgroup, r: Subgroup) -> tuple:
         """The cosets tQ (in order) that each canonical generator g of r fixes, as the
-        codes of t^-1 g t in q; read off coset_index(q) and the product table."""
+        positions in q.codes of t^-1 g t; read off coset_index(q) and the product table."""
         key = (q.id, r.id)
         if key not in self._fixed_cosets:
-            mul, n = self.product_table, len(self.elements)
+            mul, n, where = self.product_table, len(self.elements), q.position
             reps, pos = self.coset_index(q)
             moved = ([pos[mul[g.code() * n + t]] for g in r.canonical_gens] for t in reps)
-            self._fixed_cosets[key] = tuple(tuple(h for _, h in m) for i, m in enumerate(moved)
-                                            if all(j == i for j, _ in m))
+            self._fixed_cosets[key] = tuple(tuple(where[h] for _, h in m) for i, m in
+                                            enumerate(moved) if all(j == i for j, _ in m))
         return self._fixed_cosets[key]
 
     def line_of(self, g: GroupElement) -> int:
@@ -339,9 +340,9 @@ class ExtraspecialGroup:
         return index
 
     def closure_walk(self, gen_codes: tuple) -> tuple:
-        """(codes in the order reached, tree, checks) of the closure from 1 under
-        these generators, walked once per tuple: tree step (k, s) reaches a new
-        code as codes[k] * gen s, and check (k, s, t) lands on codes[t]."""
+        """(order, tree, checks) of the closure from 1 under these generators, walked
+        once per tuple with codes numbered as reached: tree step (k, s) reaches a new
+        code as code k * gen s, check (k, s, t) lands on code t, order sorts them."""
         walk = self._closure_walks.get(gen_codes)
         if walk is None:
             codes, slot_of, tree, checks, frontier = [0], {0: 0}, [], [], [0]
@@ -356,7 +357,8 @@ class ExtraspecialGroup:
                         codes.append(code)
                         tree.append((k, s))
                         frontier.append(t)
-            walk = self._closure_walks[gen_codes] = (tuple(codes), tuple(tree), tuple(checks))
+            order = tuple(sorted(range(len(codes)), key=codes.__getitem__))
+            walk = self._closure_walks[gen_codes] = (order, tuple(tree), tuple(checks))
         return walk
 
     def conj_transversal(self, q: Subgroup) -> tuple:
@@ -399,58 +401,62 @@ def maximal_subgroups(p: int) -> tuple:
 class GroupMorphism:
     """An injective homomorphism from a subgroup of S into S.
 
-    Stored as its source and `images`, which maps the code of every source
-    element to the code of its image.  The constructor trusts a complete
-    table; morphism_from_images is the checked entry for generator images.
-    """
+    Stored as its source and `table`, whose entry i is the image code of
+    source.codes[i] (source.position finds i).  The constructor trusts a table
+    of the right length; morphism_from_images is the checked entry."""
 
-    __slots__ = ("p", "source", "images", "_image", "_hash", "_class_keys", "_search")
+    __slots__ = ("p", "source", "table", "_image", "_hash", "_class_keys", "_search")
 
-    def __init__(self, source: Subgroup, images: dict):
+    def __init__(self, source: Subgroup, table: tuple):
+        if len(table) != source.order:
+            raise MorphismError(f"{len(table)} images for a source of order {source.order}")
         self.p = source.p
         self.source = source
-        self.images = images
+        self.table = table
         self._image = None
         self._hash = None
-        self._class_keys = None
+        self._class_keys = ()  # biset's (left.id, class key) pairs computed so far
         self._search = None  # biset's transporter search with this as the test
 
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.p != self.p:
             raise PrimeMismatchError(f"element over p={g.p} for a morphism over p={self.p}")
         try:
-            return ambient_group(self.p).elements[self.images[g.code()]]
+            return ambient_group(self.p).elements[self.table[self.source.position[g.code()]]]
         except KeyError:
             raise MorphismError(f"{g} lies outside the source") from None
 
     @property
     def image(self) -> Subgroup:
         if self._image is None:
-            self._image = ambient_group(self.p).by_codes(tuple(sorted(self.images.values())))
+            self._image = ambient_group(self.p).by_codes(tuple(sorted(self.table)))
         return self._image
 
     def compose(self, other: "GroupMorphism") -> "GroupMorphism":
         """self after other; other's image must lie in self's source."""
         if not other.image <= self.source:
             raise MorphismError("composition out of domain")
-        return GroupMorphism(other.source,
-                             {g: self.images[h] for g, h in other.images.items()})
+        table, where = self.table, self.source.position
+        return GroupMorphism(other.source, tuple([table[where[h]] for h in other.table]))
 
     def inverse(self) -> "GroupMorphism":
-        return GroupMorphism(self.image, {h: g for g, h in self.images.items()})
+        table, where = [0] * self.source.order, self.image.position
+        for g, h in zip(self.source.codes, self.table):
+            table[where[h]] = g
+        return GroupMorphism(self.image, tuple(table))
 
     def restrict(self, q: Subgroup) -> "GroupMorphism":
         if not q <= self.source:
             raise MorphismError("restriction outside the source")
-        return GroupMorphism(q, {c: self.images[c] for c in q.codes})
+        return GroupMorphism(q, tuple([self.table[self.source.position[c]] for c in q.codes]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupMorphism) and self.source is other.source
-                and self.images == other.images)
+                and self.table == other.table)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.source.id, frozenset(self.images.items())))
+            self._hash = hash((self.source.id, self.table))
         return self._hash
 
     def __repr__(self) -> str:
@@ -459,14 +465,14 @@ class GroupMorphism:
 
 
 def identity_morphism(q: Subgroup) -> GroupMorphism:
-    return GroupMorphism(q, {c: c for c in q.codes})
+    return GroupMorphism(q, q.codes)
 
 
 def conjugation_morphism(x: GroupElement, q: Subgroup) -> GroupMorphism:
     """The map u -> x u x**-1 restricted to q."""
     if x.p != q.p:
         raise PrimeMismatchError("conjugator over a different prime")
-    return GroupMorphism(q, {g.code(): g.conj_by(x).code() for g in q})
+    return GroupMorphism(q, tuple([g.conj_by(x).code() for g in q]))
 
 
 def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorphism:
@@ -474,7 +480,8 @@ def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorph
     generators lie in the source, f(g*s) == f(g)*f(s) for every reached g and
     generator s (which forces the homomorphism property), the generators
     generate the source, and the map is injective.  The source side is the
-    group's closure_walk, so only the images are computed here."""
+    group's closure_walk, so only the images are computed here, and its order
+    puts them in the order of source.codes."""
     p = source.p
     gen_codes, targets = [], []
     for g, img in generator_images.items():
@@ -484,7 +491,7 @@ def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorph
             raise PrimeMismatchError("generator image over a different prime")
         gen_codes.append(g.code())
         targets.append((img.a, img.b, img.c))
-    codes, tree, checks = ambient_group(p).closure_walk(tuple(gen_codes))
+    order, tree, checks = ambient_group(p).closure_walk(tuple(gen_codes))
     images = [(0, 0, 0)]
     for k, s in tree:
         fa, fb, fc = images[k]
@@ -495,9 +502,9 @@ def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorph
         ta, tb, tc = targets[s]
         if images[t] != ((fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p):
             raise MorphismError("generator images are inconsistent with the group law")
-    if len(codes) != source.order:
+    if len(order) != source.order:
         raise MorphismError("generators do not generate the source subgroup")
     image_codes = [(a * p + b) * p + c for a, b, c in images]
     if len(set(image_codes)) != len(image_codes):
         raise MorphismError("generator images do not define an injective map")
-    return GroupMorphism(source, dict(zip(codes, image_codes)))
+    return GroupMorphism(source, tuple([image_codes[k] for k in order]))

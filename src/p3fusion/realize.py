@@ -54,7 +54,7 @@ class BisetIndex:
             offset += len(copies) * size
             blocks += copies
             self.classes.append((cls, copies))
-            gen_images = tuple([cls.rep.images[g.code()] for g in cls.source.canonical_gens])
+            gen_images = tuple([cls.rep(g).code() for g in cls.source.canonical_gens])
             self._pieces[full.id, cls.source.id, gen_images] = (cls, cls.rep)
         self.blocks = blocks
         self.size = offset
@@ -102,7 +102,7 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     mul = grp.product_table
     n = len(grp.elements)
     r_sub = psi.source
-    psi_images = psi.images
+    psi_table, r_pos = psi.table, r_sub.position
     if r_sub.id not in index._source_pieces:  # the inclusion side does not depend on psi
         index._source_pieces[r_sub.id] = _pieces_by_class(index, identity_morphism(r_sub))
     source_pieces = index._source_pieces[r_sub.id]
@@ -132,7 +132,7 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
                 t_reps, t_pos = grp.coset_index(t_block.cls.rep.source)
                 t = t_reps[t_positions[0]]
                 images = relative[key] = array("l", [
-                    t_pos[mul[psi_images[mul[s_tracked[k] * n + w]] * n + t]][0]
+                    t_pos[mul[psi_table[r_pos[mul[s_tracked[k] * n + w]]] * n + t]][0]
                     for k in s_positions])
                 if array("l", sorted(images)) != t_positions:
                     raise StabilityViolationError(

@@ -141,7 +141,7 @@ def _reference_oracle(cls, by):
             idx2, q = pos[mul[r * n + t]]
             if idx2 != idx:
                 break
-            row = phi.images[q] * n
+            row = phi.table[phi.source.position[q]] * n
             here = [col[mul[row + y]] == y for y in ys]
             fixed = here if fixed is None else list(map(operator.and_, fixed, here))
         else:
@@ -187,7 +187,7 @@ def test_one_search_per_test_morphism(monkeypatch):
     system = FusionSystem(builtin_fusion_system("d8").spec)  # its own mark table
     table = mark_table(system)
     rep = system.order_p_reps()[0].morphism
-    psi = GroupMorphism(rep.source, dict(rep.images))  # no search prepared yet
+    psi = GroupMorphism(rep.source, rep.table)  # no search prepared yet
     test = biset_class(psi)
     built = []
 
@@ -443,12 +443,14 @@ def test_class_keys_match_enumeration_sampled(name):
         left = grp.all_subgroups[r_id]
         assert piece_cls.key == _reference_class_key(piece, left)
         # the generator images fix the piece: every orbit that found it under
-        # its key has the piece's full table a -> phi(t^-1 psi(a) t)
+        # its key has the piece's compact table a -> phi(t^-1 psi(a) t), one
+        # tuple entry per code of A in order
         a_sub = piece.source
         assert a_sub.id == a_id
-        assert gen_images == tuple(piece.images[g.code()] for g in a_sub.canonical_gens)
+        assert type(piece.table) is tuple and len(piece.table) == a_sub.order
+        assert gen_images == tuple(piece(g).code() for g in a_sub.canonical_gens)
         for psi, phi, t in found[id(piece)]:
-            assert piece.images == {a.code(): phi(t.inv() * psi(a) * t).code() for a in a_sub}
+            assert piece.table == tuple(phi(t.inv() * psi(a) * t).code() for a in a_sub)
 
 
 def test_opposite_involution_and_classes():
@@ -883,7 +885,7 @@ def _reference_row(table, test):
     for cls in table.columns:
         phi = cls.rep
         if fits[psi.source.id][phi.source.id] and fits[psi.image.id][phi.image.id]:
-            here = [pair for pair in conjugates if all(c in phi.images for c in pair[1])]
+            here = [pair for pair in conjugates if all(c in phi.source.position for c in pair[1])]
             hits = sum(1 for _ in search.transporters(phi, here))
             value, rest = divmod(hits * scale, phi.source.order)
             assert rest == 0

@@ -6,6 +6,7 @@ import pytest
 from p3fusion.errors import MorphismError, PrimeMismatchError
 from p3fusion.group import (
     GroupElement,
+    GroupMorphism,
     ambient_group,
     centralizer,
     conjugation_morphism,
@@ -144,6 +145,18 @@ def test_conjugation_functorial_exhaustive_p3():
             assert ca.compose(cb) == cab
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_morphism_table_must_cover_the_source(p):
+    """A table shorter or longer than the source's order is refused with a
+    package error, not an assert that -O would drop."""
+    g = ambient_group(p)
+    for q in g.all_subgroups:
+        assert GroupMorphism(q, q.codes).table is q.codes
+        for bad in (q.codes[:-1], q.codes + (0,)):
+            with pytest.raises(MorphismError, match="images for a source of order"):
+                GroupMorphism(q, bad)
+
+
 def test_morphism_construction_and_rejection():
     g = ambient_group(3)
     v0 = g.maximal_subgroups[0]
@@ -197,8 +210,10 @@ def test_morphism_closure_matches_element_products_p3():
         for images in itertools.product(g.elements, repeat=len(q.canonical_gens)):
             assignment = dict(zip(q.canonical_gens, images))
             want = _reference_closure(q, assignment)
+            if isinstance(want, dict):
+                want = tuple(want[c] for c in q.codes)
             try:
-                got = morphism_from_images(q, assignment).images
+                got = morphism_from_images(q, assignment).table
                 accepted += 1
             except MorphismError as exc:
                 got = str(exc)
@@ -208,7 +223,7 @@ def test_morphism_closure_matches_element_products_p3():
 
 def test_morphism_closure_matches_element_products_sampled_p5():
     """Seeded p = 5 assignments on canonical and on drawn generators give the
-    table, in the order reached, or the error of the closure over
+    table, in the order of the source's codes, or the error of the closure over
     GroupElement products.  The walk is kept per tuple of generator codes,
     so a failing assignment on a kept walk is followed by a passing one."""
     rng = random.Random(5)
@@ -224,8 +239,8 @@ def test_morphism_closure_matches_element_products_sampled_p5():
                                  {s: s.conj_by(x) for s in gens}, {s: s**k for s in gens}])
         want = _reference_closure(q, assignment)
         try:
-            got = list(morphism_from_images(q, assignment).images.items())
-            want = list(want.items())
+            got = morphism_from_images(q, assignment).table
+            want = tuple(want[c] for c in q.codes)
         except MorphismError as exc:
             got = str(exc)
         assert got == want
@@ -238,7 +253,8 @@ def test_morphism_closure_matches_element_products_sampled_p5():
         with pytest.raises(MorphismError, match=message):
             morphism_from_images(v, bad)
     good = {z: g.z, u: u * g.z}
-    assert morphism_from_images(v, good).images == _reference_closure(v, good)
+    want = _reference_closure(v, good)
+    assert morphism_from_images(v, good).table == tuple(want[c] for c in v.codes)
     assert g.closure_walk((z.code(), u.code())) is walk
 
 
@@ -286,8 +302,8 @@ def test_construction_paths_give_one_morphism_p3():
         ident = identity_morphism(q)
         for x in xs:
             f = conjugation_morphism(x, q)
-            assert set(f.images) == codes
-            assert len(set(f.images.values())) == len(codes)
+            assert len(f.table) == len(codes)
+            assert {f(e).code() for e in q} == set(f.table) and len(set(f.table)) == len(codes)
             same = (morphism_from_images(q, {u: u.conj_by(x) for u in q.canonical_gens}),
                     conjugation_morphism(x, g.full).restrict(q))
             for h in same:
@@ -455,7 +471,7 @@ def test_coset_index_partitions_the_group(p):
 
 def test_fixed_coset_table_p3():
     """For every pair (Q, R): the cosets tQ with r*t in t*Q for each canonical
-    generator r of R, in coset order, each with the codes of q = t^-1 r t;
+    generator r of R, in coset order, each with the positions in Q.codes of q = t^-1 r t;
     checked in element arithmetic, with the inverse codes beside it."""
     g = ambient_group(3)
     assert all(g.elements[i] * g.elements[j] == g.identity
@@ -464,7 +480,7 @@ def test_fixed_coset_table_p3():
         cosets = [(t, {t * h for h in q}) for t in g.transversal(q)]
         for r in g.all_subgroups:
             gens = r.canonical_gens
-            expected = tuple(tuple((t.inv() * s * t).code() for s in gens)
+            expected = tuple(tuple(q.codes.index((t.inv() * s * t).code()) for s in gens)
                              for t, coset in cosets if all(s * t in coset for s in gens))
             assert g.fixed_cosets(q, r) == expected
             assert g.fixed_cosets(q, r) is g.fixed_cosets(q, r)

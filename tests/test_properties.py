@@ -21,7 +21,12 @@ from p3fusion.fusion import (  # noqa: E402
     realizing_group_name,
     resolve_system,
 )
-from p3fusion.group import ambient_group, conjugation_morphism  # noqa: E402
+from p3fusion.group import (  # noqa: E402
+    ambient_group,
+    conjugation_morphism,
+    identity_morphism,
+    morphism_from_images,
+)
 from p3fusion.idempotent import closed_forms, verify_idempotent_stability  # noqa: E402
 from p3fusion.realize import check_transitivity  # noqa: E402
 from p3fusion.solver import minimal_biset  # noqa: E402
@@ -72,6 +77,55 @@ def test_class_key_is_invariant_under_conjugation(p, data):
     twisted = conjugation_morphism(t, mor.image).compose(
         mor.compose(conjugation_morphism(s.inv(), q.conjugate_by(s))))
     assert biset_class(twisted, left).key == biset_class(mor, left).key
+
+
+def _check_table(f, source, ref):
+    """f is a compact morphism on source: a tuple aligned with source.codes
+    whose entries, calls and image agree with ref in element arithmetic."""
+    grp = ambient_group(source.p)
+    assert f.source is source
+    assert type(f.table) is tuple and len(f.table) == source.order
+    for code, image in zip(source.codes, f.table):
+        a = grp.elements[code]
+        assert image == ref(a).code()
+        assert f(a) == ref(a)
+    assert f.image is grp.subgroup(ref(a) for a in source)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_morphism_tables_agree_with_element_arithmetic(p, data):
+    """Every constructor gives a table aligned with its source's codes that
+    agrees elementwise with GroupElement products, and == and hash agree
+    with elementwise equality."""
+    grp = ambient_group(p)
+    mor = data.draw(st.sampled_from(_class_reps(p)))
+    q = data.draw(st.sampled_from([r for r in grp.all_subgroups if r <= mor.source]))
+    x, s = (data.draw(st.sampled_from(grp.elements)) for _ in range(2))
+    built = {
+        "from_images": (morphism_from_images(q, {g: mor(g) for g in q.canonical_gens}), q, mor),
+        "restrict": (mor.restrict(q), q, mor),
+        "identity": (identity_morphism(q), q, lambda a: a),
+        "conjugation": (conjugation_morphism(x, q), q, lambda a: x * a * x.inv()),
+        "compose_after": (conjugation_morphism(x, grp.full).compose(mor.restrict(q)), q,
+                          lambda a: x * mor(a) * x.inv()),
+    }
+    back = q.conjugate_by(s.inv())  # s^-1 q s, which c_s carries onto q
+    built["compose_before"] = (mor.restrict(q).compose(conjugation_morphism(s, back)), back,
+                               lambda a: mor(s * a * s.inv()))
+    preimage = {mor(a): a for a in q}
+    built["inverse"] = (mor.restrict(q).inverse(), mor.restrict(q).image, preimage.__getitem__)
+    for f, source, ref in built.values():
+        _check_table(f, source, ref)
+    assert built["identity"][0].table is q.codes
+    fs = [f for f, _, _ in built.values()]
+    for f in fs:
+        for g in fs:
+            same = f.source is g.source and all(f(a) == g(a) for a in f.source)
+            assert (f == g) == same
+            if same:
+                assert hash(f) == hash(g)
 
 
 def _summary(system):
