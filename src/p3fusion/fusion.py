@@ -3,8 +3,9 @@
 A system is described by a partition of the p+1 order-p^2 subgroups into
 conjugacy classes together with an integer r dividing p-1 for each class
 (the index of the automorphism group of a class member over SL_2(p)).  The
-outer automorphism group of S realising such a description is constructed
-as an explicit matrix group inside GL_2(p) and checked against every
+outer automorphism group of S realising such a description is the matrix
+group inside GL_2(p) of the built-in row that some element of GL_2(p)
+relabels onto it, conjugated by that element and checked against every
 counting constraint the description implies.
 """
 
@@ -145,8 +146,9 @@ class FusionClass:
     r: int
 
 
-# Building a system materialises all p**3 elements of S before any other
-# check, so descriptions above this prime are refused up front.
+# Functions of a description enumerate GL_2(p), about p**4 matrices, and a
+# system lists all p**3 elements of S, so descriptions above this prime are
+# refused up front.
 _MAX_SPEC_PRIME = 23
 
 
@@ -282,7 +284,7 @@ def load_spec_file(path: str) -> FusionSystemSpec:
         raise UnknownSystemError(f"{path}: field 'classes': {exc}") from None
 
 
-# -- catalog of outer automorphism groups -------------------------------------
+# -- the built-in rows: outer automorphism groups ----------------------------
 
 def _split_torus_normalizer(p: int) -> frozenset:
     mats = set()
@@ -338,37 +340,25 @@ def _quaternion_normalizer(p: int) -> frozenset:
     return frozenset(out)
 
 
-_CATALOG_BUILDERS = {
-    "split-normalizer": _split_torus_normalizer,
-    "nonsplit-normalizer": _nonsplit_torus_normalizer,
-    "nonsplit-half": _nonsplit_half_normalizer,
-    "quaternion-normalizer": _quaternion_normalizer,
-}
-
 _BUILTIN_ROWS = (
     # (p, name, builder, realizing group or None when exotic)
-    (3, "D8", "split-normalizer", "2F4(2)'"),
-    (3, "SD16", "nonsplit-normalizer", "J4"),
-    (5, "4S4", "quaternion-normalizer", "Th"),
-    (7, "D16x3", "nonsplit-half", None),
-    (7, "6sq:2", "split-normalizer", None),
-    (7, "SD32x3", "nonsplit-normalizer", None),
+    (3, "D8", _split_torus_normalizer, "2F4(2)'"),
+    (3, "SD16", _nonsplit_torus_normalizer, "J4"),
+    (5, "4S4", _quaternion_normalizer, "Th"),
+    (7, "D16x3", _nonsplit_half_normalizer, None),
+    (7, "6sq:2", _split_torus_normalizer, None),
+    (7, "SD32x3", _nonsplit_torus_normalizer, None),
 )
 
+# names besides the row names, which match in any case
 SYSTEM_ALIASES = {
-    "d8": "D8",
     "2f4": "D8",
-    "sd16": "SD16",
     "j4": "SD16",
     "th4s4": "4S4",
-    "4s4": "4S4",
     "th": "4S4",
     "rv48": "D16x3",
-    "d16x3": "D16x3",
     "rv72": "6sq:2",
-    "6sq:2": "6sq:2",
     "rv96": "SD32x3",
-    "sd32x3": "SD32x3",
 }
 
 
@@ -404,44 +394,53 @@ def _spec_from_matrices(p: int, name: str, mats: frozenset) -> FusionSystemSpec:
 
 
 @lru_cache(maxsize=None)
-def _builtin_table():
+def _builtin_rows(p: int) -> tuple:
+    """(description, matrices, realizing group or None) of each built-in row
+    at p, in table order; no row at another prime is built."""
     rows = []
-    for p, name, builder, group_name in _BUILTIN_ROWS:
-        mats = _CATALOG_BUILDERS[builder](p)
-        spec = _spec_from_matrices(p, name, mats)
-        rows.append((spec, mats, group_name))
+    for q, name, builder, group_name in _BUILTIN_ROWS:
+        if q == p:
+            mats = builder(p)
+            rows.append((_spec_from_matrices(p, name, mats), mats, group_name))
     return tuple(rows)
 
 
 def builtin_systems() -> tuple:
     """The six built-in system descriptions, in table order."""
-    return tuple(row[0] for row in _builtin_table())
+    return tuple(resolve_system(row[1]) for row in _BUILTIN_ROWS)
 
 
-def matching_builtin(spec: FusionSystemSpec):
-    """(built-in description, realizing group or None) of the row whose
-    classes some element of GL_2(p) carries onto spec's, or None when no row
-    matches; the name plays no part."""
-    for built, _, group_name in _builtin_table():
-        if _line_relabelling(built, spec) is not None:
-            return built, group_name
+def _matching_row(spec: FusionSystemSpec):
+    """(row, g) for the first built-in row at spec's prime whose classes g in
+    GL_2(p) carries onto spec's, or None; the name plays no part."""
+    for row in _builtin_rows(spec.p):
+        g = _line_relabelling(row[0], spec)
+        if g is not None:
+            return row, g
     return None
 
 
+def matching_builtin(spec: FusionSystemSpec):
+    """(built-in description, realizing group or None) of the row that
+    matches spec up to relabelling, or None when no row matches."""
+    match = _matching_row(spec)
+    return (match[0][0], match[0][2]) if match else None
+
+
 def realizing_group_name(spec: FusionSystemSpec):
-    """ATLAS-style name of a finite group realizing the system, None if exotic
-    or if it matches no built-in row."""
-    match = matching_builtin(spec)
-    return match[1] if match else None
+    """ATLAS-style name of a finite group realizing the system: that of its
+    built-in row, None for an exotic row or a spec that matches no row."""
+    match = _matching_row(spec)
+    return match[0][2] if match else None
 
 
 def resolve_system(name: str) -> FusionSystemSpec:
-    canonical = SYSTEM_ALIASES.get(name.lower(), name)
-    for spec in builtin_systems():
-        if spec.name.lower() == canonical.lower():
-            return spec
+    canonical = SYSTEM_ALIASES.get(name.lower(), name).lower()
+    for p, row_name, _, _ in _BUILTIN_ROWS:
+        if row_name.lower() == canonical:
+            return next(row[0] for row in _builtin_rows(p) if row[0].name == row_name)
     raise UnknownSystemError(f"unknown system {name!r}; known: "
-                             + ", ".join(s.name for s in builtin_systems()))
+                             + ", ".join(row[1] for row in _BUILTIN_ROWS))
 
 
 # -- consistency checks and construction of Out_F(S) --------------------------
@@ -507,10 +506,8 @@ def _verify_out_group(spec: FusionSystemSpec, mats: frozenset):
 
 def _line_relabelling(have: FusionSystemSpec, want: FusionSystemSpec):
     """Some g in GL_2(p) carrying have's (members, r) classes onto want's, or
-    None.  The identity is tried first; the class shapes are compared before
-    any search."""
-    if have.p != want.p:
-        return None
+    None; both are at one prime.  The identity is tried first; the class
+    shapes are compared before any search."""
     shape = sorted((len(cls.members), cls.r) for cls in have.classes)
     if shape != sorted((len(cls.members), cls.r) for cls in want.classes):
         return None
@@ -527,47 +524,23 @@ def _line_relabelling(have: FusionSystemSpec, want: FusionSystemSpec):
     return None
 
 
-def _relabel_to_spec(spec: FusionSystemSpec, mats: frozenset):
-    """Conjugate a catalog group so its line orbits match spec's partition."""
-    g = _line_relabelling(_spec_from_matrices(spec.p, spec.name, mats), spec)
-    if g is None:
-        return None
-    if g.is_identity():
-        return mats
-    gi = g.inv()
-    return frozenset(g * m * gi for m in mats)
-
-
 @lru_cache(maxsize=None)
 def build_out_F(spec: FusionSystemSpec) -> frozenset:
-    """The outer automorphism group of S for this system, as matrices in GL_2(p).
-
-    Built from a catalog of torus-normalizer style subgroups (relabelled to the
-    requested class partition when needed) and verified against every counting
-    constraint: order (p-1)f, uniform determinant fibers, line orbits equal to
-    the class partition, and line stabilizers acting exactly by the extendable
-    index pairs.
-    """
-    last_error = None
-    for builder_name, builder in _CATALOG_BUILDERS.items():
-        if builder_name == "quaternion-normalizer" and spec.p != 5:
-            continue
-        mats = builder(spec.p)
-        if len(mats) != spec.out_order:
-            continue
-        mats = _relabel_to_spec(spec, mats)
-        if mats is None:
-            continue
-        try:
-            _verify_out_group(spec, mats)
-            return mats
-        except InconsistentSpecError as exc:  # try the next candidate
-            last_error = exc
-    if last_error is not None:
+    """The outer automorphism group of S for this system, as matrices in GL_2(p):
+    the matching built-in row's matrices conjugated by its relabelling g, then
+    verified against every counting constraint (order (p-1)f, uniform
+    determinant fibers, line orbits equal to the class partition, line
+    stabilizers acting exactly by the extendable index pairs).  A spec that
+    matches no row raises InconsistentSpecError."""
+    match = _matching_row(spec)
+    if match is None:
         raise InconsistentSpecError(
-            f"no catalog construction satisfies {spec.name!r}: {last_error}")
-    raise InconsistentSpecError(
-        f"no known outer automorphism group of order {spec.out_order} for {spec.name!r}")
+            f"no built-in system at p = {spec.p} matches {spec.name!r} up to relabelling")
+    (_, mats, _), g = match
+    gi = g.inv()
+    mats = frozenset(g * m * gi for m in mats)
+    _verify_out_group(spec, mats)
+    return mats
 
 
 # -- lifting matrices to automorphisms of S -----------------------------------
@@ -620,8 +593,8 @@ class FusionSystem:
     def __init__(self, spec: FusionSystemSpec):
         self.spec = spec
         self.p = spec.p
+        self.out_matrices = build_out_F(spec)  # before S: a spec with no row is refused at once
         self.group = ambient_group(spec.p)
-        self.out_matrices = build_out_F(spec)
         self.sorted_out = tuple(sorted(self.out_matrices))
         self.out_lifts = {m: lift_matrix_to_aut(m) for m in self.sorted_out}
         self.f = spec.f

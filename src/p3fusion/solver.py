@@ -549,13 +549,13 @@ class TableReport:
 def verify_table(systems, certify: bool = False) -> TableReport:
     """Recompute (f, d0, d1, d2, e) plus the bound or realizing group for each
     system and diff against the expected row of the built-in system it
-    matches up to relabelling; a system that matches none is not compared."""
+    matches up to relabelling (every system has one: build_out_F reads it)."""
     rows = []
     mismatches = []
     for system in systems:
         res = minimal_biset(system, certify=certify)
-        match = matching_builtin(system.spec)  # (built-in row, group) or None
-        last = res.exoticity_bound_value if res.exotic else match[1]
+        built, group = matching_builtin(system.spec)
+        last = res.exoticity_bound_value if res.exotic else group
         row = {
             "system": res.system_name, "p": res.p, "f": res.f,
             "d0": res.d0, "d1": res.d1, "d2": res.d2, "e": res.e,
@@ -563,9 +563,7 @@ def verify_table(systems, certify: bool = False) -> TableReport:
             "certificates_ok": res.certificates_ok(),
         }
         rows.append(row)
-        if match is None:
-            continue
-        expected = EXPECTED_TABLE[match[0].name]
+        expected = EXPECTED_TABLE[built.name]
         got = (res.p, res.f, res.d0, res.d1, res.d2, res.e, last)
         if got != expected:
             mismatches.append({"system": res.system_name,

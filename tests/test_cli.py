@@ -337,6 +337,18 @@ def test_config_directory_exit_2(tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+def test_config_file_no_matching_row_exit_1(tmp_path, capsys):
+    # a consistent description that no built-in row matches (no row at p = 11)
+    cfg = tmp_path / "p11.json"
+    cfg.write_text(json.dumps({"prime": 11, "name": "custom",
+                               "classes": [{"lines": list(range(12)), "r": 2}]}))
+    code, out, err = run(capsys, "minimal", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "no built-in system at p = 11" in err
+
+
 @pytest.mark.parametrize("prime, classes, field, problem", [
     (3, [{"lines": [0, 1], "r": 2}, {"lines": [1, 2, 3], "r": 2}],
      "'classes'", "classes overlap"),

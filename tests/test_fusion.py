@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from p3fusion.errors import InconsistentSpecError, UnknownSystemError
@@ -10,6 +12,7 @@ from p3fusion.fusion import (
     build_out_F,
     builtin_fusion_system,
     builtin_systems,
+    gl2_elements,
     lambda_sets,
     lift_matrix_to_aut,
     matrix_of_automorphism,
@@ -204,9 +207,80 @@ def test_build_out_F_relabelled_custom_spec():
 
 
 def test_build_out_F_unsupported_spec():
-    spec = FusionSystemSpec(11, "custom", (FusionClass(frozenset(range(12)), 2),))
-    with pytest.raises(InconsistentSpecError):
-        build_out_F(spec)
+    # consistent descriptions that no built-in row matches: primes with no row,
+    # and a p = 7 shape (one class of all 8 lines with r = 1) of no row
+    for p, r in ((11, 2), (23, 2), (7, 1)):
+        spec = FusionSystemSpec(p, "custom", (FusionClass(frozenset(range(p + 1)), r),))
+        with pytest.raises(InconsistentSpecError, match="no built-in system"):
+            build_out_F(spec)
+
+
+# SHA-256 of repr(sorted(build_out_F(spec))) for each built-in row, then for
+# the row relabelled by the elements at OUT_F_RELABELLINGS in gl2_elements(p);
+# recorded while acceptance still tried every catalog construction in turn
+OUT_F_RELABELLINGS = (1, 19, 40)
+OUT_F_DIGESTS = {
+    "D8": ("cc301372ec33515a96f6b35ff2d9f7bc393b19e0eac9313f5ab99656fbff67e5",
+           "b257b9529ec141f8d3c23d9cfd811125eb043814cafed8c349d88b5d07bed22f",
+           "b257b9529ec141f8d3c23d9cfd811125eb043814cafed8c349d88b5d07bed22f",
+           "c756ab171c52cebc1b9bb7067655bd7367020dc97ee5b152bbf003249912a432"),
+    "SD16": ("01f24f43d1f9b50ee470b57c920862483326e60681df789514e2c438900a10f7",) * 4,
+    "4S4": ("73e450f90f52a23fb0ee6bcaddaf32f665a0c56f79b337bb0d2e33cc00541f5c",) * 4,
+    "D16x3": ("07eba6a68437171e520a9386e158da72458d7466cf393a23fb4cd0fb732d875f",
+              "d816049691d0a13dc646d9c88e6a51bc2fefac65b22b4867eaf1f665a10fe46d",
+              "c8a09b88f3d91129f7a922b051539006748a8bb5a5e27a10f9439e8440f212e5",
+              "fe7dc0faa054e6c4c548791d16ff44cf6a9ddd6469bc585767fef4b4a12d6768"),
+    "6sq:2": ("dd88c769bc3b9495448809a14fe76fe7b8dceb60ae735a3dd22d2a3a992ff051",
+              "710ecf1479e1cafd64c7801ec04f692fbc2b3402665783b1aa077b885bd4eaeb",
+              "e656cff7ef3dfe61b9cee2c9955634251812f005f858b30417ef41b6149517b1",
+              "e656cff7ef3dfe61b9cee2c9955634251812f005f858b30417ef41b6149517b1"),
+    "SD32x3": ("38413b050c8bd1b246a55db776357b706bda2f2d556c9576f08aa6d81891c3ad",) * 4,
+}
+
+
+@pytest.mark.parametrize("name", list(OUT_F_DIGESTS))
+def test_build_out_F_matrices_are_pinned(name):
+    spec = resolve_system(name)
+    elements = list(gl2_elements(spec.p))
+    specs = [spec]
+    for k in OUT_F_RELABELLINGS:
+        g = elements[k]
+        specs.append(FusionSystemSpec(spec.p, "custom", tuple(
+            FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
+            for cls in spec.classes)))
+    digests = tuple(hashlib.sha256(repr(sorted(build_out_F(s))).encode()).hexdigest()
+                    for s in specs)
+    assert digests == OUT_F_DIGESTS[name]
+    if len(spec.classes) > 1:  # the relabellings move every multi-class row
+        assert all({c.members for c in s.classes} != {c.members for c in spec.classes}
+                   for s in specs[1:])
+
+
+def test_rows_are_built_only_at_the_spec_prime():
+    # a fresh interpreter, so no earlier test has built the rows at p = 3 or 5
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "from p3fusion.fusion import (FusionSystemSpec, _builtin_rows, fusion_system,\n"
+        "                             realizing_group_name)\n"
+        "spec = FusionSystemSpec.from_json({'prime': 7, 'name': 'custom', 'classes': [\n"
+        "    {'lines': [0, 1, 4, 5], 'r': 2}, {'lines': [2, 3, 6, 7], 'r': 2}]})\n"
+        "fusion_system(spec)\n"
+        "print(realizing_group_name(spec))\n"
+        "info = _builtin_rows.cache_info()\n"
+        "print(info.currsize, info.misses)\n"
+        "print(len(_builtin_rows(7)), _builtin_rows.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    # one prime built, and it is p = 7: asking for its three rows builds nothing
+    assert out.split() == ["None", "1", "1", "3", "1"]
 
 
 def test_lift_matrix():
