@@ -51,7 +51,6 @@ __all__ = [
     "subconjugate_closure",
     "opposite",
     "restrict_left",
-    "restrict_left_biset",
     "is_left_stable",
     "is_right_stable",
     "check_condition_a",
@@ -540,64 +539,57 @@ def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
     return tracked, orbits
 
 
-def _double_cosets(phis, psi: GroupMorphism, memo: dict) -> list:
-    """For each phi in phis, the left cosets S/Q, Q the source of phi, split
-    into psi(R)-orbits once per Q over the codes of coset_index(Q) and the
-    product table: (tracked, [(positions, piece class, piece)]), see
-    _coset_orbits.  Orbits come in order of their first coset t, the least
-    element of psi(R) t Q, with sorted positions; the piece is
-    [A, a -> phi(t^-1 psi(a) t)] with its class over R, memoised in memo by
-    (R.id, A.id, images of A's generators), which fix it, so a memo may be
-    shared across calls; only a new piece gets its table, read off phi's."""
+def _restriction_split(items, psi: GroupMorphism, memo: dict) -> tuple:
+    """The double-coset split of the S-S-biset with the ordered (class,
+    multiplicity) items along psi: R -> S (Bouc, Biset Functors for Finite
+    Groups, §2.3): (the restriction as an R-S FormalBiset, {piece class:
+    [(class, tracked, [(positions, piece)])]} in class-then-orbit order).
+
+    The left cosets S/Q of each source Q are split into psi(R)-orbits once,
+    see _coset_orbits, and their |R:A| must count |S:Q|.  Orbits come in
+    order of their first coset t, the least element of psi(R) t Q, with
+    sorted positions; the piece is [A, a -> phi(t^-1 psi(a) t)], phi the
+    class's rep, with its class over R, memoised in memo by (R.id, A.id,
+    images of A's generators), which fix it, so a memo may be shared across
+    calls.  Only a new piece gets its table, read off phi's; over R = S a
+    piece with phi's table is phi, so along id_S each class is its own piece."""
     r_sub = psi.source
+    s_order = ambient_group(psi.p).full.order
     preimage = dict(zip(psi.table, r_sub.codes))
-    by_source = {}
-    splits = []
-    for phi in phis:
+    by_source, coeffs, grouped = {}, {}, {}
+    for cls, mult in items:
+        phi = cls.rep
         q_sub = phi.source
         split = by_source.get(q_sub.id)
         if split is None:
             split = by_source[q_sub.id] = _coset_orbits(q_sub, psi, preimage)
+            right_orbits = sum(r_sub.order // orbit[1].order for orbit in split[1])
+            if right_orbits != s_order // q_sub.order:
+                raise TheoremViolationError(
+                    f"restriction lost cosets: {right_orbits} right orbits, "
+                    f"expected |S:Q| = {s_order // q_sub.order}")
         tracked, orbits = split
-        pieces = []
+        mine = {}
         for positions, a_sub, q_at, gens_at in orbits:
             key = (r_sub.id, a_sub.id, tuple(map(phi.table.__getitem__, gens_at)))
             piece = memo.get(key)
             if piece is None:
-                mor = GroupMorphism(a_sub, tuple(map(phi.table.__getitem__, q_at)))
+                table = tuple(map(phi.table.__getitem__, q_at))
+                mor = (phi if r_sub.order == s_order and a_sub.id == q_sub.id and table == phi.table
+                       else GroupMorphism(a_sub, table))
                 piece = memo[key] = (biset_class(mor, left=r_sub), mor)
-            pieces.append((positions, *piece))
-        splits.append((tracked, pieces))
-    return splits
+            mine.setdefault(piece[0], []).append((positions, piece[1]))
+        for piece_cls, found in mine.items():
+            coeffs[piece_cls] = coeffs.get(piece_cls, 0) + mult * len(found)
+            grouped.setdefault(piece_cls, []).append((cls, tracked, found))
+    return FormalBiset(psi.p, coeffs, left=r_sub), grouped
 
 
-def restrict_left(cls: BisetClass, psi: GroupMorphism) -> FormalBiset:
-    """Double-coset decomposition of the transitive biset of cls as an R-S-biset,
-    the left R-action arriving through psi: R -> S."""
-    phi = cls.rep
-    p = phi.p
-    grp = ambient_group(p)
-    q_sub = phi.source
-    r_sub = psi.source
-    coeffs = {}
-    total_ratio = 0
-    (_tracked, pieces), = _double_cosets([phi], psi, {})
-    for _positions, piece_cls, piece in pieces:
-        coeffs[piece_cls] = coeffs.get(piece_cls, 0) + 1
-        total_ratio += r_sub.order // piece.source.order
-    # size preserved: the regular right-S-orbits of the pieces count |S:Q|
-    if total_ratio != grp.full.order // q_sub.order:
-        raise TheoremViolationError(
-            f"restriction lost cosets: {total_ratio} right orbits, "
-            f"expected |S:Q| = {grp.full.order // q_sub.order}")
-    return FormalBiset(p, coeffs, left=r_sub)
-
-
-def restrict_left_biset(b: FormalBiset, psi: GroupMorphism) -> FormalBiset:
-    out = FormalBiset(b.p, {}, left=psi.source)
-    for cls, c in b.items():
-        out = out + c * restrict_left(cls, psi)
-    return out
+def restrict_left(b: FormalBiset, psi: GroupMorphism) -> FormalBiset:
+    """b as an R-S-biset, the left R-action arriving through psi: R -> S."""
+    if b.left != ambient_group(b.p).full:
+        raise ValueError("restrict_left is defined for S-S bisets")
+    return _restriction_split(b.items(), psi, {})[0]
 
 
 # -- stability ----------------------------------------------------------------------

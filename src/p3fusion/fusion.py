@@ -101,26 +101,19 @@ def power_subgroup(p: int, r: int) -> frozenset:
     return frozenset(out)
 
 
-def line_vectors(p: int) -> tuple:
-    """Index i < p is the line through (1, i); index p the line through (0, 1)."""
-    return tuple((1, i) for i in range(p)) + ((0, 1),)
-
-
 def act_on_line(m: MatrixGL2, i: int) -> int:
-    p = m.p
-    v = line_vectors(p)[i]
-    return line_index(p, m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
+    """The index of the line m(i); line i < p is spanned by (1, i), line p by (0, 1)."""
+    x, y = (1, i) if i < m.p else (0, 1)
+    return line_index(m.p, m.a * x + m.b * y, m.c * x + m.d * y)
 
 
 def line_scaling(m: MatrixGL2, i: int) -> int:
     """lambda with m . u_i = lambda * u_j in the pinned basis, j = m(i)."""
     p = m.p
-    v = line_vectors(p)[i]
-    w = ((m.a * v[0] + m.b * v[1]) % p, (m.c * v[0] + m.d * v[1]) % p)
-    t = line_vectors(p)[act_on_line(m, i)]
-    if t[0]:
-        return w[0] * pow(t[0], p - 2, p) % p
-    return w[1] * pow(t[1], p - 2, p) % p
+    x, y = (1, i) if i < p else (0, 1)
+    j = act_on_line(m, i)
+    # u_j is (1, j), read off its first coordinate, or (0, 1), off its second
+    return (m.a * x + m.b * y) % p if j < p else (m.c * x + m.d * y) % p
 
 
 def matrix_closure(p: int, gens) -> frozenset:

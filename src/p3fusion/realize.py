@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .biset import FormalBiset, _double_cosets, _TransporterSearch, check_condition_a
+from .biset import FormalBiset, _restriction_split, _TransporterSearch, check_condition_a
 from .errors import PrimeMismatchError, StabilityViolationError, TheoremViolationError
 from .fusion import FusionMorphism, FusionSystem, matrix_closure, matrix_of_automorphism
 from .group import GroupMorphism, ambient_group, identity_morphism
@@ -43,46 +43,29 @@ class BisetIndex:
         self.system = system
         full = system.group.full
         blocks = []
-        self.classes = []  # (class, its blocks), in block order
-        # the double-coset split memoises pieces for this index; along id_S a
-        # block is one orbit with t = 1 whose piece is the class's own rep
-        self._pieces = {}
+        self.items = biset.items()  # sorted once: the splits read this order
+        self.classes = {}  # class -> its blocks, in block order
         offset = 0
-        for cls, mult in biset.items():
+        for cls, mult in self.items:
             size = full.order // cls.source.order
             copies = [Block(cls, offset + k * size, size) for k in range(int(mult))]
             offset += len(copies) * size
             blocks += copies
-            self.classes.append((cls, copies))
-            gen_images = tuple([cls.rep(g).code() for g in cls.source.canonical_gens])
-            self._pieces[full.id, cls.source.id, gen_images] = (cls, cls.rep)
+            self.classes[cls] = copies
         self.blocks = blocks
         self.size = offset
         self.j0 = tuple(b.offset for b in blocks if b.size == 1)
+        self._pieces = {}  # the restriction splits' piece memo, for this index
         self._source_pieces = {}
         self._witnesses = {}  # by the ids of two pieces, which live as long as the index
 
 
 # -- permutations from fusion morphisms -----------------------------------------
 
-def _pieces_by_class(index: BisetIndex, psi: GroupMorphism) -> dict:
-    """{piece class: [(blocks, tracked, [(positions, piece)])]}: the restriction
-    of every class along psi, one entry per class with its copies and its orbits
-    of that piece class, in orbit order.  Classes with one source share a split."""
-    splits = _double_cosets([cls.rep for cls, _ in index.classes], psi, index._pieces)
-    out = {}
-    for (_cls, blocks), (tracked, pieces) in zip(index.classes, splits):
-        mine = {}
-        for positions, piece_cls, piece in pieces:
-            mine.setdefault(piece_cls, []).append((positions, piece))
-        for piece_cls, orbits in mine.items():
-            out.setdefault(piece_cls, []).append((blocks, tracked, orbits))
-    return out
-
-
-def _copies(entries):
+def _copies(index: BisetIndex, entries):
     """(block, positions, tracked, piece) per copy and orbit: block order, then orbit order."""
-    return ((b, pos, tr, piece) for bs, tr, orbits in entries for b in bs for pos, piece in orbits)
+    return ((b, pos, tr, piece) for cls, tr, orbits in entries
+            for b in index.classes[cls] for pos, piece in orbits)
 
 
 def _conjugation_witness(candidates, a_mor, b_mor):
@@ -103,13 +86,20 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     n = len(grp.elements)
     r_sub = psi.source
     psi_table, r_pos = psi.table, r_sub.position
-    if r_sub.id not in index._source_pieces:  # the inclusion side does not depend on psi
-        index._source_pieces[r_sub.id] = _pieces_by_class(index, identity_morphism(r_sub))
-    source_pieces = index._source_pieces[r_sub.id]
-    target_pieces = _pieces_by_class(index, psi)
-    if set(source_pieces) != set(target_pieces):
-        raise StabilityViolationError("restriction classes of the two sides differ")
+    # built before the splits, so it takes the block the caller's previous
+    # permutation freed before their dicts can split that block
     perm = array("l", [-1]) * index.size
+    if r_sub.id not in index._source_pieces:  # the inclusion side does not depend on psi
+        index._source_pieces[r_sub.id] = _restriction_split(
+            index.items, identity_morphism(r_sub), index._pieces)
+    source, source_pieces = index._source_pieces[r_sub.id]
+    target, target_pieces = _restriction_split(index.items, psi, index._pieces)
+    if source != target:
+        cls = next(c for c in sorted(source.coeffs.keys() | target.coeffs.keys())
+                   if source.coefficient(c) != target.coefficient(c))
+        raise StabilityViolationError(
+            f"restrictions along the inclusion and along psi differ on {cls!r}: "
+            f"multiplicity {source.coefficient(cls)} against {target.coefficient(cls)}")
     # a^-1 passes or fails with all of aZ: try the first a of each coset in R
     candidates = [a for a in r_sub if a.c == 0 or grp.z not in r_sub]
     # (source orbit, target orbit, witness) -> the target coset of each source
@@ -117,12 +107,8 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     # orbit of J is the target of one pair, so perm is bijective if each pair is
     relative = {}
     for piece_cls, sources in source_pieces.items():
-        targets = target_pieces[piece_cls]
-        if sum(len(b) * len(o) for b, _, o in sources) != \
-                sum(len(b) * len(o) for b, _, o in targets):
-            raise StabilityViolationError(f"restriction multiplicity mismatch on {piece_cls!r}")
         for (s_block, s_positions, s_tracked, s_mor), (t_block, t_positions, _, t_mor) \
-                in zip(_copies(sources), _copies(targets)):
+                in zip(_copies(index, sources), _copies(index, target_pieces[piece_cls])):
             w = index._witnesses.get(pair := (id(s_mor), id(t_mor)))
             if w is None:
                 w = index._witnesses[pair] = _conjugation_witness(candidates, s_mor, t_mor).code()

@@ -27,7 +27,6 @@ from p3fusion.biset import (
     n_size,
     opposite,
     restrict_left,
-    restrict_left_biset,
     subconjugate_closure,
 )
 from p3fusion.errors import ConditionAViolationError, MorphismError, PrimeMismatchError
@@ -426,7 +425,7 @@ def test_class_keys_match_enumeration_sampled(name):
     rng = random.Random(71)
     for mor in rng.sample(reps, 300):
         assert biset._class_key(mor, full) == _reference_class_key(mor, full)
-    phis = [cls.rep for cls in minimal_biset(system, certify=False).biset.support]
+    items = minimal_biset(system, certify=False).biset.items()
     psis = [rep.morphism for rep in essential_generators(system)]
     psis += [identity_morphism(psi.source) for psi in psis]
     psis += [lift_matrix_to_aut(m).inverse() for m in _out_generator_matrices(system)]
@@ -434,9 +433,11 @@ def test_class_keys_match_enumeration_sampled(name):
     memo = {}
     found = {}  # id of a piece -> (psi, phi, t) of every orbit that found it
     for psi in psis:
-        for phi, (_tracked, pieces) in zip(phis, biset._double_cosets(phis, psi, memo)):
+        _restriction, grouped = biset._restriction_split(items, psi, memo)
+        for cls, _tracked, orbits in (entry for entries in grouped.values() for entry in entries):
+            phi = cls.rep
             reps = grp.coset_index(phi.source)[0]
-            for positions, _piece_cls, piece in pieces:
+            for positions, piece in orbits:
                 found.setdefault(id(piece), []).append((psi, phi, grp.elements[reps[positions[0]]]))
     assert len(memo) > 2000
     for (r_id, a_id, gen_images), (piece_cls, piece) in rng.sample(list(memo.items()), 1000):
@@ -477,7 +478,7 @@ def test_restrict_left_top_piece():
     g = sys_.group
     alpha = sys_.aut_s_reps()[2].morphism
     beta = sys_.aut_s_reps()[5].morphism
-    res = restrict_left(biset_class(alpha), beta)
+    res = restrict_left(FormalBiset(3, {biset_class(alpha): 1}), beta)
     assert len(res.coeffs) == 1
     cls, mult = res.items()[0]
     assert mult == 1
@@ -489,7 +490,7 @@ def test_restrict_left_v_block_piece_count():
     sys_ = builtin_fusion_system("d8")
     v0 = sys_.maximals[0]
     rep = next(r for r in sys_.v_source_reps(0) if r.extendable is False)
-    res = restrict_left(biset_class(rep.morphism), identity_morphism(v0))
+    res = restrict_left(FormalBiset(3, {biset_class(rep.morphism): 1}), identity_morphism(v0))
     # p pieces indexed by the transversal of V_0
     assert res.transitive_count() == 3
     assert all(cls.source == v0 for cls in res.support)
@@ -513,42 +514,47 @@ def test_restrict_left_matches_explicit_orbits():
         if sample is not None:
             support = random.Random(20100501).sample(support, sample)
         for cls in support:
-            explicit = explicit_from_formal(FormalBiset(sys_.p, {cls: 1}))
+            one = FormalBiset(sys_.p, {cls: 1})
+            explicit = explicit_from_formal(one)
             for psi in (incl, phi):
-                fast = restrict_left(cls, psi)
+                fast = restrict_left(one, psi)
                 slow = explicit.restricted_orbit_decomposition(psi)
                 assert fast == slow
             # coset-count conservation
-            res = restrict_left(cls, incl)
+            res = restrict_left(one, incl)
             total = sum(mult * (v0.order // c.source.order) for c, mult in res.items())
             assert total == g.full.order // cls.rep.source.order
 
 
-def _check_double_cosets(g, psi, phis):
+def _check_double_cosets(g, psi, classes):
     """Each orbit of the shared split, recomputed from its first coset t with
     element arithmetic: t is the least element of psi(R) t Q, the tracked v
     has psi(v) t in the orbit's coset, the orbit has |R:A| cosets, and the
     piece is a -> phi(t^-1 psi(a) t) on A."""
     r_sub = psi.source
-    for phi, (tracked, pieces) in zip(phis, biset._double_cosets(phis, psi, {})):
-        q = phi.source
-        reps = g.coset_index(q)[0]
-        covered = []
-        for positions, piece_cls, piece in pieces:
-            assert list(positions) == sorted(positions)
-            t = g.elements[reps[positions[0]]]
-            ti = t.inv()
-            assert min((psi(r) * t * h).code() for r in r_sub for h in q) == t.code()
-            for k in positions:
-                coset = {g.elements[reps[k]] * h for h in q}
-                assert psi(g.elements[tracked[k]]) * t in coset
-            a_elems = {a for a in r_sub if ti * psi(a) * t in q}
-            assert frozenset(piece.source) == a_elems
-            assert all(piece(a) == phi(ti * psi(a) * t) for a in a_elems)
-            assert len(positions) * len(a_elems) == r_sub.order
-            assert piece_cls == biset_class(piece, left=r_sub)
-            covered.extend(positions)
-        assert sorted(covered) == list(range(len(reps)))
+    _restriction, grouped = biset._restriction_split([(cls, 1) for cls in classes], psi, {})
+    covered = {cls: [] for cls in classes}
+    for piece_cls, entries in grouped.items():
+        for cls, tracked, orbits in entries:
+            phi = cls.rep
+            q = phi.source
+            reps = g.coset_index(q)[0]
+            for positions, piece in orbits:
+                assert list(positions) == sorted(positions)
+                t = g.elements[reps[positions[0]]]
+                ti = t.inv()
+                assert min((psi(r) * t * h).code() for r in r_sub for h in q) == t.code()
+                for k in positions:
+                    coset = {g.elements[reps[k]] * h for h in q}
+                    assert psi(g.elements[tracked[k]]) * t in coset
+                a_elems = {a for a in r_sub if ti * psi(a) * t in q}
+                assert frozenset(piece.source) == a_elems
+                assert all(piece(a) == phi(ti * psi(a) * t) for a in a_elems)
+                assert len(positions) * len(a_elems) == r_sub.order
+                assert piece_cls == biset_class(piece, left=r_sub)
+                covered[cls].extend(positions)
+    for cls, positions in covered.items():
+        assert sorted(positions) == list(range(len(g.coset_index(cls.source)[0])))
 
 
 def _split_psis(sys_):
@@ -564,19 +570,19 @@ def test_double_cosets_orbits_and_pieces():
     from p3fusion.solver import minimal_biset
 
     sys_ = builtin_fusion_system("d8")
-    phis = [cls.rep for cls in minimal_biset(sys_, certify=False).biset.support]
+    classes = minimal_biset(sys_, certify=False).biset.support
     for psi in _split_psis(sys_):
-        _check_double_cosets(sys_.group, psi, phis)
+        _check_double_cosets(sys_.group, psi, classes)
     sys_ = builtin_fusion_system("4s4")
     by_source = {}
     for cls in minimal_biset(sys_, certify=False).biset.support:
-        by_source.setdefault(cls.source.id, []).append(cls.rep)
+        by_source.setdefault(cls.source.id, []).append(cls)
     rng = random.Random(1997)
     shared = sorted(q for q, reps in by_source.items() if len(reps) > 1)
-    phis = [phi for q in rng.sample(shared, 5) for phi in rng.sample(by_source[q], 2)]
-    assert len({phi.source.id for phi in phis}) == 5
+    classes = [cls for q in rng.sample(shared, 5) for cls in rng.sample(by_source[q], 2)]
+    assert len({cls.source.id for cls in classes}) == 5
     for psi in _split_psis(sys_):
-        _check_double_cosets(sys_.group, psi, phis)
+        _check_double_cosets(sys_.group, psi, classes)
 
 
 def test_restrict_left_biset_linear():
@@ -586,8 +592,34 @@ def test_restrict_left_biset_linear():
     a = biset_class(sys_.aut_s_reps()[1].morphism)
     b = biset_class(next(r for r in sys_.v_source_reps(0) if not r.extendable).morphism)
     combo = FormalBiset(3, {a: 2, b: 3})
-    expanded = 2 * restrict_left(a, incl) + 3 * restrict_left(b, incl)
-    assert restrict_left_biset(combo, incl) == expanded
+    expanded = (2 * restrict_left(FormalBiset(3, {a: 1}), incl)
+                + 3 * restrict_left(FormalBiset(3, {b: 1}), incl))
+    assert restrict_left(combo, incl) == expanded
+
+
+def test_restrict_left_refuses_a_biset_over_a_proper_subgroup():
+    # the split reads S/Q for each source Q, so an R-S biset has no meaning there
+    sys_ = builtin_fusion_system("d8")
+    incl = identity_morphism(sys_.maximals[0])
+    once = restrict_left(FormalBiset(3, {biset_class(sys_.aut_s_reps()[1].morphism): 1}), incl)
+    with pytest.raises(ValueError, match="S-S bisets"):
+        restrict_left(once, incl)
+
+
+def test_restrict_left_of_the_minimal_biset_matches_explicit_orbits():
+    # the whole biset in one split, so classes that share a source and hits
+    # in the piece memo are checked against the explicit-set oracle too
+    from p3fusion.fusion import lift_matrix_to_aut
+    from p3fusion.realize import essential_generators
+    from p3fusion.solver import minimal_biset
+
+    sys_ = builtin_fusion_system("d8")
+    x = minimal_biset(sys_, certify=False).biset
+    explicit = explicit_from_formal(x)
+    psis = (identity_morphism(sys_.maximals[0]), essential_generators(sys_)[0].morphism,
+            lift_matrix_to_aut(sys_.sorted_out[1]))
+    for psi in psis:
+        assert restrict_left(x, psi) == explicit.restricted_orbit_decomposition(psi)
 
 
 def test_mark_vector_zero_and_truncation():

@@ -15,6 +15,7 @@ from p3fusion.fusion import (
     gl2_elements,
     lambda_sets,
     lift_matrix_to_aut,
+    line_scaling,
     matrix_of_automorphism,
     power_subgroup,
     realizing_group_name,
@@ -281,6 +282,21 @@ def test_rows_are_built_only_at_the_spec_prime():
                          text=True, timeout=120, check=True).stdout
     # one prime built, and it is p = 7: asking for its three rows builds nothing
     assert out.split() == ["None", "1", "1", "3", "1"]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_matrix_maps_each_line_vector_to_a_multiple_of_its_image(p):
+    # the pinned vector of line i is (1, i) for i < p and (0, 1) for i = p
+    def vector(i):
+        return (1, i) if i < p else (0, 1)
+
+    for m in gl2_elements(p):
+        for i in range(p + 1):
+            x, y = vector(i)
+            lam = line_scaling(m, i)
+            assert lam % p
+            assert ((m.a * x + m.b * y) % p, (m.c * x + m.d * y) % p) == \
+                tuple(lam * v % p for v in vector(act_on_line(m, i)))
 
 
 def test_lift_matrix():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "p3fusion"
@@ -34,3 +35,14 @@ def test_no_module_level_memo_in_the_package():
                     node.value is not None and _is_empty_container(node.value):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_exported_name_is_defined():
+    # a deleted function cannot linger in an __all__
+    missing = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = "p3fusion" if path.stem == "__init__" else f"p3fusion.{path.stem}"
+        module = importlib.import_module(name)
+        missing.extend(f"{name}.{export}" for export in getattr(module, "__all__", ())
+                       if not hasattr(module, export))
+    assert missing == []

@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 from p3fusion import biset, fusion, realize
-from p3fusion.biset import biset_class
+from p3fusion.biset import biset_class, restrict_left
 from p3fusion.errors import (
     ConditionAViolationError,
     PrimeMismatchError,
@@ -91,14 +91,17 @@ def test_blocks_are_their_own_pieces_along_the_identity(name, monkeypatch):
     keyed = []
     plain = biset._class_key
     monkeypatch.setattr(biset, "_class_key", lambda mor, left: keyed.append(mor) or plain(mor, left))
-    pieces = realize._pieces_by_class(index, identity_morphism(sys_.group.full))
+    restriction, pieces = biset._restriction_split(
+        index.items, identity_morphism(sys_.group.full), index._pieces)
     assert not keyed
     assert len(pieces) == len(index.classes)
-    for cls, blocks in index.classes:
-        (entry_blocks, _tracked, orbits), = pieces[cls]
+    for cls, blocks in index.classes.items():
+        (entry_cls, _tracked, orbits), = pieces[cls]
         (positions, piece), = orbits
-        assert entry_blocks is blocks and piece is cls.rep
+        assert index.classes[entry_cls] is blocks and piece is cls.rep
         assert list(positions) == list(range(blocks[0].size))
+    # along id_S the restriction is the biset itself
+    assert restriction == minimal_biset(sys_, certify=False).biset
 
 
 def test_out_perm_bijective_and_class_respecting():
@@ -298,8 +301,18 @@ def test_stability_violation_for_wrong_biset():
     bad = FormalBiset(3, dict(list(x0.coeffs.items())[:3]))
     index = BisetIndex(sys_, bad)
     phi = essential_generators(sys_)[0]
-    with pytest.raises(StabilityViolationError):
+    with pytest.raises(StabilityViolationError) as caught:
         perm_image_of_essential(index, phi)
+    # the witness: the first piece class whose two multiplicities differ
+    along_incl = restrict_left(bad, identity_morphism(phi.morphism.source))
+    along_phi = restrict_left(bad, phi.morphism)
+    cls = next(c for c in sorted(along_incl.coeffs.keys() | along_phi.coeffs.keys())
+               if along_incl.coefficient(c) != along_phi.coefficient(c))
+    m, n = along_incl.coefficient(cls), along_phi.coefficient(cls)
+    assert m != n
+    assert str(caught.value) == (
+        f"restrictions along the inclusion and along psi differ on {cls!r}: "
+        f"multiplicity {m} against {n}")
 
 
 def test_wrong_witness_is_refused_as_not_a_permutation(monkeypatch):
