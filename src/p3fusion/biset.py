@@ -392,7 +392,7 @@ class FormalBiset:
         return sum(c * self.p**cls.layer for cls, c in self.coeffs.items())
 
     def size(self):
-        return self.e() * self.left.order
+        return self.e() * self.p**3
 
     def is_genuine(self) -> bool:
         return all(isinstance(c, int) and c >= 0 or

@@ -12,7 +12,6 @@ counting constraint the description implies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -133,8 +132,7 @@ def matrix_closure(p: int, gens) -> frozenset:
 
 # -- system descriptions ------------------------------------------------------
 
-@dataclass(frozen=True)
-class FusionClass:
+class FusionClass(NamedTuple):
     members: frozenset
     r: int
 
@@ -145,15 +143,20 @@ class FusionClass:
 _MAX_SPEC_PRIME = 23
 
 
-@dataclass(frozen=True)
-class FusionSystemSpec:
-    """p plus the partition of the p+1 lines into classes with their r values."""
+class FusionSystemSpec(NamedTuple("FusionSystemSpec",
+                                  [("p", int), ("name", str), ("classes", tuple)])):
+    """p plus the partition of the p+1 lines into classes with their r values,
+    validated whenever one is made: directly, by _replace or by unpickling."""
 
-    p: int
-    name: str
-    classes: tuple
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, p: int, name: str, classes: tuple):
+        self = super().__new__(cls, p, name, classes)
+        self._validate()
+        return self
+
+    def _validate(self):
         # the limit comes first: primality testing a huge prime is unbounded work
         if isinstance(self.p, int) and self.p > _MAX_SPEC_PRIME:
             raise ValueError(f"{self.p} is above the supported maximum {_MAX_SPEC_PRIME}")
@@ -445,8 +448,7 @@ def aut_F_V(spec: FusionSystemSpec, i: int) -> frozenset:
     return frozenset(m for m in gl2_elements(p) if m.det() in allowed)
 
 
-@dataclass(frozen=True)
-class LambdaSets:
+class LambdaSets(NamedTuple):
     extendable: frozenset
     nonextendable: frozenset
 
@@ -561,8 +563,7 @@ def matrix_of_automorphism(alpha: GroupMorphism) -> MatrixGL2:
 
 # -- morphism representatives -------------------------------------------------
 
-@dataclass(frozen=True)
-class FusionMorphism:
+class FusionMorphism(NamedTuple):
     """A representative F-morphism together with its classification data.
 
     kind is one of "aut_s", "extendable", "nonextendable", "order_p".

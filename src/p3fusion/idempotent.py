@@ -13,9 +13,9 @@ runs on the integer multiple D*omega, D the lcm of the denominators.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .biset import FormalBiset, biset_class, is_left_stable, is_right_stable
 from .errors import InconsistentSpecError, NotComputedError
@@ -160,8 +160,7 @@ def layer_sums(system: FusionSystem, om: FormalBiset) -> dict:
     return sums
 
 
-@dataclass
-class IdempotentReport:
+class IdempotentReport(NamedTuple):
     system_name: str
     coefficients: dict
     layer_sum_by_layer: dict

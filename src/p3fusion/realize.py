@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .biset import FormalBiset, _restriction_split, _TransporterSearch, check_condition_a
@@ -24,15 +23,10 @@ from .group import GroupMorphism, ambient_group, identity_morphism
 from .solver import minimal_biset
 
 
-class Block(NamedTuple):
-    cls: object  # BisetClass of the summand
-    offset: int
-    size: int
-
-
 class BisetIndex:
     """The labelled index set J of a genuine S-S-biset: one label per left
-    coset of each summand's source, numbered as in coset_index."""
+    coset of each summand's source, numbered as in coset_index.  classes maps
+    a class to (offset of its first copy, block size, copies)."""
 
     def __init__(self, system: FusionSystem, biset: FormalBiset):
         if biset.p != system.p:
@@ -41,20 +35,16 @@ class BisetIndex:
             raise ValueError("the index set needs nonnegative integer multiplicities")
         check_condition_a(system, biset)
         self.system = system
-        full = system.group.full
-        blocks = []
         self.items = biset.items()  # sorted once: the splits read this order
-        self.classes = {}  # class -> its blocks, in block order
+        self.classes = {}
         offset = 0
         for cls, mult in self.items:
-            size = full.order // cls.source.order
-            copies = [Block(cls, offset + k * size, size) for k in range(int(mult))]
-            offset += len(copies) * size
-            blocks += copies
-            self.classes[cls] = copies
-        self.blocks = blocks
+            size, copies = system.group.full.order // cls.source.order, int(mult)
+            self.classes[cls] = (offset, size, copies)
+            offset += copies * size
         self.size = offset
-        self.j0 = tuple(b.offset for b in blocks if b.size == 1)
+        self.j0 = tuple(start + k for start, size, copies in self.classes.values()
+                        if size == 1 for k in range(copies))
         self._pieces = {}  # the restriction splits' piece memo, for this index
         self._source_pieces = {}
         self._witnesses = {}  # by the ids of two pieces, which live as long as the index
@@ -63,9 +53,10 @@ class BisetIndex:
 # -- permutations from fusion morphisms -----------------------------------------
 
 def _copies(index: BisetIndex, entries):
-    """(block, positions, tracked, piece) per copy and orbit: block order, then orbit order."""
-    return ((b, pos, tr, piece) for cls, tr, orbits in entries
-            for b in index.classes[cls] for pos, piece in orbits)
+    """(class, block offset, positions, tracked, piece) in block order, then orbit order."""
+    return ((cls, offset + k * size, pos, tr, piece) for cls, tr, orbits in entries
+            for offset, size, copies in (index.classes[cls],)
+            for k in range(copies) for pos, piece in orbits)
 
 
 def _conjugation_witness(candidates, a_mor, b_mor):
@@ -107,7 +98,7 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     # orbit of J is the target of one pair, so perm is bijective if each pair is
     relative = {}
     for piece_cls, sources in source_pieces.items():
-        for (s_block, s_positions, s_tracked, s_mor), (t_block, t_positions, _, t_mor) \
+        for (_, s_offset, s_positions, s_tracked, s_mor), (t_cls, t_offset, t_positions, _, t_mor) \
                 in zip(_copies(index, sources), _copies(index, target_pieces[piece_cls])):
             w = index._witnesses.get(pair := (id(s_mor), id(t_mor)))
             if w is None:
@@ -115,7 +106,7 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
             key = (id(s_positions), id(t_positions), w)
             images = relative.get(key)
             if images is None:
-                t_reps, t_pos = grp.coset_index(t_block.cls.rep.source)
+                t_reps, t_pos = grp.coset_index(t_cls.rep.source)
                 t = t_reps[t_positions[0]]
                 images = relative[key] = array("l", [
                     t_pos[mul[psi_table[r_pos[mul[s_tracked[k] * n + w]]] * n + t]][0]
@@ -123,7 +114,6 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
                 if array("l", sorted(images)) != t_positions:
                     raise StabilityViolationError(
                         "induced map on labels is not a permutation")
-            s_offset, t_offset = s_block.offset, t_block.offset
             for pos, image in zip(s_positions, images):
                 perm[s_offset + pos] = t_offset + image
     if -1 in perm:
@@ -146,17 +136,28 @@ def perm_image_of_essential(index: BisetIndex, phi: FusionMorphism) -> array:
 
 # -- orbit computation ------------------------------------------------------------
 
+def _forest(n: int) -> list:
+    """n one-label orbits: each root holds the shared -1, not an int of its own."""
+    return [-1] * n
+
+
 def _join_orbits(parent, perm, orbits: int) -> int:
     """Join the orbits of i and perm[i] for each label i in the flat forest
-    `parent` (roots are their own parents; paths halve) with `orbits` orbits;
-    returns the count left, and stops reading perm once it is one."""
+    `parent` from _forest (paths halve) with `orbits` orbits; returns the
+    count left, and stops reading perm once it is one."""
     if orbits == 1:
         return 1
     for i, j in enumerate(perm):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
+        while (up := parent[i]) >= 0:
+            if (top := parent[up]) < 0:
+                i = up
+                break
+            parent[i] = i = top
+        while (up := parent[j]) >= 0:
+            if (top := parent[up]) < 0:
+                j = up
+                break
+            parent[j] = j = top
         if i != j:
             parent[j] = i
             orbits -= 1
@@ -197,8 +198,7 @@ def j0_class_action_checks(system: FusionSystem, biset: FormalBiset | None = Non
     return True, None
 
 
-@dataclass
-class RealizationReport:
+class RealizationReport(NamedTuple):
     system_name: str
     j_size: int
     generator_count: int
@@ -257,7 +257,7 @@ def check_transitivity(system: FusionSystem,
         biset = minimal_biset(system, certify=False).biset
     index = BisetIndex(system, biset)
     all_out_reps = system.p <= 3
-    parent = list(range(index.size))
+    parent = _forest(index.size)
     orbits = index.size
     essentials = essential_generators(system)
     for rep in essentials:
@@ -286,7 +286,7 @@ def check_transitivity(system: FusionSystem,
     if not j0_regular:
         raise TheoremViolationError(reason)
     j0_pos = {label: k for k, label in enumerate(index.j0)}
-    j0_parent = list(range(len(index.j0)))
+    j0_parent = _forest(len(index.j0))
     j0_orbits = len(index.j0)
     for m, images in out_j0_images:
         j0_perm = []

@@ -12,8 +12,8 @@ forms serve as a cross-check, not as the source of truth.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .biset import (
     FormalBiset,
@@ -274,8 +274,7 @@ def mark_identity_checks(system: FusionSystem):
 
 # -- coefficient assignments -----------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerCoefficients:
+class LayerCoefficients(NamedTuple):
     """A full coefficient assignment for a right characteristic biset."""
 
     c0: int
@@ -333,8 +332,7 @@ def assemble(system: FusionSystem, coeffs: LayerCoefficients) -> FormalBiset:
 
 # -- the minimal biset ----------------------------------------------------------------
 
-@dataclass
-class SolverResult:
+class SolverResult(NamedTuple):
     system_name: str
     p: int
     f: int
@@ -533,8 +531,7 @@ EXPECTED_TABLE = {
 }
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     rows: list
     mismatches: list
 

@@ -622,6 +622,23 @@ def test_restrict_left_of_the_minimal_biset_matches_explicit_orbits():
         assert restrict_left(x, psi) == explicit.restricted_orbit_decomposition(psi)
 
 
+@pytest.mark.parametrize("name", ["d8", "sd16", "4s4"])
+def test_restriction_to_each_v_keeps_every_point(name):
+    # an R-S piece over A has |R:A| |S| points, so restriction along any
+    # inclusion keeps all points of X; at D8 the explicit oracle agrees
+    from p3fusion.solver import minimal_biset
+
+    sys_ = builtin_fusion_system(name)
+    x = minimal_biset(sys_, certify=False).biset
+    explicit = explicit_from_formal(x) if name == "d8" else None
+    for v in sys_.maximals:
+        incl = identity_morphism(v)
+        assert restrict_left(x, incl).size() == x.size()
+        if explicit is not None:
+            assert explicit.restricted_orbit_decomposition(incl).size() == explicit.size \
+                == x.size() == 26136
+
+
 def test_mark_vector_zero_and_truncation():
     sys_ = builtin_fusion_system("d8")
     g = sys_.group

@@ -131,6 +131,46 @@ def test_verify_bad_workers_exit_2(capsys, monkeypatch, workers):
     assert "P3FUSION_WORKERS" in err
 
 
+def _without_wall_times(data):
+    if isinstance(data, dict):
+        return {k: _without_wall_times(v) for k, v in data.items() if k != "wall_time_s"}
+    if isinstance(data, list):
+        return [_without_wall_times(v) for v in data]
+    return data
+
+
+def test_verify_with_two_workers_matches_one(capsys, monkeypatch):
+    # the pool pickles each system's spec into a worker; with D8 and SD16 as
+    # the systems, two workers must print what one does
+    from concurrent.futures import ProcessPoolExecutor
+
+    from p3fusion import cli
+    from p3fusion.fusion import resolve_system
+
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "builtin_systems",
+                        lambda: [resolve_system("d8"), resolve_system("sd16")])
+    outputs = {}
+    for workers in ("2", "1"):
+        monkeypatch.setenv("P3FUSION_WORKERS", workers)
+        code, out, _ = run(capsys, "verify", "--all", "--oracle", "p3-exhaustive",
+                           "--format", "json")
+        assert code == 0
+        outputs[workers] = _without_wall_times(json.loads(out))
+    assert pools == [2]
+    assert [(r["suite"], r.get("system")) for r in outputs["1"]["results"]] == [
+        ("table", None)] + [(suite, name) for name in ("D8", "SD16")
+                            for suite in ("marks", "stability", "idempotent", "realize")]
+    assert outputs["2"] == outputs["1"]
+
+
 def test_verify_single_system_suites(capsys):
     code, out, _ = run(capsys, "verify", "--stability", "--idempotent",
                        "--system", "d8", "--format", "json")
@@ -144,7 +184,6 @@ def test_verify_stability_failure_prints_witness(capsys, monkeypatch):
     """A biset that is not stable (omega_upto2 plus 1/3 of the central diagonal
     class) makes the stability suite fail with its witness: the side, the
     morphism class and both marks, in the FAIL line and in the JSON."""
-    from dataclasses import replace
     from fractions import Fraction
 
     from p3fusion import cli
@@ -159,9 +198,9 @@ def test_verify_stability_failure_prints_witness(capsys, monkeypatch):
         zz = biset_class(morphism_from_images(grp.center, {grp.z: grp.z}))
         bad = omega_upto2(system) + FormalBiset(system.p, {zz: Fraction(1, 3)})
         found["left"] = is_left_stable(system, bad)
-        return replace(real(system, certify=False), biset=bad,
-                       stable_left=found["left"].ok,
-                       stable_right=is_right_stable(system, bad).ok)
+        return real(system, certify=False)._replace(
+            biset=bad, stable_left=found["left"].ok,
+            stable_right=is_right_stable(system, bad).ok)
 
     monkeypatch.setattr(cli, "minimal_biset", perturbed)
     code, out, _ = run(capsys, "verify", "--stability", "--system", "d8")

@@ -107,6 +107,22 @@ def test_spec_validation():
         FusionSystemSpec(4, "bad", (FusionClass(frozenset(range(5)), 1),))
 
 
+def test_spec_survives_pickling_and_replace_still_validates():
+    # the verify worker pool pickles each spec; unpickling and _replace both
+    # build through the validating constructor
+    import pickle
+
+    spec = FusionSystemSpec(
+        3, "custom", (FusionClass(frozenset({0, 1}), 2), FusionClass(frozenset({2, 3}), 2)))
+    again = pickle.loads(pickle.dumps(spec))
+    assert again == spec and type(again) is FusionSystemSpec
+    assert {c.members for c in again.classes} == {frozenset({0, 1}), frozenset({2, 3})}
+    with pytest.raises(InconsistentSpecError, match="do not cover"):
+        spec._replace(classes=spec.classes[:1])
+    with pytest.raises(InconsistentSpecError, match="do not cover"):
+        FusionSystemSpec(3, "bad", spec.classes[:1])
+
+
 @pytest.mark.parametrize("r", [0, -6, 2.0, True], ids=["zero", "negative", "float", "bool"])
 def test_spec_refuses_r_not_a_positive_int(r):
     # each of these divides p - 1 = 6 in Python arithmetic, or divides by zero

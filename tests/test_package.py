@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "p3fusion"
@@ -22,6 +25,17 @@ def _is_empty_container(node) -> bool:
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("dict", "set", "list") and not node.args
             and not node.keywords)
+
+
+def test_import_pulls_in_no_dataclasses_or_inspect():
+    # records are NamedTuples: dataclasses would import inspect, ast, dis and
+    # tokenize, about 1 MB of resident memory in every process
+    code = ("import sys, p3fusion, p3fusion.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_no_module_level_memo_in_the_package():

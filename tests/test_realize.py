@@ -1,6 +1,8 @@
 import hashlib
 import random
+import tracemalloc
 from array import array
+from itertools import accumulate
 
 import pytest
 
@@ -17,6 +19,7 @@ from p3fusion.group import ambient_group, identity_morphism
 from p3fusion.realize import (
     BisetIndex,
     _conjugation_witness,
+    _forest,
     _join_orbits,
     check_transitivity,
     essential_generators,
@@ -34,19 +37,29 @@ def _index(name):
     return sys_, BisetIndex(sys_, x)
 
 
+def _blocks(index):
+    """(class, offset, size) of each block of J, in block order."""
+    return [(cls, offset + k * size, size)
+            for cls, (offset, size, copies) in index.classes.items() for k in range(copies)]
+
+
 def test_index_set_shape():
     sys_, index = _index("d8")
     assert index.size == 968
     assert len(index.j0) == 8
     # block counts per layer match the d-values
     by_size = {}
-    for b in index.blocks:
-        by_size[b.size] = by_size.get(b.size, 0) + 1
+    for _cls, _offset, size in _blocks(index):
+        by_size[size] = by_size.get(size, 0) + 1
     assert by_size == {1: 8, 3: 32, 9: 96}
     # singleton blocks are exactly the automorphism summands
-    for b in index.blocks:
-        if b.size == 1:
-            assert b.cls.rep.source.order == 27
+    for cls, _offset, size in _blocks(index):
+        if size == 1:
+            assert cls.rep.source.order == 27
+    # blocks tile J in order, and J0 is the singleton blocks
+    assert [offset for _, offset, _ in _blocks(index)] == \
+        [0] + list(accumulate(size for _, _, size in _blocks(index)))[:-1]
+    assert index.j0 == tuple(offset for _, offset, size in _blocks(index) if size == 1)
 
 
 def test_index_set_rejects_virtual():
@@ -99,7 +112,8 @@ def test_blocks_are_their_own_pieces_along_the_identity(name, monkeypatch):
         (entry_cls, _tracked, orbits), = pieces[cls]
         (positions, piece), = orbits
         assert index.classes[entry_cls] is blocks and piece is cls.rep
-        assert list(positions) == list(range(blocks[0].size))
+        _offset, size, _copies = blocks
+        assert list(positions) == list(range(size))
     # along id_S the restriction is the biset itself
     assert restriction == minimal_biset(sys_, certify=False).biset
 
@@ -111,12 +125,12 @@ def test_out_perm_bijective_and_class_respecting():
         perm = perm_image_of_out(index, alpha)
         assert sorted(perm) == list(range(index.size))
         # block-to-block, preserving block sizes
-        label_block = {}
-        for b in index.blocks:
-            for pos in range(b.size):
-                label_block[b.offset + pos] = b
+        label_size = {}
+        for _cls, offset, size in _blocks(index):
+            for pos in range(size):
+                label_size[offset + pos] = size
         for i, j in enumerate(perm):
-            assert label_block[i].size == label_block[j].size
+            assert label_size[i] == label_size[j]
 
 
 def test_out_perm_singleton_rule():
@@ -125,14 +139,14 @@ def test_out_perm_singleton_rule():
     for m in sys_.sorted_out[:5]:
         alpha = lift_matrix_to_aut(m)
         perm = perm_image_of_out(index, alpha)
-        for b in index.blocks:
-            if b.size != 1:
+        for cls, offset, size in _blocks(index):
+            if size != 1:
                 continue
-            target_label = perm[b.offset]
-            target_block = next(tb for tb in index.blocks
-                                if tb.offset == target_label and tb.size == 1)
-            expect = biset_class(b.cls.rep.compose(alpha))
-            assert target_block.cls == expect
+            target_label = perm[offset]
+            target_cls = next(t_cls for t_cls, t_offset, t_size in _blocks(index)
+                              if t_offset == target_label and t_size == 1)
+            expect = biset_class(cls.rep.compose(alpha))
+            assert target_cls == expect
 
 
 def test_identity_perm_is_identity():
@@ -147,12 +161,11 @@ def test_essential_perm_merges_block_sizes():
     phi = essential_generators(sys_)[0]
     perm = perm_image_of_essential(index, phi)
     assert sorted(perm) == list(range(index.size))
-    label_block = {}
-    for b in index.blocks:
-        for pos in range(b.size):
-            label_block[b.offset + pos] = b
-    sizes_mixed = any(label_block[i].size != label_block[j].size
-                      for i, j in enumerate(perm))
+    label_size = {}
+    for _cls, offset, size in _blocks(index):
+        for pos in range(size):
+            label_size[offset + pos] = size
+    sizes_mixed = any(label_size[i] != label_size[j] for i, j in enumerate(perm))
     assert sizes_mixed  # singleton labels flow into p-sized blocks
     with pytest.raises(ValueError):
         ext = next(r for r in sys_.v_source_reps(0) if r.extendable)
@@ -168,9 +181,8 @@ def test_double_application_respects_block_classes():
     perm_inv = perm_from_morphism(index, inv_mor)
     combined = [perm_inv[perm[i]] for i in range(index.size)]
     labels_by_class = {}
-    for b in index.blocks:
-        labels_by_class.setdefault(b.cls, set()).update(
-            range(b.offset, b.offset + b.size))
+    for cls, offset, size in _blocks(index):
+        labels_by_class.setdefault(cls, set()).update(range(offset, offset + size))
     for labels in labels_by_class.values():
         assert {combined[i] for i in labels} == labels
 
@@ -216,7 +228,7 @@ def test_join_orbits_matches_bfs_after_each_generator():
     # permutations (a few random cycles) make the count fall slowly
     rng = random.Random(2010)
     for n in (1, 2, 9, 120, 700):
-        parent = list(range(n))
+        parent = _forest(n)
         orbits = n
         perms = []
         for _ in range(8):
@@ -242,9 +254,25 @@ def test_join_orbits_stops_at_one_orbit():
         yield from images
         raise AssertionError("read past the label that leaves one orbit")
 
-    parent = list(range(n))
+    parent = _forest(n)
     assert _join_orbits(parent, images_then_raise(range(1, n)), n) == 1
     assert _join_orbits(parent, images_then_raise(()), 1) == 1
+
+
+def test_join_orbits_forest_makes_no_int_per_label():
+    # every root holds the one marker -1, so a fresh forest is a pointer a
+    # label; a forest of list(range(n)) measures about 40 bytes a label
+    n = 100_000
+    perm = array("l", random.Random(2010).sample(range(n), n))
+    cycles = _bfs_orbit_count(n, [perm])
+    tracemalloc.start()
+    try:
+        orbits = _join_orbits(_forest(n), perm, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orbits == cycles
+    assert peak < 28 * n
 
 
 def _wrap_out_perms(monkeypatch, change):
@@ -274,7 +302,7 @@ def test_outer_permutation_fixing_a_singleton_label_is_refused(monkeypatch):
 def test_outer_permutation_leaving_the_singleton_labels_is_refused(monkeypatch):
     def swap_out(index, perm):
         label = index.j0[0]
-        other = next(b.offset for b in index.blocks if b.size > 1)
+        other = next(offset for _, offset, size in _blocks(index) if size > 1)
         perm[label], perm[other] = perm[other], perm[label]
 
     _wrap_out_perms(monkeypatch, swap_out)
