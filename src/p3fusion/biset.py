@@ -53,6 +53,7 @@ __all__ = [
     "restrict_left",
     "is_left_stable",
     "is_right_stable",
+    "stability_witness",
     "check_condition_a",
     "biset_mark",
     "mark_table",
@@ -365,10 +366,10 @@ class FormalBiset:
 
     __slots__ = ("p", "left", "coeffs")
 
-    def __init__(self, p: int, coeffs: dict | None = None, left: Subgroup | None = None):
+    def __init__(self, p: int, coeffs: dict, left: Subgroup | None = None):
         self.p = p
         self.left = left if left is not None else ambient_group(p).full
-        self.coeffs = {cls: c for cls, c in coeffs.items() if c} if coeffs else {}
+        self.coeffs = {cls: c for cls, c in coeffs.items() if c}
 
     def items(self):
         return [(cls, self.coeffs[cls]) for cls in sorted(self.coeffs)]
@@ -424,7 +425,7 @@ class FormalBiset:
     def __repr__(self):
         return f"FormalBiset(p={self.p}, {self.transitive_count()} transitive pieces)"
 
-    def to_json(self, system_name: str | None = None) -> dict:
+    def to_json(self, system_name: str) -> dict:
         classes = []
         for cls, c in self.items():
             gens = cls.rep.source.canonical_gens
@@ -433,10 +434,7 @@ class FormalBiset:
                 "image_generators": [[h.a, h.b, h.c] for h in map(cls.rep, gens)],
                 "multiplicity": str(Fraction(c)),
             })
-        out = {"prime": self.p, "classes": classes}
-        if system_name is not None:
-            out["system"] = system_name
-        return out
+        return {"prime": self.p, "classes": classes, "system": system_name}
 
     @staticmethod
     def from_json(data: dict) -> "FormalBiset":
@@ -743,7 +741,18 @@ def is_right_stable(system, b: FormalBiset) -> StabilityResult:
     return _stability_sweep(system, b, "right")
 
 
+def stability_witness(left: StabilityResult, right: StabilityResult):
+    """(side, FusionMorphism, lhs, rhs) of the first failing sweep, or None."""
+    for side, res in (("left", left), ("right", right)):
+        if not res.ok:
+            return (side, *res.witness)
+    return None
+
+
 # -- explicit bisets ------------------------------------------------------------------
+
+POINT_LIMIT = 2_000_000  # the most points an explicit biset or composite may have
+
 
 class ExplicitBiset:
     """An explicit finite S-S-set with free actions on both sides.
@@ -874,17 +883,17 @@ def _regular_biset(p: int) -> ExplicitBiset:
     return ExplicitBiset(p, len(grp.elements), left_gen, right_gen)
 
 
-def explicit_from_formal(b: FormalBiset, limit: int = 2_000_000) -> ExplicitBiset:
+def explicit_from_formal(b: FormalBiset) -> ExplicitBiset:
     """Materialise a genuine S-S formal biset as explicit points (t, y)."""
     if not b.is_genuine():
         raise ValueError("only genuine bisets (nonnegative integers) can be realised")
     n = b.size()
-    if n > limit:
-        raise ResourceLimitError(f"explicit biset would have {n} > {limit} points")
-    return _product_explicit(b, _regular_biset(b.p), limit)
+    if n > POINT_LIMIT:
+        raise ResourceLimitError(f"explicit biset would have {n} > {POINT_LIMIT} points")
+    return _product_explicit(b, _regular_biset(b.p))
 
 
-def _product_explicit(a: FormalBiset, x_b: ExplicitBiset, limit: int) -> ExplicitBiset:
+def _product_explicit(a: FormalBiset, x_b: ExplicitBiset) -> ExplicitBiset:
     """X x_S Y for X the formal biset `a` and Y explicit.  The points are
     (t, copy, j) for t in a transversal of each class's source Q and j in Y;
     g moves (t, j) to (t', phi(q) j) where g t = t' q."""
@@ -897,8 +906,8 @@ def _product_explicit(a: FormalBiset, x_b: ExplicitBiset, limit: int) -> Explici
         labels.extend([(cls.rep, reps, pos)] * int(mult))
     m = x_b.size
     size = sum(len(reps) for _, reps, _ in labels) * m
-    if size > limit:
-        raise ResourceLimitError(f"composite would have {size} > {limit} points")
+    if size > POINT_LIMIT:
+        raise ResourceLimitError(f"composite would have {size} > {POINT_LIMIT} points")
     gens = (grp.x, grp.y, grp.z)
     left_gen = {g: [0] * size for g in gens}
     right_gen = {g: [0] * size for g in gens}
@@ -917,17 +926,14 @@ def _product_explicit(a: FormalBiset, x_b: ExplicitBiset, limit: int) -> Explici
     return ExplicitBiset(p, size, left_gen, right_gen)
 
 
-def compose(a: FormalBiset, b: FormalBiset, limit: int = 2_000_000,
-            classes=None) -> FormalBiset:
+def compose(a: FormalBiset, b: FormalBiset) -> FormalBiset:
     """Double Burnside product via the explicit-set construction, decomposed
     back into classes by marks.  [S, id] is a two-sided identity."""
     if a.p != b.p:
         raise ValueError("bisets over different primes")
     if not (a.is_genuine() and b.is_genuine()):
         raise ValueError("compose needs genuine bisets")
-    x_b = explicit_from_formal(b, limit=limit)
-    prod = _product_explicit(a, x_b, limit)
-    return decompose_by_marks(prod, classes=classes)
+    return decompose_by_marks(_product_explicit(a, explicit_from_formal(b)))
 
 
 @lru_cache(maxsize=None)
@@ -962,15 +968,13 @@ def all_graph_classes(p: int) -> tuple:
     return tuple(sorted(found))
 
 
-def decompose_by_marks(x: ExplicitBiset, classes=None) -> FormalBiset:
+def decompose_by_marks(x: ExplicitBiset) -> FormalBiset:
     """Unique class decomposition of an explicit biset from its mark vector,
     solved layer by layer down the triangular table of marks."""
     x.verify_free()
     p = x.p
-    if classes is None:
-        classes = all_graph_classes(p)
     coeffs = {}
-    for cls in sorted(classes):
+    for cls in all_graph_classes(p):
         mark = x.fixed_point_count(cls.rep)
         for prev, c in coeffs.items():
             if prev.layer <= cls.layer:

@@ -13,13 +13,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .biset import (
-    biset_class,
-    brute_force_fixed_points,
-    count_fixed_points,
-    is_left_stable,
-    is_right_stable,
-)
+from .biset import biset_class, brute_force_fixed_points, count_fixed_points
 from .errors import P3FusionError, UnknownSystemError
 from .fusion import (
     FusionSystemSpec,
@@ -144,12 +138,8 @@ def _suite_stability(spec) -> dict:
     out = {"suite": "stability", "system": spec.name, "ok": res.certificates_ok(),
            "stable_left": res.stable_left, "stable_right": res.stable_right,
            "minimal": res.minimal, "unique": res.unique}
-    # the first failing sweep runs again for its witness: a class and its two marks
-    for side, ok, sweep in (("left", res.stable_left, is_left_stable),
-                            ("right", res.stable_right, is_right_stable)):
-        if not ok:
-            out["witness"] = _witness(side, *sweep(system, res.biset).witness)
-            break
+    if res.witness:
+        out["witness"] = _witness(*res.witness)
     return out
 
 
@@ -316,10 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_systems.add_argument("action", choices=["list"])
     p_systems.set_defaults(func=cmd_systems_list)
 
-    def add_common(p, config=True):
+    def add_common(p):
         p.add_argument("--system", help="built-in system name or alias")
-        if config:
-            p.add_argument("--config", help="path to a JSON system description")
+        p.add_argument("--config", help="path to a JSON system description")
         p.add_argument("--format", choices=["table", "json"], default="table")
 
     p_min = sub.add_parser("minimal", help="compute the minimal characteristic biset")

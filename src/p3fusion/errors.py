@@ -27,9 +27,9 @@ class ConditionAViolationError(P3FusionError):
     Carries the offending class in ``self.biset_class``.
     """
 
-    def __init__(self, biset_class, message=None):
+    def __init__(self, biset_class):
         self.biset_class = biset_class
-        super().__init__(message or f"support class outside the fusion system: {biset_class}")
+        super().__init__(f"support class outside the fusion system: {biset_class}")
 
 
 class StabilityViolationError(P3FusionError):
@@ -52,7 +52,7 @@ class InfeasibleCoefficientsError(P3FusionError):
 
 
 class ResourceLimitError(P3FusionError):
-    """An explicit-set computation would exceed the configured size limit."""
+    """An explicit-set computation would exceed its fixed size limit."""
 
 
 class NotComputedError(P3FusionError):

@@ -566,15 +566,19 @@ def matrix_of_automorphism(alpha: GroupMorphism) -> MatrixGL2:
 class FusionMorphism(NamedTuple):
     """A representative F-morphism together with its classification data.
 
-    kind is one of "aut_s", "extendable", "nonextendable", "order_p".
+    kind is one of "aut_s", "extendable", "nonextendable", "order_p", "trivial".
     For V-to-V representatives (i, j, k, l) carry the source line, target line
     and the index pair; order-p representatives carry (xi, zeta) instead.
     """
 
     morphism: GroupMorphism
     kind: str
-    extendable: object = None  # True/False for V-sources, None otherwise
-    meta: tuple = ()
+    meta: tuple
+
+    @property
+    def extendable(self):
+        """True or False for a V-source representative, None otherwise."""
+        return {"extendable": True, "nonextendable": False}.get(self.kind)
 
     @property
     def source(self) -> Subgroup:
@@ -693,7 +697,7 @@ class FusionSystem:
     def aut_s_reps(self) -> tuple:
         """One automorphism of S per outer class, tagged with its matrix."""
         if self._aut_s_reps is None:
-            self._aut_s_reps = tuple(FusionMorphism(alpha, "aut_s", None, (m,))
+            self._aut_s_reps = tuple(FusionMorphism(alpha, "aut_s", (m,))
                                      for m, alpha in self.out_lifts.items())
         return self._aut_s_reps
 
@@ -715,10 +719,10 @@ class FusionSystem:
                 u_j = self.u[j]
                 for (k, l) in sorted(lam.extendable):
                     mor = morphism_from_images(v_i, {grp.z: grp.z ** k, u_i: u_j ** l})
-                    reps.append(FusionMorphism(mor, "extendable", True, (i, j, k, l)))
+                    reps.append(FusionMorphism(mor, "extendable", (i, j, k, l)))
                 for (k, l) in sorted(lam.nonextendable):
                     mor = morphism_from_images(v_i, {grp.z: u_j ** k, u_i: grp.z ** l})
-                    reps.append(FusionMorphism(mor, "nonextendable", False, (i, j, k, l)))
+                    reps.append(FusionMorphism(mor, "nonextendable", (i, j, k, l)))
             self._v_reps[i] = tuple(reps)
         return self._v_reps[i]
 
@@ -737,7 +741,7 @@ class FusionSystem:
                 src = grp.cyclic(xi)
                 for zeta in targets:
                     mor = morphism_from_images(src, {xi: zeta})
-                    reps.append(FusionMorphism(mor, "order_p", None, (xi, zeta)))
+                    reps.append(FusionMorphism(mor, "order_p", (xi, zeta)))
             self._order_p_reps = tuple(reps)
         return self._order_p_reps
 
@@ -766,7 +770,7 @@ class FusionSystem:
             want = self.group.z if gen.is_central() else self.u[self.group.line_of(gen)]
             return tuple(r for r in self.order_p_reps() if r.meta[0] == want)
         if q.order == 1:
-            return (FusionMorphism(identity_morphism(q), "trivial", None, ()),)
+            return (FusionMorphism(identity_morphism(q), "trivial", ()),)
         raise UnknownSystemError(f"unexpected subgroup order {q.order}")
 
     def is_extendable_v_morphism(self, mor: GroupMorphism) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .biset import FormalBiset, biset_class, is_left_stable, is_right_stable
+from .biset import FormalBiset, biset_class, is_left_stable, is_right_stable, stability_witness
 from .errors import InconsistentSpecError, NotComputedError
 from .fusion import FusionSystem
 from .solver import LinExpr, derive_layer2_relations, symbolic_biset
@@ -169,7 +169,7 @@ class IdempotentReport(NamedTuple):
     stable_right: bool
     z_local: bool
     wall_time_s: float
-    witness: tuple | None = None  # (side, FusionMorphism, lhs, rhs) of a failing sweep
+    witness: tuple | None  # (side, FusionMorphism, lhs, rhs) of a failing sweep
 
     @property
     def ok(self) -> bool:
@@ -213,12 +213,10 @@ def verify_idempotent_stability(system: FusionSystem) -> IdempotentReport:
                                     for cls, c in om.coeffs.items()})
     left = is_left_stable(system, scaled)
     right = is_right_stable(system, scaled)
-    witness = None
-    for side, res in (("left", left), ("right", right)):
-        if not res.ok:  # the first failing sweep, its marks divided back by D
-            rep, lhs, rhs = res.witness
-            witness = (side, rep, Fraction(lhs, d), Fraction(rhs, d))
-            break
+    witness = stability_witness(left, right)
+    if witness:  # its marks divided back by D
+        side, rep, lhs, rhs = witness
+        witness = (side, rep, Fraction(lhs, d), Fraction(rhs, d))
     return IdempotentReport(
         system_name=system.spec.name,
         coefficients=forms,

@@ -180,15 +180,13 @@ def _out_generator_matrices(system: FusionSystem):
     return gens
 
 
-def j0_class_action_checks(system: FusionSystem, biset: FormalBiset | None = None):
+def j0_class_action_checks(system: FusionSystem, biset: FormalBiset):
     """Regular action of the outer classes on the singleton labels.
 
     The singleton classes [S, sigma] must biject with the outer matrices;
     granting that, [S, sigma] -> [S, sigma o alpha] is right multiplication
     in the matrix group, which is free and transitive.  The bijection is the
     substantive check; it fails if the top layer ever collapses classes."""
-    if biset is None:
-        biset = minimal_biset(system, certify=False).biset
     top = biset.layer(0)
     mats = {matrix_of_automorphism(cls.rep) for cls in top.support}
     if mats != set(system.sorted_out):
@@ -250,7 +248,8 @@ def check_transitivity(system: FusionSystem,
     At p = 3 every outer class contributes a permutation; otherwise a
     generating subset is used.  The subset generates a subgroup of the full
     realized group, so a single orbit for the subset certifies transitivity
-    of the whole.  Every outer permutation is built: the J0 check needs all.
+    of the whole.  Every outer generator's permutation is built, even once J is
+    one orbit, because the J0 check reads them all.
     """
     start = time.perf_counter()
     if biset is None:

@@ -22,6 +22,7 @@ from .biset import (
     is_right_stable,
     mark_table,
     opposite,
+    stability_witness,
 )
 from .errors import InconsistentSpecError, InfeasibleCoefficientsError
 from .fusion import FusionSystem, FusionMorphism, matching_builtin, realizing_group_name
@@ -351,6 +352,7 @@ class SolverResult(NamedTuple):
     exotic: bool
     exoticity_bound_value: object  # int when exotic, else None
     wall_time_s: float
+    witness: tuple | None  # (side, FusionMorphism, lhs, rhs) of a failing sweep
 
     def certificates_ok(self) -> bool:
         return all((self.minimal, self.unique, self.stable_left, self.stable_right,
@@ -461,11 +463,11 @@ def enumerate_feasible_upto(system: FusionSystem, e_max: int):
     return found
 
 
-def exoticity_bound(e: int, p: int, log_p_order: int = 3) -> int:
-    """(e-1) * log_p|S| + sum over i >= 1 of floor(e / p**i)."""
+def exoticity_bound(e: int, p: int) -> int:
+    """(e-1) * log_p|S| + sum over i >= 1 of floor(e / p**i), with |S| = p^3."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    total = (e - 1) * log_p_order
+    total = (e - 1) * 3
     q = p
     while q <= e:
         total += e // q
@@ -497,9 +499,11 @@ def minimal_biset(system: FusionSystem, certify: bool = True) -> SolverResult:
         raise InconsistentSpecError(
             f"e = {e} does not match (p^5-1)/(p-1)*|Out| = {(p**5 - 1) // (p - 1) * out_order}")
     minimal_ok = unique_ok = stable_left = stable_right = self_opp = True
+    witness = None
     if certify:
-        stable_left = is_left_stable(system, x).ok
-        stable_right = is_right_stable(system, x).ok
+        left, right = is_left_stable(system, x), is_right_stable(system, x)
+        stable_left, stable_right = left.ok, right.ok
+        witness = stability_witness(left, right)
         self_opp = opposite(x) == x
         feasible = enumerate_feasible_upto(system, e)
         minimal_ok = all(size_of(system, c) >= e for c in feasible)
@@ -515,6 +519,7 @@ def minimal_biset(system: FusionSystem, certify: bool = True) -> SolverResult:
         self_opposite=self_opp,
         exotic=group is None, exoticity_bound_value=bound,
         wall_time_s=time.perf_counter() - start,
+        witness=witness,
     )
 
 
@@ -543,14 +548,14 @@ class TableReport(NamedTuple):
         return {"ok": self.ok, "rows": self.rows, "mismatches": self.mismatches}
 
 
-def verify_table(systems, certify: bool = False) -> TableReport:
+def verify_table(systems) -> TableReport:
     """Recompute (f, d0, d1, d2, e) plus the bound or realizing group for each
     system and diff against the expected row of the built-in system it
     matches up to relabelling (every system has one: build_out_F reads it)."""
     rows = []
     mismatches = []
     for system in systems:
-        res = minimal_biset(system, certify=certify)
+        res = minimal_biset(system, certify=False)
         built, group = matching_builtin(system.spec)
         last = res.exoticity_bound_value if res.exotic else group
         row = {

@@ -181,7 +181,7 @@ def test_criterion_8_realization():
         report = check_transitivity(system)
         assert report.orbit_count == 1, name
         assert report.j0_orbit_count == 1 and report.j0_regular, name
-        ok, reason = j0_class_action_checks(system)
+        ok, reason = j0_class_action_checks(system, _solved(name).biset)
         assert ok, reason
         sizes[name] = report.j_size
         if name in REALIZE_DIGESTS:

@@ -29,7 +29,12 @@ from p3fusion.biset import (
     restrict_left,
     subconjugate_closure,
 )
-from p3fusion.errors import ConditionAViolationError, MorphismError, PrimeMismatchError
+from p3fusion.errors import (
+    ConditionAViolationError,
+    MorphismError,
+    PrimeMismatchError,
+    ResourceLimitError,
+)
 from p3fusion.fusion import FusionSystem, builtin_fusion_system
 from p3fusion.group import (
     ExtraspecialGroup,
@@ -751,6 +756,39 @@ def test_compose_associative_small():
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
+def test_explicit_biset_over_the_point_limit_is_refused_before_building(monkeypatch):
+    from p3fusion.solver import minimal_biset
+
+    x = minimal_biset(builtin_fusion_system("d16x3"), certify=False).biset
+    assert x.size() == 46_115_664
+
+    def built(*_args):
+        raise AssertionError("points were allocated")
+
+    monkeypatch.setattr(biset, "_regular_biset", built)
+    monkeypatch.setattr(biset, "_product_explicit", built)
+    with pytest.raises(ResourceLimitError) as info:
+        explicit_from_formal(x)
+    assert str(info.value) == "explicit biset would have 46115664 > 2000000 points"
+
+
+def test_composite_over_the_point_limit_is_refused():
+    # X has 26,136 points, within the limit; X x_S X has 968 * 26,136
+    from p3fusion.solver import minimal_biset
+
+    x = minimal_biset(builtin_fusion_system("d8"), certify=False).biset
+    assert explicit_from_formal(x).size == 26_136
+    with pytest.raises(ResourceLimitError) as info:
+        compose(x, x)
+    assert str(info.value) == "composite would have 25299648 > 2000000 points"
+
+
+def test_all_graph_classes_is_refused_above_p5():
+    with pytest.raises(ResourceLimitError,
+                       match=r"^full graph-class enumeration is limited to p <= 5$"):
+        all_graph_classes(7)
+
+
 def test_stability_of_identity_for_trivial_like_sum():
     # [S, id] alone is stable for the class enumeration restricted to inner maps;
     # against a full fusion system it fails at some outer class, with a witness
@@ -774,8 +812,10 @@ def test_condition_a_violation():
     z = g.z
     mor = morphism_from_images(v0, {z: z, sys_.u[0]: sys_.u[1]})
     bad = FormalBiset(3, {biset_class(mor): 1})
-    with pytest.raises(ConditionAViolationError):
+    with pytest.raises(ConditionAViolationError) as info:
         is_left_stable(sys_, bad)
+    assert info.value.biset_class == biset_class(mor)
+    assert str(info.value) == f"support class outside the fusion system: {biset_class(mor)}"
 
 
 def test_identity_biset_stable_for_inner_classes():
@@ -839,7 +879,7 @@ def test_json_roundtrip():
     for _ in range(4):
         coeffs[biset_class(rng.choice(reps).morphism)] = Fraction(rng.randint(1, 9), 8)
     b = FormalBiset(3, coeffs)
-    assert FormalBiset.from_json(b.to_json()) == b
+    assert FormalBiset.from_json(b.to_json("d8")) == b
 
 
 # -- the per-system sparse mark table ---------------------------------------------

@@ -183,28 +183,40 @@ def test_verify_single_system_suites(capsys):
 def test_verify_stability_failure_prints_witness(capsys, monkeypatch):
     """A biset that is not stable (omega_upto2 plus 1/3 of the central diagonal
     class) makes the stability suite fail with its witness: the side, the
-    morphism class and both marks, in the FAIL line and in the JSON."""
+    morphism class and both marks, in the FAIL line and in the JSON.  The
+    witness comes from the solver's own sweeps: each side is swept once."""
     from fractions import Fraction
 
-    from p3fusion import cli
-    from p3fusion.biset import FormalBiset, biset_class, is_left_stable, is_right_stable
+    from p3fusion import biset, cli
+    from p3fusion.biset import (FormalBiset, biset_class, is_left_stable, is_right_stable,
+                                stability_witness)
     from p3fusion.idempotent import omega_upto2
 
     real = cli.minimal_biset
     found = {}
+    sweeps = []
+    real_sweep = biset._stability_sweep
+
+    def counted_sweep(system, b, side):
+        sweeps.append(side)
+        return real_sweep(system, b, side)
 
     def perturbed(system, certify=True):
         grp = system.group
         zz = biset_class(morphism_from_images(grp.center, {grp.z: grp.z}))
         bad = omega_upto2(system) + FormalBiset(system.p, {zz: Fraction(1, 3)})
         found["left"] = is_left_stable(system, bad)
+        right = is_right_stable(system, bad)
         return real(system, certify=False)._replace(
-            biset=bad, stable_left=found["left"].ok,
-            stable_right=is_right_stable(system, bad).ok)
+            biset=bad, stable_left=found["left"].ok, stable_right=right.ok,
+            witness=stability_witness(found["left"], right))
 
+    monkeypatch.setattr(biset, "_stability_sweep", counted_sweep)
     monkeypatch.setattr(cli, "minimal_biset", perturbed)
     code, out, _ = run(capsys, "verify", "--stability", "--system", "d8")
     assert code == 1
+    assert sorted(sweeps) == ["left", "right"]
+    sweeps.clear()
     rep, lhs, rhs = found["left"].witness
     gens = rep.morphism.source.canonical_gens
     line, = [ln for ln in out.splitlines() if ln.startswith("stability")]
@@ -215,6 +227,7 @@ def test_verify_stability_failure_prints_witness(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--stability", "--system", "d8",
                        "--format", "json")
     assert code == 1
+    assert sorted(sweeps) == ["left", "right"]
     witness = json.loads(out)["results"][0]["witness"]
     assert witness == {
         "side": "left", "kind": rep.kind,

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "p3fusion"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "p3fusion"
 
 
 def test_no_assert_statements_in_the_package():
@@ -60,3 +62,113 @@ def test_every_exported_name_is_defined():
         missing.extend(f"{name}.{export}" for export in getattr(module, "__all__", ())
                        if not hasattr(module, export))
     assert missing == []
+
+
+# Defaults that no caller in src/ or perfbench/ both omits and sets, kept for
+# the reason given.
+DEFAULTS_KEPT = {
+    "cli.main(argv)": "tests inject their arguments; the console script omits them",
+    "biset.mark_vector(classes)": "tests compare against it as the reference",
+    "solver.minimal_biset(certify)": "callers name both values: `minimal` and "
+                                     "`verify --stability` certify, the rest do not",
+}
+
+
+class _Signature(NamedTuple):
+    where: str  # module.qualified name, as in DEFAULTS_KEPT
+    positional: list  # the parameters a caller may pass by position
+    keyword_only: list
+    required: set
+    defaults: list
+    open_ended: bool  # takes *args or **kwargs
+
+
+def _signatures(module, body, owner, found):
+    """Add {called name: [_Signature]} for body's functions and records.  A
+    method is called without self, a constructor by its class's name, and a
+    NamedTuple by its fields."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            if any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                found.setdefault(node.name, []).append(_Signature(
+                    f"{module}.{node.name}", [f.target.id for f in fields], [],
+                    {f.target.id for f in fields if f.value is None},
+                    [f.target.id for f in fields if f.value is not None], False))
+            _signatures(module, node.body, node.name, found)
+        elif isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = [arg.arg for arg in a.posonlyargs + a.args]
+            defaults = params[len(params) - len(a.defaults):] if a.defaults else []
+            if owner and not any(getattr(d, "id", None) == "staticmethod"
+                                 for d in node.decorator_list):
+                params = params[1:]
+            defaults += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            name, where = node.name, ".".join(filter(None, (module, owner, node.name)))
+            if name in ("__init__", "__new__"):  # called by its class's name
+                name, where = owner, f"{module}.{owner}"
+            found.setdefault(name, []).append(_Signature(
+                where, params, [k.arg for k in a.kwonlyargs],
+                set(params + [k.arg for k in a.kwonlyargs]) - set(defaults), defaults,
+                bool(a.vararg or a.kwarg)))
+            _signatures(module, node.body, None, found)
+    return found
+
+
+def _calls():
+    """(name, positional count, keyword names) of each call in src/ and
+    perfbench/, matched by name; tr.call(label, system, fn, *args, **kwargs)
+    is a call of fn.  A call that unpacks arguments binds unknown ones."""
+    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            args = node.args
+            if name == "call" and len(args) > 2 and isinstance(args[2], ast.Name):
+                name, args = args[2].id, args[3:]
+            if not any(isinstance(x, ast.Starred) for x in args) and \
+                    all(k.arg for k in node.keywords):
+                yield name, len(args), {k.arg for k in node.keywords}
+
+
+def _fits(sig, n, keywords) -> bool:
+    if sig.open_ended:
+        return True
+    given = set(sig.positional[:n]) | keywords
+    return (n <= len(sig.positional) and keywords <= set(sig.positional + sig.keyword_only)
+            and sig.required <= given)
+
+
+def _unvaried_defaults() -> dict:
+    """{module.name(parameter): why} for each default in the package that no
+    call both omits and sets.  A call counts for a definition when its name
+    and arguments fit that one alone."""
+    sigs = {}
+    for path in sorted(SRC.rglob("*.py")):
+        _signatures(path.stem, ast.parse(path.read_text()).body, None, sigs)
+    omitted, given = set(), set()
+    for name, n, keywords in _calls():
+        fits = [sig for sig in sigs.get(name, ()) if _fits(sig, n, keywords)]
+        if len(fits) == 1:
+            sig, = fits
+            for param in sig.defaults:
+                set_here = param in keywords or param in sig.positional[:n]
+                (given if set_here else omitted).add(f"{sig.where}({param})")
+    out = {}
+    for group in sigs.values():
+        for sig in group:
+            for param in sig.defaults:
+                label = f"{sig.where}({param})"
+                if label not in given or label not in omitted:
+                    out[label] = ("never called" if label not in given | omitted
+                                  else "never set" if label not in given else "never omitted")
+    return out
+
+
+def test_every_default_is_both_omitted_and_set_by_callers():
+    # a value that only one setting in use ever reaches is a constant: each
+    # default needs a caller that omits it and one that sets it
+    unvaried = _unvaried_defaults()
+    assert sorted(set(DEFAULTS_KEPT) - set(unvaried)) == []  # no stale entry
+    assert {k: v for k, v in unvaried.items() if k not in DEFAULTS_KEPT} == {}

@@ -50,7 +50,7 @@ def test_opposite_is_an_involution(b):
 @settings(max_examples=60, deadline=None)
 @given(formal_bisets_p3())
 def test_formal_biset_json_roundtrip(b):
-    assert FormalBiset.from_json(b.to_json()) == b
+    assert FormalBiset.from_json(b.to_json("custom")) == b
 
 
 @lru_cache(maxsize=None)

@@ -274,7 +274,7 @@ def test_biset_json_independent_of_earlier_classes():
             "system = builtin_fusion_system('d8')\n"
             "grp = system.group\n"
             + extra +
-            "print(json.dumps(minimal_biset(system, certify=False).biset.to_json()))\n"
+            "print(json.dumps(minimal_biset(system, certify=False).biset.to_json('d8')))\n"
         )
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True).stdout
