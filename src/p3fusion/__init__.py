@@ -8,7 +8,6 @@ the permutation realization of the fusion action.
 from .biset import (
     BisetClass,
     FormalBiset,
-    are_conjugate,
     biset_class,
     brute_force_fixed_points,
     compose,
@@ -17,7 +16,6 @@ from .biset import (
     is_left_stable,
     is_right_stable,
     mark_vector,
-    n_set,
     opposite,
     restrict_left,
 )
@@ -53,10 +51,10 @@ from .solver import SolverResult, exoticity_bound, minimal_biset, verify_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "BisetClass", "FormalBiset", "are_conjugate", "biset_class",
+    "BisetClass", "FormalBiset", "biset_class",
     "brute_force_fixed_points", "compose", "count_fixed_points",
     "decompose_by_marks", "is_left_stable", "is_right_stable", "mark_vector",
-    "n_set", "opposite", "restrict_left",
+    "opposite", "restrict_left",
     "FusionClass", "FusionMorphism", "FusionSystem", "FusionSystemSpec",
     "LambdaSets", "MatrixGL2", "aut_F_V", "build_out_F",
     "builtin_fusion_system", "builtin_systems", "fusion_system",

@@ -41,12 +41,8 @@ __all__ = [
     "MarkTable",
     "StabilityResult",
     "biset_class",
-    "n_set",
-    "n_size",
     "count_fixed_points",
     "brute_force_fixed_points",
-    "are_conjugate",
-    "is_subconjugate",
     "mark_vector",
     "subconjugate_closure",
     "opposite",
@@ -276,31 +272,6 @@ def _prepared_search(psi: GroupMorphism) -> tuple:
     if psi._search is None:
         psi._search = _TransporterSearch(psi)
     return psi._search, ambient_group(psi.p).conjugates(psi.source)
-
-
-def n_size(psi: GroupMorphism, phi: GroupMorphism) -> int:
-    """|N_{psi,phi}| = |{x : xRx^-1 <= Q and phi o c_x|_R = c_y o psi for some y}|."""
-    search, conjugates = _prepared_search(psi)
-    hits = sum(1 for _ in search.transporters(phi, conjugates))
-    return hits * ambient_group(psi.p).centralizer(psi.source).order
-
-
-def n_set(psi: GroupMorphism, phi: GroupMorphism) -> frozenset:
-    """The transporter subset of S realised elementwise (see n_size)."""
-    search, conjugates = _prepared_search(psi)
-    cent = ambient_group(psi.p).centralizer(psi.source)
-    return frozenset(x * c for x in search.transporters(phi, conjugates) for c in cent)
-
-
-def is_subconjugate(psi: GroupMorphism, phi: GroupMorphism) -> bool:
-    return n_size(psi, phi) > 0
-
-
-def are_conjugate(a: GroupMorphism, b: GroupMorphism) -> bool:
-    """S x S conjugacy via mutual subconjugacy at equal order."""
-    if a.source.order != b.source.order:
-        return False
-    return is_subconjugate(a, b) and is_subconjugate(b, a)
 
 
 def _may_fix(phi_cls: BisetClass, psi_cls: BisetClass) -> bool:
@@ -774,28 +745,6 @@ class ExplicitBiset:
         # g = x**a * y**b * z**(c - a*b)
         return (g.a, g.b, (g.c - g.a * g.b) % self.p)
 
-    def left(self, g: GroupElement, i: int) -> int:
-        a, b, k = self._word(g)
-        x, y, z = self._gens
-        for _ in range(k):
-            i = self.left_gen[z][i]
-        for _ in range(b):
-            i = self.left_gen[y][i]
-        for _ in range(a):
-            i = self.left_gen[x][i]
-        return i
-
-    def right(self, i: int, g: GroupElement) -> int:
-        a, b, k = self._word(g)
-        x, y, z = self._gens
-        for _ in range(a):
-            i = self.right_gen[x][i]
-        for _ in range(b):
-            i = self.right_gen[y][i]
-        for _ in range(k):
-            i = self.right_gen[z][i]
-        return i
-
     def _perm(self, gen_perms, steps):
         """The permutation applying each (generator, power) step in turn, as a
         read-only sequence (it may be a stored generator list or a range)."""
@@ -807,13 +756,13 @@ class ExplicitBiset:
         return range(self.size) if perm is None else perm
 
     def _left_perm(self, g: GroupElement):
-        """[left(g, i) for every point i], composed from whole permutations."""
+        """g's left action on every point, composed from whole permutations."""
         a, b, k = self._word(g)
         x, y, z = self._gens
         return self._perm(self.left_gen, ((z, k), (y, b), (x, a)))
 
     def _right_perm(self, g: GroupElement):
-        """[right(i, g) for every point i], composed from whole permutations."""
+        """g's right action on every point, composed from whole permutations."""
         a, b, k = self._word(g)
         x, y, z = self._gens
         return self._perm(self.right_gen, ((x, a), (y, b), (z, k)))
@@ -839,39 +788,6 @@ class ExplicitBiset:
             here = map(eq, self._left_perm(r), self._right_perm(psi(r)))
             fixed = list(here) if fixed is None else list(map(and_, fixed, here))
         return self.size if fixed is None else sum(fixed)
-
-    def restricted_orbit_decomposition(self, psi: GroupMorphism) -> FormalBiset:
-        """Orbit split with the left action pulled back along psi: R -> S.
-
-        Serves as the explicit-set oracle for restrict_left: each biorbit of
-        (psi(R), S) is a transitive R-S-piece whose graph is read off the
-        right-regular coordinates of a seed point.  Along the identity of S
-        it is the orbit decomposition of the S-S-set, independent of marks."""
-        grp = ambient_group(self.p)
-        r_sub = psi.source
-        psi_gen_elems = [psi(r) for r in r_sub.canonical_gens]
-        unassigned = set(range(self.size))
-        coeffs = {}
-        while unassigned:
-            seed = min(unassigned)
-            orbit = {seed}
-            frontier = [seed]
-            while frontier:
-                i = frontier.pop()
-                moved = [self.left(m, i) for m in psi_gen_elems]
-                moved.extend(self.right_gen[g][i] for g in self._gens)
-                for j in moved:
-                    if j not in orbit:
-                        orbit.add(j)
-                        frontier.append(j)
-            unassigned -= orbit
-            right_orbit = {self.right(seed, g): g.code() for g in grp.elements}
-            held = [(r.code(), right_orbit.get(self.left(psi(r), seed))) for r in r_sub]
-            codes, table = zip(*[(r, y) for r, y in held if y is not None])
-            mor = GroupMorphism(grp.by_codes(codes), table)
-            cls = biset_class(mor, left=r_sub)
-            coeffs[cls] = coeffs.get(cls, 0) + 1
-        return FormalBiset(self.p, coeffs, left=r_sub)
 
 
 def _regular_biset(p: int) -> ExplicitBiset:

@@ -23,7 +23,6 @@ from .group import (
     Subgroup,
     ambient_group,
     conjugation_morphism,
-    identity_morphism,
     line_index,
     morphism_from_images,
     require_odd_prime,
@@ -566,7 +565,7 @@ def matrix_of_automorphism(alpha: GroupMorphism) -> MatrixGL2:
 class FusionMorphism(NamedTuple):
     """A representative F-morphism together with its classification data.
 
-    kind is one of "aut_s", "extendable", "nonextendable", "order_p", "trivial".
+    kind is one of "aut_s", "extendable", "nonextendable", "order_p".
     For V-to-V representatives (i, j, k, l) carry the source line, target line
     and the index pair; order-p representatives carry (xi, zeta) instead.
     """
@@ -611,19 +610,20 @@ class FusionSystem:
         self._size_expr = None
         self._coefficient_forms = None
 
-    # -- normalization of line generators and the alpha_{i,j} family ---------
+    # -- normalization of line generators -------------------------------------
 
     def _normalize_generators(self):
+        """Scale each line generator u_j so that a determinant-1 outer element,
+        adjusted by an inner map, takes u_{i0} of j's class exactly to u_j and
+        fixes z."""
         p = self.p
         grp = self.group
         pinned = grp.pinned_line_generators
         u = list(pinned)
-        alpha_to_rep = {}
         sl_mats = [m for m in self.sorted_out if m.det() == 1]
         for cls in self.spec.classes:
             members = sorted(cls.members)
             i0 = members[0]
-            alpha_to_rep[(i0, i0)] = identity_morphism(grp.full)
             for j in members[1:]:
                 m = next((mm for mm in sl_mats if act_on_line(mm, i0) == j), None)
                 if m is None:
@@ -639,10 +639,7 @@ class FusionSystem:
                 alpha = conjugation_morphism(s, grp.full).compose(alpha)
                 if alpha(grp.z) != grp.z or alpha(u[i0]) != u[j]:
                     raise InconsistentSpecError("generator normalization failed")
-                alpha_to_rep[(i0, j)] = alpha
         self.u = tuple(u)
-        self._alpha_to_rep = alpha_to_rep
-        self._alpha_cache = {}
         self._verify_restrictions()
 
     def _verify_restrictions(self):
@@ -678,19 +675,6 @@ class FusionSystem:
             if (s.a * target.b - s.b * target.a) % p == t:
                 return s
         raise InconsistentSpecError("no conjugator found")  # unreachable for noncentral targets
-
-    def alpha_iso(self, i: int, j: int) -> GroupMorphism:
-        """Automorphism of S with z -> z and u_i -> u_j, for conjugate lines."""
-        cls = self.spec.class_of_line(i)
-        if j not in cls.members:
-            raise UnknownSystemError(f"lines {i} and {j} are not conjugate in {self.spec.name}")
-        key = (i, j)
-        if key not in self._alpha_cache:
-            i0 = min(cls.members)
-            a_j = self._alpha_to_rep[(i0, j)]
-            a_i = self._alpha_to_rep[(i0, i)]
-            self._alpha_cache[key] = a_j.compose(a_i.inverse())
-        return self._alpha_cache[key]
 
     # -- representative morphism classes --------------------------------------
 
@@ -754,29 +738,6 @@ class FusionSystem:
             reps.extend(self.order_p_reps())
             self._class_reps_all = tuple(reps)
         return self._class_reps_all
-
-    def enumerate_hom_classes(self, q: Subgroup) -> tuple:
-        """Class representatives of F-morphisms out of q (canonical sources)."""
-        p = self.p
-        if q.p != p or not q <= self.group.full:
-            raise UnknownSystemError("q is not a subgroup of S")
-        if q.order == p**3:
-            return self.aut_s_reps()
-        if q.order == p * p:
-            i = self.group.line_of(q.canonical_gens[1])  # the noncentral generator
-            return self.v_source_reps(i)
-        if q.order == p:
-            gen = q.canonical_gens[0]
-            want = self.group.z if gen.is_central() else self.u[self.group.line_of(gen)]
-            return tuple(r for r in self.order_p_reps() if r.meta[0] == want)
-        if q.order == 1:
-            return (FusionMorphism(identity_morphism(q), "trivial", ()),)
-        raise UnknownSystemError(f"unexpected subgroup order {q.order}")
-
-    def is_extendable_v_morphism(self, mor: GroupMorphism) -> bool:
-        """Extendability of a V-source F-morphism: the center must map inside
-        the center (upper-triangular shape in the line bases)."""
-        return mor(self.group.z).is_central()
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,11 @@ from .biset import (
     opposite,
     stability_witness,
 )
-from .errors import InconsistentSpecError, InfeasibleCoefficientsError
+from .errors import (
+    InconsistentSpecError,
+    InfeasibleCoefficientsError,
+    TheoremViolationError,
+)
 from .fusion import FusionSystem, FusionMorphism, matching_builtin, realizing_group_name
 
 
@@ -189,88 +193,55 @@ def derive_layer2_relations(system: FusionSystem):
     return {key: sym[cls] for key, cls in classes.items()}, classes
 
 
-def closed_form_layer2_relations(system: FusionSystem):
-    """The same relations in closed form, for cross-checking the derivation."""
-    p = system.p
-    spec = system.spec
-    f = system.f
-    relations = {}
+def layer2_closed_forms(system: FusionSystem) -> dict:
+    """{pair key: (relation, identity, mark)} for every order-p pair: the
+    closed form of its bottom-layer relation, and the named identity its
+    top-two-layer mark obeys, with that mark in closed form."""
+    p, f, spec = system.p, system.f, system.spec
+    c0, c2z = LinExpr.var(C0), LinExpr.var(c2z_var())
+    c1 = [LinExpr.var(c1_var(i)) for i in range(p + 1)]
+    forms = {}
     for rep in system.order_p_reps():
         key = pair_key_of_rep(system, rep)
-        xi_idx, zeta_idx, _m = key
-        if xi_idx == -1 and zeta_idx == -1:
-            relations[key] = LinExpr.var(c2z_var())
-        elif xi_idx == -1:
-            j = zeta_idx
-            expr = p * LinExpr.var(c2z_var())
-            members = spec.class_of_line(j).members
-            r_j = spec.r_of_line(j)
-            for i in range(p + 1):
-                weight = (f - r_j) if i in members else f
-                expr = expr + weight * LinExpr.var(c1_var(i))
-            relations[key] = expr
-        elif zeta_idx == -1:
-            i = xi_idx
-            r_i = spec.r_of_line(i)
-            expr = (LinExpr.var(c2u_var(i))
-                    - (f - r_i) * LinExpr.var(C0)
-                    - (p * (f - r_i)) * LinExpr.var(c1_var(i)))
-            relations[key] = Fraction(1, p) * expr
+        i, j, _m = key  # -1 stands for the central generator z
+        if i == -1 and j == -1:
+            forms[key] = (c2z, "mark(z,z^m)=p^3·f·c0+p^4·f·Σc1",
+                          p**3 * f * c0 + p**4 * f * sum(c1, LinExpr()))
+        elif i == -1:
+            members, r_j = spec.class_of_line(j).members, spec.r_of_line(j)
+            relation = p * c2z + sum((((f - r_j) if k in members else f) * c1[k]
+                                      for k in range(p + 1)), LinExpr())
+            forms[key] = (relation, "mark(z,u^m)=p^3·f·c0+p^4·r·Σ_class c1",
+                          p**3 * f * c0 + p**4 * r_j * sum((c1[k] for k in members), LinExpr()))
         else:
-            i, j = xi_idx, zeta_idx
-            r_i = spec.r_of_line(i)
-            if j in spec.class_of_line(i).members:
-                relations[key] = LinExpr.var(c2u_var(i))
+            r_i, c2u = spec.r_of_line(i), LinExpr.var(c2u_var(i))
+            if j == -1:
+                forms[key] = (Fraction(1, p) * (c2u - (f - r_i) * c0 - p * (f - r_i) * c1[i]),
+                              "mark(u,z^m)=p^3·f·c0+p^4·f·c1", p**3 * f * c0 + p**4 * f * c1[i])
+            elif j in spec.class_of_line(i).members:
+                forms[key] = (c2u, "mark(u_i,u_j^m)=p^3·r·c0+p^4·r·c1 (conjugate lines)",
+                              p**3 * r_i * c0 + p**4 * r_i * c1[i])
             else:
-                relations[key] = (LinExpr.var(c2u_var(i))
-                                  + r_i * LinExpr.var(C0)
-                                  + (p * r_i) * LinExpr.var(c1_var(i)))
-    return relations
+                forms[key] = (c2u + r_i * c0 + p * r_i * c1[i],
+                              "mark(u_i,u_j^m)=0 (non-conjugate lines)", LinExpr.of(0))
+    return forms
 
 
-def verify_relation_derivation(system: FusionSystem) -> bool:
-    derived, _ = derive_layer2_relations(system)
-    closed = closed_form_layer2_relations(system)
-    return all(derived[k] == closed[k] for k in closed)
-
-
-def mark_identity_checks(system: FusionSystem):
-    """Named identities for the top-two-layer marks at every order-p pair."""
-    table = mark_table(system)
-    sym = symbolic_biset(system)
-    p, f = system.p, system.f
-    spec = system.spec
-    checks = []
-    for rep in system.order_p_reps():
-        key = pair_key_of_rep(system, rep)
-        xi_idx, zeta_idx, _m = key
-        got = _marks_upto1(sym, table.row(biset_class(rep.morphism)))
-        if xi_idx == -1 and zeta_idx == -1:
-            want = p**3 * f * LinExpr.var(C0)
-            for i in range(p + 1):
-                want = want + p**4 * f * LinExpr.var(c1_var(i))
-            name = "mark(z,z^m)=p^3·f·c0+p^4·f·Σc1"
-        elif xi_idx == -1:
-            j = zeta_idx
-            want = p**3 * f * LinExpr.var(C0)
-            for i in spec.class_of_line(j).members:
-                want = want + p**4 * spec.r_of_line(j) * LinExpr.var(c1_var(i))
-            name = "mark(z,u^m)=p^3·f·c0+p^4·r·Σ_class c1"
-        elif zeta_idx == -1:
-            i = xi_idx
-            want = p**3 * f * LinExpr.var(C0) + p**4 * f * LinExpr.var(c1_var(i))
-            name = "mark(u,z^m)=p^3·f·c0+p^4·f·c1"
-        else:
-            i, j = xi_idx, zeta_idx
-            if j in spec.class_of_line(i).members:
-                r_i = spec.r_of_line(i)
-                want = p**3 * r_i * LinExpr.var(C0) + p**4 * r_i * LinExpr.var(c1_var(i))
-                name = "mark(u_i,u_j^m)=p^3·r·c0+p^4·r·c1 (conjugate lines)"
-            else:
-                want = LinExpr.of(0)
-                name = "mark(u_i,u_j^m)=0 (non-conjugate lines)"
-        checks.append((name, key, got == want))
-    return checks
+def certify_layer2(system: FusionSystem) -> None:
+    """Check the symbolic biset against layer2_closed_forms at every order-p
+    pair: the derived bottom-layer relation, and the top-two-layer mark read
+    off the mark table.  Raise TheoremViolationError naming the first check
+    that fails and its pair key."""
+    derived, classes = derive_layer2_relations(system)
+    sym, table = symbolic_biset(system), mark_table(system)
+    for key, (relation, identity, mark) in layer2_closed_forms(system).items():
+        if derived.get(key) != relation:
+            raise TheoremViolationError(f"layer-2 relation at pair {key}: derived "
+                                        f"{derived.get(key)}, closed form {relation}")
+        got = _marks_upto1(sym, table.row(classes[key]))
+        if got != mark:
+            raise TheoremViolationError(f"mark identity {identity} at pair {key}: "
+                                        f"mark {got}, closed form {mark}")
 
 
 # -- coefficient assignments -----------------------------------------------------
@@ -344,17 +315,18 @@ class SolverResult(NamedTuple):
     e: int
     coefficients: LayerCoefficients
     biset: FormalBiset
-    minimal: bool
-    unique: bool
-    stable_left: bool
-    stable_right: bool
-    self_opposite: bool
+    minimal: bool | None  # each certificate is None when not checked
+    unique: bool | None
+    stable_left: bool | None
+    stable_right: bool | None
+    self_opposite: bool | None
     exotic: bool
     exoticity_bound_value: object  # int when exotic, else None
     wall_time_s: float
     witness: tuple | None  # (side, FusionMorphism, lhs, rhs) of a failing sweep
 
     def certificates_ok(self) -> bool:
+        """All five certificates checked and true."""
         return all((self.minimal, self.unique, self.stable_left, self.stable_right,
                     self.self_opposite))
 
@@ -478,9 +450,12 @@ def exoticity_bound(e: int, p: int) -> int:
 def minimal_biset(system: FusionSystem, certify: bool = True) -> SolverResult:
     """The unique minimal right (also left) characteristic biset.
 
-    With certify on, the full stability sweep runs on both sides, uniqueness
-    is established by exhausting the coefficient tuples of size at most the
-    minimum, and self-oppositeness is checked classwise.
+    With certify on, the layer-2 relations and mark identities are checked
+    against their closed forms (certify_layer2 raises on a failure), the full
+    stability sweep runs on both sides, uniqueness is established by
+    exhausting the coefficient tuples of size at most the minimum, and
+    self-oppositeness is checked classwise.  With it off, the five
+    certificates are None.
     """
     start = time.perf_counter()
     p = system.p
@@ -498,9 +473,9 @@ def minimal_biset(system: FusionSystem, certify: bool = True) -> SolverResult:
     if e != (p**5 - 1) // (p - 1) * out_order:
         raise InconsistentSpecError(
             f"e = {e} does not match (p^5-1)/(p-1)*|Out| = {(p**5 - 1) // (p - 1) * out_order}")
-    minimal_ok = unique_ok = stable_left = stable_right = self_opp = True
-    witness = None
+    minimal_ok = unique_ok = stable_left = stable_right = self_opp = witness = None
     if certify:
+        certify_layer2(system)
         left, right = is_left_stable(system, x), is_right_stable(system, x)
         stable_left, stable_right = left.ok, right.ok
         witness = stability_witness(left, right)
@@ -562,7 +537,6 @@ def verify_table(systems) -> TableReport:
             "system": res.system_name, "p": res.p, "f": res.f,
             "d0": res.d0, "d1": res.d1, "d2": res.d2, "e": res.e,
             "group_or_bound": last,
-            "certificates_ok": res.certificates_ok(),
         }
         rows.append(row)
         expected = EXPECTED_TABLE[built.name]

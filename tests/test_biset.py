@@ -10,7 +10,6 @@ from p3fusion.biset import (
     ExplicitBiset,
     FormalBiset,
     all_graph_classes,
-    are_conjugate,
     biset_class,
     biset_mark,
     brute_force_fixed_points,
@@ -20,11 +19,8 @@ from p3fusion.biset import (
     explicit_from_formal,
     is_left_stable,
     is_right_stable,
-    is_subconjugate,
     mark_table,
     mark_vector,
-    n_set,
-    n_size,
     opposite,
     restrict_left,
     subconjugate_closure,
@@ -44,12 +40,26 @@ from p3fusion.group import (
     identity_morphism,
     morphism_from_images,
 )
+from oracles import left, restricted_orbit_decomposition, right
+
+
+def transporters(psi, phi) -> list:
+    """The coset reps x of C_S(R) that psi's prepared search passes for phi."""
+    search, conjugates = biset._prepared_search(psi)
+    return list(search.transporters(phi, conjugates))
+
+
+def transporter_set(psi, phi) -> frozenset:
+    """N_{psi,phi} = {x : xRx^-1 <= Q and phi o c_x|_R = c_y o psi for some y},
+    elementwise: each transporter rep times C_S(R)."""
+    cent = ambient_group(psi.p).centralizer(psi.source)
+    return frozenset(x * c for x in transporters(psi, phi) for c in cent)
 
 
 def test_n_set_identity():
     g = ambient_group(3)
     ident = identity_morphism(g.full)
-    assert n_set(ident, ident) == frozenset(g.elements)
+    assert transporter_set(ident, ident) == frozenset(g.elements)
 
 
 def test_n_set_nonextendable_is_source():
@@ -57,7 +67,7 @@ def test_n_set_nonextendable_is_source():
         sys_ = builtin_fusion_system(name)
         for i in (0, 1):
             for rep in sys_.v_source_reps(i):
-                ns = n_set(rep.morphism, rep.morphism)
+                ns = transporter_set(rep.morphism, rep.morphism)
                 if rep.extendable:
                     assert ns == frozenset(sys_.group.elements)
                 else:
@@ -72,7 +82,7 @@ def test_n_set_matches_brute_transporter():
     for _ in range(100):
         psi = rng.choice(reps)
         phi = rng.choice(reps)
-        fast = n_set(psi, phi)
+        fast = transporter_set(psi, phi)
         slow = set()
         r_sub, q_sub = psi.source, phi.source
         gens = r_sub.canonical_gens
@@ -85,7 +95,7 @@ def test_n_set_matches_brute_transporter():
                     slow.add(x)
                     break
         assert fast == frozenset(slow)
-        assert n_size(psi, phi) == len(slow)
+        assert len(transporters(psi, phi)) * g.centralizer(psi.source).order == len(slow)
 
 
 def test_count_fixed_points_examples():
@@ -186,7 +196,7 @@ def test_oracle_calls_nothing_from_the_transporter_path(monkeypatch):
 
 
 def test_one_search_per_test_morphism(monkeypatch):
-    """A mark-table row, count_fixed_points and n_size at one test morphism
+    """A mark-table row, count_fixed_points and the transporters at one test morphism
     prepare its transporter search once, and keep it on the morphism."""
     system = FusionSystem(builtin_fusion_system("d8").spec)  # its own mark table
     table = mark_table(system)
@@ -205,7 +215,7 @@ def test_one_search_per_test_morphism(monkeypatch):
     assert row and row[table._column_of[test]] > 0
     assert [count_fixed_points(col, test) for col in table.columns] == [
         row.get(col, 0) for col in table.columns]
-    assert [n_size(psi, col.rep) > 0 for col in table.columns] == [
+    assert [bool(transporters(psi, col.rep)) for col in table.columns] == [
         col in row for col in table.columns]
     assert built == [psi] and psi._search is not None
 
@@ -332,10 +342,14 @@ def test_zero_iff_not_subconjugate():
     for _ in range(100):
         a, b = rng.choice(reps), rng.choice(reps)
         fp = count_fixed_points(biset_class(a.morphism), biset_class(b.morphism))
-        assert (fp > 0) == is_subconjugate(b.morphism, a.morphism)
+        assert (fp > 0) == bool(transporters(b.morphism, a.morphism))
 
 
 def test_are_conjugate():
+    def are_conjugate(a, b):  # S x S conjugacy: mutual subconjugacy at equal order
+        return (a.source.order == b.source.order and bool(transporters(a, b))
+                and bool(transporters(b, a)))
+
     rng = random.Random(9)
     sys_ = builtin_fusion_system("d8")
     g = sys_.group
@@ -475,7 +489,7 @@ def test_opposite_involution_and_classes():
     rep = next(r for r in sys_.v_source_reps(0) if r.extendable is False)
     opp = opposite(FormalBiset(3, {biset_class(rep.morphism): 1}))
     opp_cls = opp.support[0]
-    assert not sys_.is_extendable_v_morphism(opp_cls.rep)
+    assert not opp_cls.rep(g.z).is_central()
 
 
 def test_restrict_left_top_piece():
@@ -523,7 +537,7 @@ def test_restrict_left_matches_explicit_orbits():
             explicit = explicit_from_formal(one)
             for psi in (incl, phi):
                 fast = restrict_left(one, psi)
-                slow = explicit.restricted_orbit_decomposition(psi)
+                slow = restricted_orbit_decomposition(explicit, psi)
                 assert fast == slow
             # coset-count conservation
             res = restrict_left(one, incl)
@@ -624,7 +638,7 @@ def test_restrict_left_of_the_minimal_biset_matches_explicit_orbits():
     psis = (identity_morphism(sys_.maximals[0]), essential_generators(sys_)[0].morphism,
             lift_matrix_to_aut(sys_.sorted_out[1]))
     for psi in psis:
-        assert restrict_left(x, psi) == explicit.restricted_orbit_decomposition(psi)
+        assert restrict_left(x, psi) == restricted_orbit_decomposition(explicit, psi)
 
 
 @pytest.mark.parametrize("name", ["d8", "sd16", "4s4"])
@@ -640,7 +654,7 @@ def test_restriction_to_each_v_keeps_every_point(name):
         incl = identity_morphism(v)
         assert restrict_left(x, incl).size() == x.size()
         if explicit is not None:
-            assert explicit.restricted_orbit_decomposition(incl).size() == explicit.size \
+            assert restricted_orbit_decomposition(explicit, incl).size() == explicit.size \
                 == x.size() == 26136
 
 
@@ -683,7 +697,7 @@ def test_burnside_injectivity_random_recovery():
         back = decompose_by_marks(x)
         assert back == b
         # independent orbit-stabilizer route agrees
-        assert x.restricted_orbit_decomposition(full) == b
+        assert restricted_orbit_decomposition(x, full) == b
 
 
 def test_fixed_point_count_matches_pointwise_count():
@@ -696,7 +710,7 @@ def test_fixed_point_count_matches_pointwise_count():
             psi = cls.rep
             gens = psi.source.canonical_gens
             slow = sum(1 for i in range(x.size)
-                       if all(x.left(r, i) == x.right(i, psi(r)) for r in gens))
+                       if all(left(x, r, i) == right(x, i, psi(r)) for r in gens))
             assert x.fixed_point_count(psi) == slow
 
 
@@ -835,7 +849,7 @@ def test_identity_biset_stable_for_inner_classes():
 
 def test_graph_class_size_against_explicit_orbit():
     # orbit-stabilizer on the S x S orbit of a graph subgroup: the stabilizer
-    # is N_{phi,phi} x C_S(phi(Q)), so this checks n_size on the diagonal
+    # is N_{phi,phi} x C_S(phi(Q)), so this checks the transporters on the diagonal
     rng = random.Random(41)
     sys_ = builtin_fusion_system("d8")
     g = sys_.group
@@ -849,7 +863,7 @@ def test_graph_class_size_against_explicit_orbit():
                 gens = mor.source.conjugate_by(s).canonical_gens
                 imgs = tuple(mor(e.conj_by(si)).conj_by(t).code() for e in gens)
                 seen.add((src, imgs))
-        stabilizer = n_size(mor, mor) * g.centralizer(mor.image).order
+        stabilizer = len(transporter_set(mor, mor)) * g.centralizer(mor.image).order
         assert len(seen) * stabilizer == g.full.order**2
 
 
@@ -892,7 +906,7 @@ def _dense_row(table, test):
         value = count_fixed_points(cls, test)
         if value:
             out[cls] = value
-    assert {cls for cls in table.columns if n_size(test.rep, cls.rep)} == set(out)
+    assert {cls for cls in table.columns if transporters(test.rep, cls.rep)} == set(out)
     return out
 
 

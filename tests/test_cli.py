@@ -27,6 +27,51 @@ def test_minimal_table_and_exit(capsys):
     assert "1936" in out
 
 
+def test_minimal_no_certify_prints_no_certificate(capsys):
+    # an unchecked certificate is null in JSON and "not checked" in the table
+    code, out, _ = run(capsys, "minimal", "--system", "d8", "--format", "json",
+                       "--no-certify")
+    assert code == 0
+    assert json.loads(out)["certificates"] == dict.fromkeys(
+        ["minimal", "unique", "stable_left", "stable_right", "self_opposite"])
+    code, out, _ = run(capsys, "minimal", "--system", "d8", "--no-certify")
+    assert code == 0
+    assert out.splitlines()[-1] == "certificates: not checked"
+    code, out, _ = run(capsys, "minimal", "--system", "d8")
+    assert code == 0
+    assert out.splitlines()[-1] == ("certificates: minimal=True, self_opposite=True, "
+                                    "stable_left=True, stable_right=True, unique=True")
+
+
+@pytest.mark.parametrize("slot, check", [(0, "layer-2 relation"), (2, "mark identity")])
+@pytest.mark.parametrize("argv", [["minimal", "--system", "d8"],
+                                  ["verify", "--stability", "--system", "d8"]])
+def test_layer2_certificate_failure_exits_1(capsys, monkeypatch, argv, slot, check):
+    """One pair whose closed-form relation or mark identity disagrees fails
+    `minimal` and `verify --stability` with one line naming the pair key."""
+    from p3fusion import solver
+
+    real, keys = solver.layer2_closed_forms, []
+
+    def perturbed(system):
+        forms = real(system)
+        key = sorted(forms)[1]
+        entry = list(forms[key])
+        entry[slot] = entry[slot] + 1
+        forms[key] = tuple(entry)
+        keys.append(key)
+        return forms
+
+    monkeypatch.setattr(solver, "layer2_closed_forms", perturbed)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    line, = err.splitlines()
+    assert line.startswith(check) and f"at pair {keys[0]}:" in line
+    assert "Traceback" not in out + err
+    if argv[0] == "minimal":  # the unchecked path runs no certificate
+        assert run(capsys, *argv, "--no-certify")[0] == 0
+
+
 def test_minimal_json_bound(capsys):
     code, out, _ = run(capsys, "minimal", "--system", "rv48", "--format", "json",
                        "--no-certify")
@@ -114,6 +159,7 @@ def test_verify_table(capsys):
     assert suite["suite"] == "table"
     assert [row["e"] for row in suite["rows"]] == [968, 1936, 74976, 134448,
                                                    201672, 268896]
+    assert all("certificates_ok" not in row for row in suite["rows"])
 
 
 def test_verify_nothing_selected(capsys):

@@ -64,6 +64,67 @@ def test_every_exported_name_is_defined():
     assert missing == []
 
 
+# Functions that nothing in src/ or perfbench/ names outside their own body,
+# kept for the reason given.
+CALLERS_KEPT = {
+    "biset.mark_vector": "the reference that tests compare mark-table rows against",
+    "biset.restrict_left": "documented API, checked against the explicit-set oracle",
+    "fusion.aut_F_V": "Aut_F(V_i) as a matrix set, pinned by test_aut_F_V_orders",
+    "fusion.builtin_fusion_system": "the by-name entry point",
+    "group.Subgroup.conjugate_by": "a lattice path the README documents and the "
+                                   "interning tests read",
+    "group.ExtraspecialGroup.subgroup": "a lattice path the README documents and the "
+                                        "interning tests read",
+    "idempotent.omega0": "a documented layer of the idempotent",
+    "idempotent.omega1": "a documented layer of the idempotent",
+    "idempotent.omega2": "a documented layer of the idempotent",
+    "idempotent.omega3": "the trivial-subgroup layer, refused until it is certified",
+}
+
+
+def _package_and_bench_trees() -> dict:
+    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def _functions_without_callers() -> list:
+    """module.qualified name of each function in the package whose name no
+    Name or Attribute in src/ or perfbench/ reads outside the function's own
+    body.  Dunders are called by the language, so they are exempt."""
+    trees = _package_and_bench_trees()
+    reads = {}  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append((path, node.lineno))
+    found = []
+
+    def visit(path, body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(path, node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef):
+                name, own = node.name, range(node.lineno, node.end_lineno + 1)
+                if not (name.startswith("__") and name.endswith("__")) and all(
+                        where == path and line in own for where, line in reads.get(name, ())):
+                    found.append(f"{path.stem}.{prefix}{name}")
+                visit(path, node.body, f"{prefix}{name}.")
+
+    for path, tree in trees.items():
+        if path.is_relative_to(SRC):
+            visit(path, tree.body, "")
+    return found
+
+
+def test_every_function_has_a_caller():
+    # code that only tests call does not belong in the package: delete it,
+    # move it to the tests, run it in the product, or keep it here with a reason
+    uncalled = _functions_without_callers()
+    assert sorted(set(CALLERS_KEPT) - set(uncalled)) == []  # no stale entry
+    assert sorted(set(uncalled) - set(CALLERS_KEPT)) == []
+
+
 # Defaults that no caller in src/ or perfbench/ both omits and sets, kept for
 # the reason given.
 DEFAULTS_KEPT = {
@@ -119,8 +180,8 @@ def _calls():
     """(name, positional count, keyword names) of each call in src/ and
     perfbench/, matched by name; tr.call(label, system, fn, *args, **kwargs)
     is a call of fn.  A call that unpacks arguments binds unknown ones."""
-    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _package_and_bench_trees().values():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))

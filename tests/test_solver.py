@@ -10,20 +10,21 @@ from p3fusion.solver import (
     EXPECTED_TABLE,
     _lattice_walk,
     assemble,
+    certify_layer2,
     derive_layer2_relations,
     enumerate_feasible_upto,
     exoticity_bound,
-    mark_identity_checks,
+    layer2_closed_forms,
     minimal_biset,
     minimal_coefficients,
     size_of,
     solve_layer2,
     symbolic_biset,
-    verify_relation_derivation,
     verify_table,
 )
 
 SMALL = ("d8", "sd16")
+ALL = ("d8", "sd16", "4s4", "d16x3", "6sq:2", "sd32x3")
 
 
 def test_layer0_structure():
@@ -46,24 +47,26 @@ def test_layer1_structure():
     # only nonextendable classes, multiplicity 1 each
     assert x1.transitive_count() == 32
     assert all(mult == 1 for _, mult in x1.items())
-    assert all(not sys_.is_extendable_v_morphism(cls.rep) for cls in x1.support)
+    assert all(not cls.rep(sys_.group.z).is_central() for cls in x1.support)
     x1b = assemble(sys_, solve_layer2(sys_, 1, (1, 0, 0, 0), 0, (8, 2, 2, 2))).layer(1)
-    ext = [cls for cls in x1b.support if sys_.is_extendable_v_morphism(cls.rep)]
+    ext = [cls for cls in x1b.support if cls.rep(sys_.group.z).is_central()]
     assert len(ext) == 8  # extendable classes out of V_0 appear with c1(0) = 1
     for cls in ext:
         assert x1b.coefficient(cls) == 1
 
 
 def test_relation_derivation_matches_closed_forms():
-    for name in ("d8", "sd16", "th4s4"):
-        assert verify_relation_derivation(builtin_fusion_system(name))
+    for name in ALL:
+        system = builtin_fusion_system(name)
+        derived, _classes = derive_layer2_relations(system)
+        closed = {key: relation for key, (relation, _, _) in layer2_closed_forms(system).items()}
+        assert derived == closed
 
 
 def test_mark_identities():
-    for name in SMALL:
-        checks = mark_identity_checks(builtin_fusion_system(name))
-        bad = [(nm, key) for nm, key, ok in checks if not ok]
-        assert not bad
+    # certify_layer2 raises at the first pair whose mark misses its identity
+    for name in ALL:
+        certify_layer2(builtin_fusion_system(name))
 
 
 def test_solve_layer2_minimal_case():
@@ -236,6 +239,9 @@ def test_verify_table_small():
     report = verify_table(systems)
     assert report.ok
     assert [row["e"] for row in report.rows] == [968, 1936]
+    # the table certifies nothing, so it reports no certificate
+    assert all(set(row) == {"system", "p", "f", "d0", "d1", "d2", "e", "group_or_bound"}
+               for row in report.rows)
 
 
 def test_solver_result_json():
@@ -244,6 +250,10 @@ def test_solver_result_json():
     assert data["e"] == 968
     assert data["coefficients"]["c0"] == 1
     assert data["biset"]["prime"] == 3
+    # unchecked certificates read None, never True
+    assert data["certificates"] == dict.fromkeys(
+        ["minimal", "unique", "stable_left", "stable_right", "self_opposite"])
+    assert res.witness is None and not res.certificates_ok()
 
 
 def test_biset_json_independent_of_earlier_classes():
