@@ -14,7 +14,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .biset import biset_class, brute_force_fixed_points, count_fixed_points
-from .errors import P3FusionError, UnknownSystemError
+from .errors import (
+    P3FusionError,
+    StabilityViolationError,
+    TheoremViolationError,
+    UnknownSystemError,
+)
 from .fusion import (
     FusionSystemSpec,
     builtin_systems,
@@ -219,10 +224,11 @@ def _run_system_suites(task):
     spec, suites, oracle = task
     out = []
     for suite in suites:
-        if suite == "marks":
-            out.append(_suite_marks(spec, oracle))
-        else:
-            out.append(_SUITE_RUNNERS[suite](spec))
+        try:  # a failed certificate fails its suite, and the others still run
+            out.append(_suite_marks(spec, oracle) if suite == "marks"
+                       else _SUITE_RUNNERS[suite](spec))
+        except (StabilityViolationError, TheoremViolationError) as exc:
+            out.append({"suite": suite, "system": spec.name, "ok": False, "error": str(exc)})
     return out
 
 
@@ -284,6 +290,8 @@ def cmd_verify(args) -> int:
             line = f"{r['suite']:<11s} {label:<8s} {'PASS' if r['ok'] else 'FAIL'}"
             if "witness" in r:
                 line += "  " + _describe_witness(r["witness"])
+            if "error" in r:
+                line += "  " + r["error"]
             print(line)
             if r["suite"] == "table":
                 bad = {m["system"] for m in r["mismatches"]}

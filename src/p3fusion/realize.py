@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .biset import FormalBiset, _restriction_split, _TransporterSearch, check_condition_a
 from .errors import PrimeMismatchError, StabilityViolationError, TheoremViolationError
-from .fusion import FusionMorphism, FusionSystem, matrix_closure, matrix_of_automorphism
+from .fusion import FusionSystem, matrix_closure, matrix_of_automorphism
 from .group import GroupMorphism, ambient_group, identity_morphism
 from .solver import minimal_biset
 
@@ -45,12 +45,13 @@ class BisetIndex:
         self.size = offset
         self.j0 = tuple(start + k for start, size, copies in self.classes.values()
                         if size == 1 for k in range(copies))
-        self._pieces = {}  # the restriction splits' piece memo, for this index
-        self._source_pieces = {}
-        self._witnesses = {}  # by the ids of two pieces, which live as long as the index
+        # (R.id, piece memo, split along the inclusion, witnesses by the ids of
+        # two pieces) for the last R: the memo key starts with R.id, so no piece
+        # serves two R, and the state is replaced when R changes
+        self._state = None
 
 
-# -- permutations from fusion morphisms -----------------------------------------
+# -- label maps from fusion morphisms ---------------------------------------------
 
 def _copies(index: BisetIndex, entries):
     """(class, block offset, positions, tracked, piece) in block order, then orbit order."""
@@ -69,22 +70,25 @@ def _conjugation_witness(candidates, a_mor, b_mor):
     raise StabilityViolationError("matched pieces admit no conjugation witness")
 
 
-def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
+def _label_maps(index: BisetIndex, psi: GroupMorphism):
     """The permutation of J induced by an isomorphism between the restriction
-    along the inclusion and the restriction along psi."""
+    along the inclusion and the restriction along psi, streamed as the
+    (source offset, source positions, target offset, images) of each matched
+    pair of pieces: the label s_offset + positions[k] goes to t_offset +
+    images[k].  Each check runs as its pair is read, the label count once
+    all are."""
     grp = index.system.group
     mul = grp.product_table
     n = len(grp.elements)
     r_sub = psi.source
     psi_table, r_pos = psi.table, r_sub.position
-    # built before the splits, so it takes the block the caller's previous
-    # permutation freed before their dicts can split that block
-    perm = array("l", [-1]) * index.size
-    if r_sub.id not in index._source_pieces:  # the inclusion side does not depend on psi
-        index._source_pieces[r_sub.id] = _restriction_split(
-            index.items, identity_morphism(r_sub), index._pieces)
-    source, source_pieces = index._source_pieces[r_sub.id]
-    target, target_pieces = _restriction_split(index.items, psi, index._pieces)
+    if index._state is None or index._state[0] != r_sub.id:
+        index._state = None  # the last R's pieces and witnesses go before the new split
+        pieces = {}
+        index._state = (r_sub.id, pieces, _restriction_split(
+            index.items, identity_morphism(r_sub), pieces), {})
+    _, pieces, (source, source_pieces), witnesses = index._state
+    target, target_pieces = _restriction_split(index.items, psi, pieces)
     if source != target:
         cls = next(c for c in sorted(source.coeffs.keys() | target.coeffs.keys())
                    if source.coefficient(c) != target.coefficient(c))
@@ -95,14 +99,16 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     candidates = [a for a in r_sub if a.c == 0 or grp.z not in r_sub]
     # (source orbit, target orbit, witness) -> the target coset of each source
     # position; orbits live through the call, so their ids key them.  Every
-    # orbit of J is the target of one pair, so perm is bijective if each pair is
+    # orbit of J is the target of one pair, so the map is bijective if each
+    # pair is and the pairs cover J
     relative = {}
+    covered = 0
     for piece_cls, sources in source_pieces.items():
         for (_, s_offset, s_positions, s_tracked, s_mor), (t_cls, t_offset, t_positions, _, t_mor) \
                 in zip(_copies(index, sources), _copies(index, target_pieces[piece_cls])):
-            w = index._witnesses.get(pair := (id(s_mor), id(t_mor)))
+            w = witnesses.get(pair := (id(s_mor), id(t_mor)))
             if w is None:
-                w = index._witnesses[pair] = _conjugation_witness(candidates, s_mor, t_mor).code()
+                w = witnesses[pair] = _conjugation_witness(candidates, s_mor, t_mor).code()
             key = (id(s_positions), id(t_positions), w)
             images = relative.get(key)
             if images is None:
@@ -114,24 +120,19 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
                 if array("l", sorted(images)) != t_positions:
                     raise StabilityViolationError(
                         "induced map on labels is not a permutation")
-            for pos, image in zip(s_positions, images):
-                perm[s_offset + pos] = t_offset + image
-    if -1 in perm:
+            covered += len(s_positions)
+            yield s_offset, s_positions, t_offset, images
+    if covered != index.size:
         raise StabilityViolationError("induced map on labels is not a permutation")
+
+
+def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
+    """The label maps along psi, read into one permutation of J."""
+    perm = array("l", [-1]) * index.size
+    for s_offset, positions, t_offset, images in _label_maps(index, psi):
+        for pos, image in zip(positions, images):
+            perm[s_offset + pos] = t_offset + image
     return perm
-
-
-def perm_image_of_out(index: BisetIndex, alpha: GroupMorphism) -> array:
-    """Permutation realizing an automorphism of S; on singleton labels it acts
-    by composition, [S, sigma] -> [S, sigma o alpha]."""
-    return perm_from_morphism(index, alpha.inverse())
-
-
-def perm_image_of_essential(index: BisetIndex, phi: FusionMorphism) -> array:
-    """Permutation realizing a nonextendable automorphism of some V_i."""
-    if phi.extendable is not False:
-        raise ValueError("expected a nonextendable morphism")
-    return perm_from_morphism(index, phi.morphism)
 
 
 # -- orbit computation ------------------------------------------------------------
@@ -141,29 +142,43 @@ def _forest(n: int) -> list:
     return [-1] * n
 
 
-def _join_orbits(parent, perm, orbits: int) -> int:
-    """Join the orbits of i and perm[i] for each label i in the flat forest
-    `parent` from _forest (paths halve) with `orbits` orbits; returns the
-    count left, and stops reading perm once it is one."""
-    if orbits == 1:
-        return 1
-    for i, j in enumerate(perm):
-        while (up := parent[i]) >= 0:
-            if (top := parent[up]) < 0:
-                i = up
-                break
-            parent[i] = i = top
-        while (up := parent[j]) >= 0:
-            if (top := parent[up]) < 0:
-                j = up
-                break
-            parent[j] = j = top
-        if i != j:
-            parent[j] = i
-            orbits -= 1
-            if orbits == 1:
-                return 1
+def _join_orbits(parent, maps, orbits: int) -> int:
+    """Join the orbits of each label and its image under the label maps (as
+    _label_maps streams them) in the flat forest `parent` from _forest (paths
+    halve) with `orbits` orbits; returns the count left.  Once it is one,
+    nothing more is joined, but maps is still read to its end, so every check
+    that reading it makes still runs."""
+    for s_offset, positions, t_offset, images in maps:
+        if orbits == 1:
+            continue
+        for i, j in zip(positions, images):
+            i += s_offset
+            j += t_offset
+            while (up := parent[i]) >= 0:
+                if (top := parent[up]) < 0:
+                    i = up
+                    break
+                parent[i] = i = top
+            while (up := parent[j]) >= 0:
+                if (top := parent[up]) < 0:
+                    j = up
+                    break
+                parent[j] = j = top
+            if i != j:
+                parent[j] = i
+                orbits -= 1
+                if orbits == 1:
+                    break
     return orbits
+
+
+def _noting_singletons(maps, j0_images: dict):
+    """maps as read, with the image of each singleton label (the source offset
+    of a singleton block, a key of j0_images) noted in j0_images."""
+    for entry in maps:
+        if entry[0] in j0_images:
+            j0_images[entry[0]] = entry[2] + entry[3][0]
+        yield entry
 
 
 def _out_generator_matrices(system: FusionSystem):
@@ -248,8 +263,9 @@ def check_transitivity(system: FusionSystem,
     At p = 3 every outer class contributes a permutation; otherwise a
     generating subset is used.  The subset generates a subgroup of the full
     realized group, so a single orbit for the subset certifies transitivity
-    of the whole.  Every outer generator's permutation is built, even once J is
-    one orbit, because the J0 check reads them all.
+    of the whole.  Every generator's label maps are read to the end, even
+    once J is one orbit, so that every check runs for each of them, and the
+    J0 check reads the outer generators' images of the singleton labels.
     """
     start = time.perf_counter()
     if biset is None:
@@ -260,27 +276,28 @@ def check_transitivity(system: FusionSystem,
     orbits = index.size
     essentials = essential_generators(system)
     for rep in essentials:
-        orbits = _join_orbits(parent, perm_image_of_essential(index, rep), orbits)
+        orbits = _join_orbits(parent, _label_maps(index, rep.morphism), orbits)
     out_mats = list(system.sorted_out) if all_out_reps else _out_generator_matrices(system)
-    out_j0_images = []  # of each outer permutation only its images of J0 are kept
+    out_j0_images = []  # of each outer generator only its images of J0 are kept
     for m in out_mats:
-        perm = perm_image_of_out(index, system.out_lifts[m])
-        out_j0_images.append((m, [perm[label] for label in index.j0]))
-        orbits = _join_orbits(parent, perm, orbits)
-        del perm  # so the next one is built with none alive
+        # [S, sigma] -> [S, sigma o alpha]: the maps along alpha^-1
+        j0_images = dict.fromkeys(index.j0)
+        maps = _label_maps(index, system.out_lifts[m].inverse())
+        orbits = _join_orbits(parent, _noting_singletons(maps, j0_images), orbits)
+        out_j0_images.append((m, list(j0_images.values())))
     extra = 0
     for rep in (rep for cls in system.spec.classes for i in sorted(cls.members)
                 for rep in system.v_source_reps(i)
                 if rep.extendable is False and rep.meta[0] == rep.meta[1] == i):
         if orbits == 1:
             break
-        orbits = _join_orbits(parent, perm_image_of_essential(index, rep), orbits)
+        orbits = _join_orbits(parent, _label_maps(index, rep.morphism), orbits)
         extra += 1
     if orbits > 1:
         raise TheoremViolationError(
             f"{orbits} orbits remain on J with the maximal generator set")
     # singleton-label subcheck: classes biject with the outer matrices, so the
-    # class action is regular; the constructed permutations are checked on J0
+    # class action is regular; the outer generators are checked on J0
     j0_regular, reason = j0_class_action_checks(system, biset)
     if not j0_regular:
         raise TheoremViolationError(reason)
@@ -296,7 +313,7 @@ def check_transitivity(system: FusionSystem,
                 raise TheoremViolationError(
                     "a nontrivial outer permutation fixes a singleton label")
             j0_perm.append(j0_pos[image])
-        j0_orbits = _join_orbits(j0_parent, j0_perm, j0_orbits)
+        j0_orbits = _join_orbits(j0_parent, ((0, range(len(j0_perm)), 0, j0_perm),), j0_orbits)
     return RealizationReport(
         system_name=system.spec.name,
         j_size=index.size,

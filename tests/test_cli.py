@@ -48,7 +48,8 @@ def test_minimal_no_certify_prints_no_certificate(capsys):
                                   ["verify", "--stability", "--system", "d8"]])
 def test_layer2_certificate_failure_exits_1(capsys, monkeypatch, argv, slot, check):
     """One pair whose closed-form relation or mark identity disagrees fails
-    `minimal` and `verify --stability` with one line naming the pair key."""
+    `minimal` with one stderr line naming the check and the pair key, and
+    `verify --stability` with the same words on the suite's FAIL line."""
     from p3fusion import solver
 
     real, keys = solver.layer2_closed_forms, []
@@ -65,11 +66,48 @@ def test_layer2_certificate_failure_exits_1(capsys, monkeypatch, argv, slot, che
     monkeypatch.setattr(solver, "layer2_closed_forms", perturbed)
     code, out, err = run(capsys, *argv)
     assert code == 1
-    line, = err.splitlines()
+    if argv[0] == "minimal":
+        line, = err.splitlines()
+    else:
+        assert err == ""
+        line, = (line for line in out.splitlines() if line.startswith("stability"))
+        line = line.split(" FAIL  ", 1)[1]
     assert line.startswith(check) and f"at pair {keys[0]}:" in line
     assert "Traceback" not in out + err
     if argv[0] == "minimal":  # the unchecked path runs no certificate
         assert run(capsys, *argv, "--no-certify")[0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_keeps_the_other_suites_when_a_certificate_fails(capsys, monkeypatch, fmt):
+    """A certificate that raises fails its own suite with the message, in the
+    FAIL line or under `error`; the table and every other suite still run."""
+    from p3fusion import realize, solver
+
+    real = solver.layer2_closed_forms
+
+    def perturbed(system):
+        forms = real(system)
+        key = sorted(forms)[1]
+        forms[key] = (forms[key][0] + 1,) + tuple(forms[key][1:])
+        return forms
+
+    monkeypatch.setattr(solver, "layer2_closed_forms", perturbed)
+    monkeypatch.setattr(realize, "_conjugation_witness",
+                        lambda candidates, a_mor, b_mor: candidates[0])
+    code, out, err = run(capsys, "verify", "--all", "--system", "d8", "--format", fmt)
+    assert code == 1 and err == ""
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["ok"] is False
+        verdicts = {r["suite"]: (r["ok"], r.get("error", "")) for r in data["results"]}
+    else:
+        verdicts = {line.split()[0]: (line.split()[2] == "PASS", line.partition(" FAIL  ")[2])
+                    for line in out.splitlines() if line.split()[2:3] in (["PASS"], ["FAIL"])}
+    assert verdicts["table"] == verdicts["idempotent"] == (True, "")
+    assert verdicts["stability"][0] is False
+    assert verdicts["stability"][1].startswith("layer-2 relation at pair ")
+    assert verdicts["realize"] == (False, "induced map on labels is not a permutation")
 
 
 def test_minimal_json_bound(capsys):

@@ -79,6 +79,8 @@ CALLERS_KEPT = {
     "idempotent.omega1": "a documented layer of the idempotent",
     "idempotent.omega2": "a documented layer of the idempotent",
     "idempotent.omega3": "the trivial-subgroup layer, refused until it is certified",
+    "realize.perm_from_morphism": "exported: the label maps along psi as one permutation, "
+                                  "which the permutation digests pin",
 }
 
 

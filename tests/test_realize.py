@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+import weakref
 from array import array
 from itertools import accumulate
 
@@ -15,7 +16,7 @@ from p3fusion.errors import (
     TheoremViolationError,
 )
 from p3fusion.fusion import builtin_fusion_system, lift_matrix_to_aut
-from p3fusion.group import ambient_group, identity_morphism
+from p3fusion.group import GroupMorphism, ambient_group, identity_morphism
 from p3fusion.realize import (
     BisetIndex,
     _conjugation_witness,
@@ -25,8 +26,6 @@ from p3fusion.realize import (
     essential_generators,
     j0_class_action_checks,
     perm_from_morphism,
-    perm_image_of_essential,
-    perm_image_of_out,
 )
 from p3fusion.solver import minimal_biset
 
@@ -84,8 +83,8 @@ def test_index_set_refuses_a_biset_of_another_system():
 
 @pytest.mark.parametrize("name", ["d8", "sd16"])
 def test_one_witness_search_per_pair_of_pieces(name, monkeypatch):
-    # the pieces are memoised per index, so a pair met again, by a copy or by
-    # a later generator over the same R, reuses its witness
+    # pieces and witnesses are memoised per R, so a pair met again, by a copy
+    # or by a later generator over the same R, reuses its witness
     asked = []
 
     def recording(candidates, a_mor, b_mor):
@@ -104,9 +103,11 @@ def test_blocks_are_their_own_pieces_along_the_identity(name, monkeypatch):
     keyed = []
     plain = biset._class_key
     monkeypatch.setattr(biset, "_class_key", lambda mor, left: keyed.append(mor) or plain(mor, left))
-    restriction, pieces = biset._restriction_split(
-        index.items, identity_morphism(sys_.group.full), index._pieces)
+    perm = perm_from_morphism(index, identity_morphism(sys_.group.full))
+    assert list(perm) == list(range(index.size))
+    _r_id, memo, (restriction, pieces), _witnesses = index._state
     assert not keyed
+    assert {piece for _cls, piece in memo.values()} == {cls.rep for cls in index.classes}
     assert len(pieces) == len(index.classes)
     for cls, blocks in index.classes.items():
         (entry_cls, _tracked, orbits), = pieces[cls]
@@ -122,7 +123,7 @@ def test_out_perm_bijective_and_class_respecting():
     sys_, index = _index("d8")
     for m in sys_.sorted_out:
         alpha = lift_matrix_to_aut(m)
-        perm = perm_image_of_out(index, alpha)
+        perm = perm_from_morphism(index, alpha.inverse())
         assert sorted(perm) == list(range(index.size))
         # block-to-block, preserving block sizes
         label_size = {}
@@ -138,7 +139,7 @@ def test_out_perm_singleton_rule():
     sys_, index = _index("sd16")
     for m in sys_.sorted_out[:5]:
         alpha = lift_matrix_to_aut(m)
-        perm = perm_image_of_out(index, alpha)
+        perm = perm_from_morphism(index, alpha.inverse())
         for cls, offset, size in _blocks(index):
             if size != 1:
                 continue
@@ -152,14 +153,14 @@ def test_out_perm_singleton_rule():
 def test_identity_perm_is_identity():
     sys_, index = _index("d8")
     ident = lift_matrix_to_aut(sys_.sorted_out[0] * sys_.sorted_out[0].inv())
-    perm = perm_image_of_out(index, ident)
+    perm = perm_from_morphism(index, ident.inverse())
     assert list(perm) == list(range(index.size))
 
 
 def test_essential_perm_merges_block_sizes():
     sys_, index = _index("d8")
     phi = essential_generators(sys_)[0]
-    perm = perm_image_of_essential(index, phi)
+    perm = perm_from_morphism(index, phi.morphism)
     assert sorted(perm) == list(range(index.size))
     label_size = {}
     for _cls, offset, size in _blocks(index):
@@ -167,16 +168,38 @@ def test_essential_perm_merges_block_sizes():
             label_size[offset + pos] = size
     sizes_mixed = any(label_size[i] != label_size[j] for i, j in enumerate(perm))
     assert sizes_mixed  # singleton labels flow into p-sized blocks
-    with pytest.raises(ValueError):
-        ext = next(r for r in sys_.v_source_reps(0) if r.extendable)
-        perm_image_of_essential(index, ext)
+
+
+def test_only_nonextendable_essentials_are_realized(monkeypatch):
+    # every morphism out of some V_i that check_transitivity realizes, the
+    # picks and the extras alike, is nonextendable; with no picks the extras,
+    # which no built-in system needs, must make J one orbit
+    sys_ = builtin_fusion_system("d8")
+    reps = {id(r.morphism): r for i in range(sys_.p + 1) for r in sys_.v_source_reps(i)}
+    assert any(r.extendable for r in reps.values())
+    realized = []
+    plain = realize._label_maps
+
+    def recording(index, psi):
+        realized.append(psi)
+        return plain(index, psi)
+
+    monkeypatch.setattr(realize, "_label_maps", recording)
+    for picks in (essential_generators, lambda system: []):
+        monkeypatch.setattr(realize, "essential_generators", picks)
+        realized.clear()
+        report = check_transitivity(sys_)
+        assert report.ok
+        on_lines = [psi for psi in realized if psi.source.order == sys_.p ** 2]
+        assert on_lines and all(reps[id(psi)].extendable is False for psi in on_lines)
+    assert report.extra_essential_generators == len(on_lines) > 0
 
 
 def test_double_application_respects_block_classes():
     # applying phi then its inverse stabilises every class's label set
     sys_, index = _index("d8")
     phi = essential_generators(sys_)[0]
-    perm = perm_image_of_essential(index, phi)
+    perm = perm_from_morphism(index, phi.morphism)
     inv_mor = phi.morphism.inverse()
     perm_inv = perm_from_morphism(index, inv_mor)
     combined = [perm_inv[perm[i]] for i in range(index.size)]
@@ -223,10 +246,25 @@ def _bfs_orbit_count(n, perms):
     return count
 
 
+def _whole(perm):
+    """A permutation of J as one label map."""
+    return ((0, range(len(perm)), 0, perm),)
+
+
+def _perm_of(size, maps):
+    """The permutation of range(size) that the label maps describe."""
+    perm = array("l", [-1]) * size
+    for s_offset, positions, t_offset, images in maps:
+        for pos, image in zip(positions, images):
+            perm[s_offset + pos] = t_offset + image
+    return perm
+
+
 def test_join_orbits_matches_bfs_after_each_generator():
     # the count after each generator decides which essential generators are
     # added and the generator count, so it is checked after every one; sparse
-    # permutations (a few random cycles) make the count fall slowly
+    # permutations (a few random cycles) make the count fall slowly.  The
+    # last generator comes as one map per block of a random tiling
     rng = random.Random(2010)
     for n in (1, 2, 9, 120, 700):
         parent = _forest(n)
@@ -238,26 +276,37 @@ def test_join_orbits_matches_bfs_after_each_generator():
             for i, j in zip(cycle, cycle[1:] + cycle[:1]):
                 perm[i] = j
             perms.append(perm)
-            orbits = _join_orbits(parent, perm, orbits)
+            orbits = _join_orbits(parent, _whole(perm), orbits)
             assert orbits == _bfs_orbit_count(n, perms)
         perms.append(array("l", rng.sample(range(n), n)))
-        orbits = _join_orbits(parent, perms[-1], orbits)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, 5))) if n > 1 else []
+        maps = [(a, range(b - a), 0, perms[-1][a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        assert _perm_of(n, maps) == perms[-1]
+        orbits = _join_orbits(parent, maps, orbits)
         assert orbits == _bfs_orbit_count(n, perms)
 
 
 def test_join_orbits_stops_at_one_orbit():
     # the images 1, 2, ..., n - 1 of the labels 0, ..., n - 2 leave one orbit
-    # at label n - 2, so nothing past it is read; with one orbit given,
-    # nothing is read at all
+    # at label n - 2, so no image past it is read, nor any image of a later
+    # map; with one orbit given, no image is read at all.  The maps themselves
+    # are read to their end, so the checks made while they are read all run
     n = 50
 
     def images_then_raise(images):
         yield from images
         raise AssertionError("read past the label that leaves one orbit")
 
+    def maps(*entries):
+        yield from entries
+        ended.append(True)
+
+    ended = []
     parent = _forest(n)
-    assert _join_orbits(parent, images_then_raise(range(1, n)), n) == 1
-    assert _join_orbits(parent, images_then_raise(()), 1) == 1
+    assert _join_orbits(parent, maps((0, range(n), 0, images_then_raise(range(1, n))),
+                                     (0, range(n), 0, images_then_raise(()))), n) == 1
+    assert _join_orbits(parent, maps((0, range(n), 0, images_then_raise(()))), 1) == 1
+    assert ended == [True, True]
 
 
 def test_join_orbits_forest_makes_no_int_per_label():
@@ -268,7 +317,7 @@ def test_join_orbits_forest_makes_no_int_per_label():
     cycles = _bfs_orbit_count(n, [perm])
     tracemalloc.start()
     try:
-        orbits = _join_orbits(_forest(n), perm, n)
+        orbits = _join_orbits(_forest(n), _whole(perm), n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -277,17 +326,19 @@ def test_join_orbits_forest_makes_no_int_per_label():
 
 
 def _wrap_out_perms(monkeypatch, change):
-    """Make check_transitivity see every outer permutation after `change`,
-    which must leave it a bijection of J."""
-    plain = realize.perm_image_of_out
+    """Make check_transitivity read every outer generator's permutation after
+    `change`, which must leave it a bijection of J, as one map per label."""
+    plain = realize._label_maps
 
-    def wrapped(index, alpha):
-        perm = plain(index, alpha)
+    def wrapped(index, psi):
+        if psi.source is not index.system.group.full:
+            return plain(index, psi)
+        perm = _perm_of(index.size, plain(index, psi))
         change(index, perm)
         assert sorted(perm) == list(range(index.size))
-        return perm
+        return ((label, (0,), 0, (image,)) for label, image in enumerate(perm))
 
-    monkeypatch.setattr(realize, "perm_image_of_out", wrapped)
+    monkeypatch.setattr(realize, "_label_maps", wrapped)
 
 
 def test_outer_permutation_fixing_a_singleton_label_is_refused(monkeypatch):
@@ -311,6 +362,74 @@ def test_outer_permutation_leaving_the_singleton_labels_is_refused(monkeypatch):
         check_transitivity(builtin_fusion_system("d8"))
 
 
+def test_checks_run_for_every_generator_after_one_orbit(monkeypatch):
+    # J is one orbit after 4 of D8's 10 generators; the last outer generator,
+    # given wrong witnesses alone, is still refused: its maps are read to the
+    # end although nothing more is joined
+    maps_asked, counts = [], []
+    plain_maps, plain_join = realize._label_maps, realize._join_orbits
+
+    def maps_wrong_at_the_last(index, psi):
+        maps_asked.append(psi)
+        if len(maps_asked) == 10:
+            assert psi.source is index.system.group.full
+            index._state[-1].clear()  # the witnesses, so that each is asked for again
+            monkeypatch.setattr(realize, "_conjugation_witness",
+                                lambda candidates, a_mor, b_mor: candidates[0])
+        return plain_maps(index, psi)
+
+    def counting(parent, maps, orbits):
+        counts.append(plain_join(parent, maps, orbits))
+        return counts[-1]
+
+    monkeypatch.setattr(realize, "_label_maps", maps_wrong_at_the_last)
+    monkeypatch.setattr(realize, "_join_orbits", counting)
+    with pytest.raises(StabilityViolationError, match="not a permutation"):
+        check_transitivity(builtin_fusion_system("d8"))
+    assert len(maps_asked) == 10 and counts.index(1) == 3
+
+
+def test_pieces_of_the_lines_are_gone_before_the_outer_generators(monkeypatch):
+    # no piece serves two R, so the pieces split over each V_i, with their
+    # witnesses, are dropped before the split over S begins
+    class Tracked(GroupMorphism):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(biset, "GroupMorphism", Tracked)
+    plain = realize._restriction_split
+    refs, alive_at_s = [], []
+
+    def split(items, psi, memo):
+        if psi.source.order == psi.p ** 3:
+            alive_at_s.append(sum(ref() is not None for ref in refs))
+        found = plain(items, psi, memo)
+        if psi.source.order < psi.p ** 3:
+            refs.extend(weakref.ref(piece) for entries in found[1].values()
+                        for _cls, _tracked, orbits in entries for _positions, piece in orbits)
+        return found
+
+    monkeypatch.setattr(realize, "_restriction_split", split)
+    assert check_transitivity(builtin_fusion_system("d8")).ok
+    assert refs and alive_at_s and set(alive_at_s) == {0}
+
+
+def test_realization_memory_at_4s4():
+    # one restriction group's pieces at a time and no whole permutation: the
+    # warm check peaks at 3.5 MB, where index-lifetime memos and a
+    # permutation array per generator peaked at 5.1 MB
+    system = builtin_fusion_system("4s4")
+    x = minimal_biset(system, certify=False).biset
+    check_transitivity(system, biset=x)  # the system's own caches, filled once
+    tracemalloc.start()
+    try:
+        report = check_transitivity(system, biset=x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 4.4e6
+
+
 def test_report_json():
     rep = check_transitivity(builtin_fusion_system("d8"))
     data = rep.to_json()
@@ -331,7 +450,7 @@ def test_stability_violation_for_wrong_biset():
     index = BisetIndex(sys_, bad)
     phi = essential_generators(sys_)[0]
     with pytest.raises(StabilityViolationError) as caught:
-        perm_image_of_essential(index, phi)
+        perm_from_morphism(index, phi.morphism)
     # the witness: the first piece class whose two multiplicities differ
     along_incl = restrict_left(bad, identity_morphism(phi.morphism.source))
     along_phi = restrict_left(bad, phi.morphism)
@@ -352,7 +471,7 @@ def test_wrong_witness_is_refused_as_not_a_permutation(monkeypatch):
                         lambda candidates, a_mor, b_mor: candidates[0])
     alpha = lift_matrix_to_aut(sys_.sorted_out[1])
     with pytest.raises(StabilityViolationError, match="not a permutation"):
-        perm_image_of_out(index, alpha)
+        perm_from_morphism(index, alpha.inverse())
 
 
 def _elementwise_witness(r_sub, a_mor, b_mor):
@@ -402,8 +521,8 @@ def test_witness_matches_elementwise_search(name, monkeypatch):
     assert pairs and moved  # some witness is not the identity
 
 
-# SHA-256 of each permutation check_transitivity builds, in the order built,
-# each written as its images joined by commas
+# SHA-256 of each permutation whose label maps check_transitivity reads, in
+# the order read, each written as its images joined by commas
 PERMUTATION_DIGESTS = {
     "d8": [
         "1d98aa7fbfabeb7baff6b3603f5dc77fbf25485c5ce1ebdca955601f3a8cf2ed",
@@ -447,16 +566,25 @@ PERMUTATION_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(PERMUTATION_DIGESTS))
 def test_realization_permutations_are_pinned(name, monkeypatch):
-    built = []
+    built, asked = [], []
+    plain = realize._label_maps
+
+    def digest(perm):
+        return hashlib.sha256(",".join(map(str, perm)).encode()).hexdigest()
 
     def recording(index, psi):
-        perm = perm_from_morphism(index, psi)
-        built.append(hashlib.sha256(",".join(map(str, perm)).encode()).hexdigest())
-        return perm
+        maps = list(plain(index, psi))
+        built.append(digest(_perm_of(index.size, maps)))
+        asked.append(psi)
+        return iter(maps)
 
-    monkeypatch.setattr(realize, "perm_from_morphism", recording)
+    monkeypatch.setattr(realize, "_label_maps", recording)
     check_transitivity(builtin_fusion_system(name))
     assert built == PERMUTATION_DIGESTS[name]
+    # perm_from_morphism reads the same maps into the same permutations
+    monkeypatch.undo()
+    index = _index(name)[1]
+    assert [digest(perm_from_morphism(index, psi)) for psi in asked] == built
 
 
 @pytest.mark.parametrize("name", ["d8", "th4s4"])
