@@ -10,9 +10,7 @@ from .biset import (
     FormalBiset,
     biset_class,
     brute_force_fixed_points,
-    compose,
     count_fixed_points,
-    decompose_by_marks,
     is_left_stable,
     is_right_stable,
     mark_vector,
@@ -40,9 +38,7 @@ from .group import (
     GroupMorphism,
     Subgroup,
     ambient_group,
-    centralizer,
     conjugation_morphism,
-    maximal_subgroups,
 )
 from .idempotent import omega0, omega1, omega2, omega3, verify_idempotent_stability
 from .realize import BisetIndex, check_transitivity, perm_from_morphism
@@ -52,15 +48,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BisetClass", "FormalBiset", "biset_class",
-    "brute_force_fixed_points", "compose", "count_fixed_points",
-    "decompose_by_marks", "is_left_stable", "is_right_stable", "mark_vector",
+    "brute_force_fixed_points", "count_fixed_points",
+    "is_left_stable", "is_right_stable", "mark_vector",
     "opposite", "restrict_left",
     "FusionClass", "FusionMorphism", "FusionSystem", "FusionSystemSpec",
     "LambdaSets", "MatrixGL2", "aut_F_V", "build_out_F",
     "builtin_fusion_system", "builtin_systems", "fusion_system",
     "lambda_sets", "lift_matrix_to_aut", "resolve_system",
     "GroupElement", "GroupMorphism", "Subgroup", "ambient_group",
-    "centralizer", "conjugation_morphism", "maximal_subgroups",
+    "conjugation_morphism",
     "omega0", "omega1", "omega2", "omega3", "verify_idempotent_stability",
     "BisetIndex", "check_transitivity", "perm_from_morphism",
     "SolverResult", "exoticity_bound", "minimal_biset", "verify_table",

@@ -13,17 +13,14 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from operator import and_, eq, mul
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
     ConditionAViolationError,
-    MorphismError,
     P3FusionError,
     PrimeMismatchError,
-    ResourceLimitError,
     TheoremViolationError,
 )
 from .group import (
@@ -53,11 +50,6 @@ __all__ = [
     "check_condition_a",
     "biset_mark",
     "mark_table",
-    "ExplicitBiset",
-    "explicit_from_formal",
-    "compose",
-    "decompose_by_marks",
-    "all_graph_classes",
 ]
 
 
@@ -718,192 +710,3 @@ def stability_witness(left: StabilityResult, right: StabilityResult):
         if not res.ok:
             return (side, *res.witness)
     return None
-
-
-# -- explicit bisets ------------------------------------------------------------------
-
-POINT_LIMIT = 2_000_000  # the most points an explicit biset or composite may have
-
-
-class ExplicitBiset:
-    """An explicit finite S-S-set with free actions on both sides.
-
-    Elements are opaque indices; the two actions are stored as permutations
-    for each of the three generators and composed on demand for arbitrary
-    group elements via the normal form g = x**a y**b z**(c - a*b).
-    """
-
-    def __init__(self, p: int, size: int, left_gen, right_gen):
-        self.p = p
-        self.size = size
-        grp = ambient_group(p)
-        self._gens = (grp.x, grp.y, grp.z)
-        self.left_gen = left_gen    # {gen: perm list}
-        self.right_gen = right_gen
-
-    def _word(self, g: GroupElement):
-        # g = x**a * y**b * z**(c - a*b)
-        return (g.a, g.b, (g.c - g.a * g.b) % self.p)
-
-    def _perm(self, gen_perms, steps):
-        """The permutation applying each (generator, power) step in turn, as a
-        read-only sequence (it may be a stored generator list or a range)."""
-        perm = None
-        for gen, times in steps:
-            step = gen_perms[gen]
-            for _ in range(times):
-                perm = step if perm is None else [step[i] for i in perm]
-        return range(self.size) if perm is None else perm
-
-    def _left_perm(self, g: GroupElement):
-        """g's left action on every point, composed from whole permutations."""
-        a, b, k = self._word(g)
-        x, y, z = self._gens
-        return self._perm(self.left_gen, ((z, k), (y, b), (x, a)))
-
-    def _right_perm(self, g: GroupElement):
-        """g's right action on every point, composed from whole permutations."""
-        a, b, k = self._word(g)
-        x, y, z = self._gens
-        return self._perm(self.right_gen, ((x, a), (y, b), (z, k)))
-
-    def verify_free(self):
-        """Raise unless no g != 1 fixes a point on either side.  A point fixed
-        by g is fixed by <g>, so one generator per order-p subgroup suffices."""
-        grp = ambient_group(self.p)
-        points = range(self.size)
-        for q in grp.all_subgroups:
-            if q.order != self.p:
-                continue
-            g, = q.canonical_gens
-            if any(map(eq, self._left_perm(g), points)):
-                raise ValueError("left action is not free")
-            if any(map(eq, self._right_perm(g), points)):
-                raise ValueError("right action is not free")
-
-    def fixed_point_count(self, psi: GroupMorphism) -> int:
-        """|X^{Delta_R^psi}|: elements with r.e = e.psi(r) for all generators."""
-        fixed = None
-        for r in psi.source.canonical_gens:
-            here = map(eq, self._left_perm(r), self._right_perm(psi(r)))
-            fixed = list(here) if fixed is None else list(map(and_, fixed, here))
-        return self.size if fixed is None else sum(fixed)
-
-
-def _regular_biset(p: int) -> ExplicitBiset:
-    """S as an explicit S-S-set under left and right multiplication."""
-    grp = ambient_group(p)  # elements are listed by code
-    gens = (grp.x, grp.y, grp.z)
-    left_gen = {g: [(g * y).code() for y in grp.elements] for g in gens}
-    right_gen = {g: [(y * g).code() for y in grp.elements] for g in gens}
-    return ExplicitBiset(p, len(grp.elements), left_gen, right_gen)
-
-
-def explicit_from_formal(b: FormalBiset) -> ExplicitBiset:
-    """Materialise a genuine S-S formal biset as explicit points (t, y)."""
-    if not b.is_genuine():
-        raise ValueError("only genuine bisets (nonnegative integers) can be realised")
-    n = b.size()
-    if n > POINT_LIMIT:
-        raise ResourceLimitError(f"explicit biset would have {n} > {POINT_LIMIT} points")
-    return _product_explicit(b, _regular_biset(b.p))
-
-
-def _product_explicit(a: FormalBiset, x_b: ExplicitBiset) -> ExplicitBiset:
-    """X x_S Y for X the formal biset `a` and Y explicit.  The points are
-    (t, copy, j) for t in a transversal of each class's source Q and j in Y;
-    g moves (t, j) to (t', phi(q) j) where g t = t' q."""
-    p = a.p
-    grp = ambient_group(p)
-    elements = grp.elements
-    labels = []  # (phi, transversal codes, coset positions), one per copy of each class
-    for cls, mult in a.items():
-        reps, pos = grp.coset_index(cls.rep.source)
-        labels.extend([(cls.rep, reps, pos)] * int(mult))
-    m = x_b.size
-    size = sum(len(reps) for _, reps, _ in labels) * m
-    if size > POINT_LIMIT:
-        raise ResourceLimitError(f"composite would have {size} > {POINT_LIMIT} points")
-    gens = (grp.x, grp.y, grp.z)
-    left_gen = {g: [0] * size for g in gens}
-    right_gen = {g: [0] * size for g in gens}
-    y_right = {g: x_b._right_perm(g) for g in gens}
-    base = 0
-    for phi, reps, pos in labels:
-        for ti, t in enumerate(reps):
-            row = (base + ti) * m
-            for g in gens:
-                ti2, q = pos[(g * elements[t]).code()]
-                shift = elements[phi.table[phi.source.position[q]]]  # acts on Y from the left
-                row2 = (base + ti2) * m
-                left_gen[g][row:row + m] = [row2 + j for j in x_b._left_perm(shift)]
-                right_gen[g][row:row + m] = [row + j for j in y_right[g]]
-        base += len(reps)
-    return ExplicitBiset(p, size, left_gen, right_gen)
-
-
-def compose(a: FormalBiset, b: FormalBiset) -> FormalBiset:
-    """Double Burnside product via the explicit-set construction, decomposed
-    back into classes by marks.  [S, id] is a two-sided identity."""
-    if a.p != b.p:
-        raise ValueError("bisets over different primes")
-    if not (a.is_genuine() and b.is_genuine()):
-        raise ValueError("compose needs genuine bisets")
-    return decompose_by_marks(_product_explicit(a, explicit_from_formal(b)))
-
-
-@lru_cache(maxsize=None)
-def all_graph_classes(p: int) -> tuple:
-    """Every S x S class of graph subgroups (not only fusion-respecting ones),
-    ordered by layer.  Feasible for p <= 5."""
-    if p > 5:
-        raise ResourceLimitError("full graph-class enumeration is limited to p <= 5")
-    grp = ambient_group(p)
-    found = set()
-    automorphisms = set()  # the images mod Z of the automorphisms found so far
-    for r_sub in grp.all_subgroups:
-        gens = r_sub.canonical_gens
-        abelian = r_sub.order < p**3
-        for images in product(grp.elements[1:], repeat=len(gens)):
-            # [u, v] = z^(u.a*v.b - u.b*v.a) is 1 on an abelian source and a
-            # nontrivial image of z = [x, y] on S
-            if len(images) == 2 and abelian == bool(
-                    (images[0].a * images[1].b - images[0].b * images[1].a) % p):
-                continue
-            if not abelian:  # an automorphism's class is its images modulo Z
-                key = (images[0].a, images[1].a, images[0].b, images[1].b)
-                if key in automorphisms:
-                    continue
-            try:
-                mor = morphism_from_images(r_sub, dict(zip(gens, images)))
-            except MorphismError:
-                continue
-            if not abelian:
-                automorphisms.add(key)
-            found.add(biset_class(mor))
-    return tuple(sorted(found))
-
-
-def decompose_by_marks(x: ExplicitBiset) -> FormalBiset:
-    """Unique class decomposition of an explicit biset from its mark vector,
-    solved layer by layer down the triangular table of marks."""
-    x.verify_free()
-    p = x.p
-    coeffs = {}
-    for cls in all_graph_classes(p):
-        mark = x.fixed_point_count(cls.rep)
-        for prev, c in coeffs.items():
-            if prev.layer <= cls.layer:
-                mark -= c * count_fixed_points(prev, cls)
-        diag = count_fixed_points(cls, cls)
-        if mark % diag:
-            raise P3FusionError("marks are not an integral combination of classes")
-        c = mark // diag
-        if c < 0:
-            raise P3FusionError("negative multiplicity: not a genuine biset")
-        if c:
-            coeffs[cls] = c
-    out = FormalBiset(p, coeffs)
-    if out.size() != x.size:
-        raise P3FusionError("decomposition does not account for every point")
-    return out

@@ -390,14 +390,6 @@ def ambient_group(p: int) -> ExtraspecialGroup:
     return ExtraspecialGroup(p)
 
 
-def centralizer(q: Subgroup) -> Subgroup:
-    return ambient_group(q.p).centralizer(q)
-
-
-def maximal_subgroups(p: int) -> tuple:
-    return ambient_group(p).maximal_subgroups
-
-
 class GroupMorphism:
     """An injective homomorphism from a subgroup of S into S.
 

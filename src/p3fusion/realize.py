@@ -8,6 +8,13 @@ inclusion, which restricts to a permutation of J.  The group generated by
 these permutations together with the outer-class permutations is checked to
 be transitive, and the outer classes alone act regularly on the singleton
 labels.
+
+Most of J is copies: a class of multiplicity m owns m blocks of labels, and
+a morphism's label maps mostly send copy k of one class to copy k of
+another.  The maps are streamed as runs of lockstep copies, and the orbits
+are counted on the copy quotient: a run over every copy of two classes is
+joined once, over the class-level labels, and only the others are joined
+copy by copy, once all generators are read.
 """
 
 from __future__ import annotations
@@ -53,11 +60,31 @@ class BisetIndex:
 
 # -- label maps from fusion morphisms ---------------------------------------------
 
-def _copies(index: BisetIndex, entries):
-    """(class, block offset, positions, tracked, piece) in block order, then orbit order."""
-    return ((cls, offset + k * size, pos, tr, piece) for cls, tr, orbits in entries
-            for offset, size, copies in (index.classes[cls],)
-            for k in range(copies) for pos, piece in orbits)
+def _lockstep(index: BisetIndex, sources, targets):
+    """The pairs that zipping the copies of sources and of targets makes, each
+    side read class by class, copy by copy and orbit by orbit, gathered into
+    runs of lockstep copies: ((class, first copy, orbit, tracked) of the
+    source, (class, first copy, orbit) of the target, copies).  Where both
+    fronts hold as many orbits a copy, a run spans the copies both have left;
+    elsewhere the first copy of each front is split into its orbits."""
+    # each front is a stack, its next segment last
+    fronts = s_front, t_front = [[(cls, tracked, orbits, 0, index.classes[cls][2])
+                                  for cls, tracked, orbits in reversed(side)]
+                                 for side in (sources, targets)]
+    while s_front:
+        (s_cls, s_tracked, s_orbits, s_k, s_left), (t_cls, _, t_orbits, t_k, t_left) = \
+            s_front[-1], t_front[-1]
+        aligned = len(s_orbits) == len(t_orbits)
+        copies = min(s_left, t_left) if aligned else 1
+        if aligned:
+            for s_orbit, t_orbit in zip(s_orbits, t_orbits):
+                yield (s_cls, s_k, s_orbit, s_tracked), (t_cls, t_k, t_orbit), copies
+        for front in fronts:
+            cls, tracked, orbits, k, left = front.pop()
+            if left > copies:
+                front.append((cls, tracked, orbits, k + copies, left - copies))
+            if not aligned:
+                front.extend((cls, tracked, (orbit,), k, 1) for orbit in reversed(orbits))
 
 
 def _conjugation_witness(candidates, a_mor, b_mor):
@@ -72,11 +99,12 @@ def _conjugation_witness(candidates, a_mor, b_mor):
 
 def _label_maps(index: BisetIndex, psi: GroupMorphism):
     """The permutation of J induced by an isomorphism between the restriction
-    along the inclusion and the restriction along psi, streamed as the
-    (source offset, source positions, target offset, images) of each matched
-    pair of pieces: the label s_offset + positions[k] goes to t_offset +
-    images[k].  Each check runs as its pair is read, the label count once
-    all are."""
+    along the inclusion and the restriction along psi, streamed as one run
+    (source block, target block, copies, positions, images) per run of
+    lockstep copies, a block being (index.classes entry, copy): for k <
+    copies, the label positions[i] of the k-th block after the source block
+    goes to images[i] of the k-th block after the target block.  Each check
+    runs as its run is read, the label count once all are."""
     grp = index.system.group
     mul = grp.product_table
     n = len(grp.elements)
@@ -104,8 +132,8 @@ def _label_maps(index: BisetIndex, psi: GroupMorphism):
     relative = {}
     covered = 0
     for piece_cls, sources in source_pieces.items():
-        for (_, s_offset, s_positions, s_tracked, s_mor), (t_cls, t_offset, t_positions, _, t_mor) \
-                in zip(_copies(index, sources), _copies(index, target_pieces[piece_cls])):
+        for (s_cls, s_k, (s_positions, s_mor), s_tracked), (t_cls, t_k, (t_positions, t_mor)), \
+                copies in _lockstep(index, sources, target_pieces[piece_cls]):
             w = witnesses.get(pair := (id(s_mor), id(t_mor)))
             if w is None:
                 w = witnesses[pair] = _conjugation_witness(candidates, s_mor, t_mor).code()
@@ -120,18 +148,27 @@ def _label_maps(index: BisetIndex, psi: GroupMorphism):
                 if array("l", sorted(images)) != t_positions:
                     raise StabilityViolationError(
                         "induced map on labels is not a permutation")
-            covered += len(s_positions)
-            yield s_offset, s_positions, t_offset, images
+            covered += copies * len(s_positions)
+            yield (index.classes[s_cls], s_k), (index.classes[t_cls], t_k), copies, s_positions, images
     if covered != index.size:
         raise StabilityViolationError("induced map on labels is not a permutation")
+
+
+def _label_pairs(run):
+    """(label, image) for each label of J that a run from _label_maps moves."""
+    ((s_offset, s_size, _), s_k), ((t_offset, t_size, _), t_k), copies, positions, images = run
+    for k in range(copies):
+        s, t = s_offset + (s_k + k) * s_size, t_offset + (t_k + k) * t_size
+        for pos, image in zip(positions, images):
+            yield s + pos, t + image
 
 
 def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
     """The label maps along psi, read into one permutation of J."""
     perm = array("l", [-1]) * index.size
-    for s_offset, positions, t_offset, images in _label_maps(index, psi):
-        for pos, image in zip(positions, images):
-            perm[s_offset + pos] = t_offset + image
+    for run in _label_maps(index, psi):
+        for label, image in _label_pairs(run):
+            perm[label] = image
     return perm
 
 
@@ -143,11 +180,12 @@ def _forest(n: int) -> list:
 
 
 def _join_orbits(parent, maps, orbits: int) -> int:
-    """Join the orbits of each label and its image under the label maps (as
-    _label_maps streams them) in the flat forest `parent` from _forest (paths
-    halve) with `orbits` orbits; returns the count left.  Once it is one,
-    nothing more is joined, but maps is still read to its end, so every check
-    that reading it makes still runs."""
+    """Join the orbits of each label and its image under the maps
+    (offset, positions, target offset, images), label offset + positions[k]
+    going to target offset + images[k], in the forest `parent` (paths halve;
+    a root holds a negative entry) with `orbits` orbits; returns the count
+    left.  Once it is one, nothing more is joined, but maps is still read to
+    its end, so every check that reading it makes still runs."""
     for s_offset, positions, t_offset, images in maps:
         if orbits == 1:
             continue
@@ -172,13 +210,73 @@ def _join_orbits(parent, maps, orbits: int) -> int:
     return orbits
 
 
-def _noting_singletons(maps, j0_images: dict):
-    """maps as read, with the image of each singleton label (the source offset
-    of a singleton block, a key of j0_images) noted in j0_images."""
-    for entry in maps:
-        if entry[0] in j0_images:
-            j0_images[entry[0]] = entry[2] + entry[3][0]
-        yield entry
+class _Nodes(dict):
+    """A sparse forest for _join_orbits: a node never joined is a root."""
+
+    def __missing__(self, node):
+        return -1
+
+
+def _root(parent, i: int) -> int:
+    """The root of i's tree in a forest of _join_orbits."""
+    while (up := parent[i]) >= 0:
+        i = up
+    return i
+
+
+class _Orbits:
+    """The orbits on J of the runs joined so far, counted on the copy quotient.
+
+    T is the class-level label set, the positions of one block of each class.
+    A whole-class run, from copy 0 to copy 0 of two classes of equal
+    multiplicity m over all m copies, joins copy k to copy k for every k, so
+    it is joined once, in a forest over T whose roots each hold minus their
+    multiplicity: a T-orbit C is m_C orbits of J.  Every other run is kept
+    and joined when the orbits are counted, in a sparse forest over the
+    (T-root, copy) nodes.  Joining the whole-class runs first contracts
+    edges of the label graph, so the count is its component count."""
+
+    def __init__(self, index: BisetIndex):
+        self.t_offset, self.parent, self.deferred = {}, [], []
+        for offset, size, copies in index.classes.values():
+            self.t_offset[offset] = len(self.parent)
+            self.parent += [-copies] * size
+        self.t_count = len(self.parent)
+
+    def _whole_class_maps(self, runs):
+        """The whole-class runs as maps over T; the others are kept."""
+        t_offset = self.t_offset
+        for run in runs:
+            (s_block, _), (t_block, _), copies, positions, images = run
+            if copies == s_block[2] == t_block[2]:  # so both start at copy 0
+                yield t_offset[s_block[0]], positions, t_offset[t_block[0]], images
+            else:
+                self.deferred.append(run)
+
+    def join(self, runs):
+        """Join the runs as _label_maps streams them.  They are read to their
+        end, even once T is one orbit, so every check that reading them makes
+        runs."""
+        self.t_count = _join_orbits(self.parent, self._whole_class_maps(runs), self.t_count)
+
+    def count(self) -> int:
+        """The orbits of J: m_C for each T-orbit C, less the joins of the kept runs."""
+        parent, width, maps = self.parent, len(self.parent), []
+        for (s_block, s_k), (t_block, t_k), copies, positions, images in self.deferred:
+            s, t = self.t_offset[s_block[0]], self.t_offset[t_block[0]]
+            s_roots = [_root(parent, s + pos) for pos in positions]
+            t_roots = [_root(parent, t + image) for image in images]
+            maps += ((width * (s_k + k), s_roots, width * (t_k + k), t_roots) for k in range(copies))
+        return _join_orbits(_Nodes(), maps, -sum(v for v in parent if v < 0))
+
+
+def _noting_singletons(runs, j0_images: dict):
+    """runs as read, with the images of the singleton labels, the labels of
+    blocks of size 1, noted in j0_images."""
+    for run in runs:
+        if run[0][0][1] == 1:
+            j0_images.update(_label_pairs(run))
+        yield run
 
 
 def _out_generator_matrices(system: FusionSystem):
@@ -263,39 +361,39 @@ def check_transitivity(system: FusionSystem,
     At p = 3 every outer class contributes a permutation; otherwise a
     generating subset is used.  The subset generates a subgroup of the full
     realized group, so a single orbit for the subset certifies transitivity
-    of the whole.  Every generator's label maps are read to the end, even
-    once J is one orbit, so that every check runs for each of them, and the
-    J0 check reads the outer generators' images of the singleton labels.
+    of the whole.  Every generator's label maps are read to the end, so that
+    every check runs for each of them; the orbits are counted once they all
+    are, and again after each extra.  The J0 check reads the outer
+    generators' images of the singleton labels.
     """
     start = time.perf_counter()
     if biset is None:
         biset = minimal_biset(system, certify=False).biset
     index = BisetIndex(system, biset)
     all_out_reps = system.p <= 3
-    parent = _forest(index.size)
-    orbits = index.size
+    orbits = _Orbits(index)
     essentials = essential_generators(system)
     for rep in essentials:
-        orbits = _join_orbits(parent, _label_maps(index, rep.morphism), orbits)
+        orbits.join(_label_maps(index, rep.morphism))
     out_mats = list(system.sorted_out) if all_out_reps else _out_generator_matrices(system)
     out_j0_images = []  # of each outer generator only its images of J0 are kept
     for m in out_mats:
         # [S, sigma] -> [S, sigma o alpha]: the maps along alpha^-1
         j0_images = dict.fromkeys(index.j0)
         maps = _label_maps(index, system.out_lifts[m].inverse())
-        orbits = _join_orbits(parent, _noting_singletons(maps, j0_images), orbits)
+        orbits.join(_noting_singletons(maps, j0_images))
         out_j0_images.append((m, list(j0_images.values())))
-    extra = 0
+    extra, count = 0, orbits.count()
     for rep in (rep for cls in system.spec.classes for i in sorted(cls.members)
                 for rep in system.v_source_reps(i)
                 if rep.extendable is False and rep.meta[0] == rep.meta[1] == i):
-        if orbits == 1:
+        if count == 1:
             break
-        orbits = _join_orbits(parent, _label_maps(index, rep.morphism), orbits)
-        extra += 1
-    if orbits > 1:
+        orbits.join(_label_maps(index, rep.morphism))
+        extra, count = extra + 1, orbits.count()
+    if count > 1:
         raise TheoremViolationError(
-            f"{orbits} orbits remain on J with the maximal generator set")
+            f"{count} orbits remain on J with the maximal generator set")
     # singleton-label subcheck: classes biject with the outer matrices, so the
     # class action is regular; the outer generators are checked on J0
     j0_regular, reason = j0_class_action_checks(system, biset)
@@ -318,7 +416,7 @@ def check_transitivity(system: FusionSystem,
         system_name=system.spec.name,
         j_size=index.size,
         generator_count=len(essentials) + len(out_j0_images) + extra,
-        orbit_count=orbits,
+        orbit_count=count,
         j0_size=len(index.j0),
         j0_orbit_count=j0_orbits,
         j0_regular=j0_regular,

@@ -7,14 +7,12 @@ import hashlib
 import json
 import random
 
+from oracles import all_graph_classes, decompose_by_marks, explicit_from_formal
 from p3fusion.biset import (
     FormalBiset,
-    all_graph_classes,
     biset_class,
     brute_force_fixed_points,
     count_fixed_points,
-    decompose_by_marks,
-    explicit_from_formal,
     is_left_stable,
     is_right_stable,
 )

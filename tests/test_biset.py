@@ -7,16 +7,11 @@ import pytest
 
 from p3fusion import biset
 from p3fusion.biset import (
-    ExplicitBiset,
     FormalBiset,
-    all_graph_classes,
     biset_class,
     biset_mark,
     brute_force_fixed_points,
-    compose,
     count_fixed_points,
-    decompose_by_marks,
-    explicit_from_formal,
     is_left_stable,
     is_right_stable,
     mark_table,
@@ -40,7 +35,17 @@ from p3fusion.group import (
     identity_morphism,
     morphism_from_images,
 )
-from oracles import left, restricted_orbit_decomposition, right
+import oracles
+from oracles import (
+    ExplicitBiset,
+    all_graph_classes,
+    compose,
+    decompose_by_marks,
+    explicit_from_formal,
+    left,
+    restricted_orbit_decomposition,
+    right,
+)
 
 
 def transporters(psi, phi) -> list:
@@ -779,8 +784,8 @@ def test_explicit_biset_over_the_point_limit_is_refused_before_building(monkeypa
     def built(*_args):
         raise AssertionError("points were allocated")
 
-    monkeypatch.setattr(biset, "_regular_biset", built)
-    monkeypatch.setattr(biset, "_product_explicit", built)
+    monkeypatch.setattr(oracles, "_regular_biset", built)
+    monkeypatch.setattr(oracles, "_product_explicit", built)
     with pytest.raises(ResourceLimitError) as info:
         explicit_from_formal(x)
     assert str(info.value) == "explicit biset would have 46115664 > 2000000 points"

@@ -92,14 +92,19 @@ def _package_and_bench_trees() -> dict:
 def _functions_without_callers() -> list:
     """module.qualified name of each function in the package whose name no
     Name or Attribute in src/ or perfbench/ reads outside the function's own
-    body.  Dunders are called by the language, so they are exempt."""
+    body.  A module-level function is read only as a bare name or as an
+    attribute of its module or of the package, so a method of the same name
+    (`GroupMorphism.compose` for a module's `compose`) does not count for
+    it.  Dunders are called by the language, so they are exempt."""
     trees = _package_and_bench_trees()
-    reads = {}  # name -> [(path, line)]
+    reads = {}  # name -> [(path, line, the name the attribute is read on, or None)]
     for path, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                reads.setdefault(name, []).append((path, node.lineno))
+            if isinstance(node, ast.Name):
+                reads.setdefault(node.id, []).append((path, node.lineno, None))
+            elif isinstance(node, ast.Attribute):
+                owner = node.value.id if isinstance(node.value, ast.Name) else ""
+                reads.setdefault(node.attr, []).append((path, node.lineno, owner))
     found = []
 
     def visit(path, body, prefix):
@@ -108,8 +113,10 @@ def _functions_without_callers() -> list:
                 visit(path, node.body, f"{prefix}{node.name}.")
             elif isinstance(node, ast.FunctionDef):
                 name, own = node.name, range(node.lineno, node.end_lineno + 1)
+                callers = [(where, line) for where, line, owner in reads.get(name, ())
+                           if prefix or owner in (None, path.stem, "p3fusion")]
                 if not (name.startswith("__") and name.endswith("__")) and all(
-                        where == path and line in own for where, line in reads.get(name, ())):
+                        where == path and line in own for where, line in callers):
                     found.append(f"{path.stem}.{prefix}{name}")
                 visit(path, node.body, f"{prefix}{name}.")
 

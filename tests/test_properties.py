@@ -10,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from p3fusion.biset import FormalBiset, all_graph_classes, biset_class, opposite  # noqa: E402
+from oracles import all_graph_classes  # noqa: E402
+from p3fusion.biset import FormalBiset, biset_class, opposite  # noqa: E402
 from p3fusion.fusion import (  # noqa: E402
     FusionClass,
     FusionSystemSpec,

@@ -3,7 +3,8 @@ import random
 import tracemalloc
 import weakref
 from array import array
-from itertools import accumulate
+from itertools import accumulate, combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -251,13 +252,22 @@ def _whole(perm):
     return ((0, range(len(perm)), 0, perm),)
 
 
-def _perm_of(size, maps):
+def _perm_of_maps(size, maps):
     """The permutation of range(size) that the label maps describe."""
     perm = array("l", [-1]) * size
     for s_offset, positions, t_offset, images in maps:
         for pos, image in zip(positions, images):
             perm[s_offset + pos] = t_offset + image
     return perm
+
+
+def _perm_of(size, runs):
+    """The permutation of range(size) that the runs from _label_maps
+    describe: each run, copy by copy, as one label map."""
+    return _perm_of_maps(size, (
+        (s_offset + (s_k + k) * s_size, positions, t_offset + (t_k + k) * t_size, images)
+        for ((s_offset, s_size, _), s_k), ((t_offset, t_size, _), t_k), copies, positions, images
+        in runs for k in range(copies)))
 
 
 def test_join_orbits_matches_bfs_after_each_generator():
@@ -281,7 +291,7 @@ def test_join_orbits_matches_bfs_after_each_generator():
         perms.append(array("l", rng.sample(range(n), n)))
         cuts = sorted(rng.sample(range(1, n), min(n - 1, 5))) if n > 1 else []
         maps = [(a, range(b - a), 0, perms[-1][a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-        assert _perm_of(n, maps) == perms[-1]
+        assert _perm_of_maps(n, maps) == perms[-1]
         orbits = _join_orbits(parent, maps, orbits)
         assert orbits == _bfs_orbit_count(n, perms)
 
@@ -325,9 +335,88 @@ def test_join_orbits_forest_makes_no_int_per_label():
     assert peak < 28 * n
 
 
+def test_lockstep_pairs_as_the_zip_of_the_copies():
+    # a against c runs over three copies, a's last copy over one; b's two
+    # orbits a copy against d's one split both fronts into their orbits.  The
+    # runs, copy by copy, are the pairs of the zip
+    index = SimpleNamespace(classes={"a": (0, 4, 4), "b": (16, 4, 2), "c": (24, 4, 3),
+                                     "d": (36, 4, 5)})
+    sources = [("a", "tracked a", ("a0",)), ("b", "tracked b", ("b0", "b1"))]
+    targets = [("c", None, ("c0",)), ("d", None, ("d0",))]
+
+    def copies(entries):
+        return [(cls, k, orbit) for cls, _tracked, orbits in entries
+                for k in range(index.classes[cls][2]) for orbit in orbits]
+
+    runs = list(realize._lockstep(index, sources, targets))
+    assert sorted(((s_cls, s_k + k, s_orbit), (t_cls, t_k + k, t_orbit))
+                  for (s_cls, s_k, s_orbit, _), (t_cls, t_k, t_orbit), n in runs
+                  for k in range(n)) == sorted(zip(copies(sources), copies(targets)))
+    assert all(tracked == f"tracked {cls}" for (cls, _, _, tracked), _, _ in runs)
+    assert [n for _, _, n in runs] == [3, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("name, subsets", [("d8", 66), ("sd16", 55), ("4s4", 28)])
+def test_orbit_count_matches_bfs_on_generator_subsets(name, subsets):
+    # every one- and two-element subset of the essential generators, the
+    # first six outer generators and the first three extras: the count on the
+    # copy quotient is the count of the permutations' orbits on J
+    sys_, index = _index(name)
+    out = list(sys_.sorted_out) if sys_.p <= 3 else realize._out_generator_matrices(sys_)
+    extras = [rep.morphism for cls in sys_.spec.classes for i in sorted(cls.members)
+              for rep in sys_.v_source_reps(i)
+              if rep.extendable is False and rep.meta[0] == rep.meta[1] == i][:3]
+    gens = ([rep.morphism for rep in essential_generators(sys_)]
+            + [sys_.out_lifts[m].inverse() for m in out[:6]] + extras)
+    runs = [list(realize._label_maps(index, psi)) for psi in gens]
+    perms = [perm_from_morphism(index, psi) for psi in gens]
+    chosen = [c for k in (1, 2) for c in combinations(range(len(gens)), k)]
+    assert len(chosen) == subsets
+    kept = 0
+    for c in chosen:
+        orbits = realize._Orbits(index)
+        for g in c:
+            orbits.join(iter(runs[g]))
+        assert orbits.count() == _bfs_orbit_count(index.size, [perms[g] for g in c])
+        kept += bool(orbits.deferred)
+    assert 0 < kept < len(chosen)  # some subsets join runs on the copy quotient only
+
+
+def test_partial_and_shifted_runs_count_as_bfs():
+    # classes a and b of 2-label blocks with 3 copies each (labels 0-5 and
+    # 6-11) and c with 1 copy (labels 12-13).  swap_late pairs copies 1..2 of
+    # a and b, leaving copy 0 fixed, and swap_early copies 0..1; shift sends
+    # copy k of a to copy k + 1; to_a swaps c's one copy with a's copy 1.
+    # None of these is a whole-class run, so joining one in the forest over T
+    # would merge copies that stay apart
+    a, b, c = (0, 2, 3), (6, 2, 3), (12, 2, 1)
+    index = SimpleNamespace(classes={"a": a, "b": b, "c": c}, size=14)
+
+    def fixed(block, k, copies):
+        return (block, k), (block, k), copies, (0, 1), (0, 1)
+
+    swap_late = [((a, 1), (b, 1), 2, (0, 1), (1, 0)), ((b, 1), (a, 1), 2, (0, 1), (1, 0)),
+                 fixed(a, 0, 1), fixed(b, 0, 1), fixed(c, 0, 1)]
+    swap_early = [((a, 0), (b, 0), 2, (0, 1), (1, 0)), ((b, 0), (a, 0), 2, (0, 1), (1, 0)),
+                  fixed(a, 2, 1), fixed(b, 2, 1), fixed(c, 0, 1)]
+    shift = [((a, 0), (a, 1), 2, (0, 1), (0, 1)), ((a, 2), (a, 0), 1, (0, 1), (0, 1)),
+             fixed(b, 0, 3), fixed(c, 0, 1)]
+    to_a = [((c, 0), (a, 1), 1, (0, 1), (1, 0)), ((a, 1), (c, 0), 1, (0, 1), (1, 0)),
+            fixed(a, 0, 1), fixed(a, 2, 1), fixed(b, 0, 3)]
+    for gens in ([swap_late], [swap_early], [shift], [to_a], [swap_late, shift],
+                 [shift, swap_late], [swap_early, shift], [to_a, swap_late]):
+        perms = [_perm_of(index.size, runs) for runs in gens]
+        assert all(sorted(perm) == list(range(index.size)) for perm in perms)
+        orbits = realize._Orbits(index)
+        counts = [orbits.join(iter(runs)) or orbits.count() for runs in gens]
+        assert counts == [_bfs_orbit_count(index.size, perms[:k + 1]) for k in range(len(gens))]
+    assert [_bfs_orbit_count(index.size, [_perm_of(index.size, runs)])
+            for runs in (swap_late, swap_early, shift, to_a)] == [10, 10, 10, 12]
+
+
 def _wrap_out_perms(monkeypatch, change):
     """Make check_transitivity read every outer generator's permutation after
-    `change`, which must leave it a bijection of J, as one map per label."""
+    `change`, which must leave it a bijection of J, as one run per label."""
     plain = realize._label_maps
 
     def wrapped(index, psi):
@@ -336,7 +425,11 @@ def _wrap_out_perms(monkeypatch, change):
         perm = _perm_of(index.size, plain(index, psi))
         change(index, perm)
         assert sorted(perm) == list(range(index.size))
-        return ((label, (0,), 0, (image,)) for label, image in enumerate(perm))
+        block_of = {offset + k * size + pos: ((entry, k), pos)
+                    for entry in index.classes.values() for offset, size, copies in (entry,)
+                    for k in range(copies) for pos in range(size)}
+        return ((block_of[label][0], block_of[image][0], 1, (block_of[label][1],),
+                 (block_of[image][1],)) for label, image in enumerate(perm))
 
     monkeypatch.setattr(realize, "_label_maps", wrapped)
 
@@ -365,9 +458,9 @@ def test_outer_permutation_leaving_the_singleton_labels_is_refused(monkeypatch):
 def test_checks_run_for_every_generator_after_one_orbit(monkeypatch):
     # J is one orbit after 4 of D8's 10 generators; the last outer generator,
     # given wrong witnesses alone, is still refused: its maps are read to the
-    # end although nothing more is joined
+    # end although J is already one orbit
     maps_asked, counts = [], []
-    plain_maps, plain_join = realize._label_maps, realize._join_orbits
+    plain_maps, plain_join = realize._label_maps, realize._Orbits.join
 
     def maps_wrong_at_the_last(index, psi):
         maps_asked.append(psi)
@@ -378,12 +471,12 @@ def test_checks_run_for_every_generator_after_one_orbit(monkeypatch):
                                 lambda candidates, a_mor, b_mor: candidates[0])
         return plain_maps(index, psi)
 
-    def counting(parent, maps, orbits):
-        counts.append(plain_join(parent, maps, orbits))
-        return counts[-1]
+    def counting(orbits, runs):
+        plain_join(orbits, runs)
+        counts.append(orbits.count())
 
     monkeypatch.setattr(realize, "_label_maps", maps_wrong_at_the_last)
-    monkeypatch.setattr(realize, "_join_orbits", counting)
+    monkeypatch.setattr(realize._Orbits, "join", counting)
     with pytest.raises(StabilityViolationError, match="not a permutation"):
         check_transitivity(builtin_fusion_system("d8"))
     assert len(maps_asked) == 10 and counts.index(1) == 3
@@ -414,9 +507,10 @@ def test_pieces_of_the_lines_are_gone_before_the_outer_generators(monkeypatch):
 
 
 def test_realization_memory_at_4s4():
-    # one restriction group's pieces at a time and no whole permutation: the
-    # warm check peaks at 3.5 MB, where index-lifetime memos and a
-    # permutation array per generator peaked at 5.1 MB
+    # one restriction group's pieces at a time, no whole permutation and no
+    # forest over J: the warm check peaks at 2.7-3.0 MB, where the forest
+    # over J peaked at 3.5 MB and index-lifetime memos with a permutation
+    # array per generator at 5.1 MB
     system = builtin_fusion_system("4s4")
     x = minimal_biset(system, certify=False).biset
     check_transitivity(system, biset=x)  # the system's own caches, filled once
@@ -427,7 +521,7 @@ def test_realization_memory_at_4s4():
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < 4.4e6
+    assert peak < 3.3e6
 
 
 def test_report_json():
