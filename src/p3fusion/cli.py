@@ -114,11 +114,7 @@ def cmd_idempotent(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    spec = _resolve_spec(args)
-    if gated := _suite_filter("realize", spec, args):
-        print(gated, file=sys.stderr)
-        return 2
-    system = fusion_system(spec)
+    system = fusion_system(_resolve_spec(args))
     report = check_transitivity(system)
     if args.format == "json":
         _print_json(report.to_json())
@@ -233,9 +229,8 @@ def _run_system_suites(task):
 
 
 def _suite_filter(suite, spec, args) -> str | None:
-    """Why verify (and realize, for its --big gate) skips this suite here, or None."""
-    if suite == "realize" and spec.p >= 7 and not args.big:
-        return f"realize at p = {spec.p} is gated behind --big"
+    """Why verify skips this suite here, or None: only --oracle skips one,
+    the marks suite, which it turns off or limits to p = 3."""
     if suite == "marks" and args.oracle != "sampled" and (args.oracle == "off" or spec.p != 3):
         return f"--oracle {args.oracle} skips the marks suite at p = {spec.p}"
     return None
@@ -333,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_real = sub.add_parser("realize", help="transitivity of the realized fusion action")
     add_common(p_real)
-    p_real.add_argument("--big", action="store_true", help="allow p = 7 runs")
     p_real.set_defaults(func=cmd_realize)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
@@ -346,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--realize", action="store_true")
     p_ver.add_argument("--oracle", choices=["off", "p3-exhaustive", "sampled"],
                        default="off")
-    p_ver.add_argument("--big", action="store_true",
-                       help="include p = 7 systems in the realization suite")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -174,11 +174,6 @@ def perm_from_morphism(index: BisetIndex, psi: GroupMorphism) -> array:
 
 # -- orbit computation ------------------------------------------------------------
 
-def _forest(n: int) -> list:
-    """n one-label orbits: each root holds the shared -1, not an int of its own."""
-    return [-1] * n
-
-
 def _join_orbits(parent, maps, orbits: int) -> int:
     """Join the orbits of each label and its image under the maps
     (offset, positions, target offset, images), label offset + positions[k]
@@ -294,7 +289,8 @@ def _out_generator_matrices(system: FusionSystem):
 
 
 def j0_class_action_checks(system: FusionSystem, biset: FormalBiset):
-    """Regular action of the outer classes on the singleton labels.
+    """Regular action of the outer classes on the singleton labels, or
+    TheoremViolationError.
 
     The singleton classes [S, sigma] must biject with the outer matrices;
     granting that, [S, sigma] -> [S, sigma o alpha] is right multiplication
@@ -303,10 +299,9 @@ def j0_class_action_checks(system: FusionSystem, biset: FormalBiset):
     top = biset.layer(0)
     mats = {matrix_of_automorphism(cls.rep) for cls in top.support}
     if mats != set(system.sorted_out):
-        return False, "singleton classes do not biject with the outer matrices"
+        raise TheoremViolationError("singleton classes do not biject with the outer matrices")
     if len(top.support) != len(system.sorted_out):
-        return False, "top layer collapses outer classes"
-    return True, None
+        raise TheoremViolationError("top layer collapses outer classes")
 
 
 class RealizationReport(NamedTuple):
@@ -317,7 +312,6 @@ class RealizationReport(NamedTuple):
     j0_size: int
     j0_orbit_count: int
     j0_regular: bool
-    extra_essential_generators: int
     used_all_out_reps: bool
     wall_time_s: float
 
@@ -334,7 +328,9 @@ class RealizationReport(NamedTuple):
             "J0_size": self.j0_size,
             "J0_orbit_count": self.j0_orbit_count,
             "J0_regular": self.j0_regular,
-            "extra_essential_generators": self.extra_essential_generators,
+            # always 0, as no generator beyond the essential and outer ones is
+            # tried; the key stays so that the output does not change
+            "extra_essential_generators": 0,
             "used_all_out_reps": self.used_all_out_reps,
             "ok": self.ok,
             "wall_time_s": round(self.wall_time_s, 3),
@@ -362,49 +358,30 @@ def check_transitivity(system: FusionSystem,
     generating subset is used.  The subset generates a subgroup of the full
     realized group, so a single orbit for the subset certifies transitivity
     of the whole.  Every generator's label maps are read to the end, so that
-    every check runs for each of them; the orbits are counted once they all
-    are, and again after each extra.  The J0 check reads the outer
-    generators' images of the singleton labels.
+    every check runs for each of them, and the orbits are counted once they
+    all are.  Each outer generator's images of the singleton labels are
+    checked as soon as its maps are read.
     """
     start = time.perf_counter()
     if biset is None:
         biset = minimal_biset(system, certify=False).biset
     index = BisetIndex(system, biset)
+    j0_class_action_checks(system, biset)
     all_out_reps = system.p <= 3
     orbits = _Orbits(index)
     essentials = essential_generators(system)
     for rep in essentials:
         orbits.join(_label_maps(index, rep.morphism))
     out_mats = list(system.sorted_out) if all_out_reps else _out_generator_matrices(system)
-    out_j0_images = []  # of each outer generator only its images of J0 are kept
+    j0_pos = {label: k for k, label in enumerate(index.j0)}
+    j0_parent, j0_orbits = [-1] * len(index.j0), len(index.j0)
     for m in out_mats:
         # [S, sigma] -> [S, sigma o alpha]: the maps along alpha^-1
         j0_images = dict.fromkeys(index.j0)
-        maps = _label_maps(index, system.out_lifts[m].inverse())
-        orbits.join(_noting_singletons(maps, j0_images))
-        out_j0_images.append((m, list(j0_images.values())))
-    extra, count = 0, orbits.count()
-    for rep in (rep for cls in system.spec.classes for i in sorted(cls.members)
-                for rep in system.v_source_reps(i)
-                if rep.extendable is False and rep.meta[0] == rep.meta[1] == i):
-        if count == 1:
-            break
-        orbits.join(_label_maps(index, rep.morphism))
-        extra, count = extra + 1, orbits.count()
-    if count > 1:
-        raise TheoremViolationError(
-            f"{count} orbits remain on J with the maximal generator set")
-    # singleton-label subcheck: classes biject with the outer matrices, so the
-    # class action is regular; the outer generators are checked on J0
-    j0_regular, reason = j0_class_action_checks(system, biset)
-    if not j0_regular:
-        raise TheoremViolationError(reason)
-    j0_pos = {label: k for k, label in enumerate(index.j0)}
-    j0_parent = _forest(len(index.j0))
-    j0_orbits = len(index.j0)
-    for m, images in out_j0_images:
+        orbits.join(_noting_singletons(_label_maps(index, system.out_lifts[m].inverse()),
+                                       j0_images))
         j0_perm = []
-        for label, image in zip(index.j0, images):
+        for label, image in j0_images.items():
             if image not in j0_pos:
                 raise TheoremViolationError("outer image leaves the singleton labels")
             if image == label and not m.is_identity():
@@ -412,15 +389,18 @@ def check_transitivity(system: FusionSystem,
                     "a nontrivial outer permutation fixes a singleton label")
             j0_perm.append(j0_pos[image])
         j0_orbits = _join_orbits(j0_parent, ((0, range(len(j0_perm)), 0, j0_perm),), j0_orbits)
+    count = orbits.count()
+    if count > 1:
+        raise TheoremViolationError(
+            f"{count} orbits remain on J with the essential and outer generators")
     return RealizationReport(
         system_name=system.spec.name,
         j_size=index.size,
-        generator_count=len(essentials) + len(out_j0_images) + extra,
+        generator_count=len(essentials) + len(out_mats),
         orbit_count=count,
         j0_size=len(index.j0),
         j0_orbit_count=j0_orbits,
-        j0_regular=j0_regular,
-        extra_essential_generators=extra,
+        j0_regular=True,  # j0_class_action_checks raises otherwise
         used_all_out_reps=all_out_reps,
         wall_time_s=time.perf_counter() - start,
     )

@@ -40,9 +40,35 @@ def test_import_pulls_in_no_dataclasses_or_inspect():
     assert done.stdout.strip() == "[]"
 
 
+# Module-level lru_caches, kept for the reason given.
+MEMOS_KEPT = {
+    "fusion.primitive_root": "one int per prime, read by every power subgroup",
+    "fusion.power_subgroup": "one small set per (p, r), read for each line by "
+                             "lambda_sets, aut_F_V and the restriction checks",
+    "fusion._nonsquare": "one int per prime, read by the nonsplit torus",
+    "fusion._builtin_rows": "the built-in rows at a prime, read by every name "
+                            "lookup and every spec match",
+    "fusion.build_out_F": "the verified Out_F(S) of a spec, shared by every "
+                          "FusionSystem built for it",
+    "fusion.fusion_system": "one system per spec in a process; bounding it is "
+                            "ROADMAP item 9",
+    "group.ambient_group": "S at a prime: each subgroup is one interned object "
+                           "of its one lattice",
+}
+
+
+def _is_lru_cache(decorator) -> bool:
+    """@lru_cache, @lru_cache(...), @functools.lru_cache(...) or @cache."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = getattr(decorator, "id", getattr(decorator, "attr", None))
+    return name in ("lru_cache", "cache")
+
+
 def test_no_module_level_memo_in_the_package():
-    # an empty container assigned at module level is a module-global memo;
-    # cached state belongs to the object that uses it
+    # an empty container assigned at module level, or an lru_cache on a
+    # module-level function, is a module-global memo; cached state belongs to
+    # the object that uses it, unless kept here with a reason
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -50,7 +76,11 @@ def test_no_module_level_memo_in_the_package():
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
                     node.value is not None and _is_empty_container(node.value):
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+            elif isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache,
+                                                               node.decorator_list)):
+                found.append(f"{path.stem}.{node.name}")
+    assert sorted(set(MEMOS_KEPT) - set(found)) == []  # no stale entry
+    assert sorted(set(found) - set(MEMOS_KEPT)) == []
 
 
 def test_every_exported_name_is_defined():
@@ -69,6 +99,8 @@ def test_every_exported_name_is_defined():
 CALLERS_KEPT = {
     "biset.mark_vector": "the reference that tests compare mark-table rows against",
     "biset.restrict_left": "documented API, checked against the explicit-set oracle",
+    "biset.FormalBiset.from_json": "the reader of the biset that `minimal --format json` "
+                                   "writes, pinned by the round-trip tests",
     "fusion.aut_F_V": "Aut_F(V_i) as a matrix set, pinned by test_aut_F_V_orders",
     "fusion.builtin_fusion_system": "the by-name entry point",
     "group.Subgroup.conjugate_by": "a lattice path the README documents and the "
@@ -95,8 +127,13 @@ def _functions_without_callers() -> list:
     body.  A module-level function is read only as a bare name or as an
     attribute of its module or of the package, so a method of the same name
     (`GroupMorphism.compose` for a module's `compose`) does not count for
-    it.  Dunders are called by the language, so they are exempt."""
+    it.  An attribute read on a class of the package counts only for that
+    class's method (`FusionSystemSpec.from_json` is no caller of another
+    class's `from_json`).  Dunders are called by the language, so they are
+    exempt."""
     trees = _package_and_bench_trees()
+    classes = {node.name for path, tree in trees.items() if path.is_relative_to(SRC)
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     reads = {}  # name -> [(path, line, the name the attribute is read on, or None)]
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -114,7 +151,8 @@ def _functions_without_callers() -> list:
             elif isinstance(node, ast.FunctionDef):
                 name, own = node.name, range(node.lineno, node.end_lineno + 1)
                 callers = [(where, line) for where, line, owner in reads.get(name, ())
-                           if prefix or owner in (None, path.stem, "p3fusion")]
+                           if (prefix == f"{owner}." if owner in classes
+                               else prefix or owner in (None, path.stem, "p3fusion"))]
                 if not (name.startswith("__") and name.endswith("__")) and all(
                         where == path and line in own for where, line in callers):
                     found.append(f"{path.stem}.{prefix}{name}")

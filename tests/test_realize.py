@@ -9,19 +9,27 @@ from types import SimpleNamespace
 import pytest
 
 from p3fusion import biset, fusion, realize
-from p3fusion.biset import biset_class, restrict_left
+from p3fusion.biset import FormalBiset, biset_class, restrict_left
 from p3fusion.errors import (
     ConditionAViolationError,
     PrimeMismatchError,
     StabilityViolationError,
     TheoremViolationError,
 )
-from p3fusion.fusion import builtin_fusion_system, lift_matrix_to_aut
+from p3fusion.fusion import (
+    FusionClass,
+    FusionSystemSpec,
+    act_on_line,
+    builtin_fusion_system,
+    builtin_systems,
+    fusion_system,
+    gl2_elements,
+    lift_matrix_to_aut,
+)
 from p3fusion.group import GroupMorphism, ambient_group, identity_morphism
 from p3fusion.realize import (
     BisetIndex,
     _conjugation_witness,
-    _forest,
     _join_orbits,
     check_transitivity,
     essential_generators,
@@ -172,9 +180,9 @@ def test_essential_perm_merges_block_sizes():
 
 
 def test_only_nonextendable_essentials_are_realized(monkeypatch):
-    # every morphism out of some V_i that check_transitivity realizes, the
-    # picks and the extras alike, is nonextendable; with no picks the extras,
-    # which no built-in system needs, must make J one orbit
+    # every morphism out of some V_i that check_transitivity realizes is a
+    # nonextendable pick; with no picks the outer generators alone leave more
+    # than one orbit, and nothing else is added to make J one
     sys_ = builtin_fusion_system("d8")
     reps = {id(r.morphism): r for i in range(sys_.p + 1) for r in sys_.v_source_reps(i)}
     assert any(r.extendable for r in reps.values())
@@ -186,14 +194,42 @@ def test_only_nonextendable_essentials_are_realized(monkeypatch):
         return plain(index, psi)
 
     monkeypatch.setattr(realize, "_label_maps", recording)
-    for picks in (essential_generators, lambda system: []):
-        monkeypatch.setattr(realize, "essential_generators", picks)
-        realized.clear()
-        report = check_transitivity(sys_)
-        assert report.ok
-        on_lines = [psi for psi in realized if psi.source.order == sys_.p ** 2]
-        assert on_lines and all(reps[id(psi)].extendable is False for psi in on_lines)
-    assert report.extra_essential_generators == len(on_lines) > 0
+    assert check_transitivity(sys_).ok
+    on_lines = [psi for psi in realized if psi.source.order == sys_.p ** 2]
+    assert on_lines and all(reps[id(psi)].extendable is False for psi in on_lines)
+    monkeypatch.setattr(realize, "essential_generators", lambda system: [])
+    realized.clear()
+    with pytest.raises(TheoremViolationError, match="orbits remain on J"):
+        check_transitivity(sys_)
+    assert realized and all(psi.source.order == sys_.p ** 3 for psi in realized)
+
+
+def _accepted_specs():
+    """Every distinct description at p = 3 and 5 that the package accepts:
+    the classes of each built-in row there, carried by every g in GL_2(p)."""
+    specs = {}
+    for row in builtin_systems():
+        for g in gl2_elements(row.p) if row.p <= 5 else ():
+            key = frozenset((frozenset(act_on_line(g, i) for i in cls.members), cls.r)
+                            for cls in row.classes)
+            specs.setdefault(key, FusionSystemSpec(row.p, row.name, tuple(sorted(
+                (FusionClass(members, r) for members, r in key),
+                key=lambda cls: min(cls.members)))))
+    return list(specs.values())
+
+
+ACCEPTED = _accepted_specs()
+
+
+@pytest.mark.parametrize("spec", ACCEPTED, ids=[
+    f"{spec.name}-{'-'.join(''.join(map(str, sorted(cls.members))) for cls in spec.classes)}"
+    for spec in ACCEPTED])
+def test_every_accepted_spec_at_p_3_and_5_realizes(spec):
+    # the essential and outer generators make J one orbit at every relabelling
+    # of the rows at p = 3 and 5 (three at D8, one each at SD16 and 4S4)
+    assert len(ACCEPTED) == 5
+    report = check_transitivity(fusion_system(spec))
+    assert report.ok and report.orbit_count == 1
 
 
 def test_double_application_respects_block_classes():
@@ -214,8 +250,14 @@ def test_double_application_respects_block_classes():
 def test_j0_class_action():
     for name in ("d8", "sd16", "th4s4", "rv48", "rv72", "rv96"):
         system = builtin_fusion_system(name)
-        ok, reason = j0_class_action_checks(system, minimal_biset(system, certify=False).biset)
-        assert ok, reason
+        j0_class_action_checks(system, minimal_biset(system, certify=False).biset)
+    # a top layer that lacks an outer class is refused
+    system = builtin_fusion_system("d8")
+    x = minimal_biset(system, certify=False).biset
+    dropped = x.layer(0).items()[0][0]
+    with pytest.raises(TheoremViolationError, match="do not biject"):
+        j0_class_action_checks(system, FormalBiset(x.p, {cls: c for cls, c in x.coeffs.items()
+                                                         if cls != dropped}))
 
 
 def test_transitivity_p3_both_systems():
@@ -223,10 +265,10 @@ def test_transitivity_p3_both_systems():
     # they are pinned as well as the orbit count
     rep = check_transitivity(builtin_fusion_system("d8"))
     assert rep.j_size == 968 and rep.orbit_count == 1 and rep.ok
-    assert rep.generator_count == 10 and rep.extra_essential_generators == 0
+    assert rep.generator_count == 10
     rep = check_transitivity(builtin_fusion_system("sd16"))
     assert rep.j_size == 1936 and rep.orbit_count == 1 and rep.ok
-    assert rep.generator_count == 17 and rep.extra_essential_generators == 0
+    assert rep.generator_count == 17
 
 
 def _bfs_orbit_count(n, perms):
@@ -271,13 +313,12 @@ def _perm_of(size, runs):
 
 
 def test_join_orbits_matches_bfs_after_each_generator():
-    # the count after each generator decides which essential generators are
-    # added and the generator count, so it is checked after every one; sparse
-    # permutations (a few random cycles) make the count fall slowly.  The
-    # last generator comes as one map per block of a random tiling
+    # the count is checked after every generator; sparse permutations (a few
+    # random cycles) make it fall slowly.  The last generator comes as one
+    # map per block of a random tiling
     rng = random.Random(2010)
     for n in (1, 2, 9, 120, 700):
-        parent = _forest(n)
+        parent = [-1] * n
         orbits = n
         perms = []
         for _ in range(8):
@@ -312,7 +353,7 @@ def test_join_orbits_stops_at_one_orbit():
         ended.append(True)
 
     ended = []
-    parent = _forest(n)
+    parent = [-1] * n
     assert _join_orbits(parent, maps((0, range(n), 0, images_then_raise(range(1, n))),
                                      (0, range(n), 0, images_then_raise(()))), n) == 1
     assert _join_orbits(parent, maps((0, range(n), 0, images_then_raise(()))), 1) == 1
@@ -327,7 +368,7 @@ def test_join_orbits_forest_makes_no_int_per_label():
     cycles = _bfs_orbit_count(n, [perm])
     tracemalloc.start()
     try:
-        orbits = _join_orbits(_forest(n), _whole(perm), n)
+        orbits = _join_orbits([-1] * n, _whole(perm), n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -359,8 +400,9 @@ def test_lockstep_pairs_as_the_zip_of_the_copies():
 @pytest.mark.parametrize("name, subsets", [("d8", 66), ("sd16", 55), ("4s4", 28)])
 def test_orbit_count_matches_bfs_on_generator_subsets(name, subsets):
     # every one- and two-element subset of the essential generators, the
-    # first six outer generators and the first three extras: the count on the
-    # copy quotient is the count of the permutations' orbits on J
+    # first six outer generators and the first three nonextendable
+    # automorphisms of the lines: the count on the copy quotient is the count
+    # of the permutations' orbits on J
     sys_, index = _index(name)
     out = list(sys_.sorted_out) if sys_.p <= 3 else realize._out_generator_matrices(sys_)
     extras = [rep.morphism for cls in sys_.spec.classes for i in sorted(cls.members)
@@ -531,12 +573,12 @@ def test_report_json():
     assert data["orbit_count"] == 1
     assert data["J0_regular"] is True
     assert data["ok"] is True
+    assert data["extra_essential_generators"] == 0
 
 
 def test_stability_violation_for_wrong_biset():
     # a lopsided biset is not stable: the permutation construction must fail
     sys_ = builtin_fusion_system("d8")
-    from p3fusion.biset import FormalBiset
     from p3fusion.solver import assemble, minimal_coefficients
 
     x0 = assemble(sys_, minimal_coefficients(sys_)).layer(0)
