@@ -13,7 +13,6 @@ from .biset import (
     count_fixed_points,
     is_left_stable,
     is_right_stable,
-    mark_vector,
     opposite,
     restrict_left,
 )
@@ -26,7 +25,6 @@ from .fusion import (
     MatrixGL2,
     aut_F_V,
     build_out_F,
-    builtin_fusion_system,
     builtin_systems,
     fusion_system,
     lambda_sets,
@@ -40,7 +38,7 @@ from .group import (
     ambient_group,
     conjugation_morphism,
 )
-from .idempotent import omega0, omega1, omega2, omega3, verify_idempotent_stability
+from .idempotent import verify_idempotent_stability
 from .realize import BisetIndex, check_transitivity, perm_from_morphism
 from .solver import SolverResult, exoticity_bound, minimal_biset, verify_table
 
@@ -49,15 +47,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BisetClass", "FormalBiset", "biset_class",
     "brute_force_fixed_points", "count_fixed_points",
-    "is_left_stable", "is_right_stable", "mark_vector",
-    "opposite", "restrict_left",
+    "is_left_stable", "is_right_stable", "opposite", "restrict_left",
     "FusionClass", "FusionMorphism", "FusionSystem", "FusionSystemSpec",
     "LambdaSets", "MatrixGL2", "aut_F_V", "build_out_F",
-    "builtin_fusion_system", "builtin_systems", "fusion_system",
+    "builtin_systems", "fusion_system",
     "lambda_sets", "lift_matrix_to_aut", "resolve_system",
     "GroupElement", "GroupMorphism", "Subgroup", "ambient_group",
     "conjugation_morphism",
-    "omega0", "omega1", "omega2", "omega3", "verify_idempotent_stability",
+    "verify_idempotent_stability",
     "BisetIndex", "check_transitivity", "perm_from_morphism",
     "SolverResult", "exoticity_bound", "minimal_biset", "verify_table",
 ]

@@ -40,15 +40,12 @@ __all__ = [
     "biset_class",
     "count_fixed_points",
     "brute_force_fixed_points",
-    "mark_vector",
-    "subconjugate_closure",
     "opposite",
     "restrict_left",
     "is_left_stable",
     "is_right_stable",
     "stability_witness",
     "check_condition_a",
-    "biset_mark",
     "mark_table",
 ]
 
@@ -433,36 +430,6 @@ def opposite(b: FormalBiset) -> FormalBiset:
     return FormalBiset(b.p, out)
 
 
-# -- marks -----------------------------------------------------------------------
-
-def subconjugate_closure(b: FormalBiset) -> tuple:
-    """Every class [R, phi|_R] under a support class, i.e. everything that can
-    have a nonzero mark on b."""
-    grp = ambient_group(b.p)
-    seen = set()
-    for cls in b.support:
-        phi = cls.rep
-        for r_sub in grp.all_subgroups:
-            if r_sub <= phi.source:
-                seen.add(biset_class(phi.restrict(r_sub)))
-    return tuple(sorted(seen))
-
-
-def mark_vector(b: FormalBiset, classes=None) -> dict:
-    """{test class: mark of b}, over the subconjugate closure by default."""
-    if classes is None:
-        classes = subconjugate_closure(b)
-    return {test: biset_mark(b, test) for test in classes}
-
-
-def biset_mark(b: FormalBiset, test: BisetClass) -> int:
-    total = 0
-    for cls, c in b.coeffs.items():
-        if cls.source.order >= test.source.order:
-            total += c * count_fixed_points(cls, test)
-    return total
-
-
 # -- restriction -------------------------------------------------------------------
 
 def _coset_orbits(q_sub: Subgroup, psi: GroupMorphism, preimage: dict) -> tuple:
@@ -652,7 +619,8 @@ class MarkTable:
         return [self.row(test) for test in tests]
 
     def mark(self, b: FormalBiset, test: BisetClass):
-        """biset_mark(b, test) for b supported on the columns."""
+        """The mark of b at test, for b supported on the columns: the sum over
+        b's classes of coefficient times fixed points."""
         coeffs = b.coeffs
         total = 0
         for cls, value in self.row(test).items():

@@ -49,11 +49,3 @@ class InfeasibleCoefficientsError(P3FusionError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"infeasible coefficients: {witness}")
-
-
-class ResourceLimitError(P3FusionError):
-    """An explicit-set computation would exceed its fixed size limit."""
-
-
-class NotComputedError(P3FusionError):
-    """A quantity that the data model can represent but that is never derived."""

@@ -743,7 +743,3 @@ class FusionSystem:
 @lru_cache(maxsize=None)
 def fusion_system(spec: FusionSystemSpec) -> FusionSystem:
     return FusionSystem(spec)
-
-
-def builtin_fusion_system(name: str) -> FusionSystem:
-    return fusion_system(resolve_system(name))

@@ -138,13 +138,6 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(p={self.p}, order={self.order}, id={self.id})"
 
-    def conjugate_by(self, x: GroupElement) -> "Subgroup":
-        """x * self * x**-1; for a subgroup that is not normal, the subgroup
-        the conjugated generator generates."""
-        if self.is_normal:
-            return self
-        return ambient_group(self.p).cyclic(self.canonical_gens[0].conj_by(x))
-
 
 class ExtraspecialGroup:
     """Ambient context for one prime: the full group and its subgroup lattice.

@@ -18,7 +18,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .biset import FormalBiset, biset_class, is_left_stable, is_right_stable, stability_witness
-from .errors import InconsistentSpecError, NotComputedError
+from .errors import InconsistentSpecError
 from .fusion import FusionSystem
 from .solver import LinExpr, derive_layer2_relations, symbolic_biset
 
@@ -121,31 +121,12 @@ def _check_routes_agree(system: FusionSystem) -> dict:
 
 
 def omega_upto2(system: FusionSystem) -> FormalBiset:
-    """Every class of layers 0-2 at the agreed value of its family."""
+    """Every class of layers 0-2 at the agreed value of its family.  Its
+    layer(0) is 1/|Out_F(S)| on every [S, alpha]; its layer(1) is -c0/(1+p)
+    on the extendable classes and +c0/(1+p) on the nonextendable ones."""
     forms = _check_routes_agree(system)
     return FormalBiset(system.p, {cls: forms[family]
                                   for cls, family in _families(system).items()})
-
-
-def omega0(system: FusionSystem) -> FormalBiset:
-    """1/|Out_F(S)| on every [S, alpha]."""
-    return omega_upto2(system).layer(0)
-
-
-def omega1(system: FusionSystem) -> FormalBiset:
-    """-c0/(1+p) on extendable classes, +c0/(1+p) on nonextendable ones."""
-    return omega_upto2(system).layer(1)
-
-
-def omega2(system: FusionSystem) -> FormalBiset:
-    return omega_upto2(system).layer(2)
-
-
-def omega3(system: FusionSystem):
-    """The trivial-subgroup layer is representable but never derived here."""
-    raise NotComputedError(
-        "the trivial-subgroup layer of the idempotent is not computed; "
-        "only layers 0 through 2 are available")
 
 
 def layer_sums(system: FusionSystem, om: FormalBiset) -> dict:

@@ -1,18 +1,30 @@
-"""Explicit-set oracles that only the tests read: explicit S-S-sets with
-free actions on both sides, their product with a formal biset, composition
-and decomposition by marks over every graph class, the pointwise actions of
-an ExplicitBiset and the orbit decomposition of its restriction along a
-morphism, which restrict_left is checked against."""
+"""References that only the tests read: explicit S-S-sets with free actions
+on both sides, their product with a formal biset, composition and
+decomposition by marks over every graph class, the pointwise actions of an
+ExplicitBiset and the orbit decomposition of its restriction along a
+morphism, which restrict_left is checked against; the mark vector of a
+formal biset, which mark-table rows are checked against; and the built-in
+system by name."""
 
 from functools import lru_cache
 from itertools import product
 from operator import and_, eq
 
-from p3fusion.biset import FormalBiset, biset_class, count_fixed_points
-from p3fusion.errors import MorphismError, P3FusionError, ResourceLimitError
+from p3fusion.biset import BisetClass, FormalBiset, biset_class, count_fixed_points
+from p3fusion.errors import MorphismError, P3FusionError
+from p3fusion.fusion import FusionSystem, fusion_system, resolve_system
 from p3fusion.group import GroupElement, GroupMorphism, ambient_group, morphism_from_images
 
 POINT_LIMIT = 2_000_000  # the most points an explicit biset or composite may have
+
+
+class ResourceLimitError(P3FusionError):
+    """An explicit-set computation would exceed its fixed size limit."""
+
+
+def builtin_fusion_system(name: str) -> FusionSystem:
+    """The built-in system of this name or alias, as the command line resolves it."""
+    return fusion_system(resolve_system(name))
 
 
 class ExplicitBiset:
@@ -255,3 +267,34 @@ def restricted_orbit_decomposition(x: ExplicitBiset, psi: GroupMorphism) -> Form
         cls = biset_class(mor, left=r_sub)
         coeffs[cls] = coeffs.get(cls, 0) + 1
     return FormalBiset(x.p, coeffs, left=r_sub)
+
+
+# -- marks of formal bisets ----------------------------------------------------
+
+def subconjugate_closure(b: FormalBiset) -> tuple:
+    """Every class [R, phi|_R] under a support class, i.e. everything that can
+    have a nonzero mark on b."""
+    grp = ambient_group(b.p)
+    seen = set()
+    for cls in b.support:
+        phi = cls.rep
+        for r_sub in grp.all_subgroups:
+            if r_sub <= phi.source:
+                seen.add(biset_class(phi.restrict(r_sub)))
+    return tuple(sorted(seen))
+
+
+def mark_vector(b: FormalBiset, classes=None) -> dict:
+    """{test class: mark of b}, over the subconjugate closure by default."""
+    if classes is None:
+        classes = subconjugate_closure(b)
+    return {test: biset_mark(b, test) for test in classes}
+
+
+def biset_mark(b: FormalBiset, test: BisetClass) -> int:
+    """The mark of b at test, one fixed-point count per class of b."""
+    total = 0
+    for cls, c in b.coeffs.items():
+        if cls.source.order >= test.source.order:
+            total += c * count_fixed_points(cls, test)
+    return total

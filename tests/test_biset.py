@@ -9,24 +9,20 @@ from p3fusion import biset
 from p3fusion.biset import (
     FormalBiset,
     biset_class,
-    biset_mark,
     brute_force_fixed_points,
     count_fixed_points,
     is_left_stable,
     is_right_stable,
     mark_table,
-    mark_vector,
     opposite,
     restrict_left,
-    subconjugate_closure,
 )
 from p3fusion.errors import (
     ConditionAViolationError,
     MorphismError,
     PrimeMismatchError,
-    ResourceLimitError,
 )
-from p3fusion.fusion import FusionSystem, builtin_fusion_system
+from p3fusion.fusion import FusionSystem
 from p3fusion.group import (
     ExtraspecialGroup,
     GroupMorphism,
@@ -38,13 +34,18 @@ from p3fusion.group import (
 import oracles
 from oracles import (
     ExplicitBiset,
+    ResourceLimitError,
     all_graph_classes,
+    biset_mark,
+    builtin_fusion_system,
     compose,
     decompose_by_marks,
     explicit_from_formal,
     left,
+    mark_vector,
     restricted_orbit_decomposition,
     right,
+    subconjugate_closure,
 )
 
 
@@ -365,7 +366,7 @@ def test_are_conjugate():
         s, t = rng.choice(g.elements), rng.choice(g.elements)
         si = s.inv()
         mapping = {q.conj_by(s): rep.morphism(q).conj_by(t) for q in v0}
-        src = v0.conjugate_by(s)
+        src = conjugation_morphism(s, v0).image
         twisted = morphism_from_images(src, {q: mapping[q] for q in src.canonical_gens})
         assert are_conjugate(rep.morphism, twisted)
         assert biset_class(rep.morphism) == biset_class(twisted)
@@ -405,7 +406,7 @@ def _reference_class_key(mor, left):
     best = None
     for s in s_reps:
         si = s.inv()
-        q_conj = q.conjugate_by(s)
+        q_conj = conjugation_morphism(s, q).image
         src_code = tuple(e.code() for e in q_conj)
         base = [mor(g.conj_by(si)) for g in q_conj.canonical_gens]
         for t in grp.conj_transversal(mor.image):
@@ -865,7 +866,7 @@ def test_graph_class_size_against_explicit_orbit():
             si = s.inv()
             for t in g.elements:
                 src = tuple(sorted(e.conj_by(s).code() for e in mor.source))
-                gens = mor.source.conjugate_by(s).canonical_gens
+                gens = conjugation_morphism(s, mor.source).image.canonical_gens
                 imgs = tuple(mor(e.conj_by(si)).conj_by(t).code() for e in gens)
                 seen.add((src, imgs))
         stabilizer = len(transporter_set(mor, mor)) * g.centralizer(mor.image).order

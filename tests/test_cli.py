@@ -351,7 +351,7 @@ def test_sampled_marks_pairs_hold_nonzero_marks_p7():
     nonzero mark, each equal to the transporter formula."""
     from p3fusion.biset import brute_force_fixed_points, count_fixed_points
     from p3fusion.cli import _marks_pairs
-    from p3fusion.fusion import builtin_fusion_system
+    from oracles import builtin_fusion_system
 
     pairs = _marks_pairs(builtin_fusion_system("d16x3"), "sampled")
     assert len(pairs) == 200
@@ -535,7 +535,7 @@ def test_verify_idempotent_failure_prints_witness(capsys, monkeypatch):
 
     from p3fusion import idempotent
     from p3fusion.biset import FormalBiset, biset_class, is_left_stable
-    from p3fusion.fusion import builtin_fusion_system
+    from oracles import builtin_fusion_system
 
     system = builtin_fusion_system("d8")
     grp = system.group

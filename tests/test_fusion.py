@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from oracles import builtin_fusion_system
 from p3fusion.errors import InconsistentSpecError, UnknownSystemError
 from p3fusion.fusion import (
     FusionClass,
@@ -10,7 +11,6 @@ from p3fusion.fusion import (
     act_on_line,
     aut_F_V,
     build_out_F,
-    builtin_fusion_system,
     builtin_systems,
     gl2_elements,
     lambda_sets,

@@ -3,26 +3,22 @@ from math import lcm
 
 import pytest
 
+from oracles import biset_mark, builtin_fusion_system
 from p3fusion import idempotent
 from p3fusion.biset import (
     FormalBiset,
     MarkTable,
     biset_class,
-    biset_mark,
     is_left_stable,
     is_right_stable,
     mark_table,
 )
-from p3fusion.errors import InconsistentSpecError, NotComputedError
-from p3fusion.fusion import FusionSystem, builtin_fusion_system, resolve_system
+from p3fusion.errors import InconsistentSpecError
+from p3fusion.fusion import FusionSystem, resolve_system
 from p3fusion.group import conjugation_morphism, morphism_from_images
 from p3fusion.idempotent import (
     closed_forms,
     layer_sums,
-    omega0,
-    omega1,
-    omega2,
-    omega3,
     omega_upto2,
     rational_solve,
     verify_idempotent_stability,
@@ -32,7 +28,7 @@ from p3fusion.solver import LinExpr, c2u_var, derive_layer2_relations, symbolic_
 
 def test_omega0_values():
     sys_ = builtin_fusion_system("d8")
-    om0 = omega0(sys_)
+    om0 = omega_upto2(sys_).layer(0)
     assert len(om0.coeffs) == 8
     assert all(c == Fraction(1, 8) for c in om0.coeffs.values())
     assert sum(om0.coeffs.values()) == 1
@@ -98,8 +94,9 @@ def test_coefficient_routes_solved_once_per_system(monkeypatch):
     monkeypatch.setattr(idempotent, "rational_solve", counting)
     system = FusionSystem(builtin_fusion_system("d16x3").spec)
     report = verify_idempotent_stability(system)
+    before = omega_upto2(system)
     report.coefficients.clear()  # the report's copy, not the system's
-    assert omega_upto2(system) == omega0(system) + omega1(system) + omega2(system)
+    assert omega_upto2(system) == before
     assert verify_idempotent_stability(system).coefficients == closed_forms(system)
     assert report.ok and calls == [system]
 
@@ -109,17 +106,17 @@ def test_omega1_relation():
     forms = closed_forms(sys_)
     p = sys_.p
     assert forms["c1_nonextendable"] == forms["c0"] + p * forms["c1_extendable"]
-    om1 = omega1(sys_)
+    om1 = omega_upto2(sys_).layer(1)
     assert sum(om1.coeffs.values()) == 0
 
 
 def test_omega2_layer_sums_vanish():
     sys_ = builtin_fusion_system("d8")
-    om2 = omega2(sys_)
+    om2 = omega_upto2(sys_).layer(2)
     sums = layer_sums(sys_, om2)
     assert all(v == 0 for v in sums.values())
     # and per-source sums of omega1 vanish too
-    om1 = omega1(sys_)
+    om1 = omega_upto2(sys_).layer(1)
     assert all(v == 0 for v in layer_sums(sys_, om1).values())
 
 
@@ -132,11 +129,6 @@ def test_omega_layer_sums():
     assert by_layer[0] == 1
     assert by_layer[1] == 0
     assert by_layer[2] == 0
-
-
-def test_omega3_not_computed():
-    with pytest.raises(NotComputedError):
-        omega3(builtin_fusion_system("d8"))
 
 
 def test_stability_report_small():
@@ -171,7 +163,7 @@ def FormalBisetLike(cls):
 
 def test_rational_marks_match_integer_machinery():
     sys_ = builtin_fusion_system("d8")
-    om0 = omega0(sys_)
+    om0 = omega_upto2(sys_).layer(0)
     grp = sys_.group
     from p3fusion.group import identity_morphism
 
@@ -187,7 +179,7 @@ def test_layer_sums_independent_of_class_representatives():
     om = omega_upto2(system)
     phi = next(r.morphism for r in system.order_p_reps()
                if not r.meta[0].is_central() and not r.meta[1].is_central())
-    q = phi.source.conjugate_by(grp.y)
+    q = conjugation_morphism(grp.y, phi.source).image
     twin = biset_class(phi.compose(conjugation_morphism(grp.y.inv(), q)))
     assert q is not phi.source and twin.rep.source is q
     coeffs = dict(om.coeffs)

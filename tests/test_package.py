@@ -51,7 +51,7 @@ MEMOS_KEPT = {
     "fusion.build_out_F": "the verified Out_F(S) of a spec, shared by every "
                           "FusionSystem built for it",
     "fusion.fusion_system": "one system per spec in a process; bounding it is "
-                            "ROADMAP item 9",
+                            "ROADMAP item 8",
     "group.ambient_group": "S at a prime: each subgroup is one interned object "
                            "of its one lattice",
 }
@@ -95,30 +95,36 @@ def test_every_exported_name_is_defined():
 
 
 # Functions that nothing in src/ or perfbench/ names outside their own body,
-# kept for the reason given.
+# kept for the reader outside the tests that the reason names.
 CALLERS_KEPT = {
-    "biset.mark_vector": "the reference that tests compare mark-table rows against",
-    "biset.restrict_left": "documented API, checked against the explicit-set oracle",
-    "biset.FormalBiset.from_json": "the reader of the biset that `minimal --format json` "
-                                   "writes, pinned by the round-trip tests",
-    "fusion.aut_F_V": "Aut_F(V_i) as a matrix set, pinned by test_aut_F_V_orders",
-    "fusion.builtin_fusion_system": "the by-name entry point",
-    "group.Subgroup.conjugate_by": "a lattice path the README documents and the "
-                                   "interning tests read",
-    "group.ExtraspecialGroup.subgroup": "a lattice path the README documents and the "
-                                        "interning tests read",
-    "idempotent.omega0": "a documented layer of the idempotent",
-    "idempotent.omega1": "a documented layer of the idempotent",
-    "idempotent.omega2": "a documented layer of the idempotent",
-    "idempotent.omega3": "the trivial-subgroup layer, refused until it is certified",
-    "realize.perm_from_morphism": "exported: the label maps along psi as one permutation, "
-                                  "which the permutation digests pin",
+    "biset.restrict_left": "ROADMAP item 3: stability by restriction runs it in the product",
+    "biset.FormalBiset.from_json": "a user of `minimal --format json`, who reads the "
+                                   "biset it writes back into a FormalBiset",
+    "fusion.aut_F_V": "ROADMAP item 3: the certified generating set checks against it",
+    "group.ExtraspecialGroup.subgroup": "a user of the documented validated lookup, "
+                                        "which raises for a set that is not a subgroup",
+    "realize.perm_from_morphism": "ROADMAP item 5: finding the realized group's blocks "
+                                  "reads whole permutations of J from it",
 }
 
 
 def _package_and_bench_trees() -> dict:
     paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def _reads(trees) -> dict:
+    """{name: [(path, line, the name the attribute is read on, or None)]} for
+    each Name and Attribute in the trees."""
+    reads = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.setdefault(node.id, []).append((path, node.lineno, None))
+            elif isinstance(node, ast.Attribute):
+                owner = node.value.id if isinstance(node.value, ast.Name) else ""
+                reads.setdefault(node.attr, []).append((path, node.lineno, owner))
+    return reads
 
 
 def _functions_without_callers() -> list:
@@ -134,14 +140,7 @@ def _functions_without_callers() -> list:
     trees = _package_and_bench_trees()
     classes = {node.name for path, tree in trees.items() if path.is_relative_to(SRC)
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    reads = {}  # name -> [(path, line, the name the attribute is read on, or None)]
-    for path, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                reads.setdefault(node.id, []).append((path, node.lineno, None))
-            elif isinstance(node, ast.Attribute):
-                owner = node.value.id if isinstance(node.value, ast.Name) else ""
-                reads.setdefault(node.attr, []).append((path, node.lineno, owner))
+    reads = _reads(trees)
     found = []
 
     def visit(path, body, prefix):
@@ -172,11 +171,40 @@ def test_every_function_has_a_caller():
     assert sorted(set(uncalled) - set(CALLERS_KEPT)) == []
 
 
+def _classes_without_callers() -> list:
+    """module.qualified name of each class in the package whose name no Name
+    or Attribute in src/ or perfbench/ reads outside the class's own body.
+    An import is no read, so a re-export from __init__.py does not count."""
+    trees = _package_and_bench_trees()
+    reads = _reads(trees)
+    found = []
+
+    def visit(path, body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                own = range(node.lineno, node.end_lineno + 1)
+                if all(where == path and line in own
+                       for where, line, _owner in reads.get(node.name, ())):
+                    found.append(f"{path.stem}.{prefix}{node.name}")
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                visit(path, node.body, f"{prefix}{node.name}.")
+
+    for path, tree in trees.items():
+        if path.is_relative_to(SRC):
+            visit(path, tree.body, "")
+    return found
+
+
+def test_every_class_has_a_caller():
+    # a class that only tests name, an exception only they raise included,
+    # belongs with them
+    assert sorted(_classes_without_callers()) == []
+
+
 # Defaults that no caller in src/ or perfbench/ both omits and sets, kept for
 # the reason given.
 DEFAULTS_KEPT = {
     "cli.main(argv)": "tests inject their arguments; the console script omits them",
-    "biset.mark_vector(classes)": "tests compare against it as the reference",
     "solver.minimal_biset(certify)": "callers name both values: `minimal` and "
                                      "`verify --stability` certify, the rest do not",
 }

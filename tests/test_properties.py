@@ -76,7 +76,7 @@ def test_class_key_is_invariant_under_conjugation(p, data):
     s = data.draw(st.sampled_from(tuple(left)))
     t = data.draw(st.sampled_from(grp.elements))
     twisted = conjugation_morphism(t, mor.image).compose(
-        mor.compose(conjugation_morphism(s.inv(), q.conjugate_by(s))))
+        mor.compose(conjugation_morphism(s.inv(), conjugation_morphism(s, q).image)))
     assert biset_class(twisted, left).key == biset_class(mor, left).key
 
 
@@ -112,7 +112,7 @@ def test_morphism_tables_agree_with_element_arithmetic(p, data):
         "compose_after": (conjugation_morphism(x, grp.full).compose(mor.restrict(q)), q,
                           lambda a: x * mor(a) * x.inv()),
     }
-    back = q.conjugate_by(s.inv())  # s^-1 q s, which c_s carries onto q
+    back = conjugation_morphism(s.inv(), q).image  # s^-1 q s, which c_s carries onto q
     built["compose_before"] = (mor.restrict(q).compose(conjugation_morphism(s, back)), back,
                                lambda a: mor(s * a * s.inv()))
     preimage = {mor(a): a for a in q}
@@ -135,7 +135,8 @@ def _summary(system):
         "invariants": (result.f, result.d0, result.d1, result.d2, result.e),
         "group": realizing_group_name(system.spec),
         "closed_forms": closed_forms(system),
-        "transitive": check_transitivity(system, result.biset).ok,
+        # check_transitivity raises unless J is one orbit
+        "J_size": check_transitivity(system, result.biset).j_size,
         "idempotent_stable": verify_idempotent_stability(system).ok,
     }
 
@@ -163,7 +164,7 @@ def _relabelled_summary(name, g):
 @given(st.sampled_from(tuple(gl2_elements(3))))
 def test_d8_invariants_survive_gl2_relabelling(g):
     want = _builtin_summary("d8")
-    assert want["transitive"] and want["idempotent_stable"]
+    assert want["idempotent_stable"]
     assert _relabelled_summary("d8", g) == want
 
 
@@ -174,7 +175,7 @@ def test_d8_invariants_survive_gl2_relabelling(g):
 @given(st.sampled_from(tuple(gl2_elements(7))))
 def test_d16x3_invariants_survive_gl2_relabelling(g):
     want = _builtin_summary("d16x3")
-    assert want["transitive"] and want["idempotent_stable"]
+    assert want["idempotent_stable"]
     assert _relabelled_summary("d16x3", g) == want
 
 
@@ -185,5 +186,5 @@ def test_d16x3_invariants_survive_gl2_relabelling(g):
 @given(st.sampled_from(tuple(gl2_elements(7))))
 def test_6sq2_invariants_survive_gl2_relabelling(g):
     want = _builtin_summary("6sq:2")
-    assert want["transitive"] and want["idempotent_stable"]
+    assert want["idempotent_stable"]
     assert _relabelled_summary("6sq:2", g) == want

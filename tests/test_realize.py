@@ -8,8 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import builtin_fusion_system
 from p3fusion import biset, fusion, realize
 from p3fusion.biset import FormalBiset, biset_class, restrict_left
+from p3fusion.cli import main
 from p3fusion.errors import (
     ConditionAViolationError,
     PrimeMismatchError,
@@ -20,7 +22,6 @@ from p3fusion.fusion import (
     FusionClass,
     FusionSystemSpec,
     act_on_line,
-    builtin_fusion_system,
     builtin_systems,
     fusion_system,
     gl2_elements,
@@ -194,7 +195,7 @@ def test_only_nonextendable_essentials_are_realized(monkeypatch):
         return plain(index, psi)
 
     monkeypatch.setattr(realize, "_label_maps", recording)
-    assert check_transitivity(sys_).ok
+    check_transitivity(sys_)
     on_lines = [psi for psi in realized if psi.source.order == sys_.p ** 2]
     assert on_lines and all(reps[id(psi)].extendable is False for psi in on_lines)
     monkeypatch.setattr(realize, "essential_generators", lambda system: [])
@@ -228,8 +229,7 @@ def test_every_accepted_spec_at_p_3_and_5_realizes(spec):
     # the essential and outer generators make J one orbit at every relabelling
     # of the rows at p = 3 and 5 (three at D8, one each at SD16 and 4S4)
     assert len(ACCEPTED) == 5
-    report = check_transitivity(fusion_system(spec))
-    assert report.ok and report.orbit_count == 1
+    check_transitivity(fusion_system(spec))
 
 
 def test_double_application_respects_block_classes():
@@ -264,10 +264,10 @@ def test_transitivity_p3_both_systems():
     # the generator counts depend on how restriction pieces are matched, so
     # they are pinned as well as the orbit count
     rep = check_transitivity(builtin_fusion_system("d8"))
-    assert rep.j_size == 968 and rep.orbit_count == 1 and rep.ok
+    assert rep.j_size == 968
     assert rep.generator_count == 10
     rep = check_transitivity(builtin_fusion_system("sd16"))
-    assert rep.j_size == 1936 and rep.orbit_count == 1 and rep.ok
+    assert rep.j_size == 1936
     assert rep.generator_count == 17
 
 
@@ -497,6 +497,29 @@ def test_outer_permutation_leaving_the_singleton_labels_is_refused(monkeypatch):
         check_transitivity(builtin_fusion_system("d8"))
 
 
+def _without_the_last_outer_generator(monkeypatch):
+    plain = realize._out_generator_matrices
+    monkeypatch.setattr(realize, "_out_generator_matrices", lambda system: plain(system)[:-1])
+
+
+@pytest.mark.parametrize("name, j0_orbits", [("th4s4", 3), ("d16x3", 2)])
+def test_outer_generators_short_of_one_singleton_orbit_are_refused(monkeypatch, name, j0_orbits):
+    # the singleton labels are counted before J, so the short generating set
+    # is named by its orbits there, not by the hundreds it leaves on J
+    _without_the_last_outer_generator(monkeypatch)
+    with pytest.raises(TheoremViolationError, match=(
+            f"^{j0_orbits} orbits remain on the singleton labels with the outer generators$")):
+        check_transitivity(builtin_fusion_system(name))
+
+
+def test_realize_command_exits_1_on_a_refused_realization(monkeypatch, capsys):
+    _without_the_last_outer_generator(monkeypatch)
+    assert main(["realize", "--system", "th4s4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "3 orbits remain on the singleton labels with the outer generators\n"
+
+
 def test_checks_run_for_every_generator_after_one_orbit(monkeypatch):
     # J is one orbit after 4 of D8's 10 generators; the last outer generator,
     # given wrong witnesses alone, is still refused: its maps are read to the
@@ -544,7 +567,7 @@ def test_pieces_of_the_lines_are_gone_before_the_outer_generators(monkeypatch):
         return found
 
     monkeypatch.setattr(realize, "_restriction_split", split)
-    assert check_transitivity(builtin_fusion_system("d8")).ok
+    check_transitivity(builtin_fusion_system("d8"))
     assert refs and alive_at_s and set(alive_at_s) == {0}
 
 
@@ -558,11 +581,10 @@ def test_realization_memory_at_4s4():
     check_transitivity(system, biset=x)  # the system's own caches, filled once
     tracemalloc.start()
     try:
-        report = check_transitivity(system, biset=x)
+        check_transitivity(system, biset=x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.ok
     assert peak < 3.3e6
 
 
@@ -737,5 +759,5 @@ def test_each_outer_matrix_lifted_once(monkeypatch, name):
         monkeypatch.setattr(module, "lift_matrix_to_aut", counting, raising=False)
     system = fusion.FusionSystem(fusion.resolve_system(name))
     system.all_class_reps()
-    assert check_transitivity(system).ok
+    check_transitivity(system)
     assert sorted(calls) == list(system.sorted_out)

@@ -2,10 +2,11 @@ from itertools import product
 
 import pytest
 
+from oracles import biset_mark, builtin_fusion_system
 from p3fusion import solver
-from p3fusion.biset import biset_class, biset_mark, count_fixed_points, opposite
+from p3fusion.biset import biset_class, count_fixed_points, opposite
 from p3fusion.errors import InconsistentSpecError, InfeasibleCoefficientsError
-from p3fusion.fusion import FusionSystem, builtin_fusion_system, resolve_system
+from p3fusion.fusion import FusionSystem, resolve_system
 from p3fusion.solver import (
     EXPECTED_TABLE,
     _lattice_walk,
@@ -269,7 +270,7 @@ def test_biset_json_independent_of_earlier_classes():
         "from p3fusion.group import conjugation_morphism\n"
         "phi = next(r.morphism for r in system.order_p_reps()\n"
         "           if not r.meta[0].is_central() and not r.meta[1].is_central())\n"
-        "q = phi.source.conjugate_by(grp.y)\n"
+        "q = conjugation_morphism(grp.y, phi.source).image\n"
         "biset_class(phi.compose(conjugation_morphism(grp.y.inv(), q)))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -279,9 +280,9 @@ def test_biset_json_independent_of_earlier_classes():
     def run(extra):
         code = (
             "import json\n"
-            "from p3fusion.fusion import builtin_fusion_system\n"
+            "from p3fusion.fusion import fusion_system, resolve_system\n"
             "from p3fusion.solver import minimal_biset\n"
-            "system = builtin_fusion_system('d8')\n"
+            "system = fusion_system(resolve_system('d8'))\n"
             "grp = system.group\n"
             + extra +
             "print(json.dumps(minimal_biset(system, certify=False).biset.to_json('d8')))\n"
