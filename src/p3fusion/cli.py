@@ -30,7 +30,7 @@ from .fusion import (
 )
 from .idempotent import verify_idempotent_stability
 from .realize import check_transitivity
-from .solver import minimal_biset, verify_table
+from .solver import TableReport, minimal_biset, verify_table
 
 WORKERS_ENV = "P3FUSION_WORKERS"
 
@@ -128,17 +128,9 @@ def cmd_realize(args) -> int:
 
 # -- verify suites ------------------------------------------------------------
 
-def _suite_table(specs) -> dict:
-    systems = [fusion_system(spec) for spec in specs]
-    report = verify_table(systems)
-    return {"suite": "table", "ok": report.ok, "rows": report.rows,
-            "mismatches": report.mismatches}
-
-
-def _suite_stability(spec) -> dict:
-    system = fusion_system(spec)
+def _suite_stability(system) -> dict:
     res = minimal_biset(system, certify=True)
-    out = {"suite": "stability", "system": spec.name, "ok": res.certificates_ok(),
+    out = {"suite": "stability", "system": system.spec.name, "ok": res.certificates_ok(),
            "stable_left": res.stable_left, "stable_right": res.stable_right,
            "minimal": res.minimal, "unique": res.unique}
     if res.witness:
@@ -162,17 +154,15 @@ def _describe_witness(w) -> str:
             f"mark {w['lhs']}, identity-class mark {w['rhs']}")
 
 
-def _suite_idempotent(spec) -> dict:
-    system = fusion_system(spec)
+def _suite_idempotent(system) -> dict:
     report = verify_idempotent_stability(system)
-    out = {"suite": "idempotent", "system": spec.name, "ok": report.ok}
+    out = {"suite": "idempotent", "system": system.spec.name, "ok": report.ok}
     if report.witness:
         out["witness"] = _witness(*report.witness)
     return out
 
 
-def _suite_realize(spec) -> dict:
-    system = fusion_system(spec)
+def _suite_realize(system) -> dict:
     report = check_transitivity(system)
     data = report.to_json()
     data["suite"] = "realize"
@@ -198,14 +188,14 @@ def _marks_pairs(system, oracle) -> list:
     return pairs
 
 
-def _suite_marks(spec, oracle) -> dict:
-    pairs = _marks_pairs(fusion_system(spec), oracle)
+def _suite_marks(system, oracle) -> dict:
+    pairs = _marks_pairs(system, oracle)
     failures = []
     for a, b in pairs:
         fast, slow = count_fixed_points(a, b), brute_force_fixed_points(a, b)
         if fast != slow:
             failures.append({"pair": (repr(a), repr(b)), "fast": fast, "slow": slow})
-    return {"suite": "marks", "system": spec.name, "oracle": oracle,
+    return {"suite": "marks", "system": system.spec.name, "oracle": oracle,
             "pairs_checked": len(pairs), "ok": not failures, "failures": failures}
 
 
@@ -217,15 +207,19 @@ _SUITE_RUNNERS = {
 
 
 def _run_system_suites(task):
-    spec, suites, oracle = task
+    """Build the spec's system once, take its table row if asked, run its
+    suites on it and let it go: ((table rows, mismatches), suite results)."""
+    spec, table, suites, oracle = task
+    system = fusion_system(spec)
+    report = verify_table([system]) if table else ([], [])
     out = []
     for suite in suites:
         try:  # a failed certificate fails its suite, and the others still run
-            out.append(_suite_marks(spec, oracle) if suite == "marks"
-                       else _SUITE_RUNNERS[suite](spec))
+            out.append(_suite_marks(system, oracle) if suite == "marks"
+                       else _SUITE_RUNNERS[suite](system))
         except (StabilityViolationError, TheoremViolationError) as exc:
             out.append({"suite": suite, "system": spec.name, "ok": False, "error": str(exc)})
-    return out
+    return report, out
 
 
 def _suite_filter(suite, spec, args) -> str | None:
@@ -257,25 +251,27 @@ def cmd_verify(args) -> int:
         specs = [_resolve_spec(args)]
     else:
         specs = list(builtin_systems())
-    results = []
-    if args.table:
-        results.append(_suite_table(specs))
     tasks = []
     for spec in specs:
         suites = [s for s in wanted if not _suite_filter(s, spec, args)]
-        if suites:
-            tasks.append((spec, suites, args.oracle))
-    if not tasks and not args.table:  # every selected suite was filtered out
+        if suites or args.table:
+            tasks.append((spec, args.table, suites, args.oracle))
+    if not tasks:  # no table, and every selected suite was filtered out
         reasons = dict.fromkeys(_suite_filter(s, spec, args) for spec in specs for s in wanted)
         print("nothing to verify: " + "; ".join(reasons), file=sys.stderr)
         return 2
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_system_suites, tasks):
-                results.extend(chunk)
+            done = list(pool.map(_run_system_suites, tasks))
     else:
-        for task in tasks:
-            results.extend(_run_system_suites(task))
+        done = [_run_system_suites(task) for task in tasks]
+    rows, mismatches, results = [], [], []
+    for (system_rows, missed), chunk in done:
+        rows += system_rows
+        mismatches += missed
+        results += chunk
+    if args.table:  # one table suite over every system, printed first
+        results.insert(0, {"suite": "table", **TableReport(rows, mismatches).to_json()})
     ok = all(r["ok"] for r in results)
     if args.format == "json":
         _print_json({"ok": ok, "results": results})

@@ -74,29 +74,11 @@ def identity_matrix(p: int) -> MatrixGL2:
     return MatrixGL2(p, 1, 0, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def primitive_root(p: int) -> int:
-    for g in range(2, p):
-        x, seen = 1, set()
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no primitive root mod {p}")
-
-
-@lru_cache(maxsize=None)
 def power_subgroup(p: int, r: int) -> frozenset:
-    """The order-r subgroup of F_p^* generated by mu**((p-1)/r)."""
+    """The order-r subgroup of F_p^*: as F_p^* is cyclic, the x with x**r == 1."""
     if (p - 1) % r:
         raise ValueError(f"r={r} does not divide p-1={p - 1}")
-    h = pow(primitive_root(p), (p - 1) // r, p)
-    out, x = set(), 1
-    for _ in range(r):
-        x = x * h % p
-        out.add(x)
-    return frozenset(out)
+    return frozenset(x for x in range(1, p) if pow(x, r, p) == 1)
 
 
 def act_on_line(m: MatrixGL2, i: int) -> int:
@@ -290,13 +272,9 @@ def _split_torus_normalizer(p: int) -> frozenset:
     return frozenset(mats)
 
 
-@lru_cache(maxsize=None)
 def _nonsquare(p: int) -> int:
-    squares = {x * x % p for x in range(1, p)}
-    for v in range(2, p):
-        if v not in squares:
-            return v
-    raise ValueError(f"no nonsquare mod {p}")
+    """The least nonsquare mod p: by Euler's criterion, v**((p-1)/2) == -1."""
+    return next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
 
 
 def _nonsplit_torus(p: int) -> frozenset:
@@ -518,7 +496,6 @@ def _line_relabelling(have: FusionSystemSpec, want: FusionSystemSpec):
     return None
 
 
-@lru_cache(maxsize=None)
 def build_out_F(spec: FusionSystemSpec) -> frozenset:
     """The outer automorphism group of S for this system, as matrices in GL_2(p):
     the matching built-in row's matrices conjugated by its relabelling g, then
@@ -647,6 +624,7 @@ class FusionSystem:
         outer representative to every V_i lands in the automorphism group of
         the target line (its determinant is an allowed power)."""
         p = self.p
+        allowed = [power_subgroup(p, self.spec.r_of_line(j)) for j in range(p + 1)]
         for m, alpha in self.out_lifts.items():
             k = alpha(self.group.z).c  # z -> z**k with k = det(m)
             for i in range(p + 1):
@@ -655,8 +633,7 @@ class FusionSystem:
                 if j != act_on_line(m, i):
                     raise InconsistentSpecError("lift does not follow the line action")
                 lam = self._power_along_line(img, j)
-                allowed = power_subgroup(p, self.spec.r_of_line(j))
-                if k * lam % p not in allowed:
+                if k * lam % p not in allowed[j]:
                     raise InconsistentSpecError(
                         f"restriction of {m} to line {i} leaves the target automorphism group")
 
@@ -740,6 +717,6 @@ class FusionSystem:
         return self._class_reps_all
 
 
-@lru_cache(maxsize=None)
 def fusion_system(spec: FusionSystemSpec) -> FusionSystem:
+    """A new system for spec; nothing keeps it once its caller lets it go."""
     return FusionSystem(spec)

@@ -3,8 +3,8 @@ on both sides, their product with a formal biset, composition and
 decomposition by marks over every graph class, the pointwise actions of an
 ExplicitBiset and the orbit decomposition of its restriction along a
 morphism, which restrict_left is checked against; the mark vector of a
-formal biset, which mark-table rows are checked against; and the built-in
-system by name."""
+formal biset, which mark-table rows are checked against; and one system
+per spec for the session, with the built-in system by name."""
 
 from functools import lru_cache
 from itertools import product
@@ -22,9 +22,16 @@ class ResourceLimitError(P3FusionError):
     """An explicit-set computation would exceed its fixed size limit."""
 
 
+@lru_cache(maxsize=None)
+def cached_system(spec) -> FusionSystem:
+    """One system per spec for the whole session: the package builds a new
+    one on every call, and the tests would rebuild its mark table each time."""
+    return fusion_system(spec)
+
+
 def builtin_fusion_system(name: str) -> FusionSystem:
     """The built-in system of this name or alias, as the command line resolves it."""
-    return fusion_system(resolve_system(name))
+    return cached_system(resolve_system(name))
 
 
 class ExplicitBiset:

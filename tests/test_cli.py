@@ -262,6 +262,35 @@ def test_verify_with_two_workers_matches_one(capsys, monkeypatch):
     assert outputs["2"] == outputs["1"]
 
 
+def test_verify_builds_each_system_once_and_drops_it(capsys, monkeypatch):
+    # each spec's system is built once, gives its table row and runs its
+    # suites, and is freed by refcount alone before the next one is built
+    import gc
+    import weakref
+
+    from p3fusion import cli, fusion
+
+    built = []
+
+    def recording(spec):
+        alive = [ref() is not None for _, ref, _ in built]
+        system = fusion.fusion_system(spec)
+        built.append((spec, weakref.ref(system), alive))
+        return system
+
+    monkeypatch.delenv("P3FUSION_WORKERS", raising=False)
+    monkeypatch.setattr(cli, "fusion_system", recording)
+    gc.disable()
+    try:
+        code, out, _ = run(capsys, "verify", "--table", "--idempotent")
+    finally:
+        gc.enable()
+    assert code == 0 and out.count("PASS") == 6 + 1 + 6
+    assert [spec for spec, _, _ in built] == list(fusion.builtin_systems())
+    assert [alive for _, _, alive in built] == [[False] * k for k in range(6)]
+    assert [ref() for _, ref, _ in built] == [None] * 6
+
+
 def test_verify_single_system_suites(capsys):
     code, out, _ = run(capsys, "verify", "--stability", "--idempotent",
                        "--system", "d8", "--format", "json")

@@ -5,6 +5,7 @@ import pytest
 from oracles import builtin_fusion_system
 from p3fusion.errors import InconsistentSpecError, UnknownSystemError
 from p3fusion.fusion import (
+    _MAX_SPEC_PRIME,
     FusionClass,
     FusionSystemSpec,
     MatrixGL2,
@@ -16,6 +17,7 @@ from p3fusion.fusion import (
     lambda_sets,
     lift_matrix_to_aut,
     line_scaling,
+    _nonsquare,
     matrix_of_automorphism,
     power_subgroup,
     realizing_group_name,
@@ -171,6 +173,20 @@ def test_aut_F_V_orders():
             i = min(cls.members)
             diag = {m for m in aut_F_V(spec, i) if m.b == 0 and m.c == 0}
             assert len(diag) == (p - 1) * cls.r
+
+
+def test_closed_forms_match_a_primitive_root():
+    # power_subgroup and _nonsquare read F_p^* as cyclic, with no root; against
+    # the powers of a primitive root found by search, at every supported odd prime
+    primes = [p for p in range(3, _MAX_SPEC_PRIME + 1) if all(p % q for q in range(2, p))]
+    assert primes == [3, 5, 7, 11, 13, 17, 19, 23]
+    for p in primes:
+        mu = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        for r in (r for r in range(1, p) if (p - 1) % r == 0):
+            h = pow(mu, (p - 1) // r, p)
+            assert power_subgroup(p, r) == {pow(h, k, p) for k in range(r)}
+        squares = {x * x % p for x in range(1, p)}
+        assert _nonsquare(p) == min(set(range(1, p)) - squares)
 
 
 def test_lambda_sets():

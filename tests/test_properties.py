@@ -10,14 +10,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import all_graph_classes  # noqa: E402
+from oracles import all_graph_classes, cached_system  # noqa: E402
 from p3fusion.biset import FormalBiset, biset_class, opposite  # noqa: E402
 from p3fusion.fusion import (  # noqa: E402
     FusionClass,
     FusionSystemSpec,
     MatrixGL2,
     act_on_line,
-    fusion_system,
     gl2_elements,
     realizing_group_name,
     resolve_system,
@@ -59,7 +58,7 @@ def _class_reps(p):
     """Every graph class rep at p = 3; the 4S4 system's class reps at p = 5."""
     if p == 3:
         return tuple(cls.rep for cls in all_graph_classes(3))
-    return tuple(rep.morphism for rep in fusion_system(resolve_system("4s4")).all_class_reps())
+    return tuple(rep.morphism for rep in cached_system(resolve_system("4s4")).all_class_reps())
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -143,7 +142,7 @@ def _summary(system):
 
 @lru_cache(maxsize=None)
 def _builtin_summary(name):
-    return _summary(fusion_system(resolve_system(name)))
+    return _summary(cached_system(resolve_system(name)))
 
 
 def _relabelled_summary(name, g):
@@ -152,7 +151,7 @@ def _relabelled_summary(name, g):
     spec = resolve_system(name)
     moved = tuple(FusionClass(frozenset(act_on_line(g, i) for i in cls.members), cls.r)
                   for cls in spec.classes)
-    summary = _summary(fusion_system(FusionSystemSpec(spec.p, "relabelled", moved)))
+    summary = _summary(cached_system(FusionSystemSpec(spec.p, "relabelled", moved)))
     back = {act_on_line(g, i): i for i in range(spec.p + 1)}
     summary["closed_forms"] = {
         ("c2_same", back[key[1]]) if isinstance(key, tuple) else key: value

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import builtin_fusion_system
+from oracles import builtin_fusion_system, cached_system
 from p3fusion import biset, fusion, realize
 from p3fusion.biset import FormalBiset, biset_class, restrict_left
 from p3fusion.cli import main
@@ -23,7 +23,6 @@ from p3fusion.fusion import (
     FusionSystemSpec,
     act_on_line,
     builtin_systems,
-    fusion_system,
     gl2_elements,
     lift_matrix_to_aut,
 )
@@ -229,7 +228,7 @@ def test_every_accepted_spec_at_p_3_and_5_realizes(spec):
     # the essential and outer generators make J one orbit at every relabelling
     # of the rows at p = 3 and 5 (three at D8, one each at SD16 and 4S4)
     assert len(ACCEPTED) == 5
-    check_transitivity(fusion_system(spec))
+    check_transitivity(cached_system(spec))
 
 
 def test_double_application_respects_block_classes():
