@@ -71,12 +71,14 @@ def _least_central_digits(p: int, codes: list) -> tuple:
 def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
     """Lexicographic minimum over the left x S conjugation orbit of the
     normal-form encoding (sorted source codes, image codes of the canonical
-    generators), read off without enumerating the orbit.  A proper `left`
-    that contains Q centralizes Q.  For left = S, a normal Q stays put under
-    the coset reps x of C_S(Q), and mor o c_x reads mor at the codes of
-    x g x^-1 that grp.conjugates(Q) keeps; of the p conjugates of a
-    noncentral Q of order p only the one whose generator s g s^-1 has central
-    digit 0 can win, and the twisted map sends that generator to mor(g)."""
+    generators), read off in O(p^2) without enumerating the orbit.  A proper
+    `left` that contains Q centralizes Q, and S centralizes a central Q.  Over
+    S the p conjugates of the generators (z, u) of an order-p^2 Q are (z, u z^k):
+    all give one tuple when mor(z) is central, and otherwise the least is that
+    of the one k with mor(u z^k) central, the only one below p at its second
+    entry.  Of the p conjugates of a noncentral Q of order p only the one whose
+    generator s g s^-1 has central digit 0 can win, and the twisted map sends
+    that generator to mor(g)."""
     p = mor.p
     grp = ambient_group(p)
     q = mor.source
@@ -85,16 +87,16 @@ def _class_key(mor: GroupMorphism, left: Subgroup) -> tuple:
         # map on S modulo the center
         fx, fy = mor(grp.x), mor(grp.y)
         return (p, "auts", fx.a, fy.a, fx.b, fy.b)
-    source, conjugates = q, [(grp.identity, [g.code() for g in q.canonical_gens])]
-    if left.order == p**3 and q.is_normal:
-        conjugates = grp.conjugates(q)
-    elif left.order == p**3:
+    source, codes = q, [g.code() for g in q.canonical_gens]
+    table, where = mor.table, q.position
+    if left.order == p**3 and q.order == p * p:
+        u = codes[1]  # u has central digit 0, so u z^k has code u + k
+        codes[1] = next((c for c in range(u, u + p) if table[where[c]] < p), u)
+    elif left.order == p**3 and not q.is_normal:
         g = q.canonical_gens[0]
         source = grp.cyclic(grp.elements[g.code() - g.c])
-    table, where = mor.table, q.position
-    best = min(_least_central_digits(p, [table[where[c]] for c in codes])
-               for _x, codes in conjugates)
-    return (p, "gen", left.order, (source.codes, best))
+    return (p, "gen", left.order,
+            (source.codes, _least_central_digits(p, [table[where[c]] for c in codes])))
 
 
 class BisetClass:
@@ -550,7 +552,7 @@ class MarkTable:
 
     def __init__(self, system):
         cols = [biset_class(identity_morphism(system.group.trivial))]
-        cols.extend(biset_class(rep.morphism) for rep in system.all_class_reps())
+        cols.extend(rep.cls for rep in system.all_class_reps())
         self.columns = tuple(cols)
         self._column_of = {cls: cls for cls in cols}
         full = system.group.full
@@ -586,7 +588,8 @@ class MarkTable:
             search, conjugates = _prepared_search(psi)
             candidates = [cls for members in self._groups
                           if members[0].source.order > psi.source.order for cls in members]
-            own = self._column_of.get(biset_class(psi))  # the test's S x S class
+            # the test's S x S class: the test itself when it is a column
+            own = self._column_of.get(test) or self._column_of.get(biset_class(psi))
             if own is not None:
                 candidates.append(own)
             if psi.source.order < psi.p**3:
@@ -650,7 +653,7 @@ def _stability_sweep(system, b: FormalBiset, side: str) -> StabilityResult:
     table = mark_table(system)
     id_marks = {}
     for rep in system.all_class_reps():
-        lhs = table.mark(b, biset_class(rep.morphism))
+        lhs = table.mark(b, rep.cls)
         anchor = rep.morphism.image if side == "left" else rep.morphism.source
         try:
             rhs = id_marks[anchor.id]

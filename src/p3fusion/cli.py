@@ -173,7 +173,7 @@ def _marks_pairs(system, oracle) -> list:
     """Every pair of class reps under p3-exhaustive at p = 3, else 200 seeded
     pairs, every other one a rep against its restriction to a random subgroup
     R of its source: a nonzero mark, since x = 1 is a transporter."""
-    reps = [biset_class(r.morphism) for r in system.all_class_reps()]
+    reps = [r.cls for r in system.all_class_reps()]
     if oracle == "p3-exhaustive" and system.p == 3:
         return [(a, b) for a in reps for b in reps]
     rng = random.Random(20100501 + system.p)

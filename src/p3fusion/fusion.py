@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
+from .biset import BisetClass, biset_class
 from .errors import InconsistentSpecError, UnknownSystemError
 from .group import (
     GroupElement,
@@ -545,11 +546,14 @@ class FusionMorphism(NamedTuple):
     kind is one of "aut_s", "extendable", "nonextendable", "order_p".
     For V-to-V representatives (i, j, k, l) carry the source line, target line
     and the index pair; order-p representatives carry (xi, zeta) instead.
+    cls is its S x S biset class, built once with it: the mark table's
+    columns, the symbolic biset, the sweeps and the idempotent share it.
     """
 
     morphism: GroupMorphism
     kind: str
     meta: tuple
+    cls: BisetClass
 
     @property
     def extendable(self):
@@ -658,7 +662,7 @@ class FusionSystem:
     def aut_s_reps(self) -> tuple:
         """One automorphism of S per outer class, tagged with its matrix."""
         if self._aut_s_reps is None:
-            self._aut_s_reps = tuple(FusionMorphism(alpha, "aut_s", (m,))
+            self._aut_s_reps = tuple(FusionMorphism(alpha, "aut_s", (m,), biset_class(alpha))
                                      for m, alpha in self.out_lifts.items())
         return self._aut_s_reps
 
@@ -680,10 +684,11 @@ class FusionSystem:
                 u_j = self.u[j]
                 for (k, l) in sorted(lam.extendable):
                     mor = morphism_from_images(v_i, {grp.z: grp.z ** k, u_i: u_j ** l})
-                    reps.append(FusionMorphism(mor, "extendable", (i, j, k, l)))
+                    reps.append(FusionMorphism(mor, "extendable", (i, j, k, l), biset_class(mor)))
                 for (k, l) in sorted(lam.nonextendable):
                     mor = morphism_from_images(v_i, {grp.z: u_j ** k, u_i: grp.z ** l})
-                    reps.append(FusionMorphism(mor, "nonextendable", (i, j, k, l)))
+                    reps.append(FusionMorphism(mor, "nonextendable", (i, j, k, l),
+                                               biset_class(mor)))
             self._v_reps[i] = tuple(reps)
         return self._v_reps[i]
 
@@ -702,7 +707,7 @@ class FusionSystem:
                 src = grp.cyclic(xi)
                 for zeta in targets:
                     mor = morphism_from_images(src, {xi: zeta})
-                    reps.append(FusionMorphism(mor, "order_p", (xi, zeta)))
+                    reps.append(FusionMorphism(mor, "order_p", (xi, zeta), biset_class(mor)))
             self._order_p_reps = tuple(reps)
         return self._order_p_reps
 

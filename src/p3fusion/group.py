@@ -323,12 +323,14 @@ class ExtraspecialGroup:
         (i, h.code()) where g = elements[reps[i]] * h with h in q."""
         index = self._coset_indices.get(q.id)
         if index is None:
-            reps, pos = [], [None] * len(self.elements)
-            for code, t in enumerate(self.elements):
+            p, reps, pos = self.p, [], [None] * len(self.elements)
+            digits = [(h // (p * p), h // p % p, h % p, h) for h in q.codes]
+            for code, (_, ta, tb, tc) in enumerate(self.elements):
                 if pos[code] is None:
-                    for h in q:
-                        pos[(t * h).code()] = (len(reps), h.code())
+                    i = len(reps)
                     reps.append(code)
+                    for a, b, c, h in digits:  # t * h by the group law, t = elements[code]
+                        pos[((ta + a) % p * p + (tb + b) % p) * p + (tc + c + ta * b) % p] = i, h
             index = self._coset_indices[q.id] = (tuple(reps), tuple(pos))
         return index
 
@@ -462,11 +464,15 @@ def conjugation_morphism(x: GroupElement, q: Subgroup) -> GroupMorphism:
 
 def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorphism:
     """The morphism with these generator images, checked in one closure: the
-    generators lie in the source, f(g*s) == f(g)*f(s) for every reached g and
-    generator s (which forces the homomorphism property), the generators
-    generate the source, and the map is injective.  The source side is the
-    group's closure_walk, so only the images are computed here, and its order
-    puts them in the order of source.codes."""
+    generators lie in the source, the images fit the group law, the generators
+    generate the source, and the map is injective.  Generators as few as the
+    source's rank (1 for order p, 2 for order p^2 or S) that generate it meet
+    one relation at most, as S is free of rank 2 among the groups of exponent
+    p and class 2 and an order-p^2 subgroup is elementary abelian: the images
+    of an order-p^2 source must commute.  Other generators have f(g*s) ==
+    f(g)*f(s) checked for every reached g and generator s.  The source side is
+    the group's closure_walk, so only the images are computed here, and its
+    order puts them in the order of source.codes."""
     p = source.p
     gen_codes, targets = [], []
     for g, img in generator_images.items():
@@ -482,11 +488,16 @@ def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorph
         fa, fb, fc = images[k]
         ta, tb, tc = targets[s]
         images.append(((fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p))
-    for k, s, t in checks:
-        fa, fb, fc = images[k]
-        ta, tb, tc = targets[s]
-        if images[t] != ((fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p):
+    if len(order) == source.order and len(targets) == (source.order > 1) + (source.order > p):
+        if source.order == p * p and (targets[0][0] * targets[1][1]
+                                      - targets[1][0] * targets[0][1]) % p:
             raise MorphismError("generator images are inconsistent with the group law")
+    else:
+        for k, s, t in checks:
+            fa, fb, fc = images[k]
+            ta, tb, tc = targets[s]
+            if images[t] != ((fa + ta) % p, (fb + tb) % p, (fc + tc + fa * tb) % p):
+                raise MorphismError("generator images are inconsistent with the group law")
     if len(order) != source.order:
         raise MorphismError("generators do not generate the source subgroup")
     image_codes = [(a * p + b) * p + c for a, b, c in images]

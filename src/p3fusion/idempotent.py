@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .biset import FormalBiset, biset_class, is_left_stable, is_right_stable, stability_witness
+from .biset import FormalBiset, is_left_stable, is_right_stable, stability_witness
 from .errors import InconsistentSpecError
 from .fusion import FusionSystem
 from .solver import LinExpr, derive_layer2_relations, symbolic_biset
@@ -47,11 +47,10 @@ def closed_forms(system: FusionSystem) -> dict:
 def _families(system: FusionSystem) -> dict:
     """The family of closed_forms that each class of layers 0-2 belongs to."""
     spec = system.spec
-    families = {biset_class(rep.morphism): "c0" for rep in system.aut_s_reps()}
+    families = {rep.cls: "c0" for rep in system.aut_s_reps()}
     for i in range(system.p + 1):
         for rep in system.v_source_reps(i):
-            families[biset_class(rep.morphism)] = (
-                "c1_extendable" if rep.extendable else "c1_nonextendable")
+            families[rep.cls] = "c1_extendable" if rep.extendable else "c1_nonextendable"
     _relations, classes = derive_layer2_relations(system)
     for (xi, zj, _m), cls in classes.items():
         if xi == -1:

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from .biset import (
     FormalBiset,
-    biset_class,
     is_left_stable,
     is_right_stable,
     mark_table,
@@ -161,14 +160,13 @@ def symbolic_biset(system: FusionSystem) -> dict:
     sym = {}
     p = system.p
     for rep in system.aut_s_reps():
-        sym[biset_class(rep.morphism)] = LinExpr.var(C0)
+        sym[rep.cls] = LinExpr.var(C0)
     for i in range(p + 1):
         for rep in system.v_source_reps(i):
             c1 = LinExpr.var(c1_var(i))
-            sym[biset_class(rep.morphism)] = c1 if rep.extendable else LinExpr.var(C0) + p * c1
+            sym[rep.cls] = c1 if rep.extendable else LinExpr.var(C0) + p * c1
     table = mark_table(system)
-    classes = {pair_key_of_rep(system, rep): biset_class(rep.morphism)
-               for rep in system.order_p_reps()}
+    classes = {pair_key_of_rep(system, rep): rep.cls for rep in system.order_p_reps()}
     marks_upto1 = {}
     diag = {}
     for (key, test), row in zip(classes.items(), table.rows(classes.values())):

@@ -3,14 +3,17 @@ on both sides, their product with a formal biset, composition and
 decomposition by marks over every graph class, the pointwise actions of an
 ExplicitBiset and the orbit decomposition of its restriction along a
 morphism, which restrict_left is checked against; the mark vector of a
-formal biset, which mark-table rows are checked against; and one system
-per spec for the session, with the built-in system by name."""
+formal biset, which mark-table rows are checked against; the class key as
+the least over every conjugate of the source's generators, which the
+closed-form key is checked against; and one system per spec for the
+session, with the built-in system by name."""
 
 from functools import lru_cache
 from itertools import product
 from operator import and_, eq
 
-from p3fusion.biset import BisetClass, FormalBiset, biset_class, count_fixed_points
+from p3fusion.biset import (BisetClass, FormalBiset, _least_central_digits, biset_class,
+                            count_fixed_points)
 from p3fusion.errors import MorphismError, P3FusionError
 from p3fusion.fusion import FusionSystem, fusion_system, resolve_system
 from p3fusion.group import GroupElement, GroupMorphism, ambient_group, morphism_from_images
@@ -191,6 +194,28 @@ def all_graph_classes(p: int) -> tuple:
                 automorphisms.add(key)
             found.add(biset_class(mor))
     return tuple(sorted(found))
+
+
+def conjugate_minimum_class_key(mor: GroupMorphism, left) -> tuple:
+    """biset._class_key with the p conjugates of a normal source read in full:
+    the least _least_central_digits over every (x, codes) of grp.conjugates(Q)
+    when left = S, the canonical generators alone below S."""
+    p = mor.p
+    grp = ambient_group(p)
+    q = mor.source
+    if q.order == p**3:
+        fx, fy = mor(grp.x), mor(grp.y)
+        return (p, "auts", fx.a, fy.a, fx.b, fy.b)
+    source, conjugates = q, [(grp.identity, [g.code() for g in q.canonical_gens])]
+    if left.order == p**3 and q.is_normal:
+        conjugates = grp.conjugates(q)
+    elif left.order == p**3:
+        g = q.canonical_gens[0]
+        source = grp.cyclic(grp.elements[g.code() - g.c])
+    table, where = mor.table, q.position
+    best = min(_least_central_digits(p, [table[where[c]] for c in codes])
+               for _x, codes in conjugates)
+    return (p, "gen", left.order, (source.codes, best))
 
 
 def decompose_by_marks(x: ExplicitBiset) -> FormalBiset:

@@ -39,6 +39,7 @@ from oracles import (
     biset_mark,
     builtin_fusion_system,
     compose,
+    conjugate_minimum_class_key,
     decompose_by_marks,
     explicit_from_formal,
     left,
@@ -477,6 +478,54 @@ def test_class_keys_match_enumeration_sampled(name):
         assert gen_images == tuple(piece(g).code() for g in a_sub.canonical_gens)
         for psi, phi, t in found[id(piece)]:
             assert piece.table == tuple(phi(t.inv() * psi(a) * t).code() for a in a_sub)
+
+
+def _key_or_error(key_of, mor, left):
+    try:
+        return key_of(mor, left)
+    except Exception as exc:  # the two routes must fail alike, too
+        return type(exc), str(exc)
+
+
+def test_maximal_source_keys_match_conjugate_minimum_p3():
+    """Every injective map out of every maximal subgroup at p = 3, over its
+    source and over S: the key read at one conjugate of the generators is
+    the least over all p of them."""
+    grp = ambient_group(3)
+    checked = 0
+    for q in grp.maximal_subgroups:
+        for images in itertools.product(grp.elements, repeat=2):
+            try:
+                mor = morphism_from_images(q, dict(zip(q.canonical_gens, images)))
+            except MorphismError:
+                continue
+            for left in (q, grp.full):
+                assert (_key_or_error(biset._class_key, mor, left)
+                        == _key_or_error(conjugate_minimum_class_key, mor, left))
+                checked += 1
+    assert checked == 2 * 4 * 192  # 192 injective maps out of each of the 4 sources
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_maximal_source_keys_match_conjugate_minimum_sampled(p):
+    """Seeded injective maps out of maximal subgroups at p = 5 and 7, with a
+    central and with a noncentral image of z, over S."""
+    rng = random.Random(p)
+    grp = ambient_group(p)
+    central_z = []
+    while len(central_z) < 300:
+        q = rng.choice(grp.maximal_subgroups)
+        images = [rng.choice(grp.elements) for _ in q.canonical_gens]
+        if rng.random() < 0.5:  # an image of z on the line of the other image
+            images[0] = images[1] ** rng.randrange(1, p) * grp.z ** rng.randrange(p)
+        try:
+            mor = morphism_from_images(q, dict(zip(q.canonical_gens, images)))
+        except MorphismError:
+            continue
+        central_z.append(images[0].is_central())
+        assert (_key_or_error(biset._class_key, mor, grp.full)
+                == _key_or_error(conjugate_minimum_class_key, mor, grp.full))
+    assert 0 < sum(central_z) < len(central_z)
 
 
 def test_opposite_involution_and_classes():

@@ -256,6 +256,41 @@ def test_morphism_closure_matches_element_products_sampled_p5():
     assert g.closure_walk((z.code(), u.code())) is walk
 
 
+def test_relation_check_on_every_minimal_generating_set_p3():
+    """Every generating tuple as short as its subgroup's rank (1 for order p,
+    2 for order p^2 or S), ordered, at p = 3, each with 6 seeded tuples of
+    images: the one relation check gives the table, or the error, of the
+    closure over GroupElement products.  The canonical generators with every
+    tuple of images are test_morphism_closure_matches_element_products_p3."""
+    rng = random.Random(3)
+    g = ambient_group(3)
+    outcomes = {}
+    for q in g.all_subgroups[1:]:
+        rank = 1 if q.order == 3 else 2
+        for gens in itertools.permutations(list(q)[1:], rank):
+            if g.generated(gens) is not q:
+                continue
+            for _ in range(6):
+                images = [rng.choice(g.elements) for _ in gens]
+                if rng.random() < 0.5:  # images on one line, so they commute
+                    images[-1] = images[0] ** rng.randrange(3) * g.z ** rng.randrange(3)
+                assignment = dict(zip(gens, images))
+                want = _reference_closure(q, assignment)
+                try:
+                    got = morphism_from_images(q, assignment).table
+                    want = tuple(want[c] for c in q.codes)
+                except MorphismError as exc:
+                    got = str(exc)
+                assert got == want
+                kind = got if isinstance(got, str) else "accepted"
+                outcomes[q.order, kind] = outcomes.get((q.order, kind), 0) + 1
+    assert sorted(outcomes) == [
+        (3, "accepted"), (3, "generator images do not define an injective map"),
+        (9, "accepted"), (9, "generator images are inconsistent with the group law"),
+        (9, "generator images do not define an injective map"),
+        (27, "accepted"), (27, "generator images do not define an injective map")]
+
+
 def test_morphism_random_rejection_property():
     rng = random.Random(7)
     g = ambient_group(3)

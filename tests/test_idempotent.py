@@ -243,3 +243,21 @@ def test_idempotent_sweep_marks_integer_coefficients(monkeypatch):
     system = FusionSystem(resolve_system("d8"))
     assert verify_idempotent_stability(system).ok
     assert seen and set(seen) == {int}
+
+
+@pytest.mark.parametrize("name", ["D8", "SD16", "4S4", "D16x3", "6sq:2", "SD32x3"])
+def test_one_class_object_per_f_class(name):
+    """The class each representative carries is the mark table's column, and
+    the key of the symbolic biset, the minimal biset and omega: every dict
+    hit between them is an identity hit."""
+    from p3fusion.solver import minimal_biset
+
+    system = builtin_fusion_system(name)
+    classes = [rep.cls for rep in system.all_class_reps()]
+    columns = mark_table(system).columns[1:]
+    assert len(columns) == len(classes)
+    assert all(col is cls for col, cls in zip(columns, classes))
+    ids = {id(cls) for cls in classes}
+    assert {id(cls) for cls in symbolic_biset(system)} == ids
+    assert {id(cls) for cls in minimal_biset(system, certify=False).biset.coeffs} <= ids
+    assert {id(cls) for cls in omega_upto2(system).coeffs} == ids
