@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .biset import FormalBiset, _restriction_split, _TransporterSearch, check_condition_a
 from .errors import PrimeMismatchError, StabilityViolationError, TheoremViolationError
 from .fusion import FusionSystem, matrix_closure, matrix_of_automorphism
-from .group import GroupMorphism, ambient_group, identity_morphism
+from .group import GroupMorphism, identity_morphism
 from .solver import minimal_biset
 
 
@@ -53,9 +53,9 @@ class BisetIndex:
         self.size = offset
         self.j0 = tuple(start + k for start, size, copies in self.classes.values()
                         if size == 1 for k in range(copies))
-        # (R.id, piece memo, split along the inclusion, witnesses by the ids of
-        # two pieces) for the last R: the memo key starts with R.id, so no piece
-        # serves two R, and the state is replaced when R changes
+        # (R.id, piece memo, split along the inclusion, witnesses by pairs of
+        # pieces, conjugates by A.id) for the last R: the memo key starts with
+        # R.id, so no piece serves two R, and the state is replaced when R changes
         self._state = None
 
 
@@ -88,11 +88,10 @@ def _lockstep(index: BisetIndex, sources, targets):
                 front.extend((cls, tracked, (orbit,), k, 1) for orbit in reversed(orbits))
 
 
-def _conjugation_witness(candidates, a_mor, b_mor):
-    """The first a of candidates with a^-1 A a = A' and kappa' o c_{a^-1}|_A =
-    c_b o kappa for some b: the transporters x = a^-1 of kappa into kappa',
-    from a search prepared for this call (the pieces outlive it)."""
-    conjugates = ambient_group(a_mor.p).conjugates_by(a_mor.source, (a.inv() for a in candidates))
+def _conjugation_witness(conjugates, a_mor, b_mor):
+    """The first candidate a, one per coset aZ in R as a^-1 passes or fails
+    with all of aZ, with a^-1 A a = A' and kappa' o c_{a^-1}|_A = c_b o kappa
+    for some b: the first transporter x = a^-1 among A's conjugates (x, codes)."""
     for x in _TransporterSearch(a_mor).transporters(b_mor, conjugates):
         return x.inv()
     raise StabilityViolationError("matched pieces admit no conjugation witness")
@@ -112,11 +111,10 @@ def _label_maps(index: BisetIndex, psi: GroupMorphism):
     r_sub = psi.source
     psi_table, r_pos = psi.table, r_sub.position
     if index._state is None or index._state[0] != r_sub.id:
-        index._state = None  # the last R's pieces and witnesses go before the new split
-        pieces = {}
-        index._state = (r_sub.id, pieces, _restriction_split(
-            index.items, identity_morphism(r_sub), pieces), {})
-    _, pieces, (source, source_pieces), witnesses = index._state
+        index._state = None  # the last R's state goes before the new split
+        index._state = (r_sub.id, (pieces := {}), _restriction_split(
+            index.items, identity_morphism(r_sub), pieces), {}, {})
+    _, pieces, (source, source_pieces), witnesses, conjugates = index._state
     target, target_pieces = _restriction_split(index.items, psi, pieces)
     if source != target:
         cls = next(c for c in sorted(source.coeffs.keys() | target.coeffs.keys())
@@ -124,8 +122,6 @@ def _label_maps(index: BisetIndex, psi: GroupMorphism):
         raise StabilityViolationError(
             f"restrictions along the inclusion and along psi differ on {cls!r}: "
             f"multiplicity {source.coefficient(cls)} against {target.coefficient(cls)}")
-    # a^-1 passes or fails with all of aZ: try the first a of each coset in R
-    candidates = [a for a in r_sub if a.c == 0 or grp.z not in r_sub]
     # (source orbit, target orbit, witness) -> the target coset of each source
     # position; orbits live through the call, so their ids key them.  Every
     # orbit of J is the target of one pair, so the map is bijective if each
@@ -135,9 +131,13 @@ def _label_maps(index: BisetIndex, psi: GroupMorphism):
     for piece_cls, sources in source_pieces.items():
         for (s_cls, s_k, (s_positions, s_mor), s_tracked), (t_cls, t_k, (t_positions, t_mor)), \
                 copies in _lockstep(index, sources, target_pieces[piece_cls]):
-            w = witnesses.get(pair := (id(s_mor), id(t_mor)))
-            if w is None:
-                w = witnesses[pair] = _conjugation_witness(candidates, s_mor, t_mor).code()
+            # a piece matched with itself takes a = 1, the first candidate, which passes
+            w = 0 if s_mor is t_mor else witnesses.get(pair := (s_mor, t_mor))
+            if w is None:  # A's conjugates by the first a of each aZ in R, once per A
+                if (found := conjugates.get(s_mor.source.id)) is None:
+                    found = conjugates[s_mor.source.id] = tuple(grp.conjugates_by(
+                        s_mor.source, [a.inv() for a in r_sub if a.c == 0 or grp.z not in r_sub]))
+                w = witnesses[pair] = _conjugation_witness(found, s_mor, t_mor).code()
             key = (id(s_positions), id(t_positions), w)
             images = relative.get(key)
             if images is None:

@@ -5,16 +5,18 @@ ExplicitBiset and the orbit decomposition of its restriction along a
 morphism, which restrict_left is checked against; the mark vector of a
 formal biset, which mark-table rows are checked against; the class key as
 the least over every conjugate of the source's generators, which the
-closed-form key is checked against; and one system per spec for the
-session, with the built-in system by name."""
+closed-form key is checked against; the conjugation witness of a pair of
+pieces from a fresh search per call, which realization's witnesses are
+checked against; and one system per spec for the session, with the built-in
+system by name."""
 
 from functools import lru_cache
 from itertools import product
 from operator import and_, eq
 
-from p3fusion.biset import (BisetClass, FormalBiset, _least_central_digits, biset_class,
-                            count_fixed_points)
-from p3fusion.errors import MorphismError, P3FusionError
+from p3fusion.biset import (BisetClass, FormalBiset, _least_central_digits, _TransporterSearch,
+                            biset_class, count_fixed_points)
+from p3fusion.errors import MorphismError, P3FusionError, StabilityViolationError
 from p3fusion.fusion import FusionSystem, fusion_system, resolve_system
 from p3fusion.group import GroupElement, GroupMorphism, ambient_group, morphism_from_images
 
@@ -330,3 +332,20 @@ def biset_mark(b: FormalBiset, test: BisetClass) -> int:
         if cls.source.order >= test.source.order:
             total += c * count_fixed_points(cls, test)
     return total
+
+
+def reference_candidates(r_sub) -> list:
+    """The a of R that realization tries as witnesses, in R's order: a^-1
+    passes or fails with all of aZ, so the first a of each coset of Z in R."""
+    z = ambient_group(r_sub.p).z
+    return [a for a in r_sub if a.c == 0 or z not in r_sub]
+
+
+def reference_conjugation_witness(candidates, a_mor, b_mor) -> GroupElement:
+    """The first a of candidates with a^-1 A a = A' and kappa' o c_{a^-1}|_A =
+    c_b o kappa for some b: the transporters x = a^-1 of kappa into kappa',
+    from conjugates and a search built afresh for this call."""
+    conjugates = ambient_group(a_mor.p).conjugates_by(a_mor.source, (a.inv() for a in candidates))
+    for x in _TransporterSearch(a_mor).transporters(b_mor, conjugates):
+        return x.inv()
+    raise StabilityViolationError("matched pieces admit no conjugation witness")

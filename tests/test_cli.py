@@ -95,7 +95,7 @@ def test_verify_keeps_the_other_suites_when_a_certificate_fails(capsys, monkeypa
 
     monkeypatch.setattr(solver, "layer2_closed_forms", perturbed)
     monkeypatch.setattr(realize, "_conjugation_witness",
-                        lambda candidates, a_mor, b_mor: candidates[0])
+                        lambda conjugates, a_mor, b_mor: conjugates[0][0])
     code, out, err = run(capsys, "verify", "--all", "--system", "d8", "--format", fmt)
     assert code == 1 and err == ""
     if fmt == "json":

@@ -1,14 +1,21 @@
+import gc
 import hashlib
 import random
 import tracemalloc
 import weakref
 from array import array
+from collections import Counter
 from itertools import accumulate, combinations
 from types import SimpleNamespace
 
 import pytest
 
-from oracles import builtin_fusion_system, cached_system
+from oracles import (
+    builtin_fusion_system,
+    cached_system,
+    reference_candidates,
+    reference_conjugation_witness,
+)
 from p3fusion import biset, fusion, realize
 from p3fusion.biset import FormalBiset, biset_class, restrict_left
 from p3fusion.cli import main
@@ -26,7 +33,7 @@ from p3fusion.fusion import (
     gl2_elements,
     lift_matrix_to_aut,
 )
-from p3fusion.group import GroupMorphism, ambient_group, identity_morphism
+from p3fusion.group import ExtraspecialGroup, GroupMorphism, ambient_group, identity_morphism
 from p3fusion.realize import (
     BisetIndex,
     _conjugation_witness,
@@ -96,14 +103,33 @@ def test_one_witness_search_per_pair_of_pieces(name, monkeypatch):
     # or by a later generator over the same R, reuses its witness
     asked = []
 
-    def recording(candidates, a_mor, b_mor):
+    def recording(conjugates, a_mor, b_mor):
         asked.append((a_mor, b_mor))  # holding the pieces keeps their ids apart
-        return _conjugation_witness(candidates, a_mor, b_mor)
+        return _conjugation_witness(conjugates, a_mor, b_mor)
 
     monkeypatch.setattr(realize, "_conjugation_witness", recording)
     check_transitivity(builtin_fusion_system(name))
     assert asked
     assert len({(id(a), id(b)) for a, b in asked}) == len(asked)
+
+
+@pytest.mark.parametrize("name, searches, conjugate_sets", [
+    ("d8", 72, 6), ("sd16", 256, 10), ("4s4", 1584, 12)])
+def test_witness_work_is_pinned(name, searches, conjugate_sets, monkeypatch):
+    # a piece matched with itself takes the identity with no search, and A's
+    # conjugates by R's candidates are built once per A of each R.  A search
+    # per pair, each with its own conjugates, made 234, 425 and 2,401 of both
+    system = builtin_fusion_system(name)
+    x = minimal_biset(system, certify=False).biset
+    check_transitivity(system, biset=x)  # the group's own memos, filled once
+    calls = Counter()
+    plain_witness, plain_conjugates = realize._conjugation_witness, ExtraspecialGroup.conjugates_by
+    monkeypatch.setattr(realize, "_conjugation_witness",
+                        lambda *args: calls.update(["search"]) or plain_witness(*args))
+    monkeypatch.setattr(ExtraspecialGroup, "conjugates_by", lambda self, *args: (
+        calls.update(["conjugates"]) or plain_conjugates(self, *args)))
+    check_transitivity(system, biset=x)
+    assert calls == {"search": searches, "conjugates": conjugate_sets}
 
 
 @pytest.mark.parametrize("name", ["d8", "sd16"])
@@ -114,7 +140,7 @@ def test_blocks_are_their_own_pieces_along_the_identity(name, monkeypatch):
     monkeypatch.setattr(biset, "_class_key", lambda mor, left: keyed.append(mor) or plain(mor, left))
     perm = perm_from_morphism(index, identity_morphism(sys_.group.full))
     assert list(perm) == list(range(index.size))
-    _r_id, memo, (restriction, pieces), _witnesses = index._state
+    _r_id, memo, (restriction, pieces), _witnesses, _conjugates = index._state
     assert not keyed
     assert {piece for _cls, piece in memo.values()} == {cls.rep for cls in index.classes}
     assert len(pieces) == len(index.classes)
@@ -530,9 +556,9 @@ def test_checks_run_for_every_generator_after_one_orbit(monkeypatch):
         maps_asked.append(psi)
         if len(maps_asked) == 10:
             assert psi.source is index.system.group.full
-            index._state[-1].clear()  # the witnesses, so that each is asked for again
+            index._state[3].clear()  # the witnesses, so that each is asked for again
             monkeypatch.setattr(realize, "_conjugation_witness",
-                                lambda candidates, a_mor, b_mor: candidates[0])
+                                lambda conjugates, a_mor, b_mor: conjugates[0][0])
         return plain_maps(index, psi)
 
     def counting(orbits, runs):
@@ -568,6 +594,64 @@ def test_pieces_of_the_lines_are_gone_before_the_outer_generators(monkeypatch):
     monkeypatch.setattr(realize, "_restriction_split", split)
     check_transitivity(builtin_fusion_system("d8"))
     assert refs and alive_at_s and set(alive_at_s) == {0}
+
+
+class _TrackedPair:
+    """An (x, codes) pair of conjugates_by that a weak reference can follow."""
+
+    __slots__ = ("pair", "__weakref__")
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def __iter__(self):
+        return iter(self.pair)
+
+
+def test_conjugates_and_witnesses_of_the_lines_are_gone_before_the_outer_generators(monkeypatch):
+    # A's conjugates and the witnesses, whose keys hold their pieces, live in
+    # the state of their R: none built over a V_i is left when the split over
+    # S begins.  With gc off, no piece and no conjugate that realization
+    # builds outlives check_transitivity, so none is kept by a cycle
+    class Tracked(GroupMorphism):
+        __slots__ = ("__weakref__",)
+
+    system = builtin_fusion_system("d8")
+    x = minimal_biset(system, certify=False).biset
+    check_transitivity(system, biset=x)  # the group's own memos, filled once
+    monkeypatch.setattr(biset, "GroupMorphism", Tracked)
+    plain_split, plain_conjugates = realize._restriction_split, ExtraspecialGroup.conjugates_by
+    refs, kinds, alive_at_s = [], Counter(), []
+
+    def conjugates_by(self, q, xs):
+        for pair in plain_conjugates(self, q, xs):
+            tracked = _TrackedPair(pair)
+            refs.append(weakref.ref(tracked))
+            kinds["conjugate"] += 1
+            yield tracked
+
+    def split(items, psi, memo):
+        if psi.source.order == psi.p ** 3 and not alive_at_s:
+            alive_at_s.append(sum(ref() is not None for ref in refs))
+        found = plain_split(items, psi, memo)
+        for entries in found[1].values():
+            for _cls, _tracked, orbits in entries:
+                for _positions, piece in orbits:
+                    if isinstance(piece, Tracked):
+                        refs.append(weakref.ref(piece))
+                        kinds["piece"] += 1
+        return found
+
+    monkeypatch.setattr(ExtraspecialGroup, "conjugates_by", conjugates_by)
+    monkeypatch.setattr(realize, "_restriction_split", split)
+    gc.disable()
+    try:
+        check_transitivity(system, biset=x)
+        left = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert kinds["conjugate"] and kinds["piece"]
+    assert alive_at_s == [0] and left == 0
 
 
 def test_realization_memory_at_4s4():
@@ -625,7 +709,7 @@ def test_wrong_witness_is_refused_as_not_a_permutation(monkeypatch):
     # sends two labels of some orbit to one label
     sys_, index = _index("d8")
     monkeypatch.setattr(realize, "_conjugation_witness",
-                        lambda candidates, a_mor, b_mor: candidates[0])
+                        lambda conjugates, a_mor, b_mor: conjugates[0][0])
     alpha = lift_matrix_to_aut(sys_.sorted_out[1])
     with pytest.raises(StabilityViolationError, match="not a permutation"):
         perm_from_morphism(index, alpha.inverse())
@@ -676,6 +760,49 @@ def test_witness_matches_elementwise_search(name, monkeypatch):
             pairs += 1
             moved += not witness.is_identity()
     assert pairs and moved  # some witness is not the identity
+
+
+@pytest.mark.parametrize("name, share", [("d8", 1), ("sd16", 1), ("4s4", 0.1), ("d16x3", 0.02)])
+def test_witnesses_match_a_search_per_pair(name, share, monkeypatch):
+    """Every pair of pieces that the label maps of check_transitivity meet at
+    D8 and SD16, and a seeded share of them at 4S4 and D16x3, maps its labels
+    as the witness w of a fresh search per call does: the label k of the
+    source orbit goes to the coset of psi(v_k w) t, v_k the tracked element
+    and t the target orbit's first coset.  The pairs of a piece with itself,
+    which take the identity with no search, are among them."""
+    system = builtin_fusion_system(name)
+    grp = system.group
+    mul, n = grp.product_table, len(grp.elements)
+    rng = random.Random(35)
+    met, checked = [], Counter()
+    plain_lockstep, plain_maps = realize._lockstep, realize._label_maps
+
+    def lockstep(index, sources, targets):
+        for pair in plain_lockstep(index, sources, targets):
+            met.append(pair)
+            yield pair
+
+    def maps(index, psi):
+        candidates, where = reference_candidates(psi.source), psi.source.position
+        for run in plain_maps(index, psi):
+            (_, _, (s_positions, s_mor), s_tracked), (t_cls, _, (t_positions, t_mor)), _ = \
+                met.pop()
+            if rng.random() < share:
+                w = reference_conjugation_witness(candidates, s_mor, t_mor).code()
+                t_reps, t_pos = grp.coset_index(t_cls.rep.source)
+                t = t_reps[t_positions[0]]
+                assert list(run[-1]) == [
+                    t_pos[mul[psi.table[where[mul[s_tracked[k] * n + w]]] * n + t]][0]
+                    for k in s_positions]
+                checked[s_mor is t_mor, w != 0] += 1
+            yield run
+
+    monkeypatch.setattr(realize, "_lockstep", lockstep)
+    monkeypatch.setattr(realize, "_label_maps", maps)
+    check_transitivity(system)
+    assert not met
+    # pairs of a piece with itself, and other pairs whose witness is not 1
+    assert checked[True, False] and checked[False, True] and not checked[True, True]
 
 
 # SHA-256 of each permutation whose label maps check_transitivity reads, in
