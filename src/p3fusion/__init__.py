@@ -36,7 +36,6 @@ from .group import (
     GroupMorphism,
     Subgroup,
     ambient_group,
-    conjugation_morphism,
 )
 from .idempotent import verify_idempotent_stability
 from .realize import BisetIndex, check_transitivity, perm_from_morphism
@@ -53,7 +52,6 @@ __all__ = [
     "builtin_systems", "fusion_system",
     "lambda_sets", "lift_matrix_to_aut", "resolve_system",
     "GroupElement", "GroupMorphism", "Subgroup", "ambient_group",
-    "conjugation_morphism",
     "verify_idempotent_stability",
     "BisetIndex", "check_transitivity", "perm_from_morphism",
     "SolverResult", "exoticity_bound", "minimal_biset", "verify_table",

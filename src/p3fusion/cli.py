@@ -11,7 +11,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .biset import biset_class, brute_force_fixed_points, count_fixed_points
 from .errors import (
@@ -33,6 +32,15 @@ from .realize import check_transitivity
 from .solver import TableReport, minimal_biset, verify_table
 
 WORKERS_ENV = "P3FUSION_WORKERS"
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first use: concurrent.futures costs
+    about 20 ms of every start, and only P3FUSION_WORKERS > 1 makes a pool."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _print_json(data):
@@ -261,7 +269,8 @@ def cmd_verify(args) -> int:
         print("nothing to verify: " + "; ".join(reasons), file=sys.stderr)
         return 2
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # read off the module, which imports the pool's class only now
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_system_suites, tasks))
     else:
         done = [_run_system_suites(task) for task in tasks]

@@ -23,7 +23,6 @@ from .group import (
     GroupMorphism,
     Subgroup,
     ambient_group,
-    conjugation_morphism,
     line_index,
     morphism_from_images,
     require_odd_prime,
@@ -98,17 +97,16 @@ def line_scaling(m: MatrixGL2, i: int) -> int:
 
 
 def matrix_closure(p: int, gens) -> frozenset:
-    seen = set(gens)
-    seen.add(identity_matrix(p))
+    """The subgroup of GL_2(p) that gens generate: as the group is finite, the
+    products reached from 1 by right multiplication with the generators."""
+    seen = {identity_matrix(p)}
     frontier = list(seen)
-    gens = list(seen)
     while frontier:
         m = frontier.pop()
         for g in gens:
-            for prod_ in (m * g, g * m):
-                if prod_ not in seen:
-                    seen.add(prod_)
-                    frontier.append(prod_)
+            if (prod_ := m * g) not in seen:
+                seen.add(prod_)
+                frontier.append(prod_)
     return frozenset(seen)
 
 
@@ -293,9 +291,9 @@ def _nonsplit_torus_normalizer(p: int) -> frozenset:
 
 
 def _nonsplit_half_normalizer(p: int) -> frozenset:
-    """Index-2 subgroup of the nonsplit normalizer: torus squares plus the flip."""
-    torus = _nonsplit_torus(p)
-    half = matrix_closure(p, [t * t for t in torus])
+    """Index-2 subgroup of the nonsplit normalizer: torus squares plus the flip.
+    The torus is abelian, so its squares are a group."""
+    half = {t * t for t in _nonsplit_torus(p)}
     sigma = MatrixGL2(p, 1, 0, 0, p - 1)
     return frozenset(half | {sigma * t for t in half})
 
@@ -306,12 +304,9 @@ def _quaternion_normalizer(p: int) -> frozenset:
     q8 = matrix_closure(p, [i, j])
     if len(q8) != 8:
         raise InconsistentSpecError("quaternion seed did not close to 8 matrices")
-    out = []
-    for m in gl2_elements(p):
-        mi = m.inv()
-        if all(m * q * mi in q8 for q in q8):
-            out.append(m)
-    return frozenset(out)
+    # conjugation by m is an automorphism: it keeps q8 if it keeps i and j there
+    return frozenset(m for m in gl2_elements(p)
+                     if m * i * (mi := m.inv()) in q8 and m * j * mi in q8)
 
 
 _BUILTIN_ROWS = (
@@ -441,7 +436,9 @@ def lambda_sets(spec: FusionSystemSpec, i: int) -> LambdaSets:
     return LambdaSets(ext, non)
 
 
-def _verify_out_group(spec: FusionSystemSpec, mats: frozenset):
+def _verify_out_group(spec: FusionSystemSpec, mats: frozenset) -> tuple:
+    """Check mats against every counting constraint, or raise
+    InconsistentSpecError; returns the generators the product check picked."""
     p = spec.p
     if len(mats) != spec.out_order:
         raise InconsistentSpecError(
@@ -449,9 +446,15 @@ def _verify_out_group(spec: FusionSystemSpec, mats: frozenset):
     for m in mats:
         if m.inv() not in mats:
             raise InconsistentSpecError("outer group not closed under inverse")
-    for m in mats:
-        for n in mats:
-            if m * n not in mats:
+    # a finite set is a group iff the group some subset of it generates is the
+    # set itself: scanning in order, a matrix not yet generated is a generator,
+    # and the closure must stay inside mats; it covers mats once the scan ends
+    gens, generated = [], {identity_matrix(p)}
+    for m in sorted(mats):
+        if m not in generated:
+            gens.append(m)
+            generated = matrix_closure(p, gens)
+            if not generated <= mats:
                 raise InconsistentSpecError("outer group not closed under product")
     # determinant fibers all have size f
     fibers = {}
@@ -475,6 +478,7 @@ def _verify_out_group(spec: FusionSystemSpec, mats: frozenset):
             if len(set(stab_pairs)) != len(stab_pairs) or set(stab_pairs) != lam_e:
                 raise InconsistentSpecError(
                     f"stabilizer action pairs at line {i} do not realise the extendable set")
+    return tuple(gens)
 
 
 def _line_relabelling(have: FusionSystemSpec, want: FusionSystemSpec):
@@ -497,37 +501,51 @@ def _line_relabelling(have: FusionSystemSpec, want: FusionSystemSpec):
     return None
 
 
-def build_out_F(spec: FusionSystemSpec) -> frozenset:
+class OutF(frozenset):
+    """Out_F(S) as matrices in GL_2(p), with `generators`: those of a scan in
+    sorted order not generated by the ones before, which generate the set."""
+
+    __slots__ = ("generators",)
+
+
+def build_out_F(spec: FusionSystemSpec) -> OutF:
     """The outer automorphism group of S for this system, as matrices in GL_2(p):
     the matching built-in row's matrices conjugated by its relabelling g, then
-    verified against every counting constraint (order (p-1)f, uniform
-    determinant fibers, line orbits equal to the class partition, line
-    stabilizers acting exactly by the extendable index pairs).  A spec that
-    matches no row raises InconsistentSpecError."""
+    verified against every counting constraint (order (p-1)f, closure under
+    inverses and products, uniform determinant fibers, line orbits equal to
+    the class partition, line stabilizers acting exactly by the extendable
+    index pairs).  A spec that matches no row raises InconsistentSpecError."""
     match = _matching_row(spec)
     if match is None:
         raise InconsistentSpecError(
             f"no built-in system at p = {spec.p} matches {spec.name!r} up to relabelling")
     (_, mats, _), g = match
     gi = g.inv()
-    mats = frozenset(g * m * gi for m in mats)
-    _verify_out_group(spec, mats)
+    mats = OutF(g * m * gi for m in mats)
+    mats.generators = _verify_out_group(spec, mats)
     return mats
 
 
 # -- lifting matrices to automorphisms of S -----------------------------------
 
 def lift_matrix_to_aut(m: MatrixGL2) -> GroupMorphism:
-    """The automorphism of S acting by m on exponent vectors and by det(m) on z."""
-    p = m.p
-    if m.det() == 0:
+    """The automorphism of S acting by m on exponent vectors and by det(m) on z:
+    x -> X = (m.a, m.c, 0) and y -> Y = (m.b, m.d, 0).  Its table is read off
+    (a, b, c) = x**a y**b z**(c - ab), whose image X**a Y**b z**(k(c - ab)),
+    k = det(m), is one base per (a, b) with p central digits."""
+    p, k = m.p, m.det()
+    if k == 0:
         raise ValueError("matrix is not invertible")
-    grp = ambient_group(p)
-    images = {
-        grp.x: GroupElement(p, m.a, m.c, 0),
-        grp.y: GroupElement(p, m.b, m.d, 0),
-    }
-    return morphism_from_images(grp.full, images)
+    table, steps = [], [k * t for t in range(p)]
+    for a in range(p):
+        # X**a = (a m.a, a m.c, C(a,2) m.a m.c) by the power closed form
+        xa, xc, xz = a * m.a, a * m.c, a * (a - 1) // 2 * m.a * m.c
+        for b in range(p):
+            # X**a Y**b by the group law, less the k ab that z**(c - ab) takes off
+            base = ((xa + b * m.b) % p * p + (xc + b * m.d) % p) * p
+            c = xz + b * (b - 1) // 2 * m.b * m.d + (xa * m.d - k * a) * b
+            table += [base + (c + step) % p for step in steps]
+    return GroupMorphism(ambient_group(p).full, tuple(table))
 
 
 def matrix_of_automorphism(alpha: GroupMorphism) -> MatrixGL2:
@@ -574,6 +592,7 @@ class FusionSystem:
         self.out_matrices = build_out_F(spec)  # before S: a spec with no row is refused at once
         self.group = ambient_group(spec.p)
         self.sorted_out = tuple(sorted(self.out_matrices))
+        self.out_generators = self.out_matrices.generators
         self.out_lifts = {m: lift_matrix_to_aut(m) for m in self.sorted_out}
         self.f = spec.f
         self.maximals = self.group.maximal_subgroups
@@ -613,12 +632,11 @@ class FusionSystem:
                 lam = line_scaling(m, i0)
                 u[j] = pinned[j] ** lam
                 alpha = self.out_lifts[m]
-                # adjust by an inner map so u_{i0} goes exactly to the new u_j
+                # adjust by an inner map c_s so u_{i0} goes exactly to the new u_j
                 img = alpha(u[i0])
                 defect = (img.c - u[j].c) % p  # img = u_j * z**defect
                 s = self._solve_commuting_conjugator(u[j], -defect % p)
-                alpha = conjugation_morphism(s, grp.full).compose(alpha)
-                if alpha(grp.z) != grp.z or alpha(u[i0]) != u[j]:
+                if alpha(grp.z).conj_by(s) != grp.z or img.conj_by(s) != u[j]:
                     raise InconsistentSpecError("generator normalization failed")
         self.u = tuple(u)
         self._verify_restrictions()

@@ -419,13 +419,6 @@ class GroupMorphism:
             self._image = ambient_group(self.p).by_codes(tuple(sorted(self.table)))
         return self._image
 
-    def compose(self, other: "GroupMorphism") -> "GroupMorphism":
-        """self after other; other's image must lie in self's source."""
-        if not other.image <= self.source:
-            raise MorphismError("composition out of domain")
-        table, where = self.table, self.source.position
-        return GroupMorphism(other.source, tuple([table[where[h]] for h in other.table]))
-
     def inverse(self) -> "GroupMorphism":
         table, where = [0] * self.source.order, self.image.position
         for g, h in zip(self.source.codes, self.table):
@@ -453,13 +446,6 @@ class GroupMorphism:
 
 def identity_morphism(q: Subgroup) -> GroupMorphism:
     return GroupMorphism(q, q.codes)
-
-
-def conjugation_morphism(x: GroupElement, q: Subgroup) -> GroupMorphism:
-    """The map u -> x u x**-1 restricted to q."""
-    if x.p != q.p:
-        raise PrimeMismatchError("conjugator over a different prime")
-    return GroupMorphism(q, tuple([g.conj_by(x).code() for g in q]))
 
 
 def morphism_from_images(source: Subgroup, generator_images: dict) -> GroupMorphism:

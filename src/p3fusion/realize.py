@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .biset import FormalBiset, _restriction_split, _TransporterSearch, check_condition_a
 from .errors import PrimeMismatchError, StabilityViolationError, TheoremViolationError
-from .fusion import FusionSystem, matrix_closure, matrix_of_automorphism
+from .fusion import FusionSystem, matrix_of_automorphism
 from .group import GroupMorphism, identity_morphism
 from .solver import minimal_biset
 
@@ -275,20 +275,6 @@ def _noting_singletons(runs, j0_images: dict):
         yield run
 
 
-def _out_generator_matrices(system: FusionSystem):
-    """A small generating subset of the outer matrix group."""
-    mats = system.sorted_out
-    gens = []
-    generated = {mats[0] * mats[0].inv()}
-    for m in mats:
-        if m not in generated:
-            gens.append(m)
-            generated = matrix_closure(system.p, gens)
-            if len(generated) == len(mats):
-                break
-    return gens
-
-
 def j0_class_action_checks(system: FusionSystem, biset: FormalBiset):
     """Regular action of the outer classes on the singleton labels, or
     TheoremViolationError.
@@ -374,7 +360,7 @@ def check_transitivity(system: FusionSystem,
     essentials = essential_generators(system)
     for rep in essentials:
         orbits.join(_label_maps(index, rep.morphism))
-    out_mats = list(system.sorted_out) if all_out_reps else _out_generator_matrices(system)
+    out_mats = system.sorted_out if all_out_reps else system.out_generators
     j0_pos = {label: k for k, label in enumerate(index.j0)}
     j0_parent, j0_orbits = [-1] * len(index.j0), len(index.j0)
     for m in out_mats:

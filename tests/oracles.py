@@ -7,8 +7,10 @@ formal biset, which mark-table rows are checked against; the class key as
 the least over every conjugate of the source's generators, which the
 closed-form key is checked against; the conjugation witness of a pair of
 pieces from a fresh search per call, which realization's witnesses are
-checked against; and one system per spec for the session, with the built-in
-system by name."""
+checked against; the lift of a matrix to Aut(S) by generator images, which
+the closed-form lift is checked against; conjugation maps and composition of
+morphisms; and one system per spec for the session, with the built-in system
+by name."""
 
 from functools import lru_cache
 from itertools import product
@@ -16,9 +18,11 @@ from operator import and_, eq
 
 from p3fusion.biset import (BisetClass, FormalBiset, _least_central_digits, _TransporterSearch,
                             biset_class, count_fixed_points)
-from p3fusion.errors import MorphismError, P3FusionError, StabilityViolationError
-from p3fusion.fusion import FusionSystem, fusion_system, resolve_system
-from p3fusion.group import GroupElement, GroupMorphism, ambient_group, morphism_from_images
+from p3fusion.errors import (MorphismError, P3FusionError, PrimeMismatchError,
+                             StabilityViolationError)
+from p3fusion.fusion import FusionSystem, MatrixGL2, fusion_system, resolve_system
+from p3fusion.group import (GroupElement, GroupMorphism, Subgroup, ambient_group,
+                            morphism_from_images)
 
 POINT_LIMIT = 2_000_000  # the most points an explicit biset or composite may have
 
@@ -349,3 +353,32 @@ def reference_conjugation_witness(candidates, a_mor, b_mor) -> GroupElement:
     for x in _TransporterSearch(a_mor).transporters(b_mor, conjugates):
         return x.inv()
     raise StabilityViolationError("matched pieces admit no conjugation witness")
+
+
+def reference_lift(m: MatrixGL2) -> GroupMorphism:
+    """The automorphism of S with x -> (m.a, m.c, 0) and y -> (m.b, m.d, 0),
+    built by the checked closure over every element of S."""
+    p = m.p
+    if m.det() == 0:
+        raise ValueError("matrix is not invertible")
+    grp = ambient_group(p)
+    images = {
+        grp.x: GroupElement(p, m.a, m.c, 0),
+        grp.y: GroupElement(p, m.b, m.d, 0),
+    }
+    return morphism_from_images(grp.full, images)
+
+
+def conjugation_morphism(x: GroupElement, q: Subgroup) -> GroupMorphism:
+    """The map u -> x u x**-1 restricted to q."""
+    if x.p != q.p:
+        raise PrimeMismatchError("conjugator over a different prime")
+    return GroupMorphism(q, tuple([g.conj_by(x).code() for g in q]))
+
+
+def compose_morphisms(f: GroupMorphism, g: GroupMorphism) -> GroupMorphism:
+    """f after g; g's image must lie in f's source."""
+    if not g.image <= f.source:
+        raise MorphismError("composition out of domain")
+    table, where = f.table, f.source.position
+    return GroupMorphism(g.source, tuple([table[where[h]] for h in g.table]))

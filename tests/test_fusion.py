@@ -1,8 +1,12 @@
 import hashlib
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from oracles import builtin_fusion_system
+from oracles import (builtin_fusion_system, compose_morphisms, conjugation_morphism,
+                     reference_lift)
+from p3fusion import fusion, group
 from p3fusion.errors import InconsistentSpecError, UnknownSystemError
 from p3fusion.fusion import (
     _MAX_SPEC_PRIME,
@@ -18,12 +22,13 @@ from p3fusion.fusion import (
     lift_matrix_to_aut,
     line_scaling,
     _nonsquare,
+    matrix_closure,
     matrix_of_automorphism,
     power_subgroup,
     realizing_group_name,
     resolve_system,
 )
-from p3fusion.group import ambient_group, conjugation_morphism, identity_morphism
+from p3fusion.group import ambient_group, identity_morphism
 
 
 EXPECTED_ROWS = {
@@ -239,6 +244,22 @@ def test_build_out_F_relabelled_custom_spec():
     assert len(mats) == 72
 
 
+@pytest.mark.parametrize("name", [row[1] for row in fusion._BUILTIN_ROWS])
+def test_outer_group_not_closed_under_product_is_refused(name):
+    # one involution of the row traded for one outside it: the order and the
+    # inverses stay, but a proper subset of a group of order above 2 is no
+    # group, so the products leave the set
+    spec = resolve_system(name)
+    mats = build_out_F(spec)
+    inside = next(m for m in sorted(mats) if not m.is_identity() and (m * m).is_identity())
+    outside = next(m for m in gl2_elements(spec.p)
+                   if m not in mats and (m * m).is_identity())
+    swapped = (mats - {inside}) | {outside}
+    assert len(swapped) == len(mats) and all(m.inv() in swapped for m in swapped)
+    with pytest.raises(InconsistentSpecError, match="^outer group not closed under product$"):
+        fusion._verify_out_group(spec, swapped)
+
+
 def test_build_out_F_unsupported_spec():
     # consistent descriptions that no built-in row matches: primes with no row,
     # and a p = 7 shape (one class of all 8 lines with r = 1) of no row
@@ -343,16 +364,75 @@ def test_lift_matrix():
         lift_matrix_to_aut(MatrixGL2(3, 1, 1, 1, 1))
 
 
+# D16x3 with its classes relabelled: its outer matrices are not the row's
+RELABELLED_D16X3 = FusionSystemSpec(7, "custom", (
+    FusionClass(frozenset({0, 1, 4, 5}), 2), FusionClass(frozenset({2, 3, 6, 7}), 2)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_lift_matches_the_reference_over_GL2(p):
+    for m in gl2_elements(p):
+        assert lift_matrix_to_aut(m) == reference_lift(m)
+
+
+def test_lift_matches_the_reference_on_the_outer_matrices_at_p7():
+    specs = [resolve_system(name) for name in ("D16x3", "6sq:2", "SD32x3")] + [RELABELLED_D16X3]
+    assert build_out_F(RELABELLED_D16X3) != build_out_F(specs[0])
+    for spec in specs:
+        for m in build_out_F(spec):
+            assert lift_matrix_to_aut(m) == reference_lift(m)
+
+
+def _greedy_generators(mats):
+    """The outer generators as realization picked them from the sorted
+    matrices, before the system kept the ones its closure check picks."""
+    gens, generated = [], {mats[0] * mats[0].inv()}
+    for m in mats:
+        if m not in generated:
+            gens.append(m)
+            generated = matrix_closure(mats[0].p, gens)
+            if len(generated) == len(mats):
+                break
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("spec", builtin_systems() + (RELABELLED_D16X3,),
+                         ids=lambda spec: spec.name)
+def test_out_generators_generate_the_group_as_the_greedy_pick(spec):
+    system = fusion.fusion_system(spec)
+    assert matrix_closure(spec.p, system.out_generators) == system.out_matrices
+    assert system.out_generators == _greedy_generators(system.sorted_out)
+
+
+@pytest.mark.parametrize("name, products", [("4S4", 1714), ("SD32x3", 654)])
+def test_cold_build_cost_is_pinned(monkeypatch, name, products):
+    # a build with the rows not yet built, as in a fresh process: the
+    # all-pairs closure check and lifts through morphism_from_images made
+    # 12,528 and 10,680 products, and 96 calls to it at each system
+    spec = resolve_system(name)
+    monkeypatch.setattr(fusion, "_builtin_rows",
+                        lru_cache(maxsize=None)(fusion._builtin_rows.__wrapped__))
+    calls = Counter()
+    plain_product, plain_images = MatrixGL2.__mul__, group.morphism_from_images
+    monkeypatch.setattr(MatrixGL2, "__mul__", lambda self, other: (
+        calls.update(["product"]) or plain_product(self, other)))
+    for module in (fusion, group):
+        monkeypatch.setattr(module, "morphism_from_images", lambda *args: (
+            calls.update(["morphism_from_images"]) or plain_images(*args)))
+    fusion.FusionSystem(spec)
+    assert calls == {"product": products}
+
+
 def test_lift_is_section_of_out_exhaustive_p3():
     # lift(M) lift(N) agrees with lift(MN) up to an inner automorphism
     g = ambient_group(3)
     mats = [m for m in build_out_F(resolve_system("sd16"))]
     for m in mats[:8]:
         for n in mats[:8]:
-            comp = lift_matrix_to_aut(m).compose(lift_matrix_to_aut(n))
+            comp = compose_morphisms(lift_matrix_to_aut(m), lift_matrix_to_aut(n))
             direct = lift_matrix_to_aut(m * n)
             assert matrix_of_automorphism(comp) == matrix_of_automorphism(direct)
-            diff = comp.compose(direct.inverse())
+            diff = compose_morphisms(comp, direct.inverse())
             # inner: acts trivially on S/Z
             assert matrix_of_automorphism(diff).is_identity()
 
@@ -367,7 +447,7 @@ def _normalized_iso(sys_, i, j):
         if alpha(g.z) != g.z or (img.a, img.b) != (sys_.u[j].a, sys_.u[j].b):
             continue
         s = next(s for s in g.elements if img.conj_by(s) == sys_.u[j])
-        return conjugation_morphism(s, g.full).compose(alpha)
+        return compose_morphisms(conjugation_morphism(s, g.full), alpha)
     raise AssertionError(f"no F-automorphism takes u_{i} to u_{j} and fixes z")
 
 
@@ -389,7 +469,7 @@ def test_normalized_isos():
             for i in mem:
                 for j in mem:
                     for k in mem:
-                        lhs = isos[(j, k)].compose(isos[(i, j)])
+                        lhs = compose_morphisms(isos[(j, k)], isos[(i, j)])
                         assert lhs(sys_.group.z) == sys_.group.z
                         assert lhs(sys_.u[i]) == sys_.u[k]
         if len(sys_.spec.classes) > 1:

@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from oracles import biset_mark, builtin_fusion_system
+from oracles import biset_mark, builtin_fusion_system, compose_morphisms, conjugation_morphism
 from p3fusion import idempotent
 from p3fusion.biset import (
     FormalBiset,
@@ -15,7 +15,7 @@ from p3fusion.biset import (
 )
 from p3fusion.errors import InconsistentSpecError
 from p3fusion.fusion import FusionSystem, resolve_system
-from p3fusion.group import conjugation_morphism, morphism_from_images
+from p3fusion.group import morphism_from_images
 from p3fusion.idempotent import (
     closed_forms,
     layer_sums,
@@ -180,7 +180,7 @@ def test_layer_sums_independent_of_class_representatives():
     phi = next(r.morphism for r in system.order_p_reps()
                if not r.meta[0].is_central() and not r.meta[1].is_central())
     q = conjugation_morphism(grp.y, phi.source).image
-    twin = biset_class(phi.compose(conjugation_morphism(grp.y.inv(), q)))
+    twin = biset_class(compose_morphisms(phi, conjugation_morphism(grp.y.inv(), q)))
     assert q is not phi.source and twin.rep.source is q
     coeffs = dict(om.coeffs)
     coeffs[twin] = coeffs.pop(biset_class(phi))

@@ -40,11 +40,22 @@ def test_import_pulls_in_no_dataclasses_or_inspect():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_pulls_in_no_process_pool():
+    # concurrent.futures and its process pool cost about 20 ms of every start;
+    # only P3FUSION_WORKERS > 1 makes a pool, and imports it then
+    code = ("import sys, p3fusion, p3fusion.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 # Module-level lru_caches, kept for the reason given.
 MEMOS_KEPT = {
     "fusion._builtin_rows": "the built-in rows at a prime, read by every name lookup, "
                             "every spec match and every realizing-group name: "
-                            "rebuilding them costs about 4 ms at p = 5 and 2 ms at p = 7",
+                            "rebuilding them costs about 2 ms at p = 5 and 1 ms at p = 7",
     "group.ambient_group": "S at a prime: each subgroup is one interned object "
                            "of its one lattice",
 }

@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     builtin_fusion_system,
     cached_system,
+    compose_morphisms,
     reference_candidates,
     reference_conjugation_witness,
 )
@@ -181,7 +182,7 @@ def test_out_perm_singleton_rule():
             target_label = perm[offset]
             target_cls = next(t_cls for t_cls, t_offset, t_size in _blocks(index)
                               if t_offset == target_label and t_size == 1)
-            expect = biset_class(cls.rep.compose(alpha))
+            expect = biset_class(compose_morphisms(cls.rep, alpha))
             assert target_cls == expect
 
 
@@ -429,7 +430,7 @@ def test_orbit_count_matches_bfs_on_generator_subsets(name, subsets):
     # automorphisms of the lines: the count on the copy quotient is the count
     # of the permutations' orbits on J
     sys_, index = _index(name)
-    out = list(sys_.sorted_out) if sys_.p <= 3 else realize._out_generator_matrices(sys_)
+    out = sys_.sorted_out if sys_.p <= 3 else sys_.out_generators
     extras = [rep.morphism for cls in sys_.spec.classes for i in sorted(cls.members)
               for rep in sys_.v_source_reps(i)
               if rep.extendable is False and rep.meta[0] == rep.meta[1] == i][:3]
@@ -522,23 +523,24 @@ def test_outer_permutation_leaving_the_singleton_labels_is_refused(monkeypatch):
         check_transitivity(builtin_fusion_system("d8"))
 
 
-def _without_the_last_outer_generator(monkeypatch):
-    plain = realize._out_generator_matrices
-    monkeypatch.setattr(realize, "_out_generator_matrices", lambda system: plain(system)[:-1])
+def _without_the_last_outer_generator(monkeypatch, system):
+    monkeypatch.setattr(system, "out_generators", system.out_generators[:-1])
+    return system
 
 
 @pytest.mark.parametrize("name, j0_orbits", [("th4s4", 3), ("d16x3", 2)])
 def test_outer_generators_short_of_one_singleton_orbit_are_refused(monkeypatch, name, j0_orbits):
     # the singleton labels are counted before J, so the short generating set
     # is named by its orbits there, not by the hundreds it leaves on J
-    _without_the_last_outer_generator(monkeypatch)
+    system = _without_the_last_outer_generator(monkeypatch, builtin_fusion_system(name))
     with pytest.raises(TheoremViolationError, match=(
             f"^{j0_orbits} orbits remain on the singleton labels with the outer generators$")):
-        check_transitivity(builtin_fusion_system(name))
+        check_transitivity(system)
 
 
 def test_realize_command_exits_1_on_a_refused_realization(monkeypatch, capsys):
-    _without_the_last_outer_generator(monkeypatch)
+    # the command reads the session's system (conftest.py)
+    _without_the_last_outer_generator(monkeypatch, builtin_fusion_system("th4s4"))
     assert main(["realize", "--system", "th4s4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -267,15 +267,16 @@ def test_biset_json_independent_of_earlier_classes():
 
     prelude = (
         "from p3fusion.biset import biset_class\n"
-        "from p3fusion.group import conjugation_morphism\n"
+        "from oracles import compose_morphisms, conjugation_morphism\n"
         "phi = next(r.morphism for r in system.order_p_reps()\n"
         "           if not r.meta[0].is_central() and not r.meta[1].is_central())\n"
         "q = conjugation_morphism(grp.y, phi.source).image\n"
-        "biset_class(phi.compose(conjugation_morphism(grp.y.inv(), q)))\n"
+        "biset_class(compose_morphisms(phi, conjugation_morphism(grp.y.inv(), q)))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    here = Path(__file__).resolve()
+    src = str(here.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(  # tests/ for the oracles
+        [src, str(here.parent)] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
 
     def run(extra):
         code = (
